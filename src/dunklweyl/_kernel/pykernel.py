@@ -17,9 +17,18 @@ plain data layout, so the two are interchangeable:
 No kernel function mutates its arguments.  Returned dicts may share value
 tuples with the inputs (values are immutable) but never share dicts that a
 caller could later receive back for mutation.
+
+``op_mul``, where nearly all of a verification's time goes, does not
+normalise term by term.  It lifts each operand to integer numerators over
+one common denominator, packs each mu-exponent tuple into one int, sums
+the products of numerators in plain ints (or four-part numerators when a
+coefficient has i or sqrt2 parts), and reduces each output coefficient by
+one gcd at the end.  The per-variable products of monomial blocks are
+cached for the life of the process, like the reordering rows.  The result
+is the same canonical dict as term-by-term arithmetic gives.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 BACKEND = "python"
 
@@ -249,65 +258,188 @@ def _dx_rows(b, a):
     return row
 
 
-def _mono_mul(m1, m2, nvars):
-    """Normal-order the product of two flat monomials.
+class _Surd:
+    """Integer numerator ``p + q*i + r*sqrt2 + s*i*sqrt2`` of an op_mul term.
 
-    Returns a list of ``(monomial, integer_coefficient)`` pairs.  Per
-    variable: the reflection of the left factor moves past the right
-    factor's x- and d-powers picking up a sign, reflections compose mod 2,
-    and d-powers move past x-powers by the falling-factorial rule.
+    Rational numerators are plain ints; this class covers the rest.  It
+    mixes with ints under ``+`` and ``*``, so one accumulation loop serves
+    both kinds of coefficient.
     """
-    out = [((), 1)]
-    j = 0
-    for _ in range(nvars):
-        a1 = m1[j]
-        b1 = m1[j + 1]
-        e1 = m1[j + 2]
-        a2 = m2[j]
-        b2 = m2[j + 1]
-        e2 = m2[j + 2]
-        j += 3
-        sign = -1 if e1 and ((a2 + b2) & 1) else 1
-        e = e1 ^ e2
-        if b1 == 0:
-            blk = (a1 + a2, b2, e)
-            out = [(mo + blk, kc * sign) for mo, kc in out]
-        else:
-            var_terms = [
-                ((a1 + a2 - k, b1 + b2 - k, e), sign * c)
-                for k, c in _dx_rows(b1, a2)
-            ]
-            out = [
-                (mo + blk, kc * c)
-                for mo, kc in out
-                for blk, c in var_terms
-            ]
+
+    __slots__ = ("p", "q", "r", "s")
+
+    def __init__(self, p, q, r, s):
+        self.p = p
+        self.q = q
+        self.r = r
+        self.s = s
+
+    def __add__(self, o):
+        if type(o) is int:
+            return _Surd(self.p + o, self.q, self.r, self.s)
+        return _Surd(self.p + o.p, self.q + o.q, self.r + o.r, self.s + o.s)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        p1, q1, r1, s1 = self.p, self.q, self.r, self.s
+        if type(o) is int:
+            return _Surd(p1 * o, q1 * o, r1 * o, s1 * o)
+        p2, q2, r2, s2 = o.p, o.q, o.r, o.s
+        return _Surd(p1 * p2 - q1 * q2 + 2 * (r1 * r2 - s1 * s2),
+                     p1 * q2 + q1 * p2 + 2 * (r1 * s2 + s1 * r2),
+                     p1 * r2 + r1 * p2 - q1 * s2 - s1 * q2,
+                     p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2)
+
+    __rmul__ = __mul__
+
+
+def _bounds(X):
+    """Common denominator and per-parameter exponent range of an operator.
+
+    Returns ``(den, lo, hi)``: ``den`` is the lcm of the coefficient
+    denominators, ``lo``/``hi`` list the least and greatest exponent of each
+    deformation parameter.
+    """
+    polys = X.values()
+    den = lcm(*[c[4] for p in polys for c in p.values()])
+    columns = list(zip(*[e for p in polys for e in p]))
+    return den, [min(c) for c in columns], [max(c) for c in columns]
+
+
+def _lift(X, den, lo, weights, nvars):
+    """Operator terms as ``(blocks, [(packed_exponent, numerator)])``.
+
+    ``blocks`` splits the flat monomial into one ``(a, b, e)`` triple per
+    variable.  The exponent tuple, shifted by ``lo``, is packed with the
+    place values ``weights``.  The numerator is over ``den``: an int when
+    the coefficient is rational, a :class:`_Surd` otherwise.
+    """
+    shift = sum(b * w for b, w in zip(lo, weights))
+    packed = {}
+    starts = range(0, 3 * nvars, 3)
+    out = []
+    for m, p in X.items():
+        nums = []
+        for e, (cp, cq, cr, cs, cd) in p.items():
+            key = packed.get(e)
+            if key is None:
+                key = sum([x * w for x, w in zip(e, weights)]) - shift
+                packed[e] = key
+            k = den // cd
+            if cq or cr or cs:
+                nums.append((key, _Surd(cp * k, cq * k, cr * k, cs * k)))
+            else:
+                nums.append((key, cp * k))
+        out.append((tuple([m[j:j + 3] for j in starts]), nums))
     return out
 
 
+_BLOCKS = {}
+_UNIT = (((), 1),)
+
+
+def _block(key):
+    """Normal-ordered one-variable product x^a1 d^b1 R^e1 * x^a2 d^b2 R^e2.
+
+    ``key`` is ``(a1, b1, e1, a2, b2, e2)``.  Returns a nonempty tuple of
+    ``((a, b, e), integer_coefficient)`` pairs.  The reflection of the left
+    factor moves past the right factor's x- and d-powers picking up a sign,
+    reflections compose mod 2, and d-powers move past x-powers by the
+    falling-factorial rule.
+    """
+    row = _BLOCKS.get(key)
+    if row is None:
+        a1, b1, e1, a2, b2, e2 = key
+        sign = -1 if e1 and ((a2 + b2) & 1) else 1
+        e = e1 ^ e2
+        row = tuple(((a1 + a2 - k, b1 + b2 - k, e), sign * c)
+                    for k, c in _dx_rows(b1, a2))
+        _BLOCKS[key] = row
+    return row
+
+
 def op_mul(A, B, nvars):
-    """Normal-ordered product of two operators on ``nvars`` variables."""
+    """Normal-ordered product of two operators on ``nvars`` variables.
+
+    Both operands are lifted to integer numerators over one common
+    denominator each, ``DA`` and ``DB`` (the lcm of their coefficient
+    denominators), so every product term has the denominator ``DA*DB`` and
+    the inner loop only multiplies and adds integers: plain ints for
+    rational coefficients, :class:`_Surd` for the rest.  Each mu-exponent
+    tuple, less the operand's least exponent per parameter, is packed into
+    one int with a per-call radix of ``spanA_j + spanB_j + 1`` for
+    parameter j, so adding two packed keys adds the exponents without carry.
+    Monomials are multiplied one variable block at a time through the
+    :func:`_block` cache.  At the end each output coefficient is reduced
+    once, by ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the
+    canonical form is unique the result equals term-by-term arithmetic.
+    """
     if not A or not B:
         return {}
+    da, loa, hia = _bounds(A)
+    db, lob, hib = _bounds(B)
+    # Place value and radix of each parameter: the packed sum of two
+    # exponents cannot carry into the next parameter's digit.
+    weights = []
+    radices = []
+    weight = 1
+    for j in range(len(loa)):
+        weights.append(weight)
+        radices.append(hia[j] - loa[j] + hib[j] - lob[j] + 1)
+        weight *= radices[-1]
+    ta = _lift(A, da, loa, weights, nvars)
+    tb = _lift(B, db, lob, weights, nvars)
+    blocks = _BLOCKS
     acc = {}
-    for m1, p1 in A.items():
-        for m2, p2 in B.items():
-            base = poly_mul(p1, p2)
-            for mono, k in _mono_mul(m1, m2, nvars):
+    for ka, pa in ta:
+        for kb, pb in tb:
+            terms = None
+            for j in range(nvars):
+                key = ka[j] + kb[j]
+                row = blocks.get(key) or _block(key)
+                if terms is None:
+                    terms = row
+                elif len(row) == 1:
+                    blk, c = row[0]
+                    terms = [(mo + blk, k * c) for mo, k in terms]
+                else:
+                    terms = [(mo + blk, k * c)
+                             for mo, k in terms for blk, c in row]
+            # With no variables the only monomial is the empty one.
+            for mono, k in terms or _UNIT:
                 tgt = acc.get(mono)
                 if tgt is None:
-                    acc[mono] = dict(base) if k == 1 else poly_scale_int(base, k)
-                else:
-                    for e, c in base.items():
-                        if k != 1:
-                            c = bn_scale_int(c, k)
-                        x = tgt.get(e)
-                        if x is None:
-                            tgt[e] = c
-                        else:
-                            v = bn_add(x, c)
-                            if v[0] or v[1] or v[2] or v[3]:
-                                tgt[e] = v
-                            else:
-                                del tgt[e]
+                    tgt = acc[mono] = {}
+                for ea, ca in pa:
+                    kc = k * ca
+                    for eb, cb in pb:
+                        e = ea + eb
+                        tgt[e] = tgt.get(e, 0) + kc * cb
+    del ta, tb
+    den = da * db
+    offset = [x + y for x, y in zip(loa, lob)]
+    unpacked = {}
+    # Reduce in place, so the integer sums are freed as the result grows.
+    for mono, nums in acc.items():
+        poly = {}
+        for e, c in nums.items():
+            if type(c) is int:
+                if not c:
+                    continue
+                g = gcd(c, den)
+                v = (c // g, 0, 0, 0, den // g)
+            else:
+                p, q, r, s = c.p, c.q, c.r, c.s
+                if not (p or q or r or s):
+                    continue
+                g = gcd(p, q, r, s, den)
+                v = (p // g, q // g, r // g, s // g, den // g)
+            expo = unpacked.get(e)
+            if expo is None:
+                expo = unpacked[e] = tuple(
+                    e // w % n + b
+                    for w, n, b in zip(weights, radices, offset))
+            poly[expo] = v
+        acc[mono] = poly
     return {m: p for m, p in acc.items() if p}

@@ -24,7 +24,11 @@ def _mu_values(text: str) -> Tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"bad deformation values: {text!r}")
-    return tuple(Fraction(p) for p in parts)
+    try:
+        return tuple(Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        # argparse reports only ValueError/TypeError as a usage error.
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _mu_mode(mu: Optional[Tuple[Fraction, ...]]) -> str:
@@ -169,7 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--levels", type=int, default=6)
     spectrum.add_argument("--format", choices=("text", "json"), default="text")
 
-    sub.add_parser("list-relations", help="list identity families")
+    listing = sub.add_parser("list-relations",
+                             help="list identity families")
+    listing.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -383,6 +383,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals the plain number, so it must hash like one.
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self._nvars, frozenset(self._poly.items())))
 
     def conjugate(self) -> "Scalar":

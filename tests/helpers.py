@@ -1,8 +1,15 @@
-"""Shared random generators for property tests."""
+"""Shared random generators and reference implementations for tests."""
 
 import random
 from fractions import Fraction
 
+from dunklweyl._kernel.pykernel import (
+    _dx_rows,
+    bn_add,
+    bn_scale_int,
+    poly_mul,
+    poly_scale_int,
+)
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import BaseNumber, Scalar
 
@@ -61,3 +68,71 @@ def random_state(rng: random.Random, nvars: int, min_pow: int = 12,
     from dunklweyl.states import GaussState
     return GaussState(random_laurent(rng, nvars, max_terms=4,
                                      max_pow=max_pow, min_pow=min_pow))
+
+
+# The term-by-term op_mul that the common-denominator kernel replaced, kept
+# verbatim as the oracle for the kernel's property tests.
+
+
+def _mono_mul(m1, m2, nvars):
+    """Normal-order the product of two flat monomials.
+
+    Returns a list of ``(monomial, integer_coefficient)`` pairs.  Per
+    variable: the reflection of the left factor moves past the right
+    factor's x- and d-powers picking up a sign, reflections compose mod 2,
+    and d-powers move past x-powers by the falling-factorial rule.
+    """
+    out = [((), 1)]
+    j = 0
+    for _ in range(nvars):
+        a1 = m1[j]
+        b1 = m1[j + 1]
+        e1 = m1[j + 2]
+        a2 = m2[j]
+        b2 = m2[j + 1]
+        e2 = m2[j + 2]
+        j += 3
+        sign = -1 if e1 and ((a2 + b2) & 1) else 1
+        e = e1 ^ e2
+        if b1 == 0:
+            blk = (a1 + a2, b2, e)
+            out = [(mo + blk, kc * sign) for mo, kc in out]
+        else:
+            var_terms = [
+                ((a1 + a2 - k, b1 + b2 - k, e), sign * c)
+                for k, c in _dx_rows(b1, a2)
+            ]
+            out = [
+                (mo + blk, kc * c)
+                for mo, kc in out
+                for blk, c in var_terms
+            ]
+    return out
+
+
+def reference_op_mul(A, B, nvars):
+    """Normal-ordered product of two operators on ``nvars`` variables."""
+    if not A or not B:
+        return {}
+    acc = {}
+    for m1, p1 in A.items():
+        for m2, p2 in B.items():
+            base = poly_mul(p1, p2)
+            for mono, k in _mono_mul(m1, m2, nvars):
+                tgt = acc.get(mono)
+                if tgt is None:
+                    acc[mono] = dict(base) if k == 1 else poly_scale_int(base, k)
+                else:
+                    for e, c in base.items():
+                        if k != 1:
+                            c = bn_scale_int(c, k)
+                        x = tgt.get(e)
+                        if x is None:
+                            tgt[e] = c
+                        else:
+                            v = bn_add(x, c)
+                            if v[0] or v[1] or v[2] or v[3]:
+                                tgt[e] = v
+                            else:
+                                del tgt[e]
+    return {m: p for m, p in acc.items() if p}

@@ -153,6 +153,26 @@ class TestListRelations:
         assert lines[0].startswith("sl12:")
         assert any(line.startswith("susy-nd:") for line in lines)
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, ["list-relations", "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["command"] == "list-relations"
+        assert len(report["results"]) == 21
+        assert report["results"][0]["family"] == "sl12"
+
+
+class TestZeroDenominator:
+    @pytest.mark.parametrize("argv", [
+        ["nf", "H1", "--dims", "1", "--mu", "1/0"],
+        ["verify", "sd2", "--mu", "1/3,1/0"],
+        ["spectrum", "--dims", "1", "--mu", "1/0"],
+    ])
+    def test_usage_error_not_traceback(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

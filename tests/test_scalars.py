@@ -188,6 +188,21 @@ class TestScalar:
         with pytest.raises(ArityMismatchError):
             wide.promote(2)
 
+    def test_hash_eq(self):
+        two = Scalar.constant(2, 1)
+        half = Scalar.constant(Fraction(1, 2), 2)
+        root = Scalar.constant(SQRT2, 1)
+        assert two == 2 and hash(two) == hash(2)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert root == SQRT2 and hash(root) == hash(SQRT2)
+        assert hash(Scalar.zero(3)) == hash(0)
+        assert len({two, 2, BaseNumber(2)}) == 1
+        table = {2: "two", Fraction(1, 2): "half", SQRT2: "root"}
+        assert table[two] == "two" and table[half] == "half"
+        assert table[root] == "root"
+        mu = Scalar.parameter(0, 1)
+        assert len({mu, mu + 0, two}) == 2
+
     def test_pow(self):
         mu = Scalar.parameter(0, 1)
         assert mu ** 0 == Scalar.one(1)
