@@ -1,7 +1,5 @@
 """Exact operator algebra for the reflection-extended Weyl algebra."""
 
-from dunklweyl._kernel import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -1,7 +1,4 @@
-"""Exact-arithmetic kernels, pure-Python reference backend.
-
-The compiled backend (``_core``) implements the same functions on the same
-plain data layout, so the two are interchangeable:
+"""Exact-arithmetic kernels on plain data:
 
 * base number -- 5-tuple of ints ``(p, q, r, s, den)`` encoding
   ``(p + q*i + r*sqrt2 + s*i*sqrt2) / den`` with ``den > 0`` and
@@ -13,6 +10,10 @@ plain data layout, so the two are interchangeable:
   normal-ordered as x-power, then d-power, then reflection:
   ``(a1, b1, e1, a2, b2, e2, ...)``.  x-powers may be negative.  Zero is the
   empty dict.
+
+``op_add``, ``op_sub`` and ``op_scale`` never look inside the keys, so they
+also serve other dicts of polynomials, such as the exponent-keyed Laurent
+polynomials of ``opalg``.
 
 No kernel function mutates its arguments.  Returned dicts may share value
 tuples with the inputs (values are immutable) but never share dicts that a
@@ -29,8 +30,6 @@ is the same canonical dict as term-by-term arithmetic gives.
 """
 
 from math import gcd, lcm
-
-BACKEND = "python"
 
 BN_ZERO = (0, 0, 0, 0, 1)
 BN_ONE = (1, 0, 0, 0, 1)
@@ -237,7 +236,7 @@ def op_scale(A, poly):
 _DX_ROWS = {}
 
 
-def _dx_rows(b, a):
+def dx_rows(b, a):
     """Reordering coefficients for d^b x^a.
 
     d^b x^a = sum_k C(b,k) * a(a-1)...(a-k+1) * x^(a-k) d^(b-k), valid for
@@ -354,7 +353,7 @@ def _block(key):
         sign = -1 if e1 and ((a2 + b2) & 1) else 1
         e = e1 ^ e2
         row = tuple(((a1 + a2 - k, b1 + b2 - k, e), sign * c)
-                    for k, c in _dx_rows(b1, a2))
+                    for k, c in dx_rows(b1, a2))
         _BLOCKS[key] = row
     return row
 

@@ -79,6 +79,12 @@ class Call:
 
 Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 
+# Bounds on the work one short input can ask for: the lexicon, and every
+# operator built, grow with the number of variables, and a power is
+# evaluated by repeated multiplication.
+MAX_DIMS = 16
+MAX_EXPONENT = 64
+
 _FUNCTIONS = ("adjoint", "acomm", "comm")
 _RAW = re.compile(r"([xdR])([1-9]\d*)$")
 _MU = re.compile(r"mu([1-9]\d*)$")
@@ -204,7 +210,11 @@ class _Parser:
         if kind != "num":
             raise ParseError("expected an integer exponent", pos)
         self.advance()
-        return -val if negative else val
+        value = -val if negative else val
+        if val > MAX_EXPONENT:
+            raise ParseError(f"exponent {value} is outside "
+                             f"-{MAX_EXPONENT}..{MAX_EXPONENT}", pos)
+        return value
 
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
@@ -240,6 +250,8 @@ def parse(text: str, dims: int) -> Expr:
     """Parse text into an AST; dims fixes the name lexicon."""
     if dims < 1:
         raise ValueError("dims must be at least 1")
+    if dims > MAX_DIMS:
+        raise ValueError(f"dims must be at most {MAX_DIMS}")
     return _Parser(_tokenize(text, dims)).parse()
 
 

@@ -37,9 +37,7 @@ from dunklweyl._kernel import (
     poly_add,
     poly_mul,
     poly_neg,
-    poly_scale,
     poly_scale_int,
-    poly_sub,
 )
 from dunklweyl.scalars import (
     ArityMismatchError,
@@ -47,6 +45,7 @@ from dunklweyl.scalars import (
     BaseNumber,
     Scalar,
     ScalarLike,
+    _render_sum,
     base_tuple,
 )
 
@@ -409,30 +408,8 @@ class OperatorElement:
         return LaurentPolynomial(out, n)
 
     def __str__(self) -> str:
-        if not self._op:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            ms = str(mono)
-            cs = str(coeff)
-            if ms == "1":
-                body = cs
-            elif cs == "1":
-                body = ms
-            elif cs == "-1":
-                body = "-" + ms
-            else:
-                if " " in cs:
-                    cs = f"({cs})"
-                body = f"{cs}*{ms}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+        return _render_sum((str(coeff), str(mono))
+                           for mono, coeff in self.terms())
 
     def __repr__(self) -> str:
         return f"OperatorElement({self}, nvars={self._nvars})"
@@ -554,18 +531,7 @@ class LaurentPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._poly)
-        for e, p in o._poly.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = p
-            else:
-                v = poly_add(cur, p)
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return LaurentPolynomial(out, self._nvars)
+        return LaurentPolynomial(op_add(self._poly, o._poly), self._nvars)
 
     __radd__ = __add__
 
@@ -573,18 +539,7 @@ class LaurentPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._poly)
-        for e, p in o._poly.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = poly_neg(p)
-            else:
-                v = poly_sub(cur, p)
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return LaurentPolynomial(out, self._nvars)
+        return LaurentPolynomial(op_sub(self._poly, o._poly), self._nvars)
 
     def __rsub__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
@@ -613,15 +568,9 @@ class LaurentPolynomial:
                             del out[e]
             return LaurentPolynomial(out, self._nvars)
         if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
-            poly = _scalar_poly(other, self._nvars)
-            if not poly:
-                return LaurentPolynomial.zero(self._nvars)
-            out = {}
-            for e, p in self._poly.items():
-                v = poly_mul(p, poly)
-                if v:
-                    out[e] = v
-            return LaurentPolynomial(out, self._nvars)
+            return LaurentPolynomial(
+                op_scale(self._poly, _scalar_poly(other, self._nvars)),
+                self._nvars)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -674,36 +623,12 @@ class LaurentPolynomial:
              for e, p in self._poly.items()}, self._nvars)
 
     def __str__(self) -> str:
-        if not self._poly:
-            return "0"
-        parts = []
+        terms = []
         for exps, coeff in self.terms():
-            factors = []
-            for j, g in enumerate(exps):
-                if g == 1:
-                    factors.append(f"x{j + 1}")
-                elif g:
-                    factors.append(f"x{j + 1}^{g}")
-            ms = "*".join(factors) if factors else "1"
-            cs = str(coeff)
-            if ms == "1":
-                body = cs
-            elif cs == "1":
-                body = ms
-            elif cs == "-1":
-                body = "-" + ms
-            else:
-                if " " in cs:
-                    cs = f"({cs})"
-                body = f"{cs}*{ms}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+            factors = [f"x{j + 1}" if g == 1 else f"x{j + 1}^{g}"
+                       for j, g in enumerate(exps) if g]
+            terms.append((str(coeff), "*".join(factors) or "1"))
+        return _render_sum(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self}, nvars={self._nvars})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -212,33 +212,43 @@ class BaseNumber:
         return f"BaseNumber({self})"
 
 
-def render_base(data: tuple) -> str:
-    """Deterministic human-readable form of a base-number tuple."""
-    p, q, r, s, den = data
-    parts = []
-    for num, unit in ((p, ""), (q, "i"), (r, "sqrt2"), (s, "i*sqrt2")):
-        if not num:
-            continue
-        coef = Fraction(num, den)
-        if unit:
-            if coef == 1:
-                body = unit
-            elif coef == -1:
-                body = f"-{unit}"
-            else:
-                body = f"{coef}*{unit}"
+def _render_sum(terms: Iterable[Tuple[str, str]]) -> str:
+    """Signed sum of rendered ``(coefficient, monomial)`` terms.
+
+    The monomial ``"1"`` is the unit and shows only its coefficient; a
+    coefficient of 1 or -1 shows as the bare or negated monomial, and one
+    with spaces in it is parenthesised.  A term with a leading minus joins
+    as ``" - "``, the rest as ``" + "``; the empty sum is ``"0"``.  Base
+    numbers, scalars, operators and Laurent polynomials all render here.
+    """
+    out = ""
+    for cs, ms in terms:
+        if ms == "1":
+            body = cs
+        elif cs == "1":
+            body = ms
+        elif cs == "-1":
+            body = "-" + ms
+        elif " " in cs:
+            body = f"({cs})*{ms}"
         else:
-            body = str(coef)
-        parts.append(body)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for body in parts[1:]:
-        if body.startswith("-"):
+            body = f"{cs}*{ms}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
             out += " - " + body[1:]
         else:
             out += " + " + body
-    return out
+    return out or "0"
+
+
+def render_base(data: tuple) -> str:
+    """Deterministic human-readable form of a base-number tuple."""
+    p, q, r, s, den = data
+    return _render_sum(
+        (str(Fraction(num, den)), unit)
+        for num, unit in ((p, "1"), (q, "i"), (r, "sqrt2"), (s, "i*sqrt2"))
+        if num)
 
 
 def base_tuple(value: BaseLike) -> tuple:
@@ -450,35 +460,12 @@ class Scalar:
             yield e, BaseNumber._from_tuple(self._poly[e])
 
     def __str__(self) -> str:
-        if not self._poly:
-            return "0"
-        parts = []
+        terms = []
         for expo, coef in self.terms():
-            factors = []
-            for i, e in enumerate(expo):
-                if e == 1:
-                    factors.append(f"mu{i + 1}")
-                elif e:
-                    factors.append(f"mu{i + 1}^{e}")
-            cs = render_base(coef._data)
-            if not factors:
-                body = cs
-            elif cs == "1":
-                body = "*".join(factors)
-            elif cs == "-1":
-                body = "-" + "*".join(factors)
-            else:
-                if " " in cs:
-                    cs = f"({cs})"
-                body = cs + "*" + "*".join(factors)
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+            factors = [f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
+                       for i, e in enumerate(expo) if e]
+            terms.append((render_base(coef._data), "*".join(factors) or "1"))
+        return _render_sum(terms)
 
     def __repr__(self) -> str:
         return f"Scalar({self}, nvars={self._nvars})"

@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 
-from dunklweyl._kernel.pykernel import (
-    _dx_rows,
+from dunklweyl._kernel import (
     bn_add,
     bn_scale_int,
+    dx_rows,
     poly_mul,
     poly_scale_int,
 )
@@ -100,7 +100,7 @@ def _mono_mul(m1, m2, nvars):
         else:
             var_terms = [
                 ((a1 + a2 - k, b1 + b2 - k, e), sign * c)
-                for k, c in _dx_rows(b1, a2)
+                for k, c in dx_rows(b1, a2)
             ]
             out = [
                 (mo + blk, kc * c)

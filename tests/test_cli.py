@@ -4,13 +4,17 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import random_operator
 
+from dunklweyl import dsl, states
 from dunklweyl.cli import main
 from dunklweyl.dsl import render
+
+GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
 
 
 def run(capsys, argv):
@@ -135,6 +139,14 @@ class TestSpectrum:
         assert report["results"][0]["admissible"] is False
         assert report["results"][0]["rows"][0]["energy"] == "-1/4"
 
+    @pytest.mark.parametrize("dims,mu,energy", [("1", "1/3", "5/6"),
+                                                 ("2", "1/3,1/2", "11/6")])
+    def test_ground_level_only(self, capsys, dims, mu, energy):
+        code, out, _ = run(capsys, ["spectrum", "--dims", dims, "--mu", mu,
+                                    "--levels", "0"])
+        assert code == 0
+        assert out.splitlines()[1:] == [f"0      {energy:<7} 1"]
+
     def test_usage_errors(self, capsys):
         code, _, _ = run(capsys, ["spectrum", "--dims", "3", "--mu", "1,1,1"])
         assert code == 2
@@ -172,6 +184,55 @@ class TestZeroDenominator:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started past an input limit")
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize("argv,expected", [
+        (["nf", "x1", "--dims", str(dsl.MAX_DIMS)], "x1"),
+        (["nf", f"x1^{dsl.MAX_EXPONENT}", "--dims", "1"],
+         f"x1^{dsl.MAX_EXPONENT}"),
+        (["nf", f"x1^-{dsl.MAX_EXPONENT}", "--dims", "1"],
+         f"x1^-{dsl.MAX_EXPONENT}"),
+    ])
+    def test_at_the_limit(self, capsys, argv, expected):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == expected + "\n"
+
+    def test_levels_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, ["spectrum", "--dims", "1", "--mu", "0",
+                                    "--levels", str(states.MAX_LEVEL)])
+        assert code == 0 and len(out.splitlines()) == states.MAX_LEVEL + 2
+
+    # Each case poisons the first step of the work it asks for, so an
+    # input past its limit must be refused before that step.
+    @pytest.mark.parametrize("argv,owner,attr", [
+        (["nf", "x1", "--dims", str(dsl.MAX_DIMS + 1)], dsl, "_lexicon"),
+        (["nf", f"x1^{dsl.MAX_EXPONENT + 1}", "--dims", "1"],
+         dsl, "evaluate"),
+        (["nf", f"J+^-{dsl.MAX_EXPONENT + 1}", "--dims", "2"],
+         dsl, "evaluate"),
+        (["spectrum", "--dims", "2", "--mu", "1/3,1/2",
+          "--levels", str(states.MAX_LEVEL + 1)], states, "build"),
+    ])
+    def test_past_the_limit(self, capsys, monkeypatch, argv, owner, attr):
+        monkeypatch.setattr(owner, attr, _refuse)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestReadmeGolden:
+    """Exit code and stdout of the README's examples, byte for byte."""
+
+    @pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_stdout(self, capsys, case):
+        code, out, _ = run(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"])
 
 
 class TestDeterminism:

@@ -1,14 +1,24 @@
-"""The common-denominator op_mul against the term-by-term reference."""
+"""The exact kernel's operator functions: the common-denominator op_mul
+against the term-by-term reference, the linear operations against it and
+each other, and the reordering rows against their closed form."""
 
 import copy
-from math import gcd
+from math import comb, gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_op_mul
 
-from dunklweyl._kernel.pykernel import bn_make, op_mul
+from dunklweyl._kernel import (
+    bn_make,
+    bn_neg,
+    dx_rows,
+    op_add,
+    op_mul,
+    op_scale,
+    op_sub,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -72,6 +82,21 @@ def cancelling_pairs(draw):
     return A, B, nvars, nparams
 
 
+@st.composite
+def linear_cases(draw):
+    """Two operators and a polynomial.  B repeats some monomials of A with
+    some coefficients negated, so sums and differences cancel in part."""
+    nvars = draw(st.integers(1, 3))
+    nparams = draw(st.integers(1, 3))
+    A = draw(_ops(nvars, nparams))
+    B = draw(_ops(nvars, nparams))
+    for mono in draw(st.sets(st.sampled_from(sorted(A)))) if A else ():
+        B[mono] = {e: bn_neg(c) if draw(st.booleans()) else c
+                   for e, c in A[mono].items()}
+    poly = draw(st.one_of(st.just({}), _polys(nparams)))
+    return A, B, poly, nvars, nparams
+
+
 def assert_canonical(op, nvars, nparams):
     for mono, poly in op.items():
         assert len(mono) == 3 * nvars
@@ -110,3 +135,34 @@ class TestAgainstReference:
     def test_empty_operands(self, case):
         A, _, nvars, _ = case
         assert op_mul({}, A, nvars) == {} == op_mul(A, {}, nvars)
+
+
+class TestLinear:
+    @SETTINGS
+    @given(linear_cases())
+    def test_add_sub_scale(self, case):
+        A, B, poly, nvars, nparams = case
+        A0, B0, poly0 = copy.deepcopy((A, B, poly))
+        total = op_add(A, B)
+        diff = op_sub(A, B)
+        scaled = op_scale(A, poly)
+        assert (A, B, poly) == (A0, B0, poly0), "arguments mutated"
+        for got in (total, diff, scaled):
+            assert got is not A and got is not B
+            assert_canonical(got, nvars, nparams)
+        assert total == op_add(B, A)
+        assert op_sub(total, B) == A
+        assert op_sub(A, A) == {}
+        minus = {(0,) * nparams: (-1, 0, 0, 0, 1)}
+        assert diff == op_add(A, op_scale(B, minus))
+        unit = {(0, 0, 0) * nvars: poly} if poly else {}
+        assert scaled == op_mul(A, unit, nvars)
+
+
+def test_reordering_rows():
+    """d^b x^a = sum_k C(b, k) * a(a-1)...(a-k+1) * x^(a-k) d^(b-k)."""
+    for b in range(7):
+        for a in range(-6, 7):
+            direct = [(k, comb(b, k) * prod(range(a - k + 1, a + 1)))
+                      for k in range(b + 1)]
+            assert dx_rows(b, a) == tuple((k, c) for k, c in direct if c)

@@ -35,6 +35,13 @@ class TestStateBasics:
         with pytest.raises(PoleError):
             GaussState(LaurentPolynomial.monomial((-1,)))
 
+    def test_equal_states_hash_alike(self):
+        x = LaurentPolynomial.monomial((1, 0), Scalar.parameter(0, 2))
+        y = LaurentPolynomial.monomial((0, 2), SQRT2)
+        s, t = GaussState(x + y), GaussState(y - (-x))
+        assert s == t and hash(s) == hash(t)
+        assert len({s, t, fock((1, 1)), fock((1, 1))}) == 2
+
     def test_occupation_validation(self):
         with pytest.raises(ValueError):
             fock((-1,))
