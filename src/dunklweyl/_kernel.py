@@ -15,9 +15,13 @@
 also serve other dicts of polynomials, such as the exponent-keyed Laurent
 polynomials of ``opalg``.
 
-No kernel function mutates its arguments.  Returned dicts may share value
-tuples with the inputs (values are immutable) but never share dicts that a
-caller could later receive back for mutation.
+No kernel function mutates its arguments.  The outermost dict a function
+returns is always new, but the inner polynomial dicts of an operator (or
+Laurent polynomial) result may be the very dicts of an input: ``op_add``
+and ``op_sub`` pass an unmatched term's polynomial through, and so do
+``LaurentPolynomial.mul_xpow`` and ``reflect`` in ``opalg``.  Copying them
+would cost time on every call, so the rule is instead that nobody mutates
+a polynomial dict, inner or not, once it is stored in a value.
 
 ``op_mul``, where nearly all of a verification's time goes, does not
 normalise term by term.  It lifts each operand to integer numerators over

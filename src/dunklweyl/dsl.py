@@ -79,11 +79,18 @@ class Call:
 
 Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 
-# Bounds on the work one short input can ask for: the lexicon, and every
-# operator built, grow with the number of variables, and a power is
-# evaluated by repeated multiplication.
+# Bounds on the work one input can ask for: the lexicon, and every
+# operator built, grow with the number of variables, a power is
+# evaluated by repeated multiplication, and every binary operator in an
+# expression is one more operation.  The token cap leaves room for the
+# rendered normal forms the tests parse back (under 900 tokens).  The
+# parser and the evaluator recurse once per parenthesis, function call
+# and unary minus, so nesting has its own, smaller bound that keeps them
+# well inside the interpreter's recursion limit.
 MAX_DIMS = 16
 MAX_EXPONENT = 64
+MAX_TOKENS = 4096
+MAX_NESTING = 64
 
 _FUNCTIONS = ("adjoint", "acomm", "comm")
 _RAW = re.compile(r"([xdR])([1-9]\d*)$")
@@ -111,6 +118,9 @@ def _tokenize(text: str, dims: int) -> List[Token]:
         if ch.isspace():
             pos += 1
             continue
+        if len(out) == MAX_TOKENS:
+            raise ParseError(
+                f"expression has more than {MAX_TOKENS} tokens", pos)
         matched = None
         for entry in lexicon:
             if text.startswith(entry, pos):
@@ -143,6 +153,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -151,6 +162,12 @@ class _Parser:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
+
+    def nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {MAX_NESTING} levels", pos)
 
     def expect(self, value: str) -> Token:
         kind, val, pos = self.peek()
@@ -186,10 +203,13 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "punct" and val == "-":
             self.advance()
-            return Neg(self.unary())
+            self.nest(pos)
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self) -> Expr:
@@ -221,11 +241,14 @@ class _Parser:
         if kind == "num":
             return Num(val)
         if kind == "punct" and val == "(":
+            self.nest(pos)
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "name":
             if val in _FUNCTIONS:
+                self.nest(pos)
                 self.expect("(")
                 args = [self.expr()]
                 while True:
@@ -236,6 +259,7 @@ class _Parser:
                     else:
                         break
                 self.expect(")")
+                self.depth -= 1
                 arity = 1 if val == "adjoint" else 2
                 if len(args) != arity:
                     raise ParseError(
@@ -322,18 +346,27 @@ def evaluate(ast: Expr, dims: int) -> OperatorElement:
             return base ** ast.exponent
         return _invert(base, dims) ** (-ast.exponent)
     if isinstance(ast, BinOp):
-        left = evaluate(ast.left, dims)
-        right = evaluate(ast.right, dims)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
-            return left * right
-        divisor = _constant_of(right)
-        if divisor is None:
-            raise ValueError("division needs a constant divisor")
-        return left * divisor.inverse()
+        # A chain like a + b + ... + z nests to the left, one level per
+        # operator, so walk it in a loop rather than by recursion.
+        chain = []
+        while isinstance(ast, BinOp):
+            chain.append(ast)
+            ast = ast.left
+        acc = evaluate(ast, dims)
+        for node in reversed(chain):
+            right = evaluate(node.right, dims)
+            if node.op == "+":
+                acc = acc + right
+            elif node.op == "-":
+                acc = acc - right
+            elif node.op == "*":
+                acc = acc * right
+            else:
+                divisor = _constant_of(right)
+                if divisor is None:
+                    raise ValueError("division needs a constant divisor")
+                acc = acc * divisor.inverse()
+        return acc
     if isinstance(ast, Call):
         args = [evaluate(a, dims) for a in ast.arguments]
         if ast.function == "comm":

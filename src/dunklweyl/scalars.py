@@ -387,6 +387,12 @@ class Scalar:
         return out
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Scalar) and other._nvars != self._nvars:
+            # Across arities only constants can be equal, by value, as
+            # their hashes are; a parameter ties a scalar to its arity.
+            return (self.is_constant() and other.is_constant()
+                    and self._poly.get((0,) * self._nvars)
+                    == other._poly.get((0,) * other._nvars))
         if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
             o = self._coerce(other)  # type: ignore[arg-type]
             return self._poly == o._poly

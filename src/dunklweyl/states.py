@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ._kernel import poly_add, poly_mul
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement
 from .scalars import (
@@ -37,8 +38,9 @@ MuValue = Union[BaseNumber, Fraction, int]
 ScalarLike = Union[Scalar, BaseNumber, int, Fraction]
 
 # Highest level spectrum_table lists.  A two-variable table to this level
-# takes about 6 s (Python 3.11 on a 2-vCPU VM), and the cost grows roughly
-# as the fourth power of the level.
+# takes about 2 s (Python 3.11 on a 2-vCPU VM), and doubling the level
+# costs about 10x: level n holds n + 1 states of up to about n^2/4 terms,
+# each raised once and eigenchecked once.
 MAX_LEVEL = 32
 
 
@@ -121,19 +123,32 @@ def apply(A: OperatorElement, s: GaussState) -> GaussState:
     if A.nvars != s.nvars:
         raise ArityMismatchError(
             f"operator on {A.nvars} variables, state on {s.nvars}")
-    acc = LaurentPolynomial.zero(s.nvars)
-    for mono, coeff in A.terms():
+    # Every term's image is summed straight into one dict.  reflect and
+    # mul_xpow hand the state's own inner dicts through, so nothing is
+    # written in place: each value is a new dict from poly_mul or poly_add.
+    acc: dict = {}
+    for mono, coeff in A._op.items():
         f = s.polynomial
         for j in range(s.nvars):
-            a, b, e = mono.blocks[j]
+            a, b, e = mono[3 * j:3 * j + 3]
             if e:
                 f = f.reflect(j)
             for _ in range(b):
                 f = f.diff(j) - f.mul_xpow(j, 1)
             if a:
                 f = f.mul_xpow(j, a)
-        acc = acc + coeff * f
-    return GaussState(_check_pole_free(acc))
+        for exps, p in f._poly.items():
+            piece = poly_mul(coeff, p)
+            cur = acc.get(exps)
+            if cur is None:
+                acc[exps] = piece
+            else:
+                v = poly_add(cur, piece)
+                if v:
+                    acc[exps] = v
+                else:
+                    del acc[exps]
+    return GaussState(LaurentPolynomial(acc, s.nvars))
 
 
 def ground(nvars: int) -> GaussState:
@@ -206,6 +221,37 @@ def _level_states(dims: int, level: int) -> Iterator[Tuple[int, ...]]:
             yield (k, level - k)
 
 
+def _ladder(
+    dims: int,
+    values: Optional[Tuple[BaseNumber, ...]],
+    max_level: int,
+) -> Iterator[Dict[Tuple[int, ...], GaussState]]:
+    """The states of levels 0..max_level, one level at a time, keyed by
+    occupation numbers in _level_states order.
+
+    Each state is one raiser step from a state of the level below: the
+    step undoes the last raise fock makes, in the last variable with a
+    nonzero occupation number.  So every state is exactly fock(ns,
+    values), while each raiser is built once and only the previous
+    level is held.  Parametric when values is None.
+    """
+    raisers = []
+    for j in range(dims):
+        raiser = build(f"A+{j + 1}", dims)
+        if values is not None:
+            raiser = raiser.substitute_params(values)
+        raisers.append(raiser)
+    level = {(0,) * dims: ground(dims)}
+    yield level
+    for n in range(1, max_level + 1):
+        below, level = level, {}
+        for ns in _level_states(dims, n):
+            j = max(i for i, k in enumerate(ns) if k)
+            lowered = ns[:j] + (ns[j] - 1,) + ns[j + 1:]
+            level[ns] = apply(raisers[j], below[lowered])
+        yield level
+
+
 def spectrum_table(
     dims: int,
     mu_values: Sequence[MuValue],
@@ -234,12 +280,10 @@ def spectrum_table(
     hamiltonian = build("H", dims).substitute_params(values)
 
     rows: List[SpectrumRow] = []
-    for level in range(max_level + 1):
+    for level, states in enumerate(_ladder(dims, values, max_level)):
         energy: Optional[BaseNumber] = None
         leading: set = set()
-        count = 0
-        for ns in _level_states(dims, level):
-            state = fock(ns, values)
+        for ns, state in states.items():
             lam = eigencheck(hamiltonian, state)
             if lam is None:
                 raise ArithmeticError(
@@ -251,12 +295,11 @@ def spectrum_table(
                 raise ArithmeticError(
                     f"level {level} eigenvalues disagree: {value} != {energy}")
             leading.add(max(exps for exps, _ in state.polynomial.terms()))
-            count += 1
-        if len(leading) != count:
+        if len(leading) != len(states):
             raise ArithmeticError(
                 f"level {level} states are not independent")
         assert energy is not None
-        rows.append(SpectrumRow(level, energy, count))
+        rows.append(SpectrumRow(level, energy, len(states)))
 
     admissible = True
     if max_level:
@@ -287,16 +330,16 @@ def ladder_norm_coefficients(
     if values is not None:
         lower = lower.substitute_params(values)
     out: List[Scalar] = []
-    prev = fock((0,), values)
-    curr = fock((1,), values)
-    for k in range(1, max_n + 1):
-        image = apply(lower, curr)
-        support = max(exps for exps, _ in prev.polynomial.terms())
-        c = image.polynomial.coefficient(support).exact_div(
-            prev.polynomial.coefficient(support))
-        if image.polynomial != c * prev.polynomial:
-            raise ArithmeticError(f"lowering fock({k}) left the ladder")
-        out.append(c)
-        if k < max_n:
-            prev, curr = curr, fock((k + 1,), values)
+    prev: Optional[GaussState] = None
+    for k, level in enumerate(_ladder(1, values, max_n)):
+        curr = level[(k,)]
+        if prev is not None:
+            image = apply(lower, curr)
+            support = max(exps for exps, _ in prev.polynomial.terms())
+            c = image.polynomial.coefficient(support).exact_div(
+                prev.polynomial.coefficient(support))
+            if image.polynomial != c * prev.polynomial:
+                raise ArithmeticError(f"lowering fock({k}) left the ladder")
+            out.append(c)
+        prev = curr
     return out

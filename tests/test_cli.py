@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output, schema, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from helpers import random_operator
 
+import dunklweyl
 from dunklweyl import dsl, states
 from dunklweyl.cli import main
 from dunklweyl.dsl import render
@@ -197,6 +199,11 @@ class TestInputLimits:
          f"x1^{dsl.MAX_EXPONENT}"),
         (["nf", f"x1^-{dsl.MAX_EXPONENT}", "--dims", "1"],
          f"x1^-{dsl.MAX_EXPONENT}"),
+        # comm(x1,x1) is six tokens, each "+x1" two more.
+        (["nf", "comm(x1,x1)" + "+x1" * (dsl.MAX_TOKENS // 2 - 3),
+          "--dims", "1"], f"{dsl.MAX_TOKENS // 2 - 3}*x1"),
+        (["nf", "(" * dsl.MAX_NESTING + "x1" + ")" * dsl.MAX_NESTING,
+          "--dims", "1"], "x1"),
     ])
     def test_at_the_limit(self, capsys, argv, expected):
         code, out, _ = run(capsys, argv)
@@ -217,6 +224,13 @@ class TestInputLimits:
          dsl, "evaluate"),
         (["spectrum", "--dims", "2", "--mu", "1/3,1/2",
           "--levels", str(states.MAX_LEVEL + 1)], states, "build"),
+        # x1 then "+x1" repeated: one token more than the cap.
+        (["nf", "x1" + "+x1" * (dsl.MAX_TOKENS // 2), "--dims", "1"],
+         dsl, "_Parser"),
+        (["nf", "(" * (dsl.MAX_NESTING + 1) + "x1"
+          + ")" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
+        (["nf", "--dims", "1", "--",
+          "-" * (dsl.MAX_NESTING + 1) + "x1"], dsl, "evaluate"),
     ])
     def test_past_the_limit(self, capsys, monkeypatch, argv, owner, attr):
         monkeypatch.setattr(owner, attr, _refuse)
@@ -261,18 +275,24 @@ class TestRoundTripThroughCli:
             assert parse_eval(out.strip(), n) == a
 
 
+def _run_module(*argv):
+    # The child imports the package from where this process found it,
+    # whether that came from an install or from pytest's pythonpath.
+    src = str(Path(dunklweyl.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, "-m", "dunklweyl.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dunklweyl.cli", "nf", "comm(d1, x1)",
-             "--dims", "1"],
-            capture_output=True, text=True)
+        proc = _run_module("nf", "comm(d1, x1)", "--dims", "1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1"
 
     def test_verify_exit_code_propagates(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dunklweyl.cli", "verify", "hahn",
-             "--perturb"],
-            capture_output=True, text=True)
+        proc = _run_module("verify", "hahn", "--perturb")
         assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr

@@ -203,6 +203,22 @@ class TestScalar:
         mu = Scalar.parameter(0, 1)
         assert len({mu, mu + 0, two}) == 2
 
+    def test_eq_across_arities(self):
+        # Constants compare by value, as they hash; a scalar carrying a
+        # parameter equals nothing of another arity.  Comparison never
+        # raises, while arithmetic across arities still does.
+        two1, two2 = Scalar.constant(2, 1), Scalar.constant(2, 2)
+        assert two1 == two2 and hash(two1) == hash(two2)
+        assert len({two1, two2}) == 1
+        assert Scalar.zero(1) == Scalar.zero(3)
+        assert Scalar.constant(3, 1) != two2
+        mu1, mu2 = Scalar.parameter(0, 1), Scalar.parameter(0, 2)
+        assert mu1 != mu2 and not mu1 == mu2
+        assert mu1 + 2 != two2 and two2 != mu1 + 2
+        assert len({mu1, mu2, two1, two2}) == 3
+        with pytest.raises(ArityMismatchError):
+            two1 + two2
+
     def test_pow(self):
         mu = Scalar.parameter(0, 1)
         assert mu ** 0 == Scalar.one(1)

@@ -1,5 +1,6 @@
 """Tests for the Gaussian-envelope state space: spectra, parity, ladders."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from dunklweyl.scalars import ArityMismatchError, SQRT2, Scalar
 from dunklweyl.states import (
     GaussState,
     PoleError,
+    _ladder,
+    _level_states,
     apply,
     eigencheck,
     fock,
@@ -91,6 +94,25 @@ class TestApply:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
             apply(build("H1", 2), ground(1))
+
+    def test_inputs_left_untouched(self):
+        # Results share inner polynomial dicts with their inputs (reflect
+        # and mul_xpow pass them through), so apply must never write into
+        # a dict it did not create.
+        rng = random.Random(404)
+        cases = [(build("A+1", 1), fock((3,))), (build("H", 2), fock((2, 1))),
+                 (OperatorElement.x(0, 1, 2) * OperatorElement.r(0, 1)
+                  + OperatorElement.r(0, 1), fock((2,)))]
+        for _ in range(30):
+            n = rng.choice([1, 2])
+            cases.append((random_operator(rng, n), random_state(rng, n)))
+        for A, s in cases:
+            op_before = copy.deepcopy(A._op)
+            state_before = copy.deepcopy(s.polynomial._poly)
+            image = apply(A, s)
+            assert A._op == op_before
+            assert s.polynomial._poly == state_before
+            assert apply(A, s) == image
 
     def test_pole_reported(self):
         # The supercharge carries a bare inverse power, so the ground
@@ -176,6 +198,20 @@ class TestSpectrumTable:
             spectrum_table(1, (0,), -1)
 
 
+class TestLadderWalk:
+    @pytest.mark.parametrize("dims,values", [
+        (1, None), (1, (Fraction(-4, 3),)),
+        (2, None), (2, (Fraction(7, 5), Fraction(-5, 4))),
+    ])
+    def test_walk_equals_fock(self, dims, values):
+        levels = list(_ladder(dims, values, 8))
+        assert len(levels) == 9
+        for level, states in enumerate(levels):
+            assert list(states) == list(_level_states(dims, level))
+            for ns, state in states.items():
+                assert state == fock(ns, values)
+
+
 class TestLadderNorms:
     def test_parametric_pattern(self):
         mu = Scalar.parameter(0, 1)
@@ -183,6 +219,14 @@ class TestLadderNorms:
         assert cs[0] == 1 + 2 * mu
         for k, c in enumerate(cs, start=1):
             assert c == (k + 2 * mu if k % 2 else Scalar.constant(k, 1))
+
+    @pytest.mark.parametrize("mu", [None, 3])
+    def test_closed_form_to_24(self, mu):
+        m = Scalar.parameter(0, 1) if mu is None else mu
+        cs = ladder_norm_coefficients(24, mu)
+        assert len(cs) == 24
+        for k, c in enumerate(cs, start=1):
+            assert c == k + m * (1 - (-1) ** k)
 
     def test_positivity_window(self):
         for mu in (Fraction(-1, 4), Fraction(0), Fraction(1, 3)):
