@@ -18,8 +18,7 @@ polynomials of ``opalg``.
 No kernel function mutates its arguments.  The outermost dict a function
 returns is always new, but the inner polynomial dicts of an operator (or
 Laurent polynomial) result may be the very dicts of an input: ``op_add``
-and ``op_sub`` pass an unmatched term's polynomial through, and so do
-``LaurentPolynomial.mul_xpow`` and ``reflect`` in ``opalg``.  Copying them
+and ``op_sub`` pass an unmatched term's polynomial through.  Copying them
 would cost time on every call, so the rule is instead that nobody mutates
 a polynomial dict, inner or not, once it is stored in a value.
 

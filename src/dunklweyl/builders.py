@@ -71,59 +71,59 @@ def _build(name: OperatorName, dims: int) -> OperatorElement:
     half = Scalar.constant(1, n) / 2
 
     if name == "H":
-        return sum((_build(f"H{i + 1}", n) for i in range(1, n)),
-                   _build("H1", n))
+        return sum((build(f"H{i + 1}", n) for i in range(1, n)),
+                   build("H1", n))
     if name == "Q_susy":
         total = OperatorElement.zero(n)
         for i in range(n):
             tail = OperatorElement.identity(n)
             for j in range(i + 1, n):
                 tail = tail * OperatorElement.r(j, n)
-            total = total + _build(f"Q{i + 1}", n) * tail
+            total = total + build(f"Q{i + 1}", n) * tail
         return total
     if name == "H_susy":
-        return sum((_build(f"H_susy{i + 1}", n) for i in range(1, n)),
-                   _build("H_susy1", n))
+        return sum((build(f"H_susy{i + 1}", n) for i in range(1, n)),
+                   build("H_susy1", n))
 
     if n == 2:
         if name == "J+":
-            return _build("A+1", n) * _build("A-2", n)
+            return build("A+1", n) * build("A-2", n)
         if name == "J-":
-            return _build("A-1", n) * _build("A+2", n)
+            return build("A-1", n) * build("A+2", n)
         if name == "J0":
-            return _build("H1", n) - _build("H2", n)
+            return build("H1", n) - build("H2", n)
         if name == "P":
             return OperatorElement.r(0, n) * OperatorElement.r(1, n)
         if name == "C":
-            j0 = _build("J0", n)
+            j0 = build("J0", n)
             refl = (_mu(0, n) * OperatorElement.r(0, n)
                     + _mu(1, n) * OperatorElement.r(1, n))
             return (j0 * j0
-                    + 2 * anticommutator(_build("J+", n), _build("J-", n))
+                    + 2 * anticommutator(build("J+", n), build("J-", n))
                     + 2 * refl
-                    + 4 * _mu(0, n) * _mu(1, n) * _build("P", n))
+                    + 4 * _mu(0, n) * _mu(1, n) * build("P", n))
         if name == "K+":
-            return _build("J+", n) ** 2
+            return build("J+", n) ** 2
         if name == "K-":
-            return _build("J-", n) ** 2
+            return build("J-", n) ** 2
         if name == "K0":
-            return _build("J0", n) / 8
+            return build("J0", n) / 8
         if name == "K1":
-            return (_build("K+", n) + _build("K-", n)
-                    + _build("J0", n) ** 2 / 2) / 8
+            return (build("K+", n) + build("K-", n)
+                    + build("J0", n) ** 2 / 2) / 8
         if name == "K2":
-            return commutator(_build("K0", n), _build("K1", n))
+            return commutator(build("K0", n), build("K1", n))
         if name == "E0":
-            return _build("J0", n) / 8
+            return build("J0", n) / 8
         if name == "E1":
-            return (_build("J+", n) ** 2 + _build("J-", n) ** 2
-                    + _build("J0", n) ** 2 / 2) / 8
+            return (build("J+", n) ** 2 + build("J-", n) ** 2
+                    + build("J0", n) ** 2 / 2) / 8
         if name == "E2":
-            return (_build("J+", n) ** 2 - _build("J-", n) ** 2) / 16
+            return (build("J+", n) ** 2 - build("J-", n) ** 2) / 16
         if name == "F+":
-            return _build("J+", n)
+            return build("J+", n)
         if name == "F-":
-            return _build("J-", n)
+            return build("J-", n)
         if name == "Htilde":
             # The fully gauged two-variable oscillator, entered from its
             # explicit display; equality with Htilde1 + Htilde2 is a
@@ -157,18 +157,18 @@ def _build(name: OperatorName, dims: int) -> OperatorElement:
     if kind == "D":
         return _dunkl(i, n)
     if kind == "H":
-        dk = _build(f"D{i + 1}", n)
+        dk = build(f"D{i + 1}", n)
         return -half * dk * dk + half * x * x
     if kind == "A+":
-        return INV_SQRT2 * (x - _build(f"D{i + 1}", n))
+        return INV_SQRT2 * (x - build(f"D{i + 1}", n))
     if kind == "A-":
-        return INV_SQRT2 * (x + _build(f"D{i + 1}", n))
+        return INV_SQRT2 * (x + build(f"D{i + 1}", n))
     if kind == "A0":
-        return _build(f"H{i + 1}", n)
+        return build(f"H{i + 1}", n)
     if kind == "B+":
-        return _build(f"A+{i + 1}", n) ** 2 / 2
+        return build(f"A+{i + 1}", n) ** 2 / 2
     if kind == "B-":
-        return _build(f"A-{i + 1}", n) ** 2 / 2
+        return build(f"A-{i + 1}", n) ** 2 / 2
     if kind == "Htilde":
         return half * (-d * d + x * x + mu ** 2 * xinv * xinv
                        - mu * xinv * xinv * r)
@@ -177,21 +177,21 @@ def _build(name: OperatorName, dims: int) -> OperatorElement:
     if kind == "Atilde-":
         return INV_SQRT2 * (x + d - mu * xinv * r)
     if kind == "Qc":
-        return (_build(f"Atilde-{i + 1}", n) - _build(f"Atilde+{i + 1}", n)) * r / 2
+        return (build(f"Atilde-{i + 1}", n) - build(f"Atilde+{i + 1}", n)) * r / 2
     if kind == "Sc":
-        return r * (_build(f"Atilde+{i + 1}", n)
-                    + _build(f"Atilde-{i + 1}", n)) / (2 * I)
+        return r * (build(f"Atilde+{i + 1}", n)
+                    + build(f"Atilde-{i + 1}", n)) / (2 * I)
     if kind == "Hc":
-        return _build(f"Qc{i + 1}", n) ** 2
+        return build(f"Qc{i + 1}", n) ** 2
     if kind == "Kc":
-        return _build(f"Sc{i + 1}", n) ** 2
+        return build(f"Sc{i + 1}", n) ** 2
     if kind == "Dc":
-        return -half * anticommutator(_build(f"Qc{i + 1}", n),
-                                      _build(f"Sc{i + 1}", n))
+        return -half * anticommutator(build(f"Qc{i + 1}", n),
+                                      build(f"Sc{i + 1}", n))
     if kind == "Q":
         return INV_SQRT2 * (d * r + x - mu * xinv)
     if kind == "H_susy":
-        return _build(f"Q{i + 1}", n) ** 2
+        return build(f"Q{i + 1}", n) ** 2
     raise KeyError(f"unknown operator name: {name!r}")
 
 
@@ -228,14 +228,3 @@ def build_generic_supercharge(vw: SuperpotentialPair) -> OperatorElement:
     d = OperatorElement.d(0, 1)
     r = OperatorElement.r(0, 1)
     return INV_SQRT2 * ((d + v_op) * r + w_op)
-
-
-def build_susy_nd(n: int) -> Tuple[OperatorElement, OperatorElement]:
-    """The n-dimensional supercharge and its Hamiltonian.
-
-    charge = sum_i Q_i R_{i+1}...R_n and hamiltonian = sum_i Q_i^2; the
-    identity charge^2 = hamiltonian is verified in the relations module.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return build("Q_susy", n), build("H_susy", n)

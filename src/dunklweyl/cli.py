@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import relations, states
-from .dsl import ParseError, parse_eval, render
+from .dsl import ParseError, parse_eval
 from .scalars import ArityMismatchError
 
 
@@ -47,7 +47,7 @@ def _cmd_nf(args: argparse.Namespace) -> Outcome:
             raise ArityMismatchError(
                 f"need {args.dims} deformation values, got {len(args.mu)}")
         op = op.substitute_params(args.mu)
-    normal = render(op)
+    normal = str(op)
     report = {
         "command": "nf",
         "dims": args.dims,

@@ -1,4 +1,4 @@
-"""Operator-expression language: tokenizer, parser, evaluator, renderer.
+"""Operator-expression language: tokenizer, parser and evaluator.
 
 The surface consists of the registry names for the working dimension,
 raw generators x1/d1/R1 per variable, scalar literals (integers, i,
@@ -11,8 +11,8 @@ power accepts only reflection-free derivative-free monomials with
 constant coefficients; both restrictions keep every expression inside
 the algebra.
 
-render is the inverse direction: the canonical normal-form string of an
-operator parses back to an equal operator (round trip at the value
+The inverse direction is ``str``: the canonical normal-form string of
+an operator parses back to an equal operator (round trip at the value
 level, not the token level).
 """
 
@@ -380,8 +380,3 @@ def evaluate(ast: Expr, dims: int) -> OperatorElement:
 def parse_eval(text: str, dims: int) -> OperatorElement:
     """Parse and evaluate in one step."""
     return evaluate(parse(text, dims), dims)
-
-
-def render(a: OperatorElement) -> str:
-    """Canonical normal-form string; parses back to an equal operator."""
-    return str(a)

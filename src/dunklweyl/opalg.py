@@ -278,6 +278,8 @@ class OperatorElement:
         return out
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, OperatorElement) and other._nvars != self._nvars:
+            return False
         if isinstance(other, (OperatorElement, Scalar, BaseNumber, int, Fraction)):
             o = self._coerce(other)
             return self._op == o._op
@@ -394,7 +396,9 @@ class OperatorElement:
                     new_exp.append(g - b + a)
                 if not factor:
                     continue
-                piece = poly_scale_int(poly_mul(opoly, fpoly), factor)
+                piece = poly_mul(opoly, fpoly)
+                if factor != 1:
+                    piece = poly_scale_int(piece, factor)
                 key = tuple(new_exp)
                 cur = out.get(key)
                 if cur is None:
@@ -418,11 +422,6 @@ class OperatorElement:
     def kernel_op(self) -> dict:
         """The underlying kernel dict; treat as read-only."""
         return self._op
-
-
-def multiply(a: OperatorElement, b: OperatorElement) -> OperatorElement:
-    """Normal-ordered product."""
-    return a * b
 
 
 def linear_combine(
@@ -549,24 +548,7 @@ class LaurentPolynomial:
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
-            if other._nvars != self._nvars:
-                raise ArityMismatchError(
-                    f"functions on {self._nvars} and {other._nvars} variables")
-            out: dict = {}
-            for e1, p1 in self._poly.items():
-                for e2, p2 in other._poly.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    piece = poly_mul(p1, p2)
-                    cur = out.get(e)
-                    if cur is None:
-                        out[e] = piece
-                    else:
-                        v = poly_add(cur, piece)
-                        if v:
-                            out[e] = v
-                        else:
-                            del out[e]
-            return LaurentPolynomial(out, self._nvars)
+            return from_laurent(self).act(other)
         if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
             return LaurentPolynomial(
                 op_scale(self._poly, _scalar_poly(other, self._nvars)),
@@ -580,6 +562,8 @@ class LaurentPolynomial:
             {e: poly_neg(p) for e, p in self._poly.items()}, self._nvars)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaurentPolynomial) and other._nvars != self._nvars:
+            return False
         if isinstance(other, (LaurentPolynomial, Scalar, BaseNumber, int, Fraction)):
             o = self._coerce(other)
             return self._poly == o._poly
@@ -589,38 +573,12 @@ class LaurentPolynomial:
 
     def diff(self, index: int) -> "LaurentPolynomial":
         """Partial derivative in x_{index+1}."""
-        out: dict = {}
-        for e, p in self._poly.items():
-            g = e[index]
-            if g == 0:
-                continue
-            key = e[:index] + (g - 1,) + e[index + 1:]
-            piece = poly_scale_int(p, g)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = piece
-            else:
-                v = poly_add(cur, piece)
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return LaurentPolynomial(out, self._nvars)
-
-    def reflect(self, index: int) -> "LaurentPolynomial":
-        """Substitute x_{index+1} -> -x_{index+1}."""
-        out = {}
-        for e, p in self._poly.items():
-            out[e] = poly_neg(p) if e[index] & 1 else p
-        return LaurentPolynomial(out, self._nvars)
-
-    def mul_xpow(self, index: int, power: int) -> "LaurentPolynomial":
-        """Multiply by x_{index+1}^power."""
-        if power == 0:
-            return self
+        # Distinct exponents stay distinct after lowering one of them, so
+        # no two terms meet and nothing can cancel.
         return LaurentPolynomial(
-            {e[:index] + (e[index] + power,) + e[index + 1:]: p
-             for e, p in self._poly.items()}, self._nvars)
+            {e[:index] + (e[index] - 1,) + e[index + 1:]:
+             poly_scale_int(p, e[index])
+             for e, p in self._poly.items() if e[index]}, self._nvars)
 
     def __str__(self) -> str:
         terms = []

@@ -1,14 +1,16 @@
 """Exact function space of Gaussian-envelope states.
 
 A state is p(x1..xn) * exp(-(x1^2 + ... + xn^2)/2) with p a polynomial
-whose coefficients may depend on the deformation parameters.  Operators
-act exactly: x and R act on p directly, while the envelope turns the
-derivative into d_j(p * e) = (d_j p - x_j p) * e.  All computation stays
-in the Laurent ring; a state is only required to be pole free at the
-boundaries, i.e. at construction and in the final result of an operator
-application.  Inverse powers inside an operator are fine as long as they
-cancel by the end, which is exactly what the reflection terms of the
-deformed Hamiltonians do.
+whose coefficients may depend on the deformation parameters.  Every
+operator acts through OperatorElement.act on the polynomial part, after
+gauge() has conjugated it by the envelope: x and R commute with the
+Gaussian, and d_j(p * e) = ((d_j - x_j) p) * e.  The registry operators
+the spectra use are gauged once per process and only then substituted.
+All computation stays in the Laurent ring; a state is only required to
+be pole free at the boundaries, i.e. at construction and in the final
+result of an operator application.  Inverse powers inside an operator
+are fine as long as they cancel by the end, which is exactly what the
+reflection terms of the deformed Hamiltonians do.
 
 Energies, degeneracies, parities and ladder-norm coefficients of the
 model all come out of this module as exact scalars; no floating point,
@@ -22,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ._kernel import poly_add, poly_mul
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement
 from .scalars import (
@@ -38,7 +40,7 @@ MuValue = Union[BaseNumber, Fraction, int]
 ScalarLike = Union[Scalar, BaseNumber, int, Fraction]
 
 # Highest level spectrum_table lists.  A two-variable table to this level
-# takes about 2 s (Python 3.11 on a 2-vCPU VM), and doubling the level
+# takes about 1.6 s (Python 3.11 on a 2-vCPU VM), and doubling the level
 # costs about 10x: level n holds n + 1 states of up to about n^2/4 terms,
 # each raised once and eigenchecked once.
 MAX_LEVEL = 32
@@ -113,6 +115,36 @@ class GaussState:
     __repr__ = __str__
 
 
+def gauge(A: OperatorElement) -> OperatorElement:
+    """The envelope-conjugated operator e^{|x|^2/2} A e^{-|x|^2/2}.
+
+    Each term coeff * x_j^a d_j^b R_j^e becomes coeff * x_j^a (d_j -
+    x_j)^b R_j^e, so gauge(A).act(p) is the polynomial part of A acting
+    on p * exp(-|x|^2/2).
+    """
+    n = A.nvars
+    out = OperatorElement.zero(n)
+    for mono, coeff in A.terms():
+        piece = coeff * OperatorElement.identity(n)
+        for j, (a, b, e) in enumerate(mono.blocks):
+            if a:
+                piece = piece * OperatorElement.x(j, n, a)
+            if b:
+                piece = piece * (OperatorElement.d(j, n)
+                                 - OperatorElement.x(j, n)) ** b
+            if e:
+                piece = piece * OperatorElement.r(j, n)
+        out = out + piece
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gauged(name: str, dims: int) -> OperatorElement:
+    """gauge(build(name, dims)), still parametric: substituting values
+    afterwards gives the same operator as gauging the substituted one."""
+    return gauge(build(name, dims))
+
+
 def apply(A: OperatorElement, s: GaussState) -> GaussState:
     """Act with A on s, exactly.
 
@@ -120,35 +152,7 @@ def apply(A: OperatorElement, s: GaussState) -> GaussState:
     exponent; individual terms of A may produce intermediate poles as
     long as they cancel in the sum.
     """
-    if A.nvars != s.nvars:
-        raise ArityMismatchError(
-            f"operator on {A.nvars} variables, state on {s.nvars}")
-    # Every term's image is summed straight into one dict.  reflect and
-    # mul_xpow hand the state's own inner dicts through, so nothing is
-    # written in place: each value is a new dict from poly_mul or poly_add.
-    acc: dict = {}
-    for mono, coeff in A._op.items():
-        f = s.polynomial
-        for j in range(s.nvars):
-            a, b, e = mono[3 * j:3 * j + 3]
-            if e:
-                f = f.reflect(j)
-            for _ in range(b):
-                f = f.diff(j) - f.mul_xpow(j, 1)
-            if a:
-                f = f.mul_xpow(j, a)
-        for exps, p in f._poly.items():
-            piece = poly_mul(coeff, p)
-            cur = acc.get(exps)
-            if cur is None:
-                acc[exps] = piece
-            else:
-                v = poly_add(cur, piece)
-                if v:
-                    acc[exps] = v
-                else:
-                    del acc[exps]
-    return GaussState(LaurentPolynomial(acc, s.nvars))
+    return GaussState(gauge(A).act(s.polynomial))
 
 
 def ground(nvars: int) -> GaussState:
@@ -172,30 +176,35 @@ def fock(
     for j, n in enumerate(ns):
         if not n:
             continue
-        raiser = build(f"A+{j + 1}", nvars)
+        raiser = _gauged(f"A+{j + 1}", nvars)
         if mu_values is not None:
             raiser = raiser.substitute_params(tuple(mu_values))
         for _ in range(n):
-            state = apply(raiser, state)
+            state = GaussState(raiser.act(state.polynomial))
     return state
+
+
+def _ratio(image: GaussState, s: GaussState) -> Optional[Scalar]:
+    """The scalar c with image == c * s, or None when there is none.
+
+    c can only be the ratio of the coefficients of s's leading monomial.
+    """
+    support = max(exps for exps, _ in s.polynomial.terms())
+    try:
+        c = image.polynomial.coefficient(support).exact_div(
+            s.polynomial.coefficient(support))
+    except InexactDivisionError:
+        return None
+    if image == c * s:
+        return c
+    return None
 
 
 def eigencheck(A: OperatorElement, s: GaussState) -> Optional[Scalar]:
     """Exact eigenvalue of A on s, or None if s is not an eigenstate."""
     if s.is_zero():
         raise ValueError("eigencheck needs a nonzero state")
-    image = apply(A, s)
-    if image.is_zero():
-        return Scalar.zero(s.nvars)
-    support = max(exps for exps, _ in s.polynomial.terms())
-    try:
-        lam = image.polynomial.coefficient(support).exact_div(
-            s.polynomial.coefficient(support))
-    except InexactDivisionError:
-        return None
-    if image.polynomial == lam * s.polynomial:
-        return lam
-    return None
+    return _ratio(apply(A, s), s)
 
 
 @dataclass(frozen=True)
@@ -237,7 +246,7 @@ def _ladder(
     """
     raisers = []
     for j in range(dims):
-        raiser = build(f"A+{j + 1}", dims)
+        raiser = _gauged(f"A+{j + 1}", dims)
         if values is not None:
             raiser = raiser.substitute_params(values)
         raisers.append(raiser)
@@ -248,7 +257,8 @@ def _ladder(
         for ns in _level_states(dims, n):
             j = max(i for i, k in enumerate(ns) if k)
             lowered = ns[:j] + (ns[j] - 1,) + ns[j + 1:]
-            level[ns] = apply(raisers[j], below[lowered])
+            level[ns] = GaussState(
+                raisers[j].act(below[lowered].polynomial))
         yield level
 
 
@@ -277,14 +287,14 @@ def spectrum_table(
     if len(values) != dims:
         raise ArityMismatchError(
             f"need {dims} deformation values, got {len(values)}")
-    hamiltonian = build("H", dims).substitute_params(values)
+    hamiltonian = _gauged("H", dims).substitute_params(values)
 
     rows: List[SpectrumRow] = []
     for level, states in enumerate(_ladder(dims, values, max_level)):
         energy: Optional[BaseNumber] = None
         leading: set = set()
         for ns, state in states.items():
-            lam = eigencheck(hamiltonian, state)
+            lam = _ratio(GaussState(hamiltonian.act(state.polynomial)), state)
             if lam is None:
                 raise ArithmeticError(
                     f"state {ns} failed to be an eigenstate")
@@ -326,7 +336,7 @@ def ladder_norm_coefficients(
     values: Optional[Tuple[BaseNumber, ...]] = None
     if mu is not None:
         values = (mu if isinstance(mu, BaseNumber) else BaseNumber(mu),)
-    lower = build("A-1", 1)
+    lower = _gauged("A-1", 1)
     if values is not None:
         lower = lower.substitute_params(values)
     out: List[Scalar] = []
@@ -334,11 +344,8 @@ def ladder_norm_coefficients(
     for k, level in enumerate(_ladder(1, values, max_n)):
         curr = level[(k,)]
         if prev is not None:
-            image = apply(lower, curr)
-            support = max(exps for exps, _ in prev.polynomial.terms())
-            c = image.polynomial.coefficient(support).exact_div(
-                prev.polynomial.coefficient(support))
-            if image.polynomial != c * prev.polynomial:
+            c = _ratio(GaussState(lower.act(curr.polynomial)), prev)
+            if c is None:
                 raise ArithmeticError(f"lowering fock({k}) left the ladder")
             out.append(c)
         prev = curr

@@ -7,7 +7,9 @@ from dunklweyl._kernel import (
     bn_add,
     bn_scale_int,
     dx_rows,
+    poly_add,
     poly_mul,
+    poly_neg,
     poly_scale_int,
 )
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
@@ -136,3 +138,73 @@ def reference_op_mul(A, B, nvars):
                             else:
                                 del tgt[e]
     return {m: p for m, p in acc.items() if p}
+
+
+# The state layer's own action loop and the Laurent product loop, from
+# before every action went through OperatorElement.act, kept verbatim as
+# oracles for the single action path.
+
+
+def _reflect(f, index):
+    """Substitute x_{index+1} -> -x_{index+1}."""
+    out = {}
+    for e, p in f._poly.items():
+        out[e] = poly_neg(p) if e[index] & 1 else p
+    return LaurentPolynomial(out, f.nvars)
+
+
+def _mul_xpow(f, index, power):
+    """Multiply by x_{index+1}^power."""
+    if power == 0:
+        return f
+    return LaurentPolynomial(
+        {e[:index] + (e[index] + power,) + e[index + 1:]: p
+         for e, p in f._poly.items()}, f.nvars)
+
+
+def reference_laurent_mul(f, g):
+    """Product of two Laurent polynomials on the same variables."""
+    out = {}
+    for e1, p1 in f._poly.items():
+        for e2, p2 in g._poly.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            piece = poly_mul(p1, p2)
+            cur = out.get(e)
+            if cur is None:
+                out[e] = piece
+            else:
+                v = poly_add(cur, piece)
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+    return LaurentPolynomial(out, f.nvars)
+
+
+def reference_apply(A, s):
+    """A acting on a Gaussian-envelope state s, with the envelope's
+    derivative rule d_j(p * e) = (d_j p - x_j p) * e written out."""
+    from dunklweyl.states import GaussState
+    acc = {}
+    for mono, coeff in A._op.items():
+        f = s.polynomial
+        for j in range(s.nvars):
+            a, b, e = mono[3 * j:3 * j + 3]
+            if e:
+                f = _reflect(f, j)
+            for _ in range(b):
+                f = f.diff(j) - _mul_xpow(f, j, 1)
+            if a:
+                f = _mul_xpow(f, j, a)
+        for exps, p in f._poly.items():
+            piece = poly_mul(coeff, p)
+            cur = acc.get(exps)
+            if cur is None:
+                acc[exps] = piece
+            else:
+                v = poly_add(cur, piece)
+                if v:
+                    acc[exps] = v
+                else:
+                    del acc[exps]
+    return GaussState(LaurentPolynomial(acc, s.nvars))

@@ -1,15 +1,16 @@
 """Tests for the named-operator registry and its structural invariants."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from dunklweyl import builders
 from dunklweyl.builders import (
     ParityError,
     SuperpotentialPair,
     build,
     build_generic_supercharge,
-    build_susy_nd,
     names,
 )
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement, commutator
@@ -57,6 +58,27 @@ class TestRegistry:
 
     def test_build_is_cached(self):
         assert build("H", 2) is build("H", 2)
+
+    def test_each_operator_built_once(self, monkeypatch):
+        # Composite operators take their parts from the cache too, so a
+        # cold build of every name constructs each (name, dims) once.
+        counts = Counter()
+        inner = builders._build
+
+        def counting(name, dims):
+            counts[name, dims] += 1
+            return inner(name, dims)
+
+        monkeypatch.setattr(builders, "_build", counting)
+        build.cache_clear()
+        try:
+            for dims in (1, 2, 3):
+                for name in names(dims):
+                    build(name, dims)
+        finally:
+            build.cache_clear()
+        assert counts["D1", 2] == 1
+        assert set(counts.values()) == {1}
 
 
 class TestDefinitions:
@@ -125,13 +147,6 @@ class TestDefinitions:
                     + build("Q3", 3))
         assert q3 == expected
         assert build("Q_susy", 1) == build("Q1", 1)
-
-    def test_build_susy_nd(self):
-        q, h = build_susy_nd(2)
-        assert q == build("Q_susy", 2)
-        assert h == build("H_susy", 2)
-        with pytest.raises(ValueError):
-            build_susy_nd(0)
 
 
 class TestHermiticity:

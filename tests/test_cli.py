@@ -14,7 +14,6 @@ from helpers import random_operator
 import dunklweyl
 from dunklweyl import dsl, states
 from dunklweyl.cli import main
-from dunklweyl.dsl import render
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
 
@@ -270,7 +269,7 @@ class TestRoundTripThroughCli:
         for _ in range(40):
             n = rng.choice([1, 2])
             a = random_operator(rng, n)
-            code, out, _ = run(capsys, ["nf", render(a), "--dims", str(n)])
+            code, out, _ = run(capsys, ["nf", str(a), "--dims", str(n)])
             assert code == 0
             assert parse_eval(out.strip(), n) == a
 

@@ -18,7 +18,6 @@ from dunklweyl.dsl import (
     evaluate,
     parse,
     parse_eval,
-    render,
 )
 from dunklweyl.opalg import OperatorElement, commutator
 from dunklweyl.scalars import Scalar
@@ -133,15 +132,15 @@ class TestRoundTrip:
         for _ in range(60):
             n = rng.choice([1, 2, 3])
             a = random_operator(rng, n)
-            assert parse_eval(render(a), n) == a
+            assert parse_eval(str(a), n) == a
 
     def test_registry_operators(self):
         for dims in (1, 2):
             for name in names(dims):
                 a = build(name, dims)
-                assert parse_eval(render(a), dims) == a
+                assert parse_eval(str(a), dims) == a
 
     def test_zero_renders_and_parses(self):
         z = OperatorElement.zero(2)
-        assert render(z) == "0"
+        assert str(z) == "0"
         assert parse_eval("0", 2) == z

@@ -5,20 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_operator, random_state
+from helpers import random_operator, random_state, reference_apply
 
-from dunklweyl.builders import build
-from dunklweyl.opalg import LaurentPolynomial, OperatorElement, multiply
+from dunklweyl.builders import build, names
+from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import ArityMismatchError, SQRT2, Scalar
 from dunklweyl.states import (
     GaussState,
     PoleError,
+    _gauged,
     _ladder,
     _level_states,
     apply,
     eigencheck,
     fock,
+    gauge,
     ground,
     ladder_norm_coefficients,
     spectrum_table,
@@ -44,6 +48,20 @@ class TestStateBasics:
         s, t = GaussState(x + y), GaussState(y - (-x))
         assert s == t and hash(s) == hash(t)
         assert len({s, t, fock((1, 1)), fock((1, 1))}) == 2
+
+    def test_eq_across_arities(self):
+        # Values on different numbers of variables are unequal; only
+        # arithmetic between them is an error.
+        assert ground(1) != GaussState(LaurentPolynomial.one(2))
+        assert LaurentPolynomial.one(1) != LaurentPolynomial.one(2)
+        assert OperatorElement.x(0, 1) != OperatorElement.x(0, 2)
+        assert not OperatorElement.identity(1) == OperatorElement.identity(2)
+        with pytest.raises(ArityMismatchError):
+            ground(1) + ground(2)
+        with pytest.raises(ArityMismatchError):
+            LaurentPolynomial.one(1) * LaurentPolynomial.one(2)
+        with pytest.raises(ArityMismatchError):
+            OperatorElement.x(0, 1) - OperatorElement.x(0, 2)
 
     def test_occupation_validation(self):
         with pytest.raises(ValueError):
@@ -89,16 +107,16 @@ class TestApply:
             A = random_operator(rng, n)
             B = random_operator(rng, n)
             s = random_state(rng, n)
-            assert apply(multiply(A, B), s) == apply(A, apply(B, s))
+            assert apply(A * B, s) == apply(A, apply(B, s))
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
             apply(build("H1", 2), ground(1))
 
     def test_inputs_left_untouched(self):
-        # Results share inner polynomial dicts with their inputs (reflect
-        # and mul_xpow pass them through), so apply must never write into
-        # a dict it did not create.
+        # Kernel sums share inner polynomial dicts with their inputs
+        # (op_add and op_sub pass unmatched terms through), so neither
+        # gauge nor act may write into a dict it did not create.
         rng = random.Random(404)
         cases = [(build("A+1", 1), fock((3,))), (build("H", 2), fock((2, 1))),
                  (OperatorElement.x(0, 1, 2) * OperatorElement.r(0, 1)
@@ -128,6 +146,51 @@ class TestApply:
             A = build(name, 2)
             for ns in ((0, 0), (1, 0), (2, 3), (4, 1)):
                 apply(A, fock(ns))
+
+
+def _outcome(action, A, s):
+    try:
+        return action(A, s)
+    except PoleError:
+        return PoleError
+
+
+class TestGauge:
+    def test_generators(self):
+        for n in (1, 2):
+            for j in range(n):
+                x = OperatorElement.x(j, n)
+                d = OperatorElement.d(j, n)
+                r = OperatorElement.r(j, n)
+                assert gauge(x) == x
+                assert gauge(d) == d - x
+                assert gauge(r) == r
+
+    def test_multiplicative(self):
+        rng = random.Random(405)
+        for _ in range(40):
+            n = rng.choice([1, 2])
+            A = random_operator(rng, n)
+            B = random_operator(rng, n)
+            assert gauge(A * B) == gauge(A) * gauge(B)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_cached_gauge_commutes_with_substitution(self, dims):
+        for values in ((Fraction(2, 3), Fraction(-5, 4)), (0, SQRT2)):
+            values = values[:dims]
+            for name in names(dims):
+                assert (_gauged(name, dims).substitute_params(values)
+                        == gauge(build(name, dims).substitute_params(values)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.sampled_from([1, 2]),
+           min_pow=st.integers(0, 12))
+    def test_apply_matches_reference(self, rng, n, min_pow):
+        # Low powers in the state let some images keep a pole; then both
+        # sides must report it.
+        A = random_operator(rng, n)
+        s = random_state(rng, n, min_pow=min_pow, max_pow=min_pow + 8)
+        assert _outcome(apply, A, s) == _outcome(reference_apply, A, s)
 
 
 class TestEigencheck:
