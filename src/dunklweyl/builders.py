@@ -5,12 +5,11 @@ mu_i.  Composite operators (ladder squares, Schwinger bilinears, Hahn and
 superalgebra generators) are assembled by multiplying previously built
 parts, never hand-expanded, so the registry itself exercises the algebra.
 
-Naming follows the conventional symbols: per variable i the registry has
-D{i}, H{i}, A+{i}, A-{i}, A0{i}, B+{i}, B-{i}, Htilde{i}, Atilde+{i},
-Atilde-{i}, the conformal block Qc{i}, Sc{i}, Hc{i}, Kc{i}, Dc{i}, and the
-supersymmetric pair Q{i}, H_susy{i}.  Global names: H, Q_susy, H_susy in any
-dimension, plus the two-variable family J+, J-, J0, C, P, K+, K-, K0, K1,
-K2, E0, E1, E2, F+, F-, Htilde.
+Every name is declared once, as a key of one of three constructor tables:
+_GLOBAL (valid in any dimension), _TWO_VARIABLE (valid only when dims is
+2) and _PER_VARIABLE (a kind such as "A+", named "A+1" .. "A+{dims}").
+names(), the expression lexicon and build() all derive from these tables,
+so adding an operator is adding one entry.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Dict, Tuple
 
 from dunklweyl.opalg import (
     LaurentPolynomial,
@@ -55,144 +54,137 @@ class SuperpotentialPair:
                         f"{name} must be {kind}: term x^{exps[0]} violates parity")
 
 
-def _mu(i: int, n: int) -> Scalar:
-    return Scalar.parameter(i, n)
+class _Var:
+    """The generators of variable i (0-based) in n dimensions, handed to
+    each per-variable constructor; op(kind) is the registry operator of
+    that kind in the same variable."""
+
+    def __init__(self, i: int, n: int) -> None:
+        self.i, self.n = i, n
+        self.x = OperatorElement.x(i, n)
+        self.xinv = OperatorElement.x(i, n, -1)
+        self.r = OperatorElement.r(i, n)
+        self.d = OperatorElement.d(i, n)
+        self.mu = Scalar.parameter(i, n)
+        self.half = Scalar.constant(1, n) / 2
+
+    def op(self, kind: str) -> OperatorElement:
+        return build(f"{kind}{self.i + 1}", self.n)
 
 
-def _dunkl(i: int, n: int) -> OperatorElement:
-    d = OperatorElement.d(i, n)
-    xinv = OperatorElement.x(i, n, -1)
-    r = OperatorElement.r(i, n)
-    return d + _mu(i, n) * xinv * (1 - r)
+def _sum_of(kind: str) -> Callable[[int], OperatorElement]:
+    """The constructor of sum_i {kind}{i}."""
+    return lambda n: sum((build(f"{kind}{i + 1}", n) for i in range(1, n)),
+                         build(f"{kind}1", n))
+
+
+def _q_susy(n: int) -> OperatorElement:
+    total = OperatorElement.zero(n)
+    for i in range(n):
+        tail = OperatorElement.identity(n)
+        for j in range(i + 1, n):
+            tail = tail * OperatorElement.r(j, n)
+        total = total + build(f"Q{i + 1}", n) * tail
+    return total
+
+
+def _casimir(n: int) -> OperatorElement:
+    j0 = build("J0", n)
+    mu1, mu2 = Scalar.parameter(0, n), Scalar.parameter(1, n)
+    refl = mu1 * OperatorElement.r(0, n) + mu2 * OperatorElement.r(1, n)
+    return (j0 * j0
+            + 2 * anticommutator(build("J+", n), build("J-", n))
+            + 2 * refl
+            + 4 * mu1 * mu2 * build("P", n))
+
+
+def _htilde(n: int) -> OperatorElement:
+    # The fully gauged two-variable oscillator, entered from its explicit
+    # display; equality with Htilde1 + Htilde2 is a verified relation,
+    # not a definition.
+    half = Scalar.constant(1, n) / 2
+    mu1, mu2 = Scalar.parameter(0, n), Scalar.parameter(1, n)
+    x1sq = OperatorElement.x(0, n, 2)
+    x2sq = OperatorElement.x(1, n, 2)
+    x1m2 = OperatorElement.x(0, n, -2)
+    x2m2 = OperatorElement.x(1, n, -2)
+    return (-half * (OperatorElement.d(0, n, 2) + OperatorElement.d(1, n, 2))
+            + half * (x1sq + x2sq + mu1 ** 2 * x1m2 + mu2 ** 2 * x2m2)
+            - half * mu1 * x1m2 * OperatorElement.r(0, n)
+            - half * mu2 * x2m2 * OperatorElement.r(1, n))
+
+
+def _hamiltonian(v: _Var) -> OperatorElement:
+    dk = v.op("D")
+    return -v.half * dk * dk + v.half * v.x * v.x
+
+
+# Names valid in every dimension.
+_GLOBAL: Dict[OperatorName, Callable[[int], OperatorElement]] = {
+    "H": _sum_of("H"),
+    "Q_susy": _q_susy,
+    "H_susy": _sum_of("H_susy"),
+}
+
+# Names valid in two dimensions only.
+_TWO_VARIABLE: Dict[OperatorName, Callable[[int], OperatorElement]] = {
+    "J+": lambda n: build("A+1", n) * build("A-2", n),
+    "J-": lambda n: build("A-1", n) * build("A+2", n),
+    "J0": lambda n: build("H1", n) - build("H2", n),
+    "C": _casimir,
+    "P": lambda n: OperatorElement.r(0, n) * OperatorElement.r(1, n),
+    "K+": lambda n: build("J+", n) ** 2,
+    "K-": lambda n: build("J-", n) ** 2,
+    "K0": lambda n: build("J0", n) / 8,
+    "K1": lambda n: (build("K+", n) + build("K-", n)
+                     + build("J0", n) ** 2 / 2) / 8,
+    "K2": lambda n: commutator(build("K0", n), build("K1", n)),
+    "E0": lambda n: build("J0", n) / 8,
+    "E1": lambda n: (build("J+", n) ** 2 + build("J-", n) ** 2
+                     + build("J0", n) ** 2 / 2) / 8,
+    "E2": lambda n: (build("J+", n) ** 2 - build("J-", n) ** 2) / 16,
+    "F+": lambda n: build("J+", n),
+    "F-": lambda n: build("J-", n),
+    "Htilde": _htilde,
+}
+
+# Kinds named {kind}{i} for each variable i = 1..dims.
+_PER_VARIABLE: Dict[str, Callable[[_Var], OperatorElement]] = {
+    "D": lambda v: v.d + v.mu * v.xinv * (1 - v.r),
+    "H": _hamiltonian,
+    "A+": lambda v: INV_SQRT2 * (v.x - v.op("D")),
+    "A-": lambda v: INV_SQRT2 * (v.x + v.op("D")),
+    "A0": lambda v: v.op("H"),
+    "B+": lambda v: v.op("A+") ** 2 / 2,
+    "B-": lambda v: v.op("A-") ** 2 / 2,
+    "Htilde": lambda v: v.half * (-v.d * v.d + v.x * v.x
+                                  + v.mu ** 2 * v.xinv * v.xinv
+                                  - v.mu * v.xinv * v.xinv * v.r),
+    "Atilde+": lambda v: INV_SQRT2 * (v.x - v.d + v.mu * v.xinv * v.r),
+    "Atilde-": lambda v: INV_SQRT2 * (v.x + v.d - v.mu * v.xinv * v.r),
+    "Qc": lambda v: (v.op("Atilde-") - v.op("Atilde+")) * v.r / 2,
+    "Sc": lambda v: v.r * (v.op("Atilde+") + v.op("Atilde-")) / (2 * I),
+    "Hc": lambda v: v.op("Qc") ** 2,
+    "Kc": lambda v: v.op("Sc") ** 2,
+    "Dc": lambda v: -v.half * anticommutator(v.op("Qc"), v.op("Sc")),
+    "Q": lambda v: INV_SQRT2 * (v.d * v.r + v.x - v.mu * v.xinv),
+    "H_susy": lambda v: v.op("Q") ** 2,
+}
 
 
 def _build(name: OperatorName, dims: int) -> OperatorElement:
-    n = dims
-    half = Scalar.constant(1, n) / 2
-
-    if name == "H":
-        return sum((build(f"H{i + 1}", n) for i in range(1, n)),
-                   build("H1", n))
-    if name == "Q_susy":
-        total = OperatorElement.zero(n)
-        for i in range(n):
-            tail = OperatorElement.identity(n)
-            for j in range(i + 1, n):
-                tail = tail * OperatorElement.r(j, n)
-            total = total + build(f"Q{i + 1}", n) * tail
-        return total
-    if name == "H_susy":
-        return sum((build(f"H_susy{i + 1}", n) for i in range(1, n)),
-                   build("H_susy1", n))
-
-    if n == 2:
-        if name == "J+":
-            return build("A+1", n) * build("A-2", n)
-        if name == "J-":
-            return build("A-1", n) * build("A+2", n)
-        if name == "J0":
-            return build("H1", n) - build("H2", n)
-        if name == "P":
-            return OperatorElement.r(0, n) * OperatorElement.r(1, n)
-        if name == "C":
-            j0 = build("J0", n)
-            refl = (_mu(0, n) * OperatorElement.r(0, n)
-                    + _mu(1, n) * OperatorElement.r(1, n))
-            return (j0 * j0
-                    + 2 * anticommutator(build("J+", n), build("J-", n))
-                    + 2 * refl
-                    + 4 * _mu(0, n) * _mu(1, n) * build("P", n))
-        if name == "K+":
-            return build("J+", n) ** 2
-        if name == "K-":
-            return build("J-", n) ** 2
-        if name == "K0":
-            return build("J0", n) / 8
-        if name == "K1":
-            return (build("K+", n) + build("K-", n)
-                    + build("J0", n) ** 2 / 2) / 8
-        if name == "K2":
-            return commutator(build("K0", n), build("K1", n))
-        if name == "E0":
-            return build("J0", n) / 8
-        if name == "E1":
-            return (build("J+", n) ** 2 + build("J-", n) ** 2
-                    + build("J0", n) ** 2 / 2) / 8
-        if name == "E2":
-            return (build("J+", n) ** 2 - build("J-", n) ** 2) / 16
-        if name == "F+":
-            return build("J+", n)
-        if name == "F-":
-            return build("J-", n)
-        if name == "Htilde":
-            # The fully gauged two-variable oscillator, entered from its
-            # explicit display; equality with Htilde1 + Htilde2 is a
-            # verified relation, not a definition.
-            x1sq = OperatorElement.x(0, n, 2)
-            x2sq = OperatorElement.x(1, n, 2)
-            x1m2 = OperatorElement.x(0, n, -2)
-            x2m2 = OperatorElement.x(1, n, -2)
-            return (-half * (OperatorElement.d(0, n, 2) + OperatorElement.d(1, n, 2))
-                    + half * (x1sq + x2sq
-                              + _mu(0, n) ** 2 * x1m2 + _mu(1, n) ** 2 * x2m2)
-                    - half * _mu(0, n) * x1m2 * OperatorElement.r(0, n)
-                    - half * _mu(1, n) * x2m2 * OperatorElement.r(1, n))
-
-    m = re.fullmatch(
-        r"(Atilde\+|Atilde-|H_susy|Htilde|Qc|Sc|Hc|Kc|Dc|A\+|A-|A0|B\+|B-|D|H|Q)"
-        r"([1-9]\d*)", name)
-    if m is None:
+    if name in _GLOBAL:
+        return _GLOBAL[name](dims)
+    if dims == 2 and name in _TWO_VARIABLE:
+        return _TWO_VARIABLE[name](dims)
+    m = re.fullmatch(r"(\D.*?)([1-9]\d*)", name)
+    if m is None or m.group(1) not in _PER_VARIABLE:
         raise KeyError(f"unknown operator name: {name!r}")
-    kind = m.group(1)
     i = int(m.group(2)) - 1
-    if not 0 <= i < n:
-        raise IndexError(f"variable index {i + 1} out of range for {n} dimensions")
-
-    x = OperatorElement.x(i, n)
-    xinv = OperatorElement.x(i, n, -1)
-    r = OperatorElement.r(i, n)
-    d = OperatorElement.d(i, n)
-    mu = _mu(i, n)
-
-    if kind == "D":
-        return _dunkl(i, n)
-    if kind == "H":
-        dk = build(f"D{i + 1}", n)
-        return -half * dk * dk + half * x * x
-    if kind == "A+":
-        return INV_SQRT2 * (x - build(f"D{i + 1}", n))
-    if kind == "A-":
-        return INV_SQRT2 * (x + build(f"D{i + 1}", n))
-    if kind == "A0":
-        return build(f"H{i + 1}", n)
-    if kind == "B+":
-        return build(f"A+{i + 1}", n) ** 2 / 2
-    if kind == "B-":
-        return build(f"A-{i + 1}", n) ** 2 / 2
-    if kind == "Htilde":
-        return half * (-d * d + x * x + mu ** 2 * xinv * xinv
-                       - mu * xinv * xinv * r)
-    if kind == "Atilde+":
-        return INV_SQRT2 * (x - d + mu * xinv * r)
-    if kind == "Atilde-":
-        return INV_SQRT2 * (x + d - mu * xinv * r)
-    if kind == "Qc":
-        return (build(f"Atilde-{i + 1}", n) - build(f"Atilde+{i + 1}", n)) * r / 2
-    if kind == "Sc":
-        return r * (build(f"Atilde+{i + 1}", n)
-                    + build(f"Atilde-{i + 1}", n)) / (2 * I)
-    if kind == "Hc":
-        return build(f"Qc{i + 1}", n) ** 2
-    if kind == "Kc":
-        return build(f"Sc{i + 1}", n) ** 2
-    if kind == "Dc":
-        return -half * anticommutator(build(f"Qc{i + 1}", n),
-                                      build(f"Sc{i + 1}", n))
-    if kind == "Q":
-        return INV_SQRT2 * (d * r + x - mu * xinv)
-    if kind == "H_susy":
-        return build(f"Q{i + 1}", n) ** 2
-    raise KeyError(f"unknown operator name: {name!r}")
+    if not 0 <= i < dims:
+        raise IndexError(
+            f"variable index {i + 1} out of range for {dims} dimensions")
+    return _PER_VARIABLE[m.group(1)](_Var(i, dims))
 
 
 @lru_cache(maxsize=None)
@@ -208,15 +200,10 @@ def names(dims: int) -> Tuple[OperatorName, ...]:
     list doubles as a greedy lexer table)."""
     if dims < 1:
         raise ValueError("dimension must be at least 1")
-    out = ["H", "Q_susy", "H_susy"]
+    out = list(_GLOBAL)
     if dims == 2:
-        out += ["J+", "J-", "J0", "C", "P", "K+", "K-", "K0", "K1", "K2",
-                "E0", "E1", "E2", "F+", "F-", "Htilde"]
-    for i in range(1, dims + 1):
-        out += [f"D{i}", f"H{i}", f"A+{i}", f"A-{i}", f"A0{i}",
-                f"B+{i}", f"B-{i}", f"Htilde{i}", f"Atilde+{i}", f"Atilde-{i}",
-                f"Qc{i}", f"Sc{i}", f"Hc{i}", f"Kc{i}", f"Dc{i}",
-                f"Q{i}", f"H_susy{i}"]
+        out += list(_TWO_VARIABLE)
+    out += [f"{kind}{i}" for i in range(1, dims + 1) for kind in _PER_VARIABLE]
     return tuple(sorted(out, key=lambda s: (-len(s), s)))
 
 

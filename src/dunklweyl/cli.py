@@ -129,10 +129,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_list_relations(args: argparse.Namespace) -> Outcome:
-    lines = [f"{fid}: {relations.DESCRIPTIONS[fid]}"
-             for fid in relations.FAMILIES]
-    results = [{"family": fid, "description": relations.DESCRIPTIONS[fid]}
-               for fid in relations.FAMILIES]
+    families = relations.REGISTRY.values()
+    lines = [f"{fam.id}: {fam.description}" for fam in families]
+    results = [{"family": fam.id, "description": fam.description}
+               for fam in families]
     report = {
         "command": "list-relations",
         "dims": None,

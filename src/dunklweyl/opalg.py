@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, KeysView, Optional, Sequence, Tuple, Union
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -174,11 +174,6 @@ class OperatorElement:
         """The reflection R_{index+1}."""
         return cls._single(index, nvars, (0, 0, 1))
 
-    @classmethod
-    def mu(cls, index: int, nvars: int) -> "OperatorElement":
-        """The central scalar mu_{index+1} times the identity."""
-        return Scalar.parameter(index, nvars) * cls.identity(nvars)
-
     @property
     def nvars(self) -> int:
         return self._nvars
@@ -188,9 +183,6 @@ class OperatorElement:
 
     def __bool__(self) -> bool:
         return bool(self._op)
-
-    def term_count(self) -> int:
-        return len(self._op)
 
     def coefficient(self, mono: Union[NFMonomial, tuple]) -> Scalar:
         """The Scalar coefficient of a normal-form monomial (zero if absent)."""
@@ -278,7 +270,8 @@ class OperatorElement:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, OperatorElement) and other._nvars != self._nvars:
+        if (isinstance(other, (OperatorElement, Scalar))
+                and other.nvars != self._nvars):
             return False
         if isinstance(other, (OperatorElement, Scalar, BaseNumber, int, Fraction)):
             o = self._coerce(other)
@@ -323,36 +316,6 @@ class OperatorElement:
                     else:
                         del out[m]
         return OperatorElement(out, n)
-
-    def weighted_adjoint(self) -> "OperatorElement":
-        """Formal adjoint of the pairing weighted by prod_i |x_i|^(2*mu_i).
-
-        Same anti-automorphism rules as :meth:`adjoint` except that the
-        derivative picks up the weight's logarithmic derivative:
-        d_i -> -d_i - 2*mu_i/x_i.  Under this pairing the deformed
-        derivative D_i is skew-adjoint and the oscillator Hamiltonians are
-        self-adjoint; under the flat pairing they are not.
-        """
-        n = self._nvars
-        out = OperatorElement.zero(n)
-        dual_d = [
-            -OperatorElement.d(j, n)
-            - 2 * Scalar.parameter(j, n) * OperatorElement.x(j, n, -1)
-            for j in range(n)
-        ]
-        for mono, poly in self._op.items():
-            piece = Scalar({e: bn_conj(c) for e, c in poly.items()}, n) \
-                * OperatorElement.identity(n)
-            for j in range(n):
-                a, b, e = mono[3 * j], mono[3 * j + 1], mono[3 * j + 2]
-                if e:
-                    piece = piece * OperatorElement.r(j, n)
-                if b:
-                    piece = piece * dual_d[j] ** b
-                if a:
-                    piece = piece * OperatorElement.x(j, n, a)
-            out = out + piece
-        return out
 
     def substitute_params(self, values: Sequence[BaseLike]) -> "OperatorElement":
         """Evaluate every coefficient at numeric parameter values."""
@@ -424,25 +387,6 @@ class OperatorElement:
         return self._op
 
 
-def linear_combine(
-    pairs: Iterable[Tuple[ScalarLike, OperatorElement]],
-) -> OperatorElement:
-    """Sum of coeff * op over the pairs, accumulated in one pass."""
-    out: Optional[dict] = None
-    nvars = -1
-    for coeff, op in pairs:
-        if out is None:
-            nvars = op.nvars
-            out = {}
-        elif op.nvars != nvars:
-            raise ArityMismatchError(
-                f"operators on {nvars} and {op.nvars} variables")
-        out = op_add(out, op_scale(op.kernel_op, _scalar_poly(coeff, nvars)))
-    if out is None:
-        raise ValueError("linear_combine needs at least one pair")
-    return OperatorElement(out, nvars)
-
-
 def commutator(a: OperatorElement, b: OperatorElement) -> OperatorElement:
     return a * b - b * a
 
@@ -494,14 +438,9 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self._poly)
 
-    def term_count(self) -> int:
-        return len(self._poly)
-
-    def min_exponent(self, index: int) -> int:
-        """Smallest power of x_{index+1} present; 0 for the zero function."""
-        if not self._poly:
-            return 0
-        return min(e[index] for e in self._poly)
+    def exponents(self) -> KeysView[tuple]:
+        """The exponent tuples of the nonzero terms, in no set order."""
+        return self._poly.keys()
 
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         poly = self._poly.get(tuple(exponents))
@@ -562,7 +501,8 @@ class LaurentPolynomial:
             {e: poly_neg(p) for e, p in self._poly.items()}, self._nvars)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPolynomial) and other._nvars != self._nvars:
+        if (isinstance(other, (LaurentPolynomial, Scalar))
+                and other.nvars != self._nvars):
             return False
         if isinstance(other, (LaurentPolynomial, Scalar, BaseNumber, int, Fraction)):
             o = self._coerce(other)

@@ -14,38 +14,10 @@ Two modes:
   identity.  This is cheaper and doubles as an independent cross-check
   of the parametric run.
 
-Families, in the order reported by :func:`list_families`:
-
-sl12              ladder/reflection relations of the deformed oscillator
-su11              commutation relations of the quadratic ladder operators
-osp12-grading     even generators commute with the reflection; mixed
-                  even/odd brackets close on the ladder operators
-sd2               defining relations of the two-parameter symmetry algebra
-sd2-conserved     the symmetry generators commute with the Hamiltonian
-casimir-sd2       Casimir value H^2 - 1 and centrality of C and R1*R2
-gauge-sl12        gauge-transformed ladder operators satisfy sl12
-conformal         translation/dilation/special generators close under
-                  commutation; gauged Hamiltonian splits as H + K
-gauge-2d          two-dimensional gauged Hamiltonian is the sum of the
-                  one-dimensional ones
-k-reflection      squared symmetry generators commute with reflections
-cubic             cubic closure of J0, K+ = J+^2, K- = J-^2
-hahn              Hahn-algebra presentation of the rescaled generators
-super-odd         anticommutators of the odd superalgebra generators
-super-evenodd     mixed even/odd superalgebra relations
-super-even        even sector reproduces the Hahn presentation
-super-casimir     C is central for the superalgebra generators
-susy-defining     supercharge relations H = (1/2){Q, adjoint(Q)}
-susy-1d           one-dimensional factorization H = Q^2 with Q symmetric
-susy-generic      factorization for sampled superpotential pairs (V, W)
-susy-nd           n-dimensional supercharge squares to the Hamiltonian
-susy-k-invariance squared gauge-frame symmetry generators commute with
-                  the supersymmetric Hamiltonian
-
-The susy-k-invariance generators are built in the gauge frame (products
-of gauged ladder operators), which is the frame the supersymmetric
-Hamiltonian lives in; the ungauged squares do not commute with it, and
-tests pin that distinction down.
+Families are declared once each, by the @_family decorator on the
+function that builds their identities; the decorators run in reporting
+order and fill REGISTRY (id, description, dimension, perturbability),
+from which FAMILIES, check() and the command-line listing all read.
 """
 
 from __future__ import annotations
@@ -66,59 +38,6 @@ from .opalg import (
 from .scalars import I, INV_SQRT2, BaseNumber, Scalar
 
 MuValue = Union[BaseNumber, Fraction, int]
-
-FAMILIES: Tuple[str, ...] = (
-    "sl12",
-    "su11",
-    "osp12-grading",
-    "sd2",
-    "sd2-conserved",
-    "casimir-sd2",
-    "gauge-sl12",
-    "conformal",
-    "gauge-2d",
-    "k-reflection",
-    "cubic",
-    "hahn",
-    "super-odd",
-    "super-evenodd",
-    "super-even",
-    "super-casimir",
-    "susy-defining",
-    "susy-1d",
-    "susy-generic",
-    "susy-nd",
-    "susy-k-invariance",
-)
-
-# Families accepting a deliberately broken coefficient, used as negative
-# controls: a verification pipeline that cannot fail is not a verifier.
-PERTURBABLE = frozenset({"sd2", "hahn"})
-
-DESCRIPTIONS: Dict[str, str] = {
-    "sl12": "ladder/reflection relations of the deformed oscillator",
-    "su11": "commutation relations of the quadratic ladder operators",
-    "osp12-grading": "reflection grading and mixed even/odd brackets",
-    "sd2": "defining relations of the two-parameter symmetry algebra",
-    "sd2-conserved": "symmetry generators commute with the Hamiltonian",
-    "casimir-sd2": "Casimir value H^2 - 1; centrality of C and R1*R2",
-    "gauge-sl12": "gauge-transformed ladder operators satisfy sl12",
-    "conformal": "translation/dilation/special generators and H = Hc + Kc",
-    "gauge-2d": "2D gauged Hamiltonian equals the sum of 1D ones",
-    "k-reflection": "squared symmetry generators commute with reflections",
-    "cubic": "cubic closure of J0 with K+ = J+^2 and K- = J-^2",
-    "hahn": "Hahn-algebra presentation of the rescaled generators",
-    "super-odd": "anticommutators of the odd superalgebra generators",
-    "super-evenodd": "mixed even/odd superalgebra relations",
-    "super-even": "even sector reproduces the Hahn presentation",
-    "super-casimir": "C is central for the superalgebra generators",
-    "susy-defining": "H = (1/2){Q, adjoint(Q)} with Q conserved",
-    "susy-1d": "1D factorization H = Q^2 with Q symmetric",
-    "susy-generic": "factorization for sampled superpotentials (V, W)",
-    "susy-nd": "n-dimensional supercharge squares to the Hamiltonian",
-    "susy-k-invariance": "gauge-frame squared generators commute with "
-                         "the supersymmetric Hamiltonian",
-}
 
 
 @dataclass(frozen=True)
@@ -149,17 +68,21 @@ class _Source:
     operator as it is pulled, before any composition happens; products
     of substituted operators equal substituted products, so this is the
     cheap direction.  Values are reused cyclically when a family needs
-    more of them than were given.
+    more of them than were given.  A family that picks its own dimensions
+    gets dims None, and the values as given, to make its own sources
+    from.  perturb asks a perturbable family for its negative control.
     """
 
-    __slots__ = ("dims", "values")
+    __slots__ = ("dims", "values", "perturb")
 
-    def __init__(self, dims: int, values: Optional[Sequence[BaseNumber]]):
+    def __init__(self, dims: Optional[int],
+                 values: Optional[Sequence[BaseNumber]],
+                 perturb: bool = False):
         self.dims = dims
-        if values is None:
-            self.values = None
-        else:
-            self.values = tuple(values[k % len(values)] for k in range(dims))
+        if values is not None and dims is not None:
+            values = tuple(values[k % len(values)] for k in range(dims))
+        self.values = values
+        self.perturb = perturb
 
     def op(self, name: str) -> OperatorElement:
         built = build(name, self.dims)
@@ -186,8 +109,38 @@ class _Source:
 
 
 Identity = Tuple[str, OperatorElement]
+_FamilyFunc = Callable[[_Source], List[Identity]]
 
 
+@dataclass(frozen=True)
+class Family:
+    """A registered identity family.  dims None: the family picks its own
+    dimensions.  A perturbable family can break one structure constant on
+    purpose, as a negative control: a verification pipeline that cannot
+    fail is not a verifier."""
+
+    id: str
+    description: str
+    dims: Optional[int]
+    perturbable: bool
+    identities: _FamilyFunc
+
+
+REGISTRY: Dict[str, Family] = {}
+
+
+def _family(id: str, description: str, dims: Optional[int] = 2,
+            perturbable: bool = False
+            ) -> Callable[[_FamilyFunc], _FamilyFunc]:
+    """Register the decorated function as a family; decoration order is
+    reporting order."""
+    def register(func: _FamilyFunc) -> _FamilyFunc:
+        REGISTRY[id] = Family(id, description, dims, perturbable, func)
+        return func
+    return register
+
+
+@_family("sl12", "ladder/reflection relations of the deformed oscillator")
 def _fam_sl12(s: _Source) -> List[Identity]:
     out: List[Identity] = []
     for i in (1, 2):
@@ -203,6 +156,7 @@ def _fam_sl12(s: _Source) -> List[Identity]:
     return out
 
 
+@_family("su11", "commutation relations of the quadratic ladder operators")
 def _fam_su11(s: _Source) -> List[Identity]:
     out: List[Identity] = []
     for i in (1, 2):
@@ -215,6 +169,7 @@ def _fam_su11(s: _Source) -> List[Identity]:
     return out
 
 
+@_family("osp12-grading", "reflection grading and mixed even/odd brackets")
 def _fam_osp12_grading(s: _Source) -> List[Identity]:
     out: List[Identity] = []
     for i in (1, 2):
@@ -228,14 +183,17 @@ def _fam_osp12_grading(s: _Source) -> List[Identity]:
     return out
 
 
-def _fam_sd2(s: _Source, perturb: bool = False) -> List[Identity]:
+@_family("sd2",
+         "defining relations of the two-parameter symmetry algebra",
+         perturbable=True)
+def _fam_sd2(s: _Source) -> List[Identity]:
     jp, jm, j0, h = s.op("J+"), s.op("J-"), s.op("J0"), s.op("H")
     r1, r2 = s.r(0), s.r(1)
     m1, m2 = s.mu(0), s.mu(1)
     # Negative control: break the [J0, J+] structure constant.  The
     # perturbed residual is J+ itself, nonzero even with both
     # deformation parameters set to zero.
-    up = 3 if perturb else 2
+    up = 3 if s.perturb else 2
     out: List[Identity] = [
         (f"[J0, J+] = {up}*J+", commutator(j0, jp) - up * jp),
         ("[J0, J-] = -2*J-", commutator(j0, jm) + 2 * jm),
@@ -252,6 +210,7 @@ def _fam_sd2(s: _Source, perturb: bool = False) -> List[Identity]:
     return out
 
 
+@_family("sd2-conserved", "symmetry generators commute with the Hamiltonian")
 def _fam_sd2_conserved(s: _Source) -> List[Identity]:
     h = s.op("H")
     return [
@@ -263,6 +222,7 @@ def _fam_sd2_conserved(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("casimir-sd2", "Casimir value H^2 - 1; centrality of C and R1*R2")
 def _fam_casimir_sd2(s: _Source) -> List[Identity]:
     c, p, h = s.op("C"), s.op("P"), s.op("H")
     jp, jm, j0 = s.op("J+"), s.op("J-"), s.op("J0")
@@ -278,6 +238,7 @@ def _fam_casimir_sd2(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("gauge-sl12", "gauge-transformed ladder operators satisfy sl12")
 def _fam_gauge_sl12(s: _Source) -> List[Identity]:
     out: List[Identity] = []
     for i in (1, 2):
@@ -296,6 +257,8 @@ def _fam_gauge_sl12(s: _Source) -> List[Identity]:
     return out
 
 
+@_family("conformal",
+         "translation/dilation/special generators and H = Hc + Kc")
 def _fam_conformal(s: _Source) -> List[Identity]:
     half = Fraction(1, 2)
     out: List[Identity] = []
@@ -337,11 +300,14 @@ def _fam_conformal(s: _Source) -> List[Identity]:
     return out
 
 
+@_family("gauge-2d", "2D gauged Hamiltonian equals the sum of 1D ones")
 def _fam_gauge_2d(s: _Source) -> List[Identity]:
     return [("Htilde = Htilde1 + Htilde2",
              s.op("Htilde") - (s.op("Htilde1") + s.op("Htilde2")))]
 
 
+@_family("k-reflection",
+         "squared symmetry generators commute with reflections")
 def _fam_k_reflection(s: _Source) -> List[Identity]:
     kp, km = s.op("K+"), s.op("K-")
     return [
@@ -365,6 +331,7 @@ def _structure_scalars(s: _Source) -> Tuple[OperatorElement, OperatorElement]:
     return g1, g2
 
 
+@_family("cubic", "cubic closure of J0 with K+ = J+^2 and K- = J-^2")
 def _fam_cubic(s: _Source) -> List[Identity]:
     j0, h = s.op("J0"), s.op("H")
     kp, km = s.op("K+"), s.op("K-")
@@ -383,14 +350,17 @@ def _fam_cubic(s: _Source) -> List[Identity]:
     ]
 
 
-def _fam_hahn(s: _Source, perturb: bool = False) -> List[Identity]:
+@_family("hahn",
+         "Hahn-algebra presentation of the rescaled generators",
+         perturbable=True)
+def _fam_hahn(s: _Source) -> List[Identity]:
     k0, k1, k2 = s.op("K0"), s.op("K1"), s.op("K2")
     h = s.op("H")
     r1, r2 = s.r(0), s.r(1)
     m1, m2 = s.mu(0), s.mu(1)
     g1, g2 = _structure_scalars(s)
     # Negative control: break the 1/4 coefficient in [K2, K0].
-    frac = Fraction(1, 3) if perturb else Fraction(1, 4)
+    frac = Fraction(1, 3) if s.perturb else Fraction(1, 4)
     rhs12 = (anticommutator(k0, k1)
              + Fraction(1, 8) * k0 * (g1 + 2 * m1 * r1 + 2 * m2 * r2)
              + Fraction(1, 64) * h * (g2 + 2 * m2 * r2 - 2 * m1 * r1))
@@ -399,11 +369,12 @@ def _fam_hahn(s: _Source, perturb: bool = False) -> List[Identity]:
         ("[K1, K2] = {K0, K1} + (1/8)*K0*(gamma1 + 2*mu1*R1 + 2*mu2*R2)"
          " + (1/64)*H*(gamma2 + 2*mu2*R2 - 2*mu1*R1)",
          commutator(k1, k2) - rhs12),
-        (f"[K2, K0] = K0^2 - {'1/3' if perturb else '1/4'}*K1",
+        (f"[K2, K0] = K0^2 - {'1/3' if s.perturb else '1/4'}*K1",
          commutator(k2, k0) - (k0 * k0 - frac * k1)),
     ]
 
 
+@_family("super-odd", "anticommutators of the odd superalgebra generators")
 def _fam_super_odd(s: _Source) -> List[Identity]:
     e0, e1, e2 = s.op("E0"), s.op("E1"), s.op("E2")
     fp, fm = s.op("F+"), s.op("F-")
@@ -423,6 +394,7 @@ def _fam_super_odd(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("super-evenodd", "mixed even/odd superalgebra relations")
 def _fam_super_evenodd(s: _Source) -> List[Identity]:
     e0, e1, e2 = s.op("E0"), s.op("E1"), s.op("E2")
     fp, fm = s.op("F+"), s.op("F-")
@@ -454,6 +426,7 @@ def _fam_super_evenodd(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("super-even", "even sector reproduces the Hahn presentation")
 def _fam_super_even(s: _Source) -> List[Identity]:
     e0, e1, e2 = s.op("E0"), s.op("E1"), s.op("E2")
     h, one = s.op("H"), s.one()
@@ -477,6 +450,7 @@ def _fam_super_even(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("super-casimir", "C is central for the superalgebra generators")
 def _fam_super_casimir(s: _Source) -> List[Identity]:
     c = s.op("C")
     return [
@@ -488,6 +462,7 @@ def _fam_super_casimir(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("susy-defining", "H = (1/2){Q, adjoint(Q)} with Q conserved", dims=1)
 def _fam_susy_defining(s: _Source) -> List[Identity]:
     q, h = s.op("Q_susy"), s.op("H_susy")
     qdag = q.adjoint()
@@ -499,6 +474,7 @@ def _fam_susy_defining(s: _Source) -> List[Identity]:
     ]
 
 
+@_family("susy-1d", "1D factorization H = Q^2 with Q symmetric", dims=1)
 def _fam_susy_1d(s: _Source) -> List[Identity]:
     q, hs = s.op("Q1"), s.op("H_susy1")
     return [
@@ -529,6 +505,8 @@ def _generic_samples() -> List[Tuple[str, SuperpotentialPair]]:
     return samples
 
 
+@_family("susy-generic",
+         "factorization for sampled superpotentials (V, W)", dims=1)
 def _fam_susy_generic(s: _Source) -> List[Identity]:
     half = Fraction(1, 2)
     d, r = s.d(0), s.r(0)
@@ -552,20 +530,25 @@ def _fam_susy_generic(s: _Source) -> List[Identity]:
     return out
 
 
-def _fam_susy_nd(values: Optional[Tuple[BaseNumber, ...]]) -> List[Identity]:
+@_family("susy-nd",
+         "n-dimensional supercharge squares to the Hamiltonian", dims=None)
+def _fam_susy_nd(s: _Source) -> List[Identity]:
     out: List[Identity] = []
     for n in (1, 2, 3):
-        s = _Source(n, values)
-        q, h = s.op("Q_susy"), s.op("H_susy")
+        sn = _Source(n, s.values)
+        q, h = sn.op("Q_susy"), sn.op("H_susy")
         out.append((f"n={n}: Q_susy^2 = H_susy", q * q - h))
         if n == 2:
             out.append(("n=2: Q_susy = Q1*R2 + Q2",
-                        q - (s.op("Q1") * s.r(1) + s.op("Q2"))))
+                        q - (sn.op("Q1") * sn.r(1) + sn.op("Q2"))))
         if n >= 2:
             out.append((f"n={n}: [Q_susy, H_susy] = 0", commutator(q, h)))
     return out
 
 
+@_family("susy-k-invariance",
+         "gauge-frame squared generators commute with "
+         "the supersymmetric Hamiltonian")
 def _fam_susy_k_invariance(s: _Source) -> List[Identity]:
     # The squared symmetry generators conserved by the supersymmetric
     # Hamiltonian are the gauge-frame ones, assembled here from gauged
@@ -581,38 +564,7 @@ def _fam_susy_k_invariance(s: _Source) -> List[Identity]:
     ]
 
 
-_FamilyFunc = Callable[..., List[Identity]]
-
-_DIMS2: Dict[str, _FamilyFunc] = {
-    "sl12": _fam_sl12,
-    "su11": _fam_su11,
-    "osp12-grading": _fam_osp12_grading,
-    "sd2": _fam_sd2,
-    "sd2-conserved": _fam_sd2_conserved,
-    "casimir-sd2": _fam_casimir_sd2,
-    "gauge-sl12": _fam_gauge_sl12,
-    "conformal": _fam_conformal,
-    "gauge-2d": _fam_gauge_2d,
-    "k-reflection": _fam_k_reflection,
-    "cubic": _fam_cubic,
-    "hahn": _fam_hahn,
-    "super-odd": _fam_super_odd,
-    "super-evenodd": _fam_super_evenodd,
-    "super-even": _fam_super_even,
-    "super-casimir": _fam_super_casimir,
-    "susy-k-invariance": _fam_susy_k_invariance,
-}
-
-_DIMS1: Dict[str, _FamilyFunc] = {
-    "susy-defining": _fam_susy_defining,
-    "susy-1d": _fam_susy_1d,
-    "susy-generic": _fam_susy_generic,
-}
-
-
-def list_families() -> Tuple[str, ...]:
-    """Stable tuple of family identifiers, in reporting order."""
-    return FAMILIES
+FAMILIES: Tuple[str, ...] = tuple(REGISTRY)
 
 
 def _coerce_values(
@@ -636,28 +588,22 @@ def check(
 
     mu_values must be given exactly when mode is "numeric"; values are
     reused cyclically if the family needs more than were given.
-    perturb is accepted only for the families in PERTURBABLE and flips
-    one structure constant as a negative control.
+    perturb is accepted only for perturbable families and flips one
+    structure constant as a negative control.
     """
-    if family not in DESCRIPTIONS:
+    fam = REGISTRY.get(family)
+    if fam is None:
         raise KeyError(f"unknown relation family: {family!r}")
     if mode not in ("parametric", "numeric"):
         raise ValueError(f"unknown mode: {mode!r}")
     if (mu_values is not None) != (mode == "numeric"):
         raise ValueError("mu_values must be given exactly in numeric mode")
-    if perturb and family not in PERTURBABLE:
+    if perturb and not fam.perturbable:
         raise ValueError(f"family {family!r} has no perturbed variant")
 
     values = _coerce_values(mu_values) if mode == "numeric" else None
     start = time.perf_counter()
-    if family == "susy-nd":
-        pairs = _fam_susy_nd(values)
-    elif family in _DIMS1:
-        pairs = _DIMS1[family](_Source(1, values))
-    elif family in PERTURBABLE:
-        pairs = _DIMS2[family](_Source(2, values), perturb=perturb)
-    else:
-        pairs = _DIMS2[family](_Source(2, values))
+    pairs = fam.identities(_Source(fam.dims, values, perturb))
 
     identities = []
     for label, residual in pairs:

@@ -312,9 +312,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self._poly)
 
-    def term_count(self) -> int:
-        return len(self._poly)
-
     def is_constant(self) -> bool:
         return all(not any(e) for e in self._poly)
 
@@ -450,15 +447,6 @@ class Scalar:
             rem = poly_sub(rem, poly_scale({tuple(a + b for a, b in zip(qe, e)): c
                                             for e, c in o._poly.items()}, qc))
         return Scalar(quot, self._nvars)
-
-    def promote(self, nvars: int) -> "Scalar":
-        """Re-embed into a polynomial ring with more parameters."""
-        if nvars == self._nvars:
-            return self
-        if nvars < self._nvars:
-            raise ArityMismatchError(f"cannot shrink from {self._nvars} to {nvars} variables")
-        pad = (0,) * (nvars - self._nvars)
-        return Scalar({e + pad: c for e, c in self._poly.items()}, nvars)
 
     def terms(self) -> Iterator[tuple]:
         """Deterministic (exponents, BaseNumber) pairs, lex-descending."""

@@ -25,7 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import pairwise
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement
@@ -51,10 +54,9 @@ class PoleError(ArithmeticError):
 
 
 def _check_pole_free(p: LaurentPolynomial) -> LaurentPolynomial:
-    for exps, _ in p.terms():
-        if any(e < 0 for e in exps):
-            raise PoleError(
-                f"state has a pole: residual exponents {exps}")
+    if any(e < 0 for exps in p.exponents() for e in exps):
+        first = min(exps for exps in p.exponents() if min(exps) < 0)
+        raise PoleError(f"state has a pole: residual exponents {first}")
     return p
 
 
@@ -189,7 +191,7 @@ def _ratio(image: GaussState, s: GaussState) -> Optional[Scalar]:
 
     c can only be the ratio of the coefficients of s's leading monomial.
     """
-    support = max(exps for exps, _ in s.polynomial.terms())
+    support = max(s.polynomial.exponents())
     try:
         c = image.polynomial.coefficient(support).exact_div(
             s.polynomial.coefficient(support))
@@ -290,7 +292,10 @@ def spectrum_table(
     hamiltonian = _gauged("H", dims).substitute_params(values)
 
     rows: List[SpectrumRow] = []
+    walked: List[GaussState] = []
     for level, states in enumerate(_ladder(dims, values, max_level)):
+        if dims == 1:
+            walked.append(states[(level,)])
         energy: Optional[BaseNumber] = None
         leading: set = set()
         for ns, state in states.items():
@@ -304,7 +309,7 @@ def spectrum_table(
             elif value != energy:
                 raise ArithmeticError(
                     f"level {level} eigenvalues disagree: {value} != {energy}")
-            leading.add(max(exps for exps, _ in state.polynomial.terms()))
+            leading.add(max(state.polynomial.exponents()))
         if len(leading) != len(states):
             raise ArithmeticError(
                 f"level {level} states are not independent")
@@ -313,11 +318,33 @@ def spectrum_table(
 
     admissible = True
     if max_level:
-        for j in range(dims):
-            for c in ladder_norm_coefficients(max_level, values[j]):
+        # A 1D table has just walked fock(0..max_level) at values; a 2D
+        # table needs each variable's own 1D ladder.
+        ladders = ([_norm_ratios(walked, values)] if dims == 1 else
+                   [ladder_norm_coefficients(max_level, v) for v in values])
+        for j, coefficients in enumerate(ladders):
+            for c in coefficients:
                 if c.evaluate((values[j],)).as_fraction() <= 0:
                     admissible = False
     return SpectrumTable(dims, values, tuple(rows), admissible)
+
+
+def _norm_ratios(
+    chain: Iterable[GaussState],
+    values: Optional[Tuple[BaseNumber, ...]],
+) -> List[Scalar]:
+    """c_k with lower(chain[k]) = c_k * chain[k-1], for the 1D states
+    chain = fock(0), fock(1), ... at values (parametric when None)."""
+    lower = _gauged("A-1", 1)
+    if values is not None:
+        lower = lower.substitute_params(values)
+    out: List[Scalar] = []
+    for k, (prev, curr) in enumerate(pairwise(chain), start=1):
+        c = _ratio(GaussState(lower.act(curr.polynomial)), prev)
+        if c is None:
+            raise ArithmeticError(f"lowering fock({k}) left the ladder")
+        out.append(c)
+    return out
 
 
 def ladder_norm_coefficients(
@@ -336,17 +363,6 @@ def ladder_norm_coefficients(
     values: Optional[Tuple[BaseNumber, ...]] = None
     if mu is not None:
         values = (mu if isinstance(mu, BaseNumber) else BaseNumber(mu),)
-    lower = _gauged("A-1", 1)
-    if values is not None:
-        lower = lower.substitute_params(values)
-    out: List[Scalar] = []
-    prev: Optional[GaussState] = None
-    for k, level in enumerate(_ladder(1, values, max_n)):
-        curr = level[(k,)]
-        if prev is not None:
-            c = _ratio(GaussState(lower.act(curr.polynomial)), prev)
-            if c is None:
-                raise ArithmeticError(f"lowering fock({k}) left the ladder")
-            out.append(c)
-        prev = curr
-    return out
+    return _norm_ratios(
+        (level[(k,)] for k, level in enumerate(_ladder(1, values, max_n))),
+        values)

@@ -7,14 +7,7 @@ import pytest
 
 from dunklweyl.builders import build
 from dunklweyl.opalg import OperatorElement, anticommutator, commutator
-from dunklweyl.relations import (
-    DESCRIPTIONS,
-    FAMILIES,
-    PERTURBABLE,
-    check,
-    check_all,
-    list_families,
-)
+from dunklweyl.relations import FAMILIES, REGISTRY, check, check_all
 from dunklweyl.scalars import Scalar
 
 NUMERIC_POINTS = [
@@ -28,11 +21,12 @@ NUMERIC_POINTS = [
 
 class TestRegistry:
     def test_listing(self):
-        fams = list_families()
-        assert fams == FAMILIES
-        assert len(fams) >= 15
-        assert "hahn" in fams and "susy-nd" in fams
-        assert set(DESCRIPTIONS) == set(fams)
+        assert FAMILIES == tuple(REGISTRY)
+        assert len(FAMILIES) >= 15
+        assert "hahn" in FAMILIES and "susy-nd" in FAMILIES
+        for fid, fam in REGISTRY.items():
+            assert fam.id == fid and fam.description
+            assert fam.dims in (None, 1, 2)
 
     def test_identity_census(self):
         total = sum(len(check(f).identities) for f in FAMILIES)
@@ -89,7 +83,8 @@ class TestNumeric:
 
 class TestPerturbedControls:
     def test_perturbable_listing(self):
-        assert PERTURBABLE == {"sd2", "hahn"}
+        perturbable = {fid for fid, fam in REGISTRY.items() if fam.perturbable}
+        assert perturbable == {"sd2", "hahn"}
 
     def test_hahn_control_fails(self):
         report = check("hahn", perturb=True)

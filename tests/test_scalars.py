@@ -180,14 +180,6 @@ class TestScalar:
         assert z.conjugate() == Scalar.constant(-I, 1) * mu + SQRT2
         assert z.conjugate().conjugate() == z
 
-    def test_promote(self):
-        mu = Scalar.parameter(0, 1)
-        wide = (mu ** 2 + 1).promote(3)
-        assert wide.nvars == 3
-        assert wide == Scalar.parameter(0, 3) ** 2 + 1
-        with pytest.raises(ArityMismatchError):
-            wide.promote(2)
-
     def test_hash_eq(self):
         two = Scalar.constant(2, 1)
         half = Scalar.constant(Fraction(1, 2), 2)

@@ -252,6 +252,29 @@ class TestSpectrumTable:
         assert not spectrum_table(1, (Fraction(-3, 4),), 2).admissible
         assert spectrum_table(1, (Fraction(-1, 4),), 6).admissible
 
+    def test_one_dim_walks_its_ladder_once(self, monkeypatch):
+        # 16 raises, 17 eigenchecks and 16 lowerings: the ladder norms
+        # come from the table's own walk, not from raising fock(1..16)
+        # a second time.
+        calls = []
+        act = OperatorElement.act
+
+        def counting(self, f):
+            calls.append(f)
+            return act(self, f)
+
+        monkeypatch.setattr(OperatorElement, "act", counting)
+        assert spectrum_table(1, (Fraction(1, 3),), 16).admissible
+        assert len(calls) == 49
+
+    @pytest.mark.parametrize("mu", [Fraction(-3, 4), Fraction(-1, 2),
+                                    Fraction(-1, 4), Fraction(1, 3)])
+    def test_one_dim_admissible_matches_ladder_norms(self, mu):
+        for level in (1, 2, 5):
+            cs = ladder_norm_coefficients(level, mu)
+            positive = all(c.evaluate((mu,)).as_fraction() > 0 for c in cs)
+            assert spectrum_table(1, (mu,), level).admissible == positive
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             spectrum_table(3, (1, 1, 1), 2)
