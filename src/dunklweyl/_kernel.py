@@ -12,8 +12,9 @@
   empty dict.
 
 ``op_add``, ``op_sub`` and ``op_scale`` never look inside the keys, so they
-also serve other dicts of polynomials, such as the exponent-keyed Laurent
-polynomials of ``opalg``.
+serve every dict of polynomials: they are the linear-space arithmetic of
+``opalg._Combination``, the base that operators and the exponent-keyed
+Laurent polynomials share.
 
 No kernel function mutates its arguments.  The outermost dict a function
 returns is always new, but the inner polynomial dicts of an operator (or

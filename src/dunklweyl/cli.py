@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -193,20 +194,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "format", "text") == "json":
-        emit_json = True
-    else:
-        emit_json = False
     try:
         code, report, lines = _DISPATCH[args.command](args)
     except (ParseError, ArityMismatchError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if emit_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (as with `| head`).  Point stdout at the null
+        # device so that the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -20,16 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .builders import build, names
-from .opalg import (
-    NFMonomial,
-    OperatorElement,
-    anticommutator,
-    commutator,
-)
+from .opalg import OperatorElement, anticommutator, commutator
 from .scalars import SQRT2, BaseNumber, I, Scalar
 
 
@@ -306,12 +300,9 @@ def _constant_of(a: OperatorElement) -> Optional[BaseNumber]:
     if len(terms) != 1:
         return None
     mono, coeff = terms[0]
-    if not mono.is_identity():
+    if not (mono.is_identity() and coeff.is_constant()):
         return None
-    parts = list(coeff.terms())
-    if len(parts) != 1 or any(parts[0][0]):
-        return None
-    return parts[0][1]
+    return coeff.constant_value()
 
 
 def _invert(a: OperatorElement, dims: int) -> OperatorElement:
@@ -319,14 +310,11 @@ def _invert(a: OperatorElement, dims: int) -> OperatorElement:
     if len(terms) == 1:
         mono, coeff = terms[0]
         pure = all(b == 0 and e == 0 for _, b, e in mono.blocks)
-        parts = list(coeff.terms())
-        constant = (len(parts) == 1 and not any(parts[0][0]))
-        if pure and constant:
-            flipped = NFMonomial(tuple((-blk[0], 0, 0) for blk in mono.blocks))
-            out = parts[0][1].inverse() * OperatorElement.identity(dims)
-            for j, (aexp, _, _) in enumerate(flipped.blocks):
+        if pure and coeff.is_constant():
+            out = coeff.constant_value().inverse() * OperatorElement.identity(dims)
+            for j, (aexp, _, _) in enumerate(mono.blocks):
                 if aexp:
-                    out = out * OperatorElement.x(j, dims, aexp)
+                    out = out * OperatorElement.x(j, dims, -aexp)
             return out
     raise ValueError(
         "negative powers need a coordinate monomial with constant coefficient")

@@ -18,18 +18,25 @@ are complex-conjugated, and products reverse.
 
 ``LaurentPolynomial`` is the function space the algebra acts on: spans of
 ``x^a`` with integer (possibly negative) exponents and Scalar coefficients.
+
+Both value types are linear combinations of keyed terms and share one base,
+``_Combination``, which holds their sums, differences, negation, scalar
+multiples and equality; only the key of the unit term differs (a
+``(0, 0, 0)`` block per variable against a ``0`` exponent).  Each subclass
+adds its own constructors and products, and a Laurent polynomial renders as
+its multiplication operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, KeysView, Optional, Sequence, Tuple, Union
+from typing import (
+    Iterator, KeysView, Optional, Sequence, Tuple, Type, TypeVar, Union)
 
 from dunklweyl._kernel import (
     BN_ONE,
     bn_conj,
-    dx_rows,
     op_add,
     op_mul,
     op_scale,
@@ -50,6 +57,8 @@ from dunklweyl.scalars import (
 )
 
 Block = Tuple[int, int, int]
+_C = TypeVar("_C", bound="_Combination")
+_SCALARS = (Scalar, BaseNumber, int, Fraction)
 
 
 def _scalar_poly(value: ScalarLike, nvars: int) -> dict:
@@ -126,21 +135,116 @@ class NFMonomial:
         return _render_monomial(self.flat, len(self.blocks))
 
 
-class OperatorElement:
-    """An element of the algebra in normal form.
+class _Combination:
+    """A finite sum of keyed terms with Scalar coefficients on ``nvars``
+    variables, stored as the kernel dict ``{key: polynomial}``.
 
-    Instances are immutable; all operations return new elements.
+    This is the linear-space code both value types share.  A subclass fixes
+    the key of its unit term, per variable, in ``_UNIT``, names its values
+    in ``_NOUN`` for arity errors, and adds its own products.  Instances are
+    immutable; all operations return new objects.
     """
 
-    __slots__ = ("_op", "_nvars")
+    __slots__ = ("_data", "_nvars")
+    _UNIT: tuple = ()
+    _NOUN = ""
 
-    def __init__(self, op: dict, nvars: int) -> None:
-        self._op = op
+    def __init__(self, data: dict, nvars: int) -> None:
+        self._data = data
         self._nvars = nvars
 
     @classmethod
-    def zero(cls, nvars: int) -> "OperatorElement":
+    def zero(cls: Type[_C], nvars: int) -> _C:
         return cls({}, nvars)
+
+    @property
+    def nvars(self) -> int:
+        return self._nvars
+
+    def is_zero(self) -> bool:
+        return not self._data
+
+    def __bool__(self) -> bool:
+        return bool(self._data)
+
+    def coefficient(self, key: Union[NFMonomial, Sequence[int]]) -> Scalar:
+        """The Scalar coefficient of a term (zero if absent): an exponent
+        tuple, or for operators a flat monomial or an NFMonomial."""
+        if isinstance(key, NFMonomial):
+            key = key.flat
+        poly = self._data.get(tuple(key))
+        if poly is None:
+            return Scalar.zero(self._nvars)
+        return Scalar(dict(poly), self._nvars)
+
+    def _coerce(self, other) -> Optional[dict]:
+        """The term dict of a value of the same type or of a scalar, else
+        None."""
+        if isinstance(other, type(self)):
+            if other._nvars != self._nvars:
+                raise ArityMismatchError(
+                    f"{self._NOUN} on {self._nvars} and {other._nvars} variables")
+            return other._data
+        if isinstance(other, _SCALARS):
+            poly = _scalar_poly(other, self._nvars)
+            return {self._UNIT * self._nvars: poly} if poly else {}
+        return None
+
+    def __add__(self: _C, other) -> _C:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(op_add(self._data, o), self._nvars)
+
+    __radd__ = __add__
+
+    def __sub__(self: _C, other) -> _C:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(op_sub(self._data, o), self._nvars)
+
+    def __rsub__(self: _C, other) -> _C:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(op_sub(o, self._data), self._nvars)
+
+    def __mul__(self: _C, other) -> _C:
+        if isinstance(other, _SCALARS):
+            return type(self)(
+                op_scale(self._data, _scalar_poly(other, self._nvars)),
+                self._nvars)
+        return NotImplemented
+
+    # Scalars are central, so left and right actions agree.
+    __rmul__ = __mul__
+
+    def __neg__(self: _C) -> _C:
+        return type(self)({k: poly_neg(p) for k, p in self._data.items()},
+                          self._nvars)
+
+    def __eq__(self, other: object) -> bool:
+        if (isinstance(other, (type(self), Scalar))
+                and other.nvars != self._nvars):
+            return False
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._data == o
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self}, nvars={self._nvars})"
+
+
+class OperatorElement(_Combination):
+    """An element of the algebra in normal form, keyed by flat monomials."""
+
+    __slots__ = ()
+    _UNIT = (0, 0, 0)
+    _NOUN = "operators"
 
     @classmethod
     def identity(cls, nvars: int) -> "OperatorElement":
@@ -174,92 +278,25 @@ class OperatorElement:
         """The reflection R_{index+1}."""
         return cls._single(index, nvars, (0, 0, 1))
 
-    @property
-    def nvars(self) -> int:
-        return self._nvars
-
-    def is_zero(self) -> bool:
-        return not self._op
-
-    def __bool__(self) -> bool:
-        return bool(self._op)
-
-    def coefficient(self, mono: Union[NFMonomial, tuple]) -> Scalar:
-        """The Scalar coefficient of a normal-form monomial (zero if absent)."""
-        flat = mono.flat if isinstance(mono, NFMonomial) else mono
-        poly = self._op.get(flat)
-        if poly is None:
-            return Scalar.zero(self._nvars)
-        return Scalar(dict(poly), self._nvars)
-
     def terms(self) -> Iterator[Tuple[NFMonomial, Scalar]]:
         """Deterministic (monomial, coefficient) pairs."""
-        for flat in sorted(self._op, key=lambda m: _mono_sort_key(m, self._nvars)):
+        for flat in sorted(self._data, key=lambda m: _mono_sort_key(m, self._nvars)):
             yield (NFMonomial.from_flat(flat, self._nvars),
-                   Scalar(dict(self._op[flat]), self._nvars))
-
-    def _coerce(self, other) -> Optional["OperatorElement"]:
-        if isinstance(other, OperatorElement):
-            if other._nvars != self._nvars:
-                raise ArityMismatchError(
-                    f"operators on {self._nvars} and {other._nvars} variables")
-            return other
-        if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
-            poly = _scalar_poly(other, self._nvars)
-            if not poly:
-                return OperatorElement.zero(self._nvars)
-            return OperatorElement({(0, 0, 0) * self._nvars: poly}, self._nvars)
-        return None
-
-    def __add__(self, other) -> "OperatorElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OperatorElement(op_add(self._op, o._op), self._nvars)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "OperatorElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OperatorElement(op_sub(self._op, o._op), self._nvars)
-
-    def __rsub__(self, other) -> "OperatorElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OperatorElement(op_sub(o._op, self._op), self._nvars)
+                   Scalar(dict(self._data[flat]), self._nvars))
 
     def __mul__(self, other) -> "OperatorElement":
         if isinstance(other, OperatorElement):
-            if other._nvars != self._nvars:
-                raise ArityMismatchError(
-                    f"operators on {self._nvars} and {other._nvars} variables")
-            return OperatorElement(op_mul(self._op, other._op, self._nvars), self._nvars)
-        if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
             return OperatorElement(
-                op_scale(self._op, _scalar_poly(other, self._nvars)), self._nvars)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "OperatorElement":
-        # Scalars are central, so left and right actions agree.
-        if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+                op_mul(self._data, self._coerce(other), self._nvars),
+                self._nvars)
+        return super().__mul__(other)
 
     def __truediv__(self, other) -> "OperatorElement":
         if isinstance(other, Scalar):
             other = other.constant_value()
         if isinstance(other, (BaseNumber, int, Fraction)):
-            inv = BaseNumber(other).inverse() if not isinstance(other, BaseNumber) \
-                else other.inverse()
-            return self.__mul__(inv)
+            return self * BaseNumber(other).inverse()
         return NotImplemented
-
-    def __neg__(self) -> "OperatorElement":
-        return OperatorElement({m: poly_neg(p) for m, p in self._op.items()},
-                               self._nvars)
 
     def __pow__(self, n: int) -> "OperatorElement":
         if not isinstance(n, int) or n < 0:
@@ -269,52 +306,31 @@ class OperatorElement:
             out = out * self
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if (isinstance(other, (OperatorElement, Scalar))
-                and other.nvars != self._nvars):
-            return False
-        if isinstance(other, (OperatorElement, Scalar, BaseNumber, int, Fraction)):
-            o = self._coerce(other)
-            return self._op == o._op
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
     def adjoint(self) -> "OperatorElement":
         """Formal adjoint of the flat L^2 pairing.
 
         Reverses products, conjugates coefficients, and maps x -> x,
-        d -> -d, R -> R.  Per variable the reversed monomial
-        R^e d^b x^a re-normalizes through the same reordering rows as
-        multiplication, with sign (-1)^b * (-1)^(e*(a+b)).
+        d -> -d, R -> R.  Distinct variables commute, so the adjoint of
+        ``c * x^a d^b R^e`` is ``R^e (-d)^b * conj(c) x^a`` with every
+        variable's ``R^e (-d)^b`` gathered on the left; in normal form that
+        left factor is ``d^b R^e`` when ``e = 1`` and ``(-d)^b`` when
+        ``e = 0``.  Terms sharing their d- and R-exponents share it, so each
+        such group is one product of that monomial by the group's conjugated
+        x-part, normal-ordered by ``op_mul``.
         """
-        out: dict = {}
         n = self._nvars
-        for mono, poly in self._op.items():
-            conj = {e: bn_conj(c) for e, c in poly.items()}
-            sign = 1
-            rows = []
-            for j in range(n):
-                a, b, e = mono[3 * j], mono[3 * j + 1], mono[3 * j + 2]
-                if b & 1:
-                    sign = -sign
-                if e and ((a + b) & 1):
-                    sign = -sign
-                rows.append([((a - k, b - k, e), c) for k, c in dx_rows(b, a)])
-            stack = [((), 1)]
-            for row in rows:
-                stack = [(m + blk, kc * c) for m, kc in stack for blk, c in row]
-            for m, kc in stack:
-                piece = poly_scale_int(conj, sign * kc)
-                cur = out.get(m)
-                if cur is None:
-                    out[m] = piece
-                else:
-                    v = poly_add(cur, piece)
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
+        groups: dict = {}
+        for mono, poly in self._data.items():
+            left = tuple(0 if j % 3 == 0 else k for j, k in enumerate(mono))
+            right = tuple(k if j % 3 == 0 else 0 for j, k in enumerate(mono))
+            groups.setdefault(left, {})[right] = {
+                e: bn_conj(c) for e, c in poly.items()}
+        out: dict = {}
+        for left, x_part in groups.items():
+            sign = (-1) ** sum(left[j + 1] for j in range(0, 3 * n, 3)
+                               if not left[j + 2])
+            out = op_add(out, op_mul({left: {(0,) * n: (sign, 0, 0, 0, 1)}},
+                                     x_part, n))
         return OperatorElement(out, n)
 
     def substitute_params(self, values: Sequence[BaseLike]) -> "OperatorElement":
@@ -324,7 +340,7 @@ class OperatorElement:
                 f"expected {self._nvars} parameter values, got {len(values)}")
         zero_expo = (0,) * self._nvars
         out: dict = {}
-        for mono, poly in self._op.items():
+        for mono, poly in self._data.items():
             val = Scalar(dict(poly), self._nvars).evaluate(values)
             if val:
                 out[mono] = {zero_expo: base_tuple(val)}
@@ -343,8 +359,8 @@ class OperatorElement:
                 f"operator on {self._nvars} variables applied to function on {f.nvars}")
         n = self._nvars
         out: dict = {}
-        for mono, opoly in self._op.items():
-            for fexp, fpoly in f._poly.items():
+        for mono, opoly in self._data.items():
+            for fexp, fpoly in f._data.items():
                 factor = 1
                 new_exp = []
                 for j in range(n):
@@ -378,13 +394,10 @@ class OperatorElement:
         return _render_sum((str(coeff), str(mono))
                            for mono, coeff in self.terms())
 
-    def __repr__(self) -> str:
-        return f"OperatorElement({self}, nvars={self._nvars})"
-
     @property
     def kernel_op(self) -> dict:
         """The underlying kernel dict; treat as read-only."""
-        return self._op
+        return self._data
 
 
 def commutator(a: OperatorElement, b: OperatorElement) -> OperatorElement:
@@ -395,22 +408,13 @@ def anticommutator(a: OperatorElement, b: OperatorElement) -> OperatorElement:
     return a * b + b * a
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(_Combination):
     """A function sum_a c_a * x^a with integer exponent tuples (negative
-    exponents allowed) and Scalar coefficients.
+    exponents allowed) and Scalar coefficients, keyed by exponent tuple."""
 
-    Instances are immutable; all operations return new objects.
-    """
-
-    __slots__ = ("_poly", "_nvars")
-
-    def __init__(self, poly: dict, nvars: int) -> None:
-        self._poly = poly
-        self._nvars = nvars
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls({}, nvars)
+    __slots__ = ()
+    _UNIT = (0,)
+    _NOUN = "functions"
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
@@ -428,88 +432,18 @@ class LaurentPolynomial:
             return cls({}, n)
         return cls({tuple(exponents): poly}, n)
 
-    @property
-    def nvars(self) -> int:
-        return self._nvars
-
-    def is_zero(self) -> bool:
-        return not self._poly
-
-    def __bool__(self) -> bool:
-        return bool(self._poly)
-
     def exponents(self) -> KeysView[tuple]:
         """The exponent tuples of the nonzero terms, in no set order."""
-        return self._poly.keys()
-
-    def coefficient(self, exponents: Sequence[int]) -> Scalar:
-        poly = self._poly.get(tuple(exponents))
-        if poly is None:
-            return Scalar.zero(self._nvars)
-        return Scalar(dict(poly), self._nvars)
+        return self._data.keys()
 
     def terms(self) -> Iterator[Tuple[tuple, Scalar]]:
-        for e in sorted(self._poly):
-            yield e, Scalar(dict(self._poly[e]), self._nvars)
-
-    def _coerce(self, other) -> Optional["LaurentPolynomial"]:
-        if isinstance(other, LaurentPolynomial):
-            if other._nvars != self._nvars:
-                raise ArityMismatchError(
-                    f"functions on {self._nvars} and {other._nvars} variables")
-            return other
-        if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
-            poly = _scalar_poly(other, self._nvars)
-            if not poly:
-                return LaurentPolynomial.zero(self._nvars)
-            return LaurentPolynomial({(0,) * self._nvars: poly}, self._nvars)
-        return None
-
-    def __add__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentPolynomial(op_add(self._poly, o._poly), self._nvars)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentPolynomial(op_sub(self._poly, o._poly), self._nvars)
-
-    def __rsub__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        for e in sorted(self._data):
+            yield e, Scalar(dict(self._data[e]), self._nvars)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
             return from_laurent(self).act(other)
-        if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
-            return LaurentPolynomial(
-                op_scale(self._poly, _scalar_poly(other, self._nvars)),
-                self._nvars)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(
-            {e: poly_neg(p) for e, p in self._poly.items()}, self._nvars)
-
-    def __eq__(self, other: object) -> bool:
-        if (isinstance(other, (LaurentPolynomial, Scalar))
-                and other.nvars != self._nvars):
-            return False
-        if isinstance(other, (LaurentPolynomial, Scalar, BaseNumber, int, Fraction)):
-            o = self._coerce(other)
-            return self._poly == o._poly
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+        return super().__mul__(other)
 
     def diff(self, index: int) -> "LaurentPolynomial":
         """Partial derivative in x_{index+1}."""
@@ -518,25 +452,17 @@ class LaurentPolynomial:
         return LaurentPolynomial(
             {e[:index] + (e[index] - 1,) + e[index + 1:]:
              poly_scale_int(p, e[index])
-             for e, p in self._poly.items() if e[index]}, self._nvars)
+             for e, p in self._data.items() if e[index]}, self._nvars)
 
     def __str__(self) -> str:
-        terms = []
-        for exps, coeff in self.terms():
-            factors = [f"x{j + 1}" if g == 1 else f"x{j + 1}^{g}"
-                       for j, g in enumerate(exps) if g]
-            terms.append((str(coeff), "*".join(factors) or "1"))
-        return _render_sum(terms)
-
-    def __repr__(self) -> str:
-        return f"LaurentPolynomial({self}, nvars={self._nvars})"
+        return str(from_laurent(self))
 
 
 def from_laurent(f: LaurentPolynomial) -> OperatorElement:
     """The multiplication operator by a Laurent polynomial."""
     out: dict = {}
     n = f.nvars
-    for exps, poly in f._poly.items():
+    for exps, poly in f._data.items():
         flat: tuple = ()
         for g in exps:
             flat += (g, 0, 0)

@@ -572,10 +572,7 @@ def _coerce_values(
 ) -> Tuple[BaseNumber, ...]:
     if not mu_values:
         raise ValueError("numeric mode needs at least one deformation value")
-    out = []
-    for v in mu_values:
-        out.append(v if isinstance(v, BaseNumber) else BaseNumber(v))
-    return tuple(out)
+    return tuple(BaseNumber(v) for v in mu_values)
 
 
 def check(

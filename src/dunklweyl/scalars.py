@@ -129,12 +129,8 @@ class BaseNumber:
         ))
 
     def _coerce(self, other: BaseLike) -> Optional[tuple]:
-        if isinstance(other, BaseNumber):
-            return other._data
-        if isinstance(other, int):
-            return (other, 0, 0, 0, 1)
-        if isinstance(other, Fraction):
-            return bn_make(other.numerator, 0, 0, 0, other.denominator)
+        if isinstance(other, (BaseNumber, int, Fraction)):
+            return base_tuple(other)
         return None
 
     def __add__(self, other: BaseLike) -> "BaseNumber":

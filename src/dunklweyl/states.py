@@ -284,8 +284,7 @@ def spectrum_table(
         raise ValueError("max_level must be nonnegative")
     if max_level > MAX_LEVEL:
         raise ValueError(f"max_level must be at most {MAX_LEVEL}")
-    values = tuple(
-        v if isinstance(v, BaseNumber) else BaseNumber(v) for v in mu_values)
+    values = tuple(BaseNumber(v) for v in mu_values)
     if len(values) != dims:
         raise ArityMismatchError(
             f"need {dims} deformation values, got {len(values)}")
@@ -362,7 +361,7 @@ def ladder_norm_coefficients(
         raise ValueError("max_n must be at least 1")
     values: Optional[Tuple[BaseNumber, ...]] = None
     if mu is not None:
-        values = (mu if isinstance(mu, BaseNumber) else BaseNumber(mu),)
+        values = (BaseNumber(mu),)
     return _norm_ratios(
         (level[(k,)] for k, level in enumerate(_ladder(1, values, max_n))),
         values)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from dunklweyl._kernel import (
     bn_add,
+    bn_conj,
     bn_scale_int,
     dx_rows,
     poly_add,
@@ -13,7 +14,7 @@ from dunklweyl._kernel import (
     poly_scale_int,
 )
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
-from dunklweyl.scalars import BaseNumber, Scalar
+from dunklweyl.scalars import BaseNumber, Scalar, _render_sum
 
 
 def random_base(rng: random.Random) -> BaseNumber:
@@ -148,7 +149,7 @@ def reference_op_mul(A, B, nvars):
 def _reflect(f, index):
     """Substitute x_{index+1} -> -x_{index+1}."""
     out = {}
-    for e, p in f._poly.items():
+    for e, p in f._data.items():
         out[e] = poly_neg(p) if e[index] & 1 else p
     return LaurentPolynomial(out, f.nvars)
 
@@ -159,14 +160,14 @@ def _mul_xpow(f, index, power):
         return f
     return LaurentPolynomial(
         {e[:index] + (e[index] + power,) + e[index + 1:]: p
-         for e, p in f._poly.items()}, f.nvars)
+         for e, p in f._data.items()}, f.nvars)
 
 
 def reference_laurent_mul(f, g):
     """Product of two Laurent polynomials on the same variables."""
     out = {}
-    for e1, p1 in f._poly.items():
-        for e2, p2 in g._poly.items():
+    for e1, p1 in f._data.items():
+        for e2, p2 in g._data.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             piece = poly_mul(p1, p2)
             cur = out.get(e)
@@ -186,7 +187,7 @@ def reference_apply(A, s):
     derivative rule d_j(p * e) = (d_j p - x_j p) * e written out."""
     from dunklweyl.states import GaussState
     acc = {}
-    for mono, coeff in A._op.items():
+    for mono, coeff in A._data.items():
         f = s.polynomial
         for j in range(s.nvars):
             a, b, e = mono[3 * j:3 * j + 3]
@@ -196,7 +197,7 @@ def reference_apply(A, s):
                 f = f.diff(j) - _mul_xpow(f, j, 1)
             if a:
                 f = _mul_xpow(f, j, a)
-        for exps, p in f._poly.items():
+        for exps, p in f._data.items():
             piece = poly_mul(coeff, p)
             cur = acc.get(exps)
             if cur is None:
@@ -208,3 +209,56 @@ def reference_apply(A, s):
                 else:
                     del acc[exps]
     return GaussState(LaurentPolynomial(acc, s.nvars))
+
+
+# The adjoint's own reordering loop and the Laurent polynomial's own term
+# renderer, from before the adjoint went through op_mul and a Laurent
+# polynomial rendered as its multiplication operator, kept verbatim as
+# oracles for both.
+
+
+def reference_adjoint(self):
+    """Formal adjoint of the flat L^2 pairing.
+
+    Reverses products, conjugates coefficients, and maps x -> x,
+    d -> -d, R -> R.  Per variable the reversed monomial
+    R^e d^b x^a re-normalizes through the same reordering rows as
+    multiplication, with sign (-1)^b * (-1)^(e*(a+b)).
+    """
+    out: dict = {}
+    n = self._nvars
+    for mono, poly in self._data.items():
+        conj = {e: bn_conj(c) for e, c in poly.items()}
+        sign = 1
+        rows = []
+        for j in range(n):
+            a, b, e = mono[3 * j], mono[3 * j + 1], mono[3 * j + 2]
+            if b & 1:
+                sign = -sign
+            if e and ((a + b) & 1):
+                sign = -sign
+            rows.append([((a - k, b - k, e), c) for k, c in dx_rows(b, a)])
+        stack = [((), 1)]
+        for row in rows:
+            stack = [(m + blk, kc * c) for m, kc in stack for blk, c in row]
+        for m, kc in stack:
+            piece = poly_scale_int(conj, sign * kc)
+            cur = out.get(m)
+            if cur is None:
+                out[m] = piece
+            else:
+                v = poly_add(cur, piece)
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return OperatorElement(out, n)
+
+
+def reference_laurent_str(self):
+    terms = []
+    for exps, coeff in self.terms():
+        factors = [f"x{j + 1}" if g == 1 else f"x{j + 1}^{g}"
+                   for j, g in enumerate(exps) if g]
+        terms.append((str(coeff), "*".join(factors) or "1"))
+    return _render_sum(terms)

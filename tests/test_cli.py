@@ -274,7 +274,7 @@ class TestRoundTripThroughCli:
             assert parse_eval(out.strip(), n) == a
 
 
-def _run_module(*argv):
+def _run_module(*argv, stdout=subprocess.PIPE):
     # The child imports the package from where this process found it,
     # whether that came from an install or from pytest's pythonpath.
     src = str(Path(dunklweyl.__file__).resolve().parents[1])
@@ -282,7 +282,8 @@ def _run_module(*argv):
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     return subprocess.run([sys.executable, "-m", "dunklweyl.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env)
 
 
 class TestConsoleEntry:
@@ -295,3 +296,18 @@ class TestConsoleEntry:
         proc = _run_module("verify", "hahn", "--perturb")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv,code", [
+        (["list-relations"], 0),
+        (["verify", "hahn", "--perturb"], 1),
+    ])
+    def test_closed_stdout(self, argv, code):
+        # A reader that is gone before the child writes, as with `| head`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_module(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == code

@@ -1,0 +1,141 @@
+"""The exact kernel's base numbers and mu-polynomials, checked directly:
+every result is canonical, and its value agrees with an oracle that keeps
+a number as four Fractions, the parts along 1, i, sqrt2 and i*sqrt2."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dunklweyl._kernel import (
+    bn_add,
+    bn_make,
+    bn_mul,
+    bn_scale_int,
+    bn_sub,
+    poly_add,
+    poly_mul,
+    poly_sub,
+)
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+# Each basis element i^a * sqrt2^c as its exponent pair (a, c).
+BASIS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def _value(c):
+    return tuple(Fraction(part, c[4]) for part in c[:4])
+
+
+def _oracle_mul(x, y):
+    out = [Fraction(0)] * 4
+    for (a, c), u in zip(BASIS, x):
+        for (b, d), v in zip(BASIS, y):
+            k = u * v * (-1 if a and b else 1) * (2 if c and d else 1)
+            out[BASIS.index(((a + b) % 2, (c + d) % 2))] += k
+    return tuple(out)
+
+
+def _oracle_poly_value(p):
+    return {e: _value(c) for e, c in p.items()}
+
+
+def _oracle_poly_combine(p, q, sign):
+    out = dict(p)
+    for e, v in q.items():
+        old = out.get(e, (Fraction(0),) * 4)
+        out[e] = tuple(x + sign * y for x, y in zip(old, v))
+    return {e: v for e, v in out.items() if any(v)}
+
+
+def _oracle_poly_mul(p, q):
+    out = {}
+    for ea, va in p.items():
+        for eb, vb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            old = out.get(e, (Fraction(0),) * 4)
+            out[e] = tuple(x + y for x, y in zip(old, _oracle_mul(va, vb)))
+    return {e: v for e, v in out.items() if any(v)}
+
+
+def assert_canonical_number(c):
+    p, q, r, s, den = c
+    assert all(type(x) is int for x in c)
+    assert den > 0
+    assert gcd(p, q, r, s, den) == 1
+    if not (p or q or r or s):
+        assert c == (0, 0, 0, 0, 1)
+
+
+def assert_canonical_poly(poly):
+    for c in poly.values():
+        assert_canonical_number(c)
+        assert c[0] or c[1] or c[2] or c[3]
+
+
+# Denominators share some factors and not others; components reach past
+# the denominators so that reductions both happen and do not.
+_dens = st.sampled_from([-6, -1, 1, 2, 3, 4, 6, 9, 35])
+_parts = st.integers(-30, 30)
+numbers = st.builds(bn_make, _parts, _parts, _parts, _parts, _dens)
+rationals = st.builds(lambda p, d: bn_make(p, 0, 0, 0, d), _parts, _dens)
+any_numbers = st.one_of(numbers, rationals)
+nonzero = any_numbers.filter(lambda c: c[0] or c[1] or c[2] or c[3])
+
+
+@st.composite
+def poly_pairs(draw):
+    nparams = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 3)] * nparams)
+    # Few exponents per parameter, so that terms meet and cancel.
+    polys = st.dictionaries(expo, nonzero, max_size=5)
+    return draw(polys), draw(polys)
+
+
+class TestBaseNumbers:
+    @SETTINGS
+    @given(any_numbers, any_numbers)
+    def test_add_sub_mul(self, a, b):
+        va, vb = _value(a), _value(b)
+        for got, want in (
+                (bn_add(a, b), tuple(x + y for x, y in zip(va, vb))),
+                (bn_sub(a, b), tuple(x - y for x, y in zip(va, vb))),
+                (bn_mul(a, b), _oracle_mul(va, vb))):
+            assert_canonical_number(got)
+            assert _value(got) == want
+
+    @SETTINGS
+    @given(any_numbers, st.integers(-50, 50))
+    def test_scale_int(self, a, k):
+        got = bn_scale_int(a, k)
+        assert_canonical_number(got)
+        assert _value(got) == tuple(k * x for x in _value(a))
+
+    @SETTINGS
+    @given(any_numbers)
+    def test_self_cancels(self, a):
+        assert bn_sub(a, a) == (0, 0, 0, 0, 1)
+
+
+class TestPolynomials:
+    @SETTINGS
+    @given(poly_pairs())
+    def test_add_sub_mul(self, pair):
+        p, q = pair
+        vp, vq = _oracle_poly_value(p), _oracle_poly_value(q)
+        for got, want in (
+                (poly_add(p, q), _oracle_poly_combine(vp, vq, 1)),
+                (poly_sub(p, q), _oracle_poly_combine(vp, vq, -1)),
+                (poly_mul(p, q), _oracle_poly_mul(vp, vq))):
+            assert_canonical_poly(got)
+            assert _oracle_poly_value(got) == want
+
+    @SETTINGS
+    @given(poly_pairs())
+    def test_self_cancels(self, pair):
+        p, _ = pair
+        assert poly_sub(p, p) == {}
+        assert poly_add(p, {e: (-c[0], -c[1], -c[2], -c[3], c[4])
+                            for e, c in p.items()}) == {}

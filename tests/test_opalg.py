@@ -4,13 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     random_laurent,
     random_operator,
     random_scalar,
+    reference_adjoint,
     reference_laurent_mul,
+    reference_laurent_str,
 )
+
+from dunklweyl._kernel import bn_make
 
 from dunklweyl.opalg import (
     LaurentPolynomial,
@@ -21,6 +27,39 @@ from dunklweyl.opalg import (
     from_laurent,
 )
 from dunklweyl.scalars import ArityMismatchError, BaseNumber, I, Scalar
+
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+# Coefficients with and without i and sqrt2 parts, in 1-3 parameters (one
+# per variable), on monomials with negative x-powers and reflections.
+_coeffs = st.one_of(
+    st.builds(lambda p, d: bn_make(p, 0, 0, 0, d),
+              st.integers(-20, 20), st.sampled_from([1, 2, 3, 6])),
+    st.builds(bn_make, st.integers(-5, 5), st.integers(-5, 5),
+              st.integers(-5, 5), st.integers(-5, 5),
+              st.sampled_from([1, 2, 3, 6])),
+).filter(lambda c: c[0] or c[1] or c[2] or c[3])
+
+
+def _polys(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), _coeffs,
+                           min_size=1, max_size=3)
+
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(1, 3))
+    block = st.tuples(st.integers(-4, 4), st.integers(0, 4), st.integers(0, 1))
+    monos = st.tuples(*[block] * n).map(lambda bs: sum(bs, ()))
+    return OperatorElement(draw(st.dictionaries(monos, _polys(n), max_size=6)), n)
+
+
+@st.composite
+def laurents(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * n)
+    return LaurentPolynomial(draw(st.dictionaries(exps, _polys(n), max_size=6)), n)
 
 
 def gens(nvars: int, i: int = 0):
@@ -151,6 +190,11 @@ class TestAdjoint:
             B = random_operator(rng, 1)
             assert (A + B).adjoint() == A.adjoint() + B.adjoint()
 
+    @SETTINGS
+    @given(operators())
+    def test_equals_reference_loop(self, A):
+        assert A.adjoint().kernel_op == reference_adjoint(A).kernel_op
+
 
 class TestSubstitution:
     def test_commutes_with_product(self):
@@ -218,6 +262,18 @@ class TestElementApi:
         with pytest.raises(ArityMismatchError):
             f - c
 
+    def test_operators_and_functions_do_not_mix(self):
+        # Both share one base, but neither coerces the other.
+        op, f = OperatorElement.identity(1), LaurentPolynomial.one(1)
+        for a, b in ((op, f), (f, op)):
+            assert not a == b and a != b
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+            with pytest.raises(TypeError):
+                a * b
+
     def test_index_range(self):
         with pytest.raises(IndexError):
             OperatorElement.x(2, 2)
@@ -275,6 +331,11 @@ class TestLaurentPolynomial:
     def test_str(self):
         f = LaurentPolynomial.monomial((1, -2), 3) - 1
         assert str(f) == "-1 + 3*x1*x2^-2"
+
+    @SETTINGS
+    @given(laurents())
+    def test_str_equals_reference_renderer(self, f):
+        assert str(f) == reference_laurent_str(f)
 
     def test_from_laurent_action(self):
         rng = random.Random(213)
