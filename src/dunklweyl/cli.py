@@ -60,7 +60,6 @@ def _cmd_nf(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Outcome:
-    mode = "numeric" if args.mu is not None else "parametric"
     if args.family == "all":
         if args.perturb:
             raise ValueError("--perturb needs a single family")
@@ -68,7 +67,7 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     else:
         family_ids = (args.family,)
     reports = [
-        relations.check(fid, mode, args.mu, perturb=args.perturb)
+        relations.check(fid, mu_values=args.mu, perturb=args.perturb)
         for fid in family_ids
     ]
     lines: List[str] = []

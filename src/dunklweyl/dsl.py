@@ -350,6 +350,8 @@ def evaluate(ast: Expr, dims: int) -> OperatorElement:
             elif node.op == "*":
                 acc = acc * right
             else:
+                if right.is_zero():
+                    raise ValueError("division by zero")
                 divisor = _constant_of(right)
                 if divisor is None:
                     raise ValueError("division needs a constant divisor")

@@ -301,8 +301,10 @@ class OperatorElement(_Combination):
     def __pow__(self, n: int) -> "OperatorElement":
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = OperatorElement.identity(self._nvars)
-        for _ in range(n):
+        if n == 0:
+            return OperatorElement.identity(self._nvars)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -5,7 +5,7 @@ the model's symmetry structure.  A check constructs both sides of every
 identity from the builder registry, reduces the difference to normal
 form, and passes exactly when each residual is the zero element.
 
-Two modes:
+Two modes, chosen by whether check() is given deformation values:
 
 * ``parametric`` keeps the deformation parameters symbolic, so a passing
   residual is a proof of the identity for all parameter values.
@@ -577,28 +577,24 @@ def _coerce_values(
 
 def check(
     family: str,
-    mode: str = "parametric",
+    *,
     mu_values: Optional[Sequence[MuValue]] = None,
     perturb: bool = False,
 ) -> RelationReport:
     """Check one family and report per-identity residuals.
 
-    mu_values must be given exactly when mode is "numeric"; values are
-    reused cyclically if the family needs more than were given.
-    perturb is accepted only for perturbable families and flips one
-    structure constant as a negative control.
+    Parametric without mu_values, numeric with them; values are reused
+    cyclically if the family needs more than were given.  perturb is
+    accepted only for perturbable families and flips one structure
+    constant as a negative control.
     """
     fam = REGISTRY.get(family)
     if fam is None:
         raise KeyError(f"unknown relation family: {family!r}")
-    if mode not in ("parametric", "numeric"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if (mu_values is not None) != (mode == "numeric"):
-        raise ValueError("mu_values must be given exactly in numeric mode")
     if perturb and not fam.perturbable:
         raise ValueError(f"family {family!r} has no perturbed variant")
 
-    values = _coerce_values(mu_values) if mode == "numeric" else None
+    values = None if mu_values is None else _coerce_values(mu_values)
     start = time.perf_counter()
     pairs = fam.identities(_Source(fam.dims, values, perturb))
 
@@ -614,7 +610,7 @@ def check(
     elapsed = time.perf_counter() - start
     return RelationReport(
         family=family,
-        mode=mode,
+        mode="parametric" if values is None else "numeric",
         identities=tuple(identities),
         passed=all(ir.passed for ir in identities),
         wall_time=elapsed,
@@ -622,8 +618,8 @@ def check(
 
 
 def check_all(
-    mode: str = "parametric",
+    *,
     mu_values: Optional[Sequence[MuValue]] = None,
 ) -> List[RelationReport]:
     """Check every family in registry order."""
-    return [check(fid, mode, mu_values) for fid in FAMILIES]
+    return [check(fid, mu_values=mu_values) for fid in FAMILIES]

@@ -374,8 +374,10 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Scalar.one(self._nvars)
-        for _ in range(n):
+        if n == 0:
+            return Scalar.one(self._nvars)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

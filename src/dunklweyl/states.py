@@ -18,6 +18,11 @@ no integrals.  Norms themselves live outside the exact field (they are
 Gamma values), but norm ratios are polynomial in mu, so positivity of
 the ladder coefficients is decidable exactly and decides admissibility
 of a numeric deformation value.
+
+One walk up the Fock ladder, _ladder, builds the states of a spectrum
+table and, by lowering its own axis states, each variable's ladder
+coefficients; ladder_norm_coefficients reads the same walk in one
+variable.
 """
 
 from __future__ import annotations
@@ -25,10 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise
-from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement
@@ -43,9 +45,9 @@ MuValue = Union[BaseNumber, Fraction, int]
 ScalarLike = Union[Scalar, BaseNumber, int, Fraction]
 
 # Highest level spectrum_table lists.  A two-variable table to this level
-# takes about 1.6 s (Python 3.11 on a 2-vCPU VM), and doubling the level
+# takes about 1.5 s (Python 3.11 on a 2-vCPU VM), and doubling the level
 # costs about 10x: level n holds n + 1 states of up to about n^2/4 terms,
-# each raised once and eigenchecked once.
+# each raised once and eigenchecked once, plus one lowering per variable.
 MAX_LEVEL = 32
 
 
@@ -147,6 +149,17 @@ def _gauged(name: str, dims: int) -> OperatorElement:
     return gauge(build(name, dims))
 
 
+def _operator(
+    name: str,
+    dims: int,
+    values: Optional[Sequence[MuValue]],
+) -> OperatorElement:
+    """The gauged registry operator, substituted at values unless None;
+    not cached, since values range over every deformation value."""
+    op = _gauged(name, dims)
+    return op if values is None else op.substitute_params(values)
+
+
 def apply(A: OperatorElement, s: GaussState) -> GaussState:
     """Act with A on s, exactly.
 
@@ -178,9 +191,7 @@ def fock(
     for j, n in enumerate(ns):
         if not n:
             continue
-        raiser = _gauged(f"A+{j + 1}", nvars)
-        if mu_values is not None:
-            raiser = raiser.substitute_params(tuple(mu_values))
+        raiser = _operator(f"A+{j + 1}", nvars, mu_values)
         for _ in range(n):
             state = GaussState(raiser.act(state.polynomial))
     return state
@@ -236,24 +247,24 @@ def _ladder(
     dims: int,
     values: Optional[Tuple[BaseNumber, ...]],
     max_level: int,
-) -> Iterator[Dict[Tuple[int, ...], GaussState]]:
+) -> Iterator[Tuple[Dict[Tuple[int, ...], GaussState], List[Scalar]]]:
     """The states of levels 0..max_level, one level at a time, keyed by
-    occupation numbers in _level_states order.
+    occupation numbers in _level_states order, each with the ladder
+    coefficients of that level.
 
     Each state is one raiser step from a state of the level below: the
     step undoes the last raise fock makes, in the last variable with a
     nonzero occupation number.  So every state is exactly fock(ns,
     values), while each raiser is built once and only the previous
-    level is held.  Parametric when values is None.
+    level is held.  From level n = 1 on, coefficients[j] is c_n of
+    variable j, which depends on mu_j alone: A-{j+1} lowers the axis
+    state n e_j to c_n times the axis state (n - 1) e_j.  Parametric
+    when values is None.
     """
-    raisers = []
-    for j in range(dims):
-        raiser = _gauged(f"A+{j + 1}", dims)
-        if values is not None:
-            raiser = raiser.substitute_params(values)
-        raisers.append(raiser)
+    raisers = [_operator(f"A+{j + 1}", dims, values) for j in range(dims)]
+    lowerers = [_operator(f"A-{j + 1}", dims, values) for j in range(dims)]
     level = {(0,) * dims: ground(dims)}
-    yield level
+    yield level, []
     for n in range(1, max_level + 1):
         below, level = level, {}
         for ns in _level_states(dims, n):
@@ -261,7 +272,15 @@ def _ladder(
             lowered = ns[:j] + (ns[j] - 1,) + ns[j + 1:]
             level[ns] = GaussState(
                 raisers[j].act(below[lowered].polynomial))
-        yield level
+        coefficients = []
+        for j, lower in enumerate(lowerers):
+            top = (0,) * j + (n,) + (0,) * (dims - j - 1)
+            c = _ratio(GaussState(lower.act(level[top].polynomial)),
+                       below[top[:j] + (n - 1,) + top[j + 1:]])
+            if c is None:
+                raise ArithmeticError(f"lowering state {top} left the ladder")
+            coefficients.append(c)
+        yield level, coefficients
 
 
 def spectrum_table(
@@ -275,8 +294,9 @@ def spectrum_table(
     Every listed state is eigenchecked against the total Hamiltonian and
     the common eigenvalue is verified across the level; degeneracy is
     certified by pairwise distinct leading monomials.  admissible is
-    False when some ladder-norm coefficient c_k, k <= max_level, is not
-    positive at the given deformation values.
+    False when some ladder-norm coefficient c_k, k <= max_level, of some
+    variable is not positive at the given deformation values; the
+    coefficients come from the same walk as the states.
     """
     if dims not in (1, 2):
         raise ValueError("spectrum_table supports one or two variables")
@@ -288,13 +308,14 @@ def spectrum_table(
     if len(values) != dims:
         raise ArityMismatchError(
             f"need {dims} deformation values, got {len(values)}")
-    hamiltonian = _gauged("H", dims).substitute_params(values)
+    hamiltonian = _operator("H", dims, values)
 
     rows: List[SpectrumRow] = []
-    walked: List[GaussState] = []
-    for level, states in enumerate(_ladder(dims, values, max_level)):
-        if dims == 1:
-            walked.append(states[(level,)])
+    admissible = True
+    for level, (states, coefficients) in enumerate(
+            _ladder(dims, values, max_level)):
+        if any(c.evaluate(values).as_fraction() <= 0 for c in coefficients):
+            admissible = False
         energy: Optional[BaseNumber] = None
         leading: set = set()
         for ns, state in states.items():
@@ -314,36 +335,7 @@ def spectrum_table(
                 f"level {level} states are not independent")
         assert energy is not None
         rows.append(SpectrumRow(level, energy, len(states)))
-
-    admissible = True
-    if max_level:
-        # A 1D table has just walked fock(0..max_level) at values; a 2D
-        # table needs each variable's own 1D ladder.
-        ladders = ([_norm_ratios(walked, values)] if dims == 1 else
-                   [ladder_norm_coefficients(max_level, v) for v in values])
-        for j, coefficients in enumerate(ladders):
-            for c in coefficients:
-                if c.evaluate((values[j],)).as_fraction() <= 0:
-                    admissible = False
     return SpectrumTable(dims, values, tuple(rows), admissible)
-
-
-def _norm_ratios(
-    chain: Iterable[GaussState],
-    values: Optional[Tuple[BaseNumber, ...]],
-) -> List[Scalar]:
-    """c_k with lower(chain[k]) = c_k * chain[k-1], for the 1D states
-    chain = fock(0), fock(1), ... at values (parametric when None)."""
-    lower = _gauged("A-1", 1)
-    if values is not None:
-        lower = lower.substitute_params(values)
-    out: List[Scalar] = []
-    for k, (prev, curr) in enumerate(pairwise(chain), start=1):
-        c = _ratio(GaussState(lower.act(curr.polynomial)), prev)
-        if c is None:
-            raise ArithmeticError(f"lowering fock({k}) left the ladder")
-        out.append(c)
-    return out
 
 
 def ladder_norm_coefficients(
@@ -359,9 +351,6 @@ def ladder_norm_coefficients(
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    values: Optional[Tuple[BaseNumber, ...]] = None
-    if mu is not None:
-        values = (BaseNumber(mu),)
-    return _norm_ratios(
-        (level[(k,)] for k, level in enumerate(_ladder(1, values, max_n))),
-        values)
+    values = None if mu is None else (BaseNumber(mu),)
+    return [c for _, coefficients in _ladder(1, values, max_n)
+            for c in coefficients]

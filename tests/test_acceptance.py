@@ -42,7 +42,7 @@ def test_criterion_1_full_parametric_verification(capsys):
     with scorecard(capsys, 1, "all identity families, parametric,"
                               " exactly-zero residuals"):
         start = time.perf_counter()
-        reports = relations.check_all("parametric")
+        reports = relations.check_all()
         total = time.perf_counter() - start
         assert [r.family for r in reports] == list(relations.FAMILIES)
         for report in reports:
@@ -111,7 +111,7 @@ def test_criterion_5_negative_controls(capsys):
         assert any(ir.residual_terms > 0 for ir in hahn.identities)
         sd2 = relations.check("sd2", perturb=True)
         assert not sd2.passed
-        sd2_zero = relations.check("sd2", "numeric", (0, 0), perturb=True)
+        sd2_zero = relations.check("sd2", mu_values=(0, 0), perturb=True)
         assert not sd2_zero.passed
         assert main(["verify", "hahn", "--perturb"]) == 1
         assert main(["verify", "sd2", "--perturb"]) == 1
@@ -141,7 +141,7 @@ def test_criterion_7_undeformed_limit(capsys):
         jm = build("J-", 2).substitute_params(zeros)
         j0 = build("J0", 2).substitute_params(zeros)
         assert commutator(jp, jm) == j0
-        assert relations.check("sd2", "numeric", zeros).passed
+        assert relations.check("sd2", mu_values=zeros).passed
 
 
 def test_criterion_8_cli_contract(capsys):

@@ -187,6 +187,13 @@ class TestZeroDenominator:
         assert "error:" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("expr", ["x1/0", "x1/(x1 - x1)", "1/(0*H1)"])
+    def test_division_by_zero(self, capsys, expr):
+        code, out, err = run(capsys, ["nf", expr, "--dims", "1"])
+        assert code == 2
+        assert out == "" and err == "error: division by zero\n"
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("work started past an input limit")
 

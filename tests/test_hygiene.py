@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used,
+and so is every private name it defines."""
 
 import ast
 from pathlib import Path
@@ -33,10 +34,34 @@ def _annotations(tree):
             yield node.annotation
 
 
+def _private_definitions(tree):
+    """``{name: line}`` for the module-level private functions, classes
+    and constants.  Decorated definitions are left out: the decorator
+    reads them (a registry decorator, say), not the module."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [] if node.decorator_list else [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id] if isinstance(node.target, ast.Name) else []
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
 def _used(tree):
     """Every name the module reads, including names inside quoted
     annotations and the strings of ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation) if annotation else ():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -57,3 +82,14 @@ def test_no_unused_imports(path):
                     for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _used(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _private_definitions(tree).items()
+                    if name not in used)
+    assert not unused, \
+        f"{path.name} defines private names it never uses: {unused}"

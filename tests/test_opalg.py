@@ -18,6 +18,7 @@ from helpers import (
 
 from dunklweyl._kernel import bn_make
 
+from dunklweyl import opalg
 from dunklweyl.opalg import (
     LaurentPolynomial,
     NFMonomial,
@@ -230,6 +231,22 @@ class TestElementApi:
         assert x ** 3 == x * x * x
         assert (4 * x) / 2 == 2 * x
         assert (x / Fraction(1, 2)) == 2 * x
+
+    def test_power_starts_from_base(self, monkeypatch):
+        # A ** 3 is A * A * A: two products, none with the identity.
+        A = OperatorElement.d(0, 1) + OperatorElement.r(0, 1)
+        cube = A * A * A
+        calls = []
+        op_mul = opalg.op_mul
+
+        def counting(*args):
+            calls.append(args)
+            return op_mul(*args)
+
+        monkeypatch.setattr(opalg, "op_mul", counting)
+        assert A ** 3 == cube
+        assert len(calls) == 2
+        assert A ** 1 == A
 
     def test_coefficient_accessor(self):
         mu = Scalar.parameter(0, 1)

@@ -64,12 +64,12 @@ class TestParametric:
 class TestNumeric:
     @pytest.mark.parametrize("point", NUMERIC_POINTS)
     def test_all_families_pass(self, point):
-        for report in check_all("numeric", point):
+        for report in check_all(mu_values=point):
             assert report.passed, (report.family, point)
 
     def test_single_value_is_cycled(self):
-        report = check("susy-nd", "numeric", (Fraction(1, 3),))
-        assert report.passed
+        report = check("susy-nd", mu_values=(Fraction(1, 3),))
+        assert report.passed and report.mode == "numeric"
 
     def test_random_specializations(self):
         # Parametric pass must imply numeric pass at arbitrary rationals.
@@ -78,7 +78,7 @@ class TestNumeric:
             point = (Fraction(rng.randint(-24, 24), rng.randint(1, 9)),
                      Fraction(rng.randint(-24, 24), rng.randint(1, 9)))
             for family in ("sl12", "sd2", "susy-1d"):
-                assert check(family, "numeric", point).passed
+                assert check(family, mu_values=point).passed
 
 
 class TestPerturbedControls:
@@ -96,7 +96,7 @@ class TestPerturbedControls:
 
     def test_sd2_control_fails_even_undeformed(self):
         assert not check("sd2", perturb=True).passed
-        assert not check("sd2", "numeric", (0, 0), perturb=True).passed
+        assert not check("sd2", mu_values=(0, 0), perturb=True).passed
 
     def test_perturb_rejected_elsewhere(self):
         with pytest.raises(ValueError):
@@ -108,17 +108,17 @@ class TestErrors:
         with pytest.raises(KeyError):
             check("nope")
 
-    def test_mode_value_mismatch(self):
+    def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            check("sl12", "numeric")
-        with pytest.raises(ValueError):
-            check("sl12", "parametric", (1,))
-        with pytest.raises(ValueError):
-            check("sl12", "numeric", ())
+            check("sl12", mu_values=())
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            check("sl12", "approximate")
+    def test_values_are_keyword_only(self):
+        # A positional second argument is refused rather than read as
+        # deformation values.
+        with pytest.raises(TypeError):
+            check("sl12", (1,))
+        with pytest.raises(TypeError):
+            check_all((1, 1))
 
 
 class TestNegativeDemonstrations:

@@ -215,6 +215,8 @@ class TestScalar:
         mu = Scalar.parameter(0, 1)
         assert mu ** 0 == Scalar.one(1)
         assert (mu + 1) ** 2 == mu * mu + 2 * mu + 1
+        assert (mu + 1) ** 1 == mu + 1
+        assert (mu - 2) ** 3 == (mu - 2) * (mu - 2) * (mu - 2)
 
     def test_str_deterministic(self):
         mu1 = Scalar.parameter(0, 2)

@@ -267,6 +267,22 @@ class TestSpectrumTable:
         assert spectrum_table(1, (Fraction(1, 3),), 16).admissible
         assert len(calls) == 49
 
+    def test_two_dim_walks_its_ladder_once(self, monkeypatch):
+        # 44 raises, 45 eigenchecks and 2 * 8 lowerings of axis states:
+        # each variable's ladder norms come from the table's own walk,
+        # not from a separate one-variable walk.
+        calls = []
+        act = OperatorElement.act
+
+        def counting(self, f):
+            calls.append(f)
+            return act(self, f)
+
+        monkeypatch.setattr(OperatorElement, "act", counting)
+        assert spectrum_table(2, (Fraction(1, 3), Fraction(1, 2)),
+                              8).admissible
+        assert len(calls) == 105
+
     @pytest.mark.parametrize("mu", [Fraction(-3, 4), Fraction(-1, 2),
                                     Fraction(-1, 4), Fraction(1, 3)])
     def test_one_dim_admissible_matches_ladder_norms(self, mu):
@@ -274,6 +290,22 @@ class TestSpectrumTable:
             cs = ladder_norm_coefficients(level, mu)
             positive = all(c.evaluate((mu,)).as_fraction() > 0 for c in cs)
             assert spectrum_table(1, (mu,), level).admissible == positive
+
+    @pytest.mark.parametrize("mu", [Fraction(-3, 4), Fraction(-1, 2),
+                                    Fraction(-1, 4), Fraction(1, 3)])
+    @pytest.mark.parametrize("other", [Fraction(0), Fraction(1, 2),
+                                       Fraction(-3, 4)])
+    def test_two_dim_admissible_matches_ladder_norms(self, mu, other):
+        # Admissible means every one-variable ladder norm of every
+        # variable is positive.
+        for values in ((mu, other), (other, mu)):
+            for level in (1, 2, 4):
+                positive = all(
+                    c.evaluate((v,)).as_fraction() > 0
+                    for v in values
+                    for c in ladder_norm_coefficients(level, v))
+                table = spectrum_table(2, values, level)
+                assert table.admissible == positive
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -292,10 +324,24 @@ class TestLadderWalk:
     def test_walk_equals_fock(self, dims, values):
         levels = list(_ladder(dims, values, 8))
         assert len(levels) == 9
-        for level, states in enumerate(levels):
+        for level, (states, _) in enumerate(levels):
             assert list(states) == list(_level_states(dims, level))
             for ns, state in states.items():
                 assert state == fock(ns, values)
+
+    @pytest.mark.parametrize("dims,values", [
+        (1, None), (1, (Fraction(-4, 3),)),
+        (2, None), (2, (Fraction(7, 5), Fraction(-5, 4))),
+    ])
+    def test_axis_coefficients(self, dims, values):
+        # c_k = k + mu_j (1 - (-1)^k) for variable j, from lowering the
+        # walk's own axis states.
+        mus = ([Scalar.parameter(j, dims) for j in range(dims)]
+               if values is None else values)
+        for k, (_, coefficients) in enumerate(_ladder(dims, values, 8)):
+            assert len(coefficients) == (dims if k else 0)
+            for c, mu in zip(coefficients, mus):
+                assert c == k + mu * (1 - (-1) ** k)
 
 
 class TestLadderNorms:
