@@ -237,28 +237,20 @@ def op_scale(A, poly):
     return out
 
 
-_DX_ROWS = {}
-
-
 def dx_rows(b, a):
     """Reordering coefficients for d^b x^a.
 
     d^b x^a = sum_k C(b,k) * a(a-1)...(a-k+1) * x^(a-k) d^(b-k), valid for
     any integer a.  Returns the nonzero ``(k, coefficient)`` pairs.
     """
-    key = (b, a)
-    row = _DX_ROWS.get(key)
-    if row is None:
-        out = []
-        coef = 1
-        for k in range(b + 1):
-            if coef:
-                out.append((k, coef))
-            if k < b:
-                coef = coef * (b - k) * (a - k) // (k + 1)
-        row = tuple(out)
-        _DX_ROWS[key] = row
-    return row
+    out = []
+    coef = 1
+    for k in range(b + 1):
+        if coef:
+            out.append((k, coef))
+        if k < b:
+            coef = coef * (b - k) * (a - k) // (k + 1)
+    return tuple(out)
 
 
 class _Surd:

@@ -38,7 +38,8 @@ def _mu_mode(mu: Optional[Tuple[Fraction, ...]]) -> str:
     return "numeric:" + ",".join(str(v) for v in mu)
 
 
-Outcome = Tuple[int, dict, List[str]]
+# (exit code, status, results, text lines); main() builds the report.
+Outcome = Tuple[int, str, list, List[str]]
 
 
 def _cmd_nf(args: argparse.Namespace) -> Outcome:
@@ -49,14 +50,7 @@ def _cmd_nf(args: argparse.Namespace) -> Outcome:
                 f"need {args.dims} deformation values, got {len(args.mu)}")
         op = op.substitute_params(args.mu)
     normal = str(op)
-    report = {
-        "command": "nf",
-        "dims": args.dims,
-        "mu_mode": _mu_mode(args.mu),
-        "results": [{"expr": args.expr, "normal_form": normal}],
-        "status": "ok",
-    }
-    return 0, report, [normal]
+    return 0, "ok", [{"expr": args.expr, "normal_form": normal}], [normal]
 
 
 def _cmd_verify(args: argparse.Namespace) -> Outcome:
@@ -91,16 +85,9 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
             "passed": rep.passed,
             "identities": rows,
         })
-    passed = all(rep.passed for rep in reports)
-    lines.append(f"status: {'pass' if passed else 'fail'}")
-    report = {
-        "command": "verify",
-        "dims": None,
-        "mu_mode": _mu_mode(args.mu),
-        "results": results,
-        "status": "pass" if passed else "fail",
-    }
-    return (0 if passed else 1), report, lines
+    status = "pass" if all(rep.passed for rep in reports) else "fail"
+    lines.append(f"status: {status}")
+    return (0 if status == "pass" else 1), status, results, lines
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> Outcome:
@@ -118,14 +105,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Outcome:
     if not table.admissible:
         lines.append("warning: inadmissible deformation values "
                      "(some ladder coefficient c_k <= 0)")
-    report = {
-        "command": "spectrum",
-        "dims": args.dims,
-        "mu_mode": _mu_mode(args.mu),
-        "results": [{"admissible": table.admissible, "rows": rows}],
-        "status": "ok",
-    }
-    return 0, report, lines
+    return 0, "ok", [{"admissible": table.admissible, "rows": rows}], lines
 
 
 def _cmd_list_relations(args: argparse.Namespace) -> Outcome:
@@ -133,14 +113,7 @@ def _cmd_list_relations(args: argparse.Namespace) -> Outcome:
     lines = [f"{fam.id}: {fam.description}" for fam in families]
     results = [{"family": fam.id, "description": fam.description}
                for fam in families]
-    report = {
-        "command": "list-relations",
-        "dims": None,
-        "mu_mode": "parametric",
-        "results": results,
-        "status": "ok",
-    }
-    return 0, report, lines
+    return 0, "ok", results, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,13 +167,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, report, lines = _DISPATCH[args.command](args)
+        code, status, results, lines = _DISPATCH[args.command](args)
     except (ParseError, ArityMismatchError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
     try:
         if args.format == "json":
+            # verify and list-relations take no --dims; list-relations
+            # takes no --mu either, so it reports "parametric".
+            report = {
+                "command": args.command,
+                "dims": getattr(args, "dims", None),
+                "mu_mode": _mu_mode(getattr(args, "mu", None)),
+                "results": results,
+                "status": status,
+            }
             print(json.dumps(report, sort_keys=True, indent=2))
         else:
             print("\n".join(lines))

@@ -306,6 +306,8 @@ def _constant_of(a: OperatorElement) -> Optional[BaseNumber]:
 
 
 def _invert(a: OperatorElement, dims: int) -> OperatorElement:
+    if a.is_zero():
+        raise ValueError("division by zero")
     terms = list(a.terms())
     if len(terms) == 1:
         mono, coeff = terms[0]

@@ -423,12 +423,9 @@ class LaurentPolynomial(_Combination):
         return cls({(0,) * nvars: {(0,) * nvars: BN_ONE}}, nvars)
 
     @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff: ScalarLike = 1,
-                 nvars: Optional[int] = None) -> "LaurentPolynomial":
-        n = len(exponents) if nvars is None else nvars
-        if len(exponents) != n:
-            raise ArityMismatchError(
-                f"expected {n} exponents, got {len(exponents)}")
+    def monomial(cls, exponents: Sequence[int], coeff: ScalarLike = 1
+                 ) -> "LaurentPolynomial":
+        n = len(exponents)
         poly = _scalar_poly(coeff, n)
         if not poly:
             return cls({}, n)

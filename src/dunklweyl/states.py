@@ -28,21 +28,19 @@ variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement
 from .scalars import (
     ArityMismatchError,
+    BaseLike,
     BaseNumber,
     InexactDivisionError,
     Scalar,
+    ScalarLike,
 )
-
-MuValue = Union[BaseNumber, Fraction, int]
-ScalarLike = Union[Scalar, BaseNumber, int, Fraction]
 
 # Highest level spectrum_table lists.  A two-variable table to this level
 # takes about 1.5 s (Python 3.11 on a 2-vCPU VM), and doubling the level
@@ -152,7 +150,7 @@ def _gauged(name: str, dims: int) -> OperatorElement:
 def _operator(
     name: str,
     dims: int,
-    values: Optional[Sequence[MuValue]],
+    values: Optional[Sequence[BaseLike]],
 ) -> OperatorElement:
     """The gauged registry operator, substituted at values unless None;
     not cached, since values range over every deformation value."""
@@ -177,7 +175,7 @@ def ground(nvars: int) -> GaussState:
 
 def fock(
     ns: Sequence[int],
-    mu_values: Optional[Sequence[MuValue]] = None,
+    mu_values: Optional[Sequence[BaseLike]] = None,
 ) -> GaussState:
     """Unnormalized ladder state: raise the ground state n_j times in
     each variable.  Parametric unless mu_values is given."""
@@ -285,7 +283,7 @@ def _ladder(
 
 def spectrum_table(
     dims: int,
-    mu_values: Sequence[MuValue],
+    mu_values: Sequence[BaseLike],
     max_level: int,
 ) -> SpectrumTable:
     """Exact (level, energy, degeneracy) rows for levels 0..max_level,
@@ -340,7 +338,7 @@ def spectrum_table(
 
 def ladder_norm_coefficients(
     max_n: int,
-    mu: Optional[MuValue] = None,
+    mu: Optional[BaseLike] = None,
 ) -> List[Scalar]:
     """Exact c_k with lower(fock(k)) = c_k * fock(k-1), k = 1..max_n.
 

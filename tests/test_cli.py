@@ -16,6 +16,7 @@ from dunklweyl import dsl, states
 from dunklweyl.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
+VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_cli.json"
 
 
 def run(capsys, argv):
@@ -187,7 +188,8 @@ class TestZeroDenominator:
         assert "error:" in err and "Traceback" not in err
 
 
-    @pytest.mark.parametrize("expr", ["x1/0", "x1/(x1 - x1)", "1/(0*H1)"])
+    @pytest.mark.parametrize("expr", ["x1/0", "x1/(x1 - x1)", "1/(0*H1)",
+                                      "0^-1", "(x1-x1)^-1"])
     def test_division_by_zero(self, capsys, expr):
         code, out, err = run(capsys, ["nf", expr, "--dims", "1"])
         assert code == 2
@@ -249,6 +251,17 @@ class TestReadmeGolden:
     """Exit code and stdout of the README's examples, byte for byte."""
 
     @pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_stdout(self, capsys, case):
+        code, out, _ = run(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"])
+
+
+class TestVerifyGolden:
+    """Every family's labels, verdicts and residuals in the JSON report
+    (parametric, numeric, and the sd2 negative control), byte for byte."""
+
+    @pytest.mark.parametrize("case", json.loads(VERIFY_GOLDEN.read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_stdout(self, capsys, case):
         code, out, _ = run(capsys, case["argv"])
