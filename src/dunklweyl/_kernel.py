@@ -29,11 +29,27 @@ one common denominator, packs each mu-exponent tuple into one int, sums
 the products of numerators in plain ints (or four-part numerators when a
 coefficient has i or sqrt2 parts), and reduces each output coefficient by
 one gcd at the end.  The per-variable products of monomial blocks are
-cached for the life of the process, like the reordering rows.  The result
-is the same canonical dict as term-by-term arithmetic gives.
+cached for the life of the process.  The result is the same canonical dict
+as term-by-term arithmetic gives.
+
+``op_bracket`` computes ``A*B + sign*B*A``, the commutator (``sign=-1``)
+and the anticommutator (``sign=1``) behind every relation the verifier
+checks, in the same pass.  The two orders share one lift: the radix of each
+packed exponent and the denominator ``DA*DB`` are symmetric in the operands,
+and scalars are central, so a monomial pair's coefficient product serves
+both orders.  For each pair the kernel merges the integer multipliers of
+the ``A*B`` and ``B*A`` expansions per output monomial, as ``k_ab +
+sign*k_ba`` with the zeros dropped, and only then runs the coefficient loop,
+once per surviving monomial.  A pair whose blocks commute in every variable
+is skipped by the commutator (and doubled by the anticommutator); when the
+blocks commute in all variables but one, the merged multipliers are the
+other variables' rows times that variable's cached merged row.  ``op_mul``
+is the one-sided case of the same loop.
 """
 
+from functools import partial
 from math import gcd, lcm
+from operator import add
 
 BN_ZERO = (0, 0, 0, 0, 1)
 BN_ONE = (1, 0, 0, 0, 1)
@@ -330,8 +346,19 @@ def _lift(X, den, lo, weights, nvars):
     return out
 
 
-_BLOCKS = {}
-_UNIT = (((), 1),)
+class _Memo(dict):
+    """A dict that fills a missing entry with ``make(key)`` and keeps it,
+    so that a lookup, hit or miss, is one subscript."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _block(key):
@@ -343,77 +370,91 @@ def _block(key):
     reflections compose mod 2, and d-powers move past x-powers by the
     falling-factorial rule.
     """
-    row = _BLOCKS.get(key)
-    if row is None:
-        a1, b1, e1, a2, b2, e2 = key
-        sign = -1 if e1 and ((a2 + b2) & 1) else 1
-        e = e1 ^ e2
-        row = tuple(((a1 + a2 - k, b1 + b2 - k, e), sign * c)
-                    for k, c in dx_rows(b1, a2))
-        _BLOCKS[key] = row
-    return row
+    a1, b1, e1, a2, b2, e2 = key
+    sign = -1 if e1 and ((a2 + b2) & 1) else 1
+    e = e1 ^ e2
+    return tuple(((a1 + a2 - k, b1 + b2 - k, e), sign * c)
+                 for k, c in dx_rows(b1, a2))
 
 
-def op_mul(A, B, nvars):
-    """Normal-ordered product of two operators on ``nvars`` variables.
+def _merge(xy, yx, sign):
+    """``xy + sign*yx`` for two sequences of ``(key, multiplier)`` pairs,
+    each key at most once per sequence; zeros are dropped."""
+    out = dict(xy)
+    for m, k in yx:
+        out[m] = out.get(m, 0) + sign * k
+    return tuple([(m, k) for m, k in out.items() if k])
 
-    Both operands are lifted to integer numerators over one common
-    denominator each, ``DA`` and ``DB`` (the lcm of their coefficient
-    denominators), so every product term has the denominator ``DA*DB`` and
-    the inner loop only multiplies and adds integers: plain ints for
-    rational coefficients, :class:`_Surd` for the rest.  Each mu-exponent
-    tuple, less the operand's least exponent per parameter, is packed into
-    one int with a per-call radix of ``spanA_j + spanB_j + 1`` for
-    parameter j, so adding two packed keys adds the exponents without carry.
-    Monomials are multiplied one variable block at a time through the
-    :func:`_block` cache.  At the end each output coefficient is reduced
-    once, by ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the
-    canonical form is unique the result equals term-by-term arithmetic.
+
+def _bracket_row(key, sign):
+    """One variable's row in a bracket, ``key`` being ``x + y``:
+    ``x*y + sign*y*x`` where the two orders differ, else ``x*y``."""
+    if _APART[key]:
+        return _merge(_ROWS[key], _ROWS[key[3:] + key[:3]], sign)
+    return _ROWS[key]
+
+
+# One variable's rows, keyed by the block pair ``x + y`` and kept for the
+# life of the process: ``_ROWS`` holds ``x*y``, ``_APART`` whether ``x*y``
+# and ``y*x`` differ, and ``_BRACKET_ROWS`` :func:`_bracket_row` per sign.
+_ROWS = _Memo(_block)
+_APART = _Memo(lambda key: _ROWS[key] != _ROWS[key[3:] + key[:3]])
+_BRACKET_ROWS = {sign: _Memo(partial(_bracket_row, sign=sign))
+                 for sign in (1, -1)}
+_UNIT = (((), 1),)
+
+
+def _expand(ka, kb, rows=_ROWS.__getitem__):
+    """The normal-ordered product of two split monomials, ``ka * kb``.
+
+    Multiplies one variable block at a time, ``rows(x + y)`` giving each
+    variable's row, and returns the ``(flat_monomial, multiplier)`` pairs,
+    one per distinct output monomial.
     """
-    if not A or not B:
-        return {}
+    terms = None
+    for row in map(rows, map(add, ka, kb)):
+        if terms is None:
+            terms = row
+        elif len(row) == 1:
+            blk, c = row[0]
+            terms = [(mo + blk, k * c) for mo, k in terms]
+        else:
+            terms = [(mo + blk, k * c) for mo, k in terms for blk, c in row]
+    # With no variables the only monomial is the empty one.
+    return _UNIT if terms is None else terms
+
+
+def _plan(A, B, nvars):
+    """Lift both operands of one product onto a shared exponent packing.
+
+    Returns ``(den, unpack, ta, tb)``: ``den`` is the denominator ``DA*DB``
+    of every product term, ``unpack`` the ``(weight, radix, offset)`` of
+    each parameter for :func:`_reduce`, and ``ta``/``tb`` the lifted terms
+    of ``A``/``B``.  Radix and denominator are symmetric in the operands, so
+    one plan serves ``A*B`` and ``B*A`` alike.
+    """
     da, loa, hia = _bounds(A)
     db, lob, hib = _bounds(B)
     # Place value and radix of each parameter: the packed sum of two
     # exponents cannot carry into the next parameter's digit.
     weights = []
-    radices = []
+    unpack = []
     weight = 1
     for j in range(len(loa)):
+        radix = hia[j] - loa[j] + hib[j] - lob[j] + 1
         weights.append(weight)
-        radices.append(hia[j] - loa[j] + hib[j] - lob[j] + 1)
-        weight *= radices[-1]
-    ta = _lift(A, da, loa, weights, nvars)
-    tb = _lift(B, db, lob, weights, nvars)
-    blocks = _BLOCKS
-    acc = {}
-    for ka, pa in ta:
-        for kb, pb in tb:
-            terms = None
-            for j in range(nvars):
-                key = ka[j] + kb[j]
-                row = blocks.get(key) or _block(key)
-                if terms is None:
-                    terms = row
-                elif len(row) == 1:
-                    blk, c = row[0]
-                    terms = [(mo + blk, k * c) for mo, k in terms]
-                else:
-                    terms = [(mo + blk, k * c)
-                             for mo, k in terms for blk, c in row]
-            # With no variables the only monomial is the empty one.
-            for mono, k in terms or _UNIT:
-                tgt = acc.get(mono)
-                if tgt is None:
-                    tgt = acc[mono] = {}
-                for ea, ca in pa:
-                    kc = k * ca
-                    for eb, cb in pb:
-                        e = ea + eb
-                        tgt[e] = tgt.get(e, 0) + kc * cb
-    del ta, tb
-    den = da * db
-    offset = [x + y for x, y in zip(loa, lob)]
+        unpack.append((weight, radix, loa[j] + lob[j]))
+        weight *= radix
+    return (da * db, unpack, _lift(A, da, loa, weights, nvars),
+            _lift(B, db, lob, weights, nvars))
+
+
+def _reduce(acc, den, unpack):
+    """The canonical operator from packed integer sums over ``den``.
+
+    Each coefficient is reduced once, by ``gcd(p, q, r, s, den)``, zeros
+    and emptied monomials are dropped, and each packed key is unpacked.
+    """
     unpacked = {}
     # Reduce in place, so the integer sums are freed as the result grows.
     for mono, nums in acc.items():
@@ -433,8 +474,78 @@ def op_mul(A, B, nvars):
             expo = unpacked.get(e)
             if expo is None:
                 expo = unpacked[e] = tuple(
-                    e // w % n + b
-                    for w, n, b in zip(weights, radices, offset))
+                    e // w % n + b for w, n, b in unpack)
             poly[expo] = v
         acc[mono] = poly
     return {m: p for m, p in acc.items() if p}
+
+
+def _product(A, B, nvars, pair_terms):
+    """The sum over monomial pairs of ``A`` and ``B`` of ``pair_terms(ka,
+    kb)``, each output monomial's integer multiplier times the pair's
+    coefficient product.  The ``pa x pb`` coefficient loop runs once per
+    output monomial of each pair."""
+    if not A or not B:
+        return {}
+    den, unpack, ta, tb = _plan(A, B, nvars)
+    acc = {}
+    for ka, pa in ta:
+        for kb, pb in tb:
+            for mono, k in pair_terms(ka, kb):
+                tgt = acc.get(mono)
+                if tgt is None:
+                    tgt = acc[mono] = {}
+                for ea, ca in pa:
+                    kc = k * ca
+                    for eb, cb in pb:
+                        e = ea + eb
+                        tgt[e] = tgt.get(e, 0) + kc * cb
+    del ta, tb
+    return _reduce(acc, den, unpack)
+
+
+def op_mul(A, B, nvars):
+    """Normal-ordered product of two operators on ``nvars`` variables.
+
+    Both operands are lifted to integer numerators over one common
+    denominator each, ``DA`` and ``DB`` (the lcm of their coefficient
+    denominators), so every product term has the denominator ``DA*DB`` and
+    the inner loop only multiplies and adds integers: plain ints for
+    rational coefficients, :class:`_Surd` for the rest.  Each mu-exponent
+    tuple, less the operand's least exponent per parameter, is packed into
+    one int with a per-call radix of ``spanA_j + spanB_j + 1`` for
+    parameter j, so adding two packed keys adds the exponents without carry.
+    Monomials are multiplied one variable block at a time through the
+    cached rows.  At the end each output coefficient is reduced once, by
+    ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the canonical
+    form is unique the result equals term-by-term arithmetic.
+    """
+    return _product(A, B, nvars, _expand)
+
+
+def op_bracket(A, B, nvars, sign):
+    """``A*B + sign*B*A`` for ``sign`` 1 or -1, in one pass over the pairs.
+
+    Equal to ``op_sub(op_mul(A, B), op_mul(B, A))`` for ``sign=-1`` (the
+    commutator) and to the ``op_add`` form for ``sign=1`` (the
+    anticommutator), from one plan and one accumulator: each monomial pair
+    merges the multipliers of its two orders before any coefficient is
+    touched.
+    """
+    apart = _APART.__getitem__
+    merged = _BRACKET_ROWS[sign].__getitem__
+
+    def pair_terms(ka, kb):
+        split = sum(map(apart, map(add, ka, kb)))
+        if split == 1:
+            # The other variables' blocks commute, so the pair's bracket is
+            # their rows times the one variable's merged row.
+            return _expand(ka, kb, merged)
+        if split:
+            return _merge(_expand(ka, kb), _expand(kb, ka), sign)
+        # Every variable's blocks commute: the two orders agree.
+        if sign < 0:
+            return ()
+        return [(m, 2 * k) for m, k in _expand(ka, kb)]
+
+    return _product(A, B, nvars, pair_terms)

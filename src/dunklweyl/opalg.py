@@ -38,6 +38,7 @@ from dunklweyl._kernel import (
     BN_ONE,
     bn_conj,
     op_add,
+    op_bracket,
     op_mul,
     op_scale,
     op_sub,
@@ -402,12 +403,28 @@ class OperatorElement(_Combination):
         return self._data
 
 
+def _bracket(a, b, sign: int) -> OperatorElement:
+    """``a*b + sign*b*a`` in the kernel's one pass over both orders; either
+    operand may be a scalar."""
+    if not isinstance(a, OperatorElement) and isinstance(b, OperatorElement):
+        # A scalar is central: its commutator vanishes and its
+        # anticommutator is symmetric, so the order does not matter.
+        return _bracket(b, a, sign)
+    data = a._coerce(b) if isinstance(a, OperatorElement) else None
+    if data is None:
+        raise TypeError(f"no bracket of {type(a).__name__} "
+                        f"and {type(b).__name__}")
+    return OperatorElement(op_bracket(a._data, data, a._nvars, sign), a._nvars)
+
+
 def commutator(a: OperatorElement, b: OperatorElement) -> OperatorElement:
-    return a * b - b * a
+    """``[a, b] = a*b - b*a``."""
+    return _bracket(a, b, -1)
 
 
 def anticommutator(a: OperatorElement, b: OperatorElement) -> OperatorElement:
-    return a * b + b * a
+    """``{a, b} = a*b + b*a``."""
+    return _bracket(a, b, 1)
 
 
 class LaurentPolynomial(_Combination):

@@ -8,6 +8,8 @@ from dunklweyl._kernel import (
     bn_conj,
     bn_scale_int,
     dx_rows,
+    op_add,
+    op_sub,
     poly_add,
     poly_mul,
     poly_neg,
@@ -139,6 +141,13 @@ def reference_op_mul(A, B, nvars):
                             else:
                                 del tgt[e]
     return {m: p for m, p in acc.items() if p}
+
+
+def reference_bracket(A, B, nvars, sign):
+    """``A*B + sign*B*A`` as two reference products and one linear step:
+    the form the fused bracket kernel replaced."""
+    join = op_sub if sign < 0 else op_add
+    return join(reference_op_mul(A, B, nvars), reference_op_mul(B, A, nvars))
 
 
 # The state layer's own action loop and the Laurent product loop, from

@@ -17,6 +17,7 @@ from dunklweyl.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_cli.json"
+BRACKET_GOLDEN = Path(__file__).parent / "golden" / "bracket_nf.json"
 
 
 def run(capsys, argv):
@@ -262,6 +263,18 @@ class TestVerifyGolden:
     (parametric, numeric, and the sd2 negative control), byte for byte."""
 
     @pytest.mark.parametrize("case", json.loads(VERIFY_GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_stdout(self, capsys, case):
+        code, out, _ = run(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"])
+
+
+class TestBracketGolden:
+    """Nonzero commutators and anticommutators at dims 1-3, parametric and
+    at numeric mu, byte for byte: a wrong multiplier in a bracket that does
+    not vanish changes this output."""
+
+    @pytest.mark.parametrize("case", json.loads(BRACKET_GOLDEN.read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_stdout(self, capsys, case):
         code, out, _ = run(capsys, case["argv"])

@@ -93,3 +93,27 @@ def test_no_unused_private_names(path):
                     if name not in used)
     assert not unused, \
         f"{path.name} defines private names it never uses: {unused}"
+
+
+def _two_product_brackets(tree):
+    """Lines of every ``x * y +/- y * x``: a bracket written as two
+    products instead of through the kernel's one pass over both orders."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and all(isinstance(side, ast.BinOp)
+                        and isinstance(side.op, ast.Mult)
+                        for side in (node.left, node.right))):
+            left, right = node.left, node.right
+            if (ast.dump(left.left) == ast.dump(right.right)
+                    and ast.dump(left.right) == ast.dump(right.left)):
+                out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_brackets_use_one_kernel_pass(path):
+    tree = ast.parse(path.read_text(), str(path))
+    lines = _two_product_brackets(tree)
+    assert not lines, (f"{path.name} writes a bracket as two products on "
+                       f"lines {lines}; call commutator/anticommutator")

@@ -1,6 +1,7 @@
 """The exact kernel's operator functions: the common-denominator op_mul
-against the term-by-term reference, the linear operations against it and
-each other, and the reordering rows against their closed form."""
+and the fused bracket against the term-by-term reference, the linear
+operations against it and each other, and the reordering rows against
+their closed form."""
 
 import copy
 from math import comb, gcd, prod
@@ -8,13 +9,14 @@ from math import comb, gcd, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_op_mul
+from helpers import reference_bracket, reference_op_mul
 
 from dunklweyl._kernel import (
     bn_make,
     bn_neg,
     dx_rows,
     op_add,
+    op_bracket,
     op_mul,
     op_scale,
     op_sub,
@@ -63,6 +65,14 @@ def operand_pairs(draw):
     A = draw(_ops(nvars, nparams))
     B = draw(_ops(nvars, nparams))
     return A, B, nvars, nparams
+
+
+@st.composite
+def small_operands(draw):
+    """One operator of at most three terms, small enough to square."""
+    nvars = draw(st.integers(1, 3))
+    nparams = draw(st.integers(1, 3))
+    return draw(_ops(nvars, nparams, max_size=3)), nvars, nparams
 
 
 @st.composite
@@ -135,6 +145,59 @@ class TestAgainstReference:
     def test_empty_operands(self, case):
         A, _, nvars, _ = case
         assert op_mul({}, A, nvars) == {} == op_mul(A, {}, nvars)
+
+
+class TestBracketAgainstReference:
+    """``op_bracket(A, B, n, sign)`` is ``A*B + sign*B*A`` from two
+    reference products, for both signs."""
+
+    @SETTINGS
+    @given(operand_pairs(), st.sampled_from([1, -1]))
+    def test_equals_reference(self, case, sign):
+        A, B, nvars, nparams = case
+        A0, B0 = copy.deepcopy(A), copy.deepcopy(B)
+        got = op_bracket(A, B, nvars, sign)
+        assert A == A0 and B == B0, "operands mutated"
+        assert got == reference_bracket(A, B, nvars, sign)
+        assert_canonical(got, nvars, nparams)
+        inputs = {id(p) for X in (A, B) for p in X.values()}
+        assert not any(id(p) in inputs for p in got.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(cancelling_pairs(), st.sampled_from([1, -1]))
+    def test_cancelling_operands(self, case, sign):
+        # A*B vanishes here, so the bracket is sign*B*A; the bracket of an
+        # operand with itself is 0 or 2*A*A.
+        A, B, nvars, nparams = case
+        for X, Y in ((A, B), (B, A), (A, A)):
+            got = op_bracket(X, Y, nvars, sign)
+            assert got == reference_bracket(X, Y, nvars, sign)
+            assert_canonical(got, nvars, nparams)
+        assert op_bracket(A, A, nvars, -1) == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_operands())
+    def test_brackets_that_vanish(self, case):
+        # A commutes with its own square, and R_j anticommutes with x_j,
+        # d_j and x_j^-3 R_j.
+        A, nvars, nparams = case
+        square = op_mul(A, A, nvars)
+        assert op_bracket(A, square, nvars, -1) == {}
+        assert op_bracket(square, A, nvars, -1) == {}
+        one = (0, 0, 0) * nvars
+        unit = {(0,) * nparams: (1, 0, 0, 0, 1)}
+        for j in range(nvars):
+            refl = {one[:3 * j] + (0, 0, 1) + one[3 * j + 3:]: unit}
+            odd = {one[:3 * j] + blk + one[3 * j + 3:]: unit
+                   for blk in ((1, 0, 0), (0, 1, 0), (-3, 0, 1))}
+            assert op_bracket(refl, odd, nvars, 1) == {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_pairs(), st.sampled_from([1, -1]))
+    def test_empty_operands(self, case, sign):
+        A, _, nvars, _ = case
+        assert op_bracket({}, A, nvars, sign) == {} == op_bracket(
+            A, {}, nvars, sign)
 
 
 class TestLinear:

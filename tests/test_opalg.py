@@ -124,6 +124,49 @@ class TestDefiningRelations:
             assert s * A == A * s
 
 
+class TestBracketContract:
+    """What ``commutator``/``anticommutator`` accept and return, whichever
+    way the kernel computes them."""
+
+    A = (OperatorElement.x(0, 1) + Scalar.parameter(0, 1)
+         * OperatorElement.d(0, 1) * OperatorElement.r(0, 1))
+
+    def test_integer_operand(self):
+        A = self.A
+        assert commutator(A, 2).is_zero() and commutator(2, A).is_zero()
+        assert anticommutator(A, 2) == anticommutator(2, A) == 4 * A
+
+    @pytest.mark.parametrize("s", [Fraction(2, 3), Scalar.parameter(0, 1),
+                                   BaseNumber(1, 1, 0, 0)],
+                             ids=["Fraction", "Scalar", "BaseNumber"])
+    def test_scalar_operand_on_either_side(self, s):
+        A = self.A
+        assert commutator(A, s).is_zero() and commutator(s, A).is_zero()
+        assert anticommutator(A, s) == anticommutator(s, A) == 2 * s * A
+
+    def test_bracket_with_itself(self):
+        R1 = OperatorElement.r(0, 1)
+        assert commutator(self.A, self.A).is_zero()
+        assert anticommutator(R1, R1) == 2
+        assert anticommutator(self.A, self.A) == 2 * self.A * self.A
+
+    def test_arity_mismatch(self):
+        one, two = OperatorElement.x(0, 1), OperatorElement.x(0, 2)
+        for bracket in (commutator, anticommutator):
+            for a, b in ((one, two), (two, one)):
+                with pytest.raises(ArityMismatchError):
+                    bracket(a, b)
+            with pytest.raises(ArityMismatchError):
+                bracket(one, Scalar.parameter(0, 2))
+
+    def test_functions_are_not_operands(self):
+        op, f = OperatorElement.identity(1), LaurentPolynomial.one(1)
+        for bracket in (commutator, anticommutator):
+            for a, b in ((op, f), (f, op)):
+                with pytest.raises(TypeError):
+                    bracket(a, b)
+
+
 class TestActOracle:
     def test_generator_actions(self):
         x, d, r = gens(1)
