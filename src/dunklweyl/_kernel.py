@@ -47,7 +47,7 @@ other variables' rows times that variable's cached merged row.  ``op_mul``
 is the one-sided case of the same loop.
 """
 
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm
 from operator import add
 
@@ -346,21 +346,7 @@ def _lift(X, den, lo, weights, nvars):
     return out
 
 
-class _Memo(dict):
-    """A dict that fills a missing entry with ``make(key)`` and keeps it,
-    so that a lookup, hit or miss, is one subscript."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
+@cache
 def _block(key):
     """Normal-ordered one-variable product x^a1 d^b1 R^e1 * x^a2 d^b2 R^e2.
 
@@ -368,7 +354,8 @@ def _block(key):
     ``((a, b, e), integer_coefficient)`` pairs.  The reflection of the left
     factor moves past the right factor's x- and d-powers picking up a sign,
     reflections compose mod 2, and d-powers move past x-powers by the
-    falling-factorial rule.
+    falling-factorial rule.  Rows are cached for the life of the process,
+    as are :func:`_apart` and the merged rows of :data:`_BRACKET_ROWS`.
     """
     a1, b1, e1, a2, b2, e2 = key
     sign = -1 if e1 and ((a2 + b2) & 1) else 1
@@ -386,25 +373,28 @@ def _merge(xy, yx, sign):
     return tuple([(m, k) for m, k in out.items() if k])
 
 
+@cache
+def _apart(key):
+    """Whether the blocks ``x`` and ``y`` of ``key = x + y`` fail to
+    commute, ``x*y != y*x``."""
+    return _block(key) != _block(key[3:] + key[:3])
+
+
 def _bracket_row(key, sign):
     """One variable's row in a bracket, ``key`` being ``x + y``:
     ``x*y + sign*y*x`` where the two orders differ, else ``x*y``."""
-    if _APART[key]:
-        return _merge(_ROWS[key], _ROWS[key[3:] + key[:3]], sign)
-    return _ROWS[key]
+    if _apart(key):
+        return _merge(_block(key), _block(key[3:] + key[:3]), sign)
+    return _block(key)
 
 
-# One variable's rows, keyed by the block pair ``x + y`` and kept for the
-# life of the process: ``_ROWS`` holds ``x*y``, ``_APART`` whether ``x*y``
-# and ``y*x`` differ, and ``_BRACKET_ROWS`` :func:`_bracket_row` per sign.
-_ROWS = _Memo(_block)
-_APART = _Memo(lambda key: _ROWS[key] != _ROWS[key[3:] + key[:3]])
-_BRACKET_ROWS = {sign: _Memo(partial(_bracket_row, sign=sign))
+# One variable's merged row in a bracket, per sign.
+_BRACKET_ROWS = {sign: cache(partial(_bracket_row, sign=sign))
                  for sign in (1, -1)}
 _UNIT = (((), 1),)
 
 
-def _expand(ka, kb, rows=_ROWS.__getitem__):
+def _expand(ka, kb, rows=_block):
     """The normal-ordered product of two split monomials, ``ka * kb``.
 
     Multiplies one variable block at a time, ``rows(x + y)`` giving each
@@ -532,14 +522,14 @@ def op_bracket(A, B, nvars, sign):
     merges the multipliers of its two orders before any coefficient is
     touched.
     """
-    apart = _APART.__getitem__
-    merged = _BRACKET_ROWS[sign].__getitem__
+    merged = _BRACKET_ROWS[sign]
 
     def pair_terms(ka, kb):
-        split = sum(map(apart, map(add, ka, kb)))
+        split = sum(map(_apart, map(add, ka, kb)))
         if split == 1:
-            # The other variables' blocks commute, so the pair's bracket is
-            # their rows times the one variable's merged row.
+            # The most common case.  The other variables' blocks commute,
+            # so the pair's bracket is their rows times the one variable's
+            # merged row.
             return _expand(ka, kb, merged)
         if split:
             return _merge(_expand(ka, kb), _expand(kb, ka), sign)
