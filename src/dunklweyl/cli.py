@@ -135,7 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--parametric", action="store_true",
                        help="symbolic deformation parameters (default)")
-    group.add_argument("--mu", type=_mu_values, default=None)
+    group.add_argument("--mu", type=_mu_values, default=None,
+                       help="exact rational deformation values v1,v2,..; "
+                            "a family on n variables reads the first n "
+                            "and cycles a shorter list")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--perturb", action="store_true",
                         help="negative control: break one structure constant")

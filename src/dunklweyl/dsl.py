@@ -11,6 +11,11 @@ power accepts only reflection-free derivative-free monomials with
 constant coefficients; both restrictions keep every expression inside
 the algebra.
 
+The parser interns its nodes: equal subexpressions of one input are one
+object.  ``evaluate`` evaluates each distinct subexpression once per call
+and releases its value after the last use, so ``comm(J0, J+^5) -
+11*J+^5`` raises J+ to the fifth power once.  No value outlives the call.
+
 The inverse direction is ``str``: the canonical normal-form string of
 an operator parses back to an equal operator (round trip at the value
 level, not the token level).
@@ -78,9 +83,9 @@ Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 # evaluated by repeated multiplication, and every binary operator in an
 # expression is one more operation.  The token cap leaves room for the
 # rendered normal forms the tests parse back (under 900 tokens).  The
-# parser and the evaluator recurse once per parenthesis, function call
-# and unary minus, so nesting has its own, smaller bound that keeps them
-# well inside the interpreter's recursion limit.
+# parser recurses once per parenthesis, function call and unary minus, so
+# nesting has its own, smaller bound that keeps it well inside the
+# interpreter's recursion limit.
 MAX_DIMS = 16
 MAX_EXPONENT = 64
 MAX_TOKENS = 4096
@@ -90,6 +95,7 @@ _FUNCTIONS = ("adjoint", "acomm", "comm")
 _RAW = re.compile(r"([xdR])([1-9]\d*)$")
 _MU = re.compile(r"mu([1-9]\d*)$")
 _PUNCT = "+-*/^(),"
+_WORD = re.compile(r"\w+")
 
 
 def _lexicon(dims: int) -> List[str]:
@@ -138,9 +144,19 @@ def _tokenize(text: str, dims: int) -> List[Token]:
             out.append(("num", int(text[pos:end]), pos))
             pos = end
             continue
-        raise ParseError(f"unknown symbol {text[pos:pos + 8]!r}", pos)
+        word = _WORD.match(text, pos)
+        symbol = word.group() if word else ch
+        raise ParseError(f"unknown symbol {symbol!r}", pos)
     out.append(("end", None, len(text)))
     return out
+
+
+def _field_key(field: object) -> object:
+    if isinstance(field, (str, int)):
+        return field
+    if isinstance(field, tuple):
+        return tuple(map(id, field))
+    return id(field)
 
 
 class _Parser:
@@ -148,6 +164,18 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.depth = 0
+        # Interned nodes, keyed on (type, plain fields, child ids).  The
+        # children are interned first and kept alive here, so their ids
+        # are stable; the dataclasses themselves are never hashed, since
+        # hashing recurses and a long parenthesised sum would overflow.
+        self.nodes: dict = {}
+
+    def node(self, cls: type, *fields: object) -> Expr:
+        key = (cls, *map(_field_key, fields))
+        found = self.nodes.get(key)
+        if found is None:
+            found = self.nodes[key] = cls(*fields)
+        return found
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -182,7 +210,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "punct" and val in "+-":
                 self.advance()
-                node = BinOp(val, node, self.term())
+                node = self.node(BinOp, val, node, self.term())
             else:
                 return node
 
@@ -192,7 +220,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "punct" and val in "*/":
                 self.advance()
-                node = BinOp(val, node, self.unary())
+                node = self.node(BinOp, val, node, self.unary())
             else:
                 return node
 
@@ -201,7 +229,7 @@ class _Parser:
         if kind == "punct" and val == "-":
             self.advance()
             self.nest(pos)
-            node = Neg(self.unary())
+            node = self.node(Neg, self.unary())
             self.depth -= 1
             return node
         return self.power()
@@ -211,7 +239,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "punct" and val == "^":
             self.advance()
-            node = Pow(node, self.exponent())
+            node = self.node(Pow, node, self.exponent())
         return node
 
     def exponent(self) -> int:
@@ -233,7 +261,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Num(val)
+            return self.node(Num, val)
         if kind == "punct" and val == "(":
             self.nest(pos)
             inner = self.expr()
@@ -259,8 +287,8 @@ class _Parser:
                     raise ParseError(
                         f"{val} takes {arity} argument(s), got {len(args)}",
                         pos)
-                return Call(val, tuple(args))
-            return Name(val)
+                return self.node(Call, val, tuple(args))
+            return self.node(Name, val)
         raise ParseError("expected an expression", pos)
 
 
@@ -322,51 +350,98 @@ def _invert(a: OperatorElement, dims: int) -> OperatorElement:
         "negative powers need a coordinate monomial with constant coefficient")
 
 
+def _children(node: Expr) -> Tuple[Expr, ...]:
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return node.arguments
+    if isinstance(node, (Name, Num)):
+        return ()
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _apply(node: Expr, args: List[OperatorElement],
+           dims: int) -> OperatorElement:
+    """The value of one node, given the values of its children."""
+    if isinstance(node, Num):
+        return node.value * OperatorElement.identity(dims)
+    if isinstance(node, Name):
+        return _resolve_name(node.identifier, dims)
+    if isinstance(node, Neg):
+        return -args[0]
+    if isinstance(node, Pow):
+        if node.exponent >= 0:
+            return args[0] ** node.exponent
+        return _invert(args[0], dims) ** (-node.exponent)
+    if isinstance(node, BinOp):
+        left, right = args
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if right.is_zero():
+            raise ValueError("division by zero")
+        divisor = _constant_of(right)
+        if divisor is None:
+            raise ValueError("division needs a constant divisor")
+        return left * divisor.inverse()
+    if node.function == "comm":
+        return commutator(*args)
+    if node.function == "acomm":
+        return anticommutator(*args)
+    return args[0].adjoint()
+
+
 def evaluate(ast: Expr, dims: int) -> OperatorElement:
-    """Evaluate an AST to an operator on dims variables."""
-    if isinstance(ast, Num):
-        return ast.value * OperatorElement.identity(dims)
-    if isinstance(ast, Name):
-        return _resolve_name(ast.identifier, dims)
-    if isinstance(ast, Neg):
-        return -evaluate(ast.operand, dims)
-    if isinstance(ast, Pow):
-        base = evaluate(ast.base, dims)
-        if ast.exponent >= 0:
-            return base ** ast.exponent
-        return _invert(base, dims) ** (-ast.exponent)
-    if isinstance(ast, BinOp):
-        # A chain like a + b + ... + z nests to the left, one level per
-        # operator, so walk it in a loop rather than by recursion.
-        chain = []
-        while isinstance(ast, BinOp):
-            chain.append(ast)
-            ast = ast.left
-        acc = evaluate(ast, dims)
-        for node in reversed(chain):
-            right = evaluate(node.right, dims)
-            if node.op == "+":
-                acc = acc + right
-            elif node.op == "-":
-                acc = acc - right
-            elif node.op == "*":
-                acc = acc * right
+    """Evaluate an AST to an operator on dims variables.
+
+    A node reached by several paths (the parser interns equal
+    subexpressions into one node) is evaluated once, and its value is
+    dropped after its last use.  Both walks use an explicit stack, so a
+    long chain like a + b + ... + z, which nests one level per operator,
+    needs no recursion.
+    """
+    # Uses left per node: one per edge into it.
+    uses = {id(ast): 1}
+    stack = [ast]
+    while stack:
+        for child in _children(stack.pop()):
+            key = id(child)
+            if key in uses:
+                uses[key] += 1
             else:
-                if right.is_zero():
-                    raise ValueError("division by zero")
-                divisor = _constant_of(right)
-                if divisor is None:
-                    raise ValueError("division needs a constant divisor")
-                acc = acc * divisor.inverse()
-        return acc
-    if isinstance(ast, Call):
-        args = [evaluate(a, dims) for a in ast.arguments]
-        if ast.function == "comm":
-            return commutator(*args)
-        if ast.function == "acomm":
-            return anticommutator(*args)
-        return args[0].adjoint()
-    raise TypeError(f"not an AST node: {ast!r}")
+                uses[key] = 1
+                stack.append(child)
+    # Post-order, left to right, as a recursive walk would go; a node
+    # pushed twice is evaluated at its first visit and skipped after.
+    values: dict = {}
+    stack = [ast]
+    while stack:
+        node = stack[-1]
+        if id(node) in values:
+            stack.pop()
+            continue
+        children = _children(node)
+        pending = [c for c in children if id(c) not in values]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        args = []
+        for child in children:
+            key = id(child)
+            args.append(values[key])
+            uses[key] -= 1
+            if not uses[key]:
+                del values[key]
+        values[id(node)] = _apply(node, args, dims)
+    return values[id(ast)]
 
 
 def parse_eval(text: str, dims: int) -> OperatorElement:

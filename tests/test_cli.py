@@ -108,6 +108,24 @@ class TestVerify:
                          ["verify", "sd2", "--parametric", "--mu", "0,0"])
         assert code == 2
 
+    def test_mu_list_is_read_cyclically(self, capsys):
+        # A family on n variables reads the first n values and cycles a
+        # shorter list.  The perturbed control's residual depends on the
+        # values, so equal reports mean equal values were read.
+        def residuals(mu):
+            code, out, err = run(capsys, ["verify", "sd2", "--perturb",
+                                          "--format", "json", f"--mu={mu}"])
+            assert code == 1 and err == ""
+            return json.loads(out)["results"]
+
+        assert residuals("1/3,1/2,2/5") == residuals("1/3,1/2")
+        assert residuals("1/3") == residuals("1/3,1/3")
+        assert residuals("1/3") != residuals("1/3,1/2")
+        code, out, err = run(capsys, ["verify", "sd2", "--mu=1/3,1/2,2/5"])
+        assert (code, out.splitlines()[-1], err) == (0, "status: pass", "")
+        code, out, err = run(capsys, ["verify", "sd2", "--mu=1/3"])
+        assert (code, out.splitlines()[-1], err) == (0, "status: pass", "")
+
 
 class TestSpectrum:
     def test_two_dim_table(self, capsys):
@@ -217,6 +235,13 @@ class TestInputLimits:
     def test_at_the_limit(self, capsys, argv, expected):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out == expected + "\n"
+
+    def test_long_parenthesised_sum(self, capsys):
+        # 2,000 terms nest 2,000 deep as a left chain; hashing that tree
+        # would overflow the interpreter stack.
+        text = "(" + "+".join(["x1"] * 2000) + ")*x1"
+        code, out, err = run(capsys, ["nf", "--dims", "1", text])
+        assert (code, out, err) == (0, "2000*x1^2\n", "")
 
     def test_levels_at_the_limit(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--dims", "1", "--mu", "0",

@@ -1,12 +1,17 @@
 """Tests for the expression language: lexing, precedence, evaluation."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_operator
 
+from dunklweyl import cli, dsl
 from dunklweyl.builders import build, names
 from dunklweyl.dsl import (
     BinOp,
@@ -20,7 +25,7 @@ from dunklweyl.dsl import (
     parse_eval,
 )
 from dunklweyl.opalg import OperatorElement, commutator
-from dunklweyl.scalars import Scalar
+from dunklweyl.scalars import SQRT2, I, Scalar
 
 
 def x(i, n, p=1):
@@ -71,6 +76,21 @@ class TestParsing:
             parse("x3", 2)
         with pytest.raises(ParseError):
             parse("J+", 1)
+
+    @pytest.mark.parametrize("text,dims,symbol,position", [
+        ("mu3*x1", 2, "mu3", 0),
+        ("x1+foo_bar*x1", 1, "foo_bar", 3),
+        ("x1 + $x1", 1, "$", 5),
+    ])
+    def test_unknown_symbol_names_its_word(self, text, dims, symbol,
+                                           position):
+        # The run of letters, digits and _ at the bad position, or the one
+        # character there; not a fixed-width slice of the input.
+        with pytest.raises(ParseError) as err:
+            parse(text, dims)
+        assert err.value.position == position
+        assert str(err.value) == (f"unknown symbol {symbol!r} "
+                                  f"(at position {position})")
 
     def test_function_arity(self):
         with pytest.raises(ParseError):
@@ -144,3 +164,159 @@ class TestRoundTrip:
         z = OperatorElement.zero(2)
         assert str(z) == "0"
         assert parse_eval("0", 2) == z
+
+
+class TestSharing:
+    """Equal subexpressions are one node, evaluated once per call."""
+
+    @staticmethod
+    def count_powers(monkeypatch):
+        calls = []
+        power = OperatorElement.__pow__
+
+        def counting(self, n):
+            calls.append(n)
+            return power(self, n)
+
+        monkeypatch.setattr(OperatorElement, "__pow__", counting)
+        return calls
+
+    def test_parser_interns_equal_subexpressions(self):
+        ast = parse("comm(J0, J+^3) - 6*J+^3", 2)
+        assert ast.left.arguments[1] is ast.right.right
+        assert ast == BinOp("-", Call("comm", (Name("J0"), Pow(Name("J+"), 3))),
+                            BinOp("*", Num(6), Pow(Name("J+"), 3)))
+        ast = parse("x1*x1 + x1*x1", 1)
+        assert ast.left is ast.right and ast.left.left is ast.left.right
+
+    def test_shared_power_evaluates_once(self, monkeypatch):
+        calls = self.count_powers(monkeypatch)
+        assert parse_eval("comm(J0, J+^3) - 6*J+^3", 2).is_zero()
+        assert calls == [3]
+
+    def test_distinct_powers_evaluate_apart(self, monkeypatch):
+        calls = self.count_powers(monkeypatch)
+        jp = build("J+", 2)
+        assert parse_eval("J+^3 + J+^2", 2) == jp * jp * jp + jp * jp
+        assert sorted(calls) == [2, 3]
+
+    def test_unshared_ast_evaluates(self, monkeypatch):
+        # Built by hand, so the two equal powers are distinct objects.
+        ast = BinOp("-", Call("comm", (Name("J0"), Pow(Name("J+"), 3))),
+                    BinOp("*", Num(6), Pow(Name("J+"), 3)))
+        assert ast.left.arguments[1] is not ast.right.right
+        calls = self.count_powers(monkeypatch)
+        assert evaluate(ast, 2).is_zero()
+        assert calls == [3, 3]
+
+    def test_shared_operands_of_one_node(self):
+        x1 = Name("x1")
+        square = BinOp("*", x1, x1)
+        ast = Call("comm", (square, BinOp("+", square, Call("adjoint", (square,)))))
+        assert evaluate(ast, 1).is_zero()
+        assert parse_eval("acomm(x1*x1, x1*x1)", 1) == 2 * x(0, 1, 4)
+
+    def test_parse_eval_goes_through_evaluate(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(dsl, "evaluate",
+                            lambda ast, dims: seen.append((ast, dims)) or 7)
+        assert dsl.parse_eval("x1", 1) == 7
+        assert seen == [(Name("x1"), 1)]
+
+
+# Differential grammar fuzzer -------------------------------------------------
+
+# One variable: the raw generators, the scalar names and small integers.
+# The degree in x1 and d1 is capped so that every tree stays cheap.
+_NAMES = {"x1": 1, "d1": 1, "R1": 0, "mu1": 0, "i": 0, "sqrt2": 0}
+_MAX_DEGREE = 6
+
+
+@st.composite
+def shared_trees(draw):
+    """A small AST over one variable whose nodes reuse earlier subtrees.
+
+    Each step combines nodes drawn from the pool of all nodes made so far,
+    so subtrees recur on purpose (the same object, by several paths).  A
+    step whose degree would pass the cap becomes a sum.
+    """
+    leaf = st.one_of(st.sampled_from(sorted(_NAMES)).map(Name),
+                     st.integers(0, 4).map(Num))
+    pool = [(node, _NAMES.get(getattr(node, "identifier", None), 0))
+            for node in draw(st.lists(leaf, min_size=1, max_size=4))]
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["+", "-", "*", "^", "comm", "acomm", "adjoint"]))
+        # One operand among the newest nodes, so that trees grow deep.
+        a, da = pool[-1 - draw(st.integers(0, min(2, len(pool) - 1)))]
+        b, db = pool[draw(st.integers(0, len(pool) - 1))]
+        if kind == "^":
+            n = draw(st.integers(0, 3))
+            node, degree = Pow(a, n), da * n
+        elif kind == "adjoint":
+            node, degree = Call("adjoint", (a,)), da
+        elif kind in ("comm", "acomm"):
+            node, degree = Call(kind, (a, b)), da + db
+        elif kind == "*":
+            node, degree = BinOp("*", a, b), da + db
+        else:
+            node, degree = BinOp(kind, a, b), max(da, db)
+        if degree > _MAX_DEGREE:
+            node, degree = BinOp("+", a, b), max(da, db)
+        pool.append((node, degree))
+    return pool[-1][0]
+
+
+def _render(node):
+    """Fully parenthesised source text of a tree."""
+    if isinstance(node, Name):
+        return node.identifier
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Pow):
+        return f"({_render(node.base)})^{node.exponent}"
+    if isinstance(node, BinOp):
+        return f"({_render(node.left)} {node.op} {_render(node.right)})"
+    return f"{node.function}({', '.join(map(_render, node.arguments))})"
+
+
+def _reference(node):
+    """Plain recursive evaluation: powers multiplied from the right and
+    brackets as two products, one subtree at a time."""
+    one = OperatorElement.identity(1)
+    if isinstance(node, Num):
+        return node.value * one
+    if isinstance(node, Name):
+        return {"x1": OperatorElement.x(0, 1), "d1": OperatorElement.d(0, 1),
+                "R1": OperatorElement.r(0, 1),
+                "mu1": Scalar.parameter(0, 1) * one,
+                "i": I * one, "sqrt2": SQRT2 * one}[node.identifier]
+    if isinstance(node, Pow):
+        base, out = _reference(node.base), one
+        for _ in range(node.exponent):
+            out = out * base
+        return out
+    if isinstance(node, BinOp):
+        a, b = _reference(node.left), _reference(node.right)
+        return {"+": a + b, "-": a - b, "*": a * b}[node.op]
+    args = [_reference(arg) for arg in node.arguments]
+    if node.function == "adjoint":
+        return args[0].adjoint()
+    a, b = args
+    if node.function == "comm":
+        return a * b - b * a
+    return a * b + b * a
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(shared_trees())
+    def test_text_tree_and_cli_agree(self, tree):
+        text = _render(tree)
+        value = evaluate(tree, 1)
+        assert parse_eval(text, 1) == value
+        assert value == _reference(tree)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["nf", "--dims", "1", text])
+        assert (code, out.getvalue(), err.getvalue()) == (0, f"{value}\n", "")

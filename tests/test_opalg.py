@@ -289,7 +289,21 @@ class TestElementApi:
         monkeypatch.setattr(opalg, "op_mul", counting)
         assert A ** 3 == cube
         assert len(calls) == 2
+        # The single factor stays on the left: A * (A * A).
+        assert all(left == A._data for left, _, _ in calls)
         assert A ** 1 == A
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 2),
+           st.integers(0, 5))
+    def test_power_equals_right_multiplied_product(self, rng, nvars, n):
+        A = random_operator(rng, nvars, max_terms=3, max_pow=2)
+        product = OperatorElement.identity(nvars)
+        if n:
+            product = A
+            for _ in range(n - 1):
+                product = product * A
+        assert A ** n == product
 
     def test_coefficient_accessor(self):
         mu = Scalar.parameter(0, 1)
