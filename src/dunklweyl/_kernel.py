@@ -26,11 +26,15 @@ a polynomial dict, inner or not, once it is stored in a value.
 ``op_mul``, where nearly all of a verification's time goes, does not
 normalise term by term.  It lifts each operand to integer numerators over
 one common denominator, packs each mu-exponent tuple into one int, sums
-the products of numerators in plain ints (or four-part numerators when a
-coefficient has i or sqrt2 parts), and reduces each output coefficient by
-one gcd at the end.  The per-variable products of monomial blocks are
-cached for the life of the process.  The result is the same canonical dict
-as term-by-term arithmetic gives.
+the products of numerators, and reduces each output coefficient by one gcd
+at the end.  The numerators are plain ints when each operand's
+coefficients lie on one line ``Q*u``, ``u`` one of 1, i, sqrt2 and
+i*sqrt2 (the ladder operators carry 1/sqrt2), and the product of the two
+units, from a ten-entry table, is restored in the reduction; otherwise
+they are four-part numerators where a coefficient mixes parts.  The
+per-variable products of monomial blocks are cached for the life of the
+process.  The result is the same canonical dict as term-by-term arithmetic
+gives.
 
 ``op_bracket`` computes ``A*B + sign*B*A``, the commutator (``sign=-1``)
 and the anticommutator (``sign=1``) behind every relation the verifier
@@ -45,6 +49,12 @@ is skipped by the commutator (and doubled by the anticommutator); when the
 blocks commute in all variables but one, the merged multipliers are the
 other variables' rows times that variable's cached merged row.  ``op_mul``
 is the one-sided case of the same loop.
+
+``op_outer`` multiplies operators whose terms touch disjoint sets of
+variables, which is how ``opalg`` flattens a product it keeps as
+one-variable factors: each monomial pair gives one output monomial, with no
+reordering.  Products, brackets and outer products are one pair loop,
+``_product``, that differs only in its rule for a monomial pair.
 """
 
 from functools import cache, partial
@@ -306,25 +316,32 @@ class _Surd:
 
 
 def _bounds(X):
-    """Common denominator and per-parameter exponent range of an operator.
+    """Common denominator, per-parameter exponent range and line of an
+    operator.
 
-    Returns ``(den, lo, hi)``: ``den`` is the lcm of the coefficient
+    Returns ``(den, lo, hi, axis)``: ``den`` is the lcm of the coefficient
     denominators, ``lo``/``hi`` list the least and greatest exponent of each
-    deformation parameter.
+    deformation parameter, and ``axis`` is the one part of the base number
+    (0 to 3, for 1, i, sqrt2, i*sqrt2) that every coefficient lies on, or
+    None when the coefficients use more than one.
     """
     polys = X.values()
-    den = lcm(*[c[4] for p in polys for c in p.values()])
+    *parts, dens = zip(*[c for p in polys for c in p.values()])
+    axes = [j for j, part in enumerate(parts) if any(part)]
     columns = list(zip(*[e for p in polys for e in p]))
-    return den, [min(c) for c in columns], [max(c) for c in columns]
+    return (lcm(*dens), [min(c) for c in columns], [max(c) for c in columns],
+            axes[0] if len(axes) == 1 else None)
 
 
-def _lift(X, den, lo, weights, nvars):
+def _lift(X, den, lo, weights, nvars, axis):
     """Operator terms as ``(blocks, [(packed_exponent, numerator)])``.
 
     ``blocks`` splits the flat monomial into one ``(a, b, e)`` triple per
     variable.  The exponent tuple, shifted by ``lo``, is packed with the
-    place values ``weights``.  The numerator is over ``den``: an int when
-    the coefficient is rational, a :class:`_Surd` otherwise.
+    place values ``weights``.  The numerator is over ``den``: with ``axis``
+    set, every coefficient lies on that part's line and the numerator is
+    the int on it; with ``axis`` None, an int when the coefficient is
+    rational and a :class:`_Surd` otherwise.
     """
     shift = sum(b * w for b, w in zip(lo, weights))
     packed = {}
@@ -332,16 +349,19 @@ def _lift(X, den, lo, weights, nvars):
     out = []
     for m, p in X.items():
         nums = []
-        for e, (cp, cq, cr, cs, cd) in p.items():
+        for e, c in p.items():
             key = packed.get(e)
             if key is None:
                 key = sum([x * w for x, w in zip(e, weights)]) - shift
                 packed[e] = key
-            k = den // cd
-            if cq or cr or cs:
-                nums.append((key, _Surd(cp * k, cq * k, cr * k, cs * k)))
+            k = den // c[4]
+            if axis is not None:
+                nums.append((key, c[axis] * k))
+            elif c[1] or c[2] or c[3]:
+                nums.append((key, _Surd(c[0] * k, c[1] * k, c[2] * k,
+                                        c[3] * k)))
             else:
-                nums.append((key, cp * k))
+                nums.append((key, c[0] * k))
         out.append((tuple([m[j:j + 3] for j in starts]), nums))
     return out
 
@@ -414,17 +434,38 @@ def _expand(ka, kb, rows=_block):
     return _UNIT if terms is None else terms
 
 
+# The product of the units of two lines of Q(i, sqrt2), per pair of parts
+# (0 to 3, for 1, i, sqrt2, i*sqrt2): the part it lies on and the integer
+# it carries, so that i*(i*sqrt2) = -sqrt2 is (2, -1).
+_UNIT_PRODUCTS = {
+    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+    (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
+    (2, 2): (0, 2), (2, 3): (1, 2),
+    (3, 3): (0, -2),
+}
+
+
 def _plan(A, B, nvars):
     """Lift both operands of one product onto a shared exponent packing.
 
-    Returns ``(den, unpack, ta, tb)``: ``den`` is the denominator ``DA*DB``
-    of every product term, ``unpack`` the ``(weight, radix, offset)`` of
-    each parameter for :func:`_reduce`, and ``ta``/``tb`` the lifted terms
-    of ``A``/``B``.  Radix and denominator are symmetric in the operands, so
-    one plan serves ``A*B`` and ``B*A`` alike.
+    Returns ``(den, unpack, unit, ta, tb)``: ``den`` is the denominator
+    ``DA*DB`` of every product term, ``unpack`` the ``(weight, radix,
+    offset)`` of each parameter for :func:`_reduce`, ``unit`` the ``(part,
+    integer)`` an int sum of products stands for, and ``ta``/``tb`` the
+    lifted terms of ``A``/``B``.  When each operand's coefficients lie on
+    one line, ``Q`` times 1, i, sqrt2 or i*sqrt2, both lift to plain ints
+    and ``unit`` is the product of the two lines' units; otherwise ints are
+    rational and the rest :class:`_Surd`.  Radix, denominator and unit are
+    symmetric in the operands, so one plan serves ``A*B`` and ``B*A``
+    alike.
     """
-    da, loa, hia = _bounds(A)
-    db, lob, hib = _bounds(B)
+    da, loa, hia, axa = _bounds(A)
+    db, lob, hib, axb = _bounds(B)
+    if axa is None or axb is None:
+        axa = axb = None
+        unit = (0, 1)
+    else:
+        unit = _UNIT_PRODUCTS[min(axa, axb), max(axa, axb)]
     # Place value and radix of each parameter: the packed sum of two
     # exponents cannot carry into the next parameter's digit.
     weights = []
@@ -435,16 +476,18 @@ def _plan(A, B, nvars):
         weights.append(weight)
         unpack.append((weight, radix, loa[j] + lob[j]))
         weight *= radix
-    return (da * db, unpack, _lift(A, da, loa, weights, nvars),
-            _lift(B, db, lob, weights, nvars))
+    return (da * db, unpack, unit, _lift(A, da, loa, weights, nvars, axa),
+            _lift(B, db, lob, weights, nvars, axb))
 
 
-def _reduce(acc, den, unpack):
+def _reduce(acc, den, unpack, unit):
     """The canonical operator from packed integer sums over ``den``.
 
-    Each coefficient is reduced once, by ``gcd(p, q, r, s, den)``, zeros
-    and emptied monomials are dropped, and each packed key is unpacked.
+    An int sum stands for itself times ``unit``.  Each coefficient is
+    reduced once, by ``gcd(p, q, r, s, den)``, zeros and emptied monomials
+    are dropped, and each packed key is unpacked.
     """
+    part, factor = unit
     unpacked = {}
     # Reduce in place, so the integer sums are freed as the result grows.
     for mono, nums in acc.items():
@@ -453,8 +496,14 @@ def _reduce(acc, den, unpack):
             if type(c) is int:
                 if not c:
                     continue
+                c *= factor
                 g = gcd(c, den)
-                v = (c // g, 0, 0, 0, den // g)
+                if part:
+                    v = [0, 0, 0, 0, den // g]
+                    v[part] = c // g
+                    v = tuple(v)
+                else:
+                    v = (c // g, 0, 0, 0, den // g)
             else:
                 p, q, r, s = c.p, c.q, c.r, c.s
                 if not (p or q or r or s):
@@ -477,7 +526,7 @@ def _product(A, B, nvars, pair_terms):
     output monomial of each pair."""
     if not A or not B:
         return {}
-    den, unpack, ta, tb = _plan(A, B, nvars)
+    den, unpack, unit, ta, tb = _plan(A, B, nvars)
     acc = {}
     for ka, pa in ta:
         for kb, pb in tb:
@@ -491,7 +540,15 @@ def _product(A, B, nvars, pair_terms):
                         e = ea + eb
                         tgt[e] = tgt.get(e, 0) + kc * cb
     del ta, tb
-    return _reduce(acc, den, unpack)
+    return _reduce(acc, den, unpack, unit)
+
+
+def _outer(ka, kb):
+    """The pair rule of operands on disjoint variables: in every variable
+    one of the two blocks is ``(0, 0, 0)``, so the pair gives one monomial,
+    the blocks added, with multiplier 1."""
+    return ((tuple([u + v for x, y in zip(ka, kb) for u, v in zip(x, y)]),
+             1),)
 
 
 def op_mul(A, B, nvars):
@@ -500,15 +557,16 @@ def op_mul(A, B, nvars):
     Both operands are lifted to integer numerators over one common
     denominator each, ``DA`` and ``DB`` (the lcm of their coefficient
     denominators), so every product term has the denominator ``DA*DB`` and
-    the inner loop only multiplies and adds integers: plain ints for
-    rational coefficients, :class:`_Surd` for the rest.  Each mu-exponent
-    tuple, less the operand's least exponent per parameter, is packed into
-    one int with a per-call radix of ``spanA_j + spanB_j + 1`` for
-    parameter j, so adding two packed keys adds the exponents without carry.
-    Monomials are multiplied one variable block at a time through the
-    cached rows.  At the end each output coefficient is reduced once, by
-    ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the canonical
-    form is unique the result equals term-by-term arithmetic.
+    the inner loop only multiplies and adds integers: plain ints when each
+    operand's coefficients lie on one line of ``Q(i, sqrt2)``, else plain
+    ints for rational coefficients and :class:`_Surd` for the rest.  Each
+    mu-exponent tuple, less the operand's least exponent per parameter, is
+    packed into one int with a per-call radix of ``spanA_j + spanB_j + 1``
+    for parameter j, so adding two packed keys adds the exponents without
+    carry.  Monomials are multiplied one variable block at a time through
+    the cached rows.  At the end each output coefficient is reduced once,
+    by ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the
+    canonical form is unique the result equals term-by-term arithmetic.
     """
     return _product(A, B, nvars, _expand)
 
@@ -539,3 +597,15 @@ def op_bracket(A, B, nvars, sign):
         return [(m, 2 * k) for m, k in _expand(ka, kb)]
 
     return _product(A, B, nvars, pair_terms)
+
+
+def op_outer(A, B, nvars):
+    """``A*B`` for operators whose terms touch disjoint sets of variables,
+    as when a product of one-variable factors is flattened.
+
+    Distinct variables commute, so no monomial needs reordering: each pair
+    of monomials gives one output monomial.  Its coefficient is still the
+    sum of the pair's coefficient products, since a factor's coefficients
+    may carry any variable's deformation parameter.
+    """
+    return _product(A, B, nvars, _outer)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import relations, states
@@ -116,7 +117,10 @@ def _cmd_list_relations(args: argparse.Namespace) -> Outcome:
     return 0, "ok", results, lines
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing keeps no state in the parser, so
+    # in-process callers of main() need not pay for it on every call.
     parser = argparse.ArgumentParser(
         prog="dunklweyl",
         description="Exact operator algebra of the deformed oscillator: "

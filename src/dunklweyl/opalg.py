@@ -19,6 +19,15 @@ are complex-conjugated, and products reverse.
 ``LaurentPolynomial`` is the function space the algebra acts on: spans of
 ``x^a`` with integer (possibly negative) exponents and Scalar coefficients.
 
+A product of operators on distinct variables, such as the Schwinger-Dunkl
+generator ``J+ = A+1*A-2`` and its powers, is kept as its one-variable
+factors: ``J+^5`` is two 36-term factors rather than 1,296 flat terms.
+Products and powers multiply such elements factor by factor, and a bracket
+of one with a sum of one-variable terms, ``[H1 + H2, X*Y] = [H1, X]*Y +
+X*[H2, Y]``, goes by the Leibniz rule; the flat normal form is built from
+the factors on first use and kept.  Results are the same normal forms
+either way.
+
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
 multiples and equality; only the key of the unit term differs (a
@@ -31,8 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import (
-    Iterator, KeysView, Optional, Sequence, Tuple, Type, TypeVar, Union)
+    Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Type, TypeVar,
+    Union)
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -40,6 +51,7 @@ from dunklweyl._kernel import (
     op_add,
     op_bracket,
     op_mul,
+    op_outer,
     op_scale,
     op_sub,
     poly_add,
@@ -178,13 +190,16 @@ class _Combination:
             return Scalar.zero(self._nvars)
         return Scalar(dict(poly), self._nvars)
 
+    def _check_arity(self: _C, other: _C) -> None:
+        if other._nvars != self._nvars:
+            raise ArityMismatchError(
+                f"{self._NOUN} on {self._nvars} and {other._nvars} variables")
+
     def _coerce(self, other) -> Optional[dict]:
         """The term dict of a value of the same type or of a scalar, else
         None."""
         if isinstance(other, type(self)):
-            if other._nvars != self._nvars:
-                raise ArityMismatchError(
-                    f"{self._NOUN} on {self._nvars} and {other._nvars} variables")
+            self._check_arity(other)
             return other._data
         if isinstance(other, _SCALARS):
             poly = _scalar_poly(other, self._nvars)
@@ -240,12 +255,83 @@ class _Combination:
         return f"{type(self).__name__}({self}, nvars={self._nvars})"
 
 
-class OperatorElement(_Combination):
-    """An element of the algebra in normal form, keyed by flat monomials."""
+def _touched(mono: tuple) -> List[int]:
+    """The variables whose block in a flat monomial is not ``(0, 0, 0)``."""
+    return [j // 3 for j in range(0, len(mono), 3)
+            if mono[j] or mono[j + 1] or mono[j + 2]]
 
-    __slots__ = ()
+
+def _separate(data: dict) -> Optional[Dict[Optional[int], dict]]:
+    """The terms of ``data`` by the one variable each touches, the constant
+    term under None; None when some term touches two or more variables."""
+    out: Dict[Optional[int], dict] = {}
+    for mono, poly in data.items():
+        touched = _touched(mono)
+        if len(touched) > 1:
+            return None
+        out.setdefault(touched[0] if touched else None, {})[mono] = poly
+    return out
+
+
+def _flatten(factors: Dict[int, dict], nvars: int) -> dict:
+    """The normal form of a product of factors on distinct variables."""
+    return reduce(lambda a, b: op_outer(a, b, nvars),
+                  [factors[j] for j in sorted(factors)])
+
+
+class OperatorElement(_Combination):
+    """An element of the algebra in normal form, keyed by flat monomials.
+
+    A product of operators on distinct variables, such as ``J+ = A+1*A-2``
+    or ``J+^5``, is held as its factors instead: ``_factors`` maps each
+    variable to a kernel dict whose monomials touch no other variable (its
+    coefficients may carry any parameter).  Products and powers of
+    such elements multiply factor by factor, and brackets with a sum of
+    one-variable terms go by the Leibniz rule.  The flat normal form is
+    built from the factors, by outer products, on the first read of
+    ``_data`` and then kept.  ``_factors`` is None for every other element.
+    """
+
+    __slots__ = ("_factors",)
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
+
+    def __init__(self, data: dict, nvars: int) -> None:
+        super().__init__(data, nvars)
+        self._factors: Optional[Dict[int, dict]] = None
+
+    @classmethod
+    def _product_of(cls, factors: Dict[int, dict],
+                    nvars: int) -> "OperatorElement":
+        """The product of one-variable factors, kept factored when there
+        are two or more."""
+        if not all(factors.values()):
+            return cls.zero(nvars)
+        if len(factors) == 1:
+            (data,) = factors.values()
+            return cls(data, nvars)
+        out = cls.__new__(cls)
+        out._nvars = nvars
+        out._factors = factors
+        return out
+
+    def __getattr__(self, name: str):
+        # Called only for a slot left unset: the flat terms of a product
+        # kept factored, built here on first use.
+        if name != "_data":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        data = self._data = _flatten(self._factors, self._nvars)
+        return data
+
+    def _split(self) -> Optional[Dict[int, dict]]:
+        """The factors of this element by variable, if it is kept factored
+        or touches exactly one variable; else None."""
+        if self._factors is not None:
+            return self._factors
+        parts = _separate(self._data)
+        touched = [j for j in parts or () if j is not None]
+        return {touched[0]: self._data} if len(touched) == 1 else None
 
     @classmethod
     def identity(cls, nvars: int) -> "OperatorElement":
@@ -287,9 +373,16 @@ class OperatorElement(_Combination):
 
     def __mul__(self, other) -> "OperatorElement":
         if isinstance(other, OperatorElement):
-            return OperatorElement(
-                op_mul(self._data, self._coerce(other), self._nvars),
-                self._nvars)
+            self._check_arity(other)
+            n = self._nvars
+            left, right = self._split(), other._split()
+            if left is None or right is None:
+                return OperatorElement(op_mul(self._data, other._data, n), n)
+            # Distinct variables commute: multiply factor by factor.
+            factors = dict(left)
+            for j, f in right.items():
+                factors[j] = op_mul(factors[j], f, n) if j in factors else f
+            return OperatorElement._product_of(factors, n)
         return super().__mul__(other)
 
     def __truediv__(self, other) -> "OperatorElement":
@@ -306,8 +399,10 @@ class OperatorElement(_Combination):
         x-power of the right one, which gives up to ``b + 1`` terms
         (exactly ``b + 1`` when that x-power is negative).  Keeping the
         single factor, of low derivative order, on the left keeps every
-        such row short: ``J+^5`` takes 17,580 (monomial pair, output
-        monomial) steps this way and 33,108 multiplying from the right.
+        such row short.  A product kept factored is raised factor by
+        factor, each factor from the left, and stays factored: ``J+^5`` is
+        ``A+1^5`` and ``A-2^5``, 36 terms each, and its 1,296 flat terms
+        are built only when something reads them.
         """
         if not isinstance(n, int) or n < 0:
             return NotImplemented
@@ -412,9 +507,53 @@ class OperatorElement(_Combination):
         return self._data
 
 
+def _leibniz(a: OperatorElement, b: OperatorElement,
+             sign: int) -> Optional[OperatorElement]:
+    """``a*b + sign*b*a`` by the Leibniz rule, or None where it does not
+    apply.
+
+    It applies when one operand is a sum ``S = c + S_1 + ... + S_n`` of
+    terms that each touch at most one variable and the other is a product
+    ``T = F_1*...*F_n`` kept factored.  ``S_j`` commutes with every ``F_k``
+    but ``F_j``, so ``[S, T] = sum_j [S_j, F_j] * prod_{k != j} F_k``, and
+    the same holds with ``T`` first and for the anticommutator, to which the
+    constant ``c`` adds ``2c*T``.  Each term is one small bracket and outer
+    products.
+    """
+    if a._factors is None and b._factors is not None:
+        s, t = a, b
+    elif b._factors is None and a._factors is not None:
+        s, t = b, a
+    else:
+        return None
+    parts = _separate(s._data)
+    if parts is None:
+        return None
+    n = a._nvars
+    const = parts.pop(None, None)
+    one = OperatorElement.identity(n)._data
+    factors = t._factors
+    out: dict = {}
+    for j, s_j in parts.items():
+        pair = (s_j, factors.get(j, one))
+        term = op_bracket(*(pair if s is a else pair[::-1]), n, sign)
+        if term:
+            out = op_add(out, _flatten({**factors, j: term}, n))
+    if const and sign > 0:
+        (c,) = const.values()
+        out = op_add(out, op_scale(t._data, poly_scale_int(c, 2)))
+    return OperatorElement(out, n)
+
+
 def _bracket(a, b, sign: int) -> OperatorElement:
-    """``a*b + sign*b*a`` in the kernel's one pass over both orders; either
-    operand may be a scalar."""
+    """``a*b + sign*b*a`` in the kernel's one pass over both orders, or by
+    the Leibniz rule over the factors of a product; either operand may be
+    a scalar."""
+    if isinstance(a, OperatorElement) and isinstance(b, OperatorElement):
+        a._check_arity(b)
+        out = _leibniz(a, b, sign)
+        if out is not None:
+            return out
     if not isinstance(a, OperatorElement) and isinstance(b, OperatorElement):
         # A scalar is central: its commutator vanishes and its
         # anticommutator is symmetric, so the order does not matter.

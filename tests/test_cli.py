@@ -12,7 +12,7 @@ import pytest
 from helpers import random_operator
 
 import dunklweyl
-from dunklweyl import dsl, states
+from dunklweyl import cli, dsl, states
 from dunklweyl.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
@@ -318,6 +318,33 @@ class TestDeterminism:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestParserReuse:
+    """main() builds its argparse parser once per process, so no call may
+    leave state in it for the next."""
+
+    @pytest.mark.parametrize("bad", [
+        ["verify"],
+        ["nf", "x1", "--dims", "two"],
+        ["spectrum", "--dims", "3", "--mu", "1/3"],
+        ["verify", "sd2", "--mu=1/3", "--parametric"],
+    ])
+    def test_usage_error_then_good_call(self, capsys, bad):
+        good = ["verify", "sd2", "--format", "json"]
+        fresh = []
+        for argv in (bad, good):
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        cli._build_parser.cache_clear()
+        assert [run(capsys, bad), run(capsys, good)] == fresh
+        assert fresh[0][0] == 2 and fresh[1][0] == 0
+
+    def test_mu_does_not_carry_over(self, capsys):
+        assert run(capsys, ["verify", "sd2", "--mu=1/3"])[0] == 0
+        code, out, _ = run(capsys, ["verify", "sd2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["mu_mode"] == "parametric"
 
 
 class TestRoundTripThroughCli:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import random_operator
 
-from dunklweyl import cli, dsl
+from dunklweyl import cli, dsl, opalg
 from dunklweyl.builders import build, names
 from dunklweyl.dsl import (
     BinOp,
@@ -222,6 +222,39 @@ class TestSharing:
                             lambda ast, dims: seen.append((ast, dims)) or 7)
         assert dsl.parse_eval("x1", 1) == 7
         assert seen == [(Name("x1"), 1)]
+
+
+class TestFactoredPath:
+    """Powers of ``J+`` stay factored, and a bracket with a sum of
+    one-variable terms never flattens them."""
+
+    @staticmethod
+    def count_brackets(monkeypatch):
+        calls = []
+        bracket = opalg.op_bracket
+
+        def counting(A, B, nvars, sign):
+            calls.append((len(A), len(B)))
+            return bracket(A, B, nvars, sign)
+
+        monkeypatch.setattr(opalg, "op_bracket", counting)
+        return calls
+
+    def test_leibniz_brackets_only_factors(self, monkeypatch):
+        # J+^5 has 1,296 terms; each of its factors A+1^5 and A-2^5 has 36.
+        assert len(parse_eval("J+^5", 2).kernel_op) == 1296
+        assert len(parse_eval("A+1^5", 2).kernel_op) == 36
+        calls = self.count_brackets(monkeypatch)
+        assert parse_eval("comm(H, J+^5)", 2).is_zero()
+        assert calls and max(max(sizes) for sizes in calls) <= 36
+
+    def test_flat_bracket_where_no_rule_applies(self, monkeypatch):
+        # The Casimir has terms on both variables at once.
+        casimir = build("C", 2)
+        cube = parse_eval("J-^3", 2)
+        calls = self.count_brackets(monkeypatch)
+        assert parse_eval("comm(C, J-^3)", 2).is_zero()
+        assert calls == [(len(casimir.kernel_op), len(cube.kernel_op))]
 
 
 # Differential grammar fuzzer -------------------------------------------------

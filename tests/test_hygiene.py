@@ -117,3 +117,32 @@ def test_brackets_use_one_kernel_pass(path):
     lines = _two_product_brackets(tree)
     assert not lines, (f"{path.name} writes a bracket as two products on "
                        f"lines {lines}; call commutator/anticommutator")
+
+
+def _reads_outside(tree, name, owner):
+    """Lines where ``name`` is read outside the function ``owner``, each
+    read charged to its innermost enclosing function."""
+    out = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load) and inside != owner):
+                out.append(child.lineno)
+            visit(child, inside)
+
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_pair_loop(path):
+    """Only ``_product`` lifts operands, so every product, bracket and
+    flattening runs its one pair loop and no second loop can appear."""
+    tree = ast.parse(path.read_text(), str(path))
+    lines = _reads_outside(tree, "_plan", "_product")
+    assert not lines, (f"{path.name} uses _plan outside _product on lines "
+                       f"{lines}; add a pair rule to _product instead")

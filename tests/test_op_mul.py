@@ -6,12 +6,15 @@ their closed form."""
 import copy
 from math import comb, gcd, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_bracket, reference_op_mul
 
 from dunklweyl._kernel import (
+    _Surd,
+    _plan,
     bn_make,
     bn_neg,
     dx_rows,
@@ -40,11 +43,19 @@ _general = st.builds(bn_make, st.integers(-9, 9), st.integers(-9, 9),
 _coeffs = st.one_of(_rational, _general).filter(_nonzero)
 
 
-def _polys(nparams):
+def _on_line(part):
+    """Coefficients on one line of Q(i, sqrt2): rational multiples of 1, i,
+    sqrt2 or i*sqrt2 for part 0 to 3."""
+    return st.builds(lambda k, d: bn_make(*[k if j == part else 0
+                                            for j in range(4)], d),
+                     st.integers(-40, 40).filter(bool), _dens)
+
+
+def _polys(nparams, coeffs=_coeffs):
     # High exponents, and negative ones, which the exponent packing must
     # offset rather than carry.
     expo = st.tuples(*[st.integers(-3, 12)] * nparams)
-    return st.dictionaries(expo, _coeffs, min_size=1, max_size=4)
+    return st.dictionaries(expo, coeffs, min_size=1, max_size=4)
 
 
 def _monos(nvars):
@@ -53,8 +64,8 @@ def _monos(nvars):
     return st.tuples(*[block] * nvars).map(lambda bs: sum(bs, ()))
 
 
-def _ops(nvars, nparams, min_size=0, max_size=5):
-    return st.dictionaries(_monos(nvars), _polys(nparams),
+def _ops(nvars, nparams, min_size=0, max_size=5, coeffs=_coeffs):
+    return st.dictionaries(_monos(nvars), _polys(nparams, coeffs),
                            min_size=min_size, max_size=max_size)
 
 
@@ -198,6 +209,58 @@ class TestBracketAgainstReference:
         A, _, nvars, _ = case
         assert op_bracket({}, A, nvars, sign) == {} == op_bracket(
             A, {}, nvars, sign)
+
+
+# Every unordered pair of lines: the ten entries of the unit table.
+_LINE_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
+
+
+def _lifted(A, B, nvars):
+    """The lifted numerators of both operands of one product."""
+    *_, ta, tb = _plan(A, B, nvars)
+    return [c for _, nums in ta + tb for _, c in nums]
+
+
+class TestUnitLift:
+    """Operands whose coefficients each lie on one line, ``Q`` times 1, i,
+    sqrt2 or i*sqrt2, lift to plain ints; the product of the two units
+    comes back in the reduction."""
+
+    def _check(self, A, B, nvars, nparams):
+        for X, Y in ((A, B), (B, A)):
+            got = op_mul(X, Y, nvars)
+            assert got == reference_op_mul(X, Y, nvars)
+            assert_canonical(got, nvars, nparams)
+            for sign in (1, -1):
+                got = op_bracket(X, Y, nvars, sign)
+                assert got == reference_bracket(X, Y, nvars, sign)
+                assert_canonical(got, nvars, nparams)
+
+    @pytest.mark.parametrize("parts", _LINE_PAIRS,
+                             ids=lambda parts: "%d-%d" % parts)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_each_pair_of_lines(self, parts, data):
+        nvars = data.draw(st.integers(1, 3))
+        nparams = data.draw(st.integers(1, 3))
+        A, B = [data.draw(_ops(nvars, nparams, min_size=1,
+                               coeffs=_on_line(part))) for part in parts]
+        assert all(type(c) is int for c in _lifted(A, B, nvars))
+        self._check(A, B, nvars, nparams)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), part=st.integers(0, 3))
+    def test_mixed_operand(self, data, part):
+        # A coefficient with parts on two lines sends both operands down
+        # the four-part path.
+        nvars = data.draw(st.integers(1, 3))
+        nparams = data.draw(st.integers(1, 3))
+        A = data.draw(_ops(nvars, nparams, min_size=1))
+        mono = data.draw(_monos(nvars))
+        A[mono] = {(0,) * nparams: bn_make(1, 0, 1, 0, 2)}
+        B = data.draw(_ops(nvars, nparams, min_size=1, coeffs=_on_line(part)))
+        assert any(type(c) is _Surd for c in _lifted(A, B, nvars))
+        self._check(A, B, nvars, nparams)
 
 
 class TestLinear:

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    random_base,
     random_laurent,
     random_operator,
     random_scalar,
     reference_adjoint,
+    reference_bracket,
     reference_laurent_mul,
     reference_laurent_str,
+    reference_op_mul,
 )
 
 from dunklweyl._kernel import bn_make
@@ -165,6 +168,101 @@ class TestBracketContract:
             for a, b in ((op, f), (f, op)):
                 with pytest.raises(TypeError):
                     bracket(a, b)
+
+
+def _one_variable(rng, j, nvars, mu=None):
+    """A random operator of one or two terms on variable j alone, with
+    coefficients in Q(i, sqrt2), times ``mu`` if given."""
+    out = OperatorElement.zero(nvars)
+    for k in range(rng.randint(1, 2)):
+        # The first term is not a constant, so the operator touches j.
+        power = rng.choice([-2, -1, 1, 2]) if k == 0 else rng.randint(-2, 2)
+        term = (random_base(rng) * OperatorElement.x(j, nvars, power)
+                * OperatorElement.d(j, nvars, rng.randint(0, 1)))
+        out = out + (term * OperatorElement.r(j, nvars) if rng.random() < 0.5
+                     else term)
+    return out if mu is None else mu * out
+
+
+@st.composite
+def factored(draw, max_factors=4):
+    """``(nvars, factors)``: one-variable operators on two or more distinct
+    variables of 2-4, the first carrying another variable's mu."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 4))
+    variables = rng.sample(range(n), rng.randint(2, min(n, max_factors)))
+    mu = Scalar.parameter((variables[0] + 1) % n, n)
+    factors = [_one_variable(rng, j, n, mu if k == 0 else None)
+               for k, j in enumerate(variables)]
+    return n, factors
+
+
+def _reference_product(ops, nvars):
+    out = ops[0].kernel_op
+    for op in ops[1:]:
+        out = reference_op_mul(out, op.kernel_op, nvars)
+    return out
+
+
+def _times(ops):
+    out = ops[0]
+    for op in ops[1:]:
+        out = out * op
+    return out
+
+
+class TestFactoredPath:
+    """Products of one-variable factors on distinct variables are kept
+    factored, multiplied factor by factor and bracketed by the Leibniz
+    rule; every result equals the reference on the flattened operands."""
+
+    FACTORED = settings(max_examples=60, deadline=None)
+
+    @FACTORED
+    @given(factored(), st.randoms(use_true_random=False))
+    def test_products(self, case, rng):
+        n, fs = case
+        T = _times(fs)
+        assert T._factors is not None or T.is_zero()
+        flat_t = _reference_product(fs, n)
+        assert T.kernel_op == flat_t
+        # Factors of U may share variables with those of T; a U of one
+        # factor is a plain one-variable operator.
+        gs = [_one_variable(rng, j, n)
+              for j in rng.sample(range(n), rng.randint(1, n))]
+        U = _times(gs)
+        flat_u = _reference_product(gs, n)
+        assert (T * U).kernel_op == reference_op_mul(flat_t, flat_u, n)
+        assert (U * T).kernel_op == reference_op_mul(flat_u, flat_t, n)
+        # A flat operand on two variables takes the flat product.
+        mixed = fs[0] + fs[1]
+        assert (T * mixed).kernel_op == reference_op_mul(
+            flat_t, mixed.kernel_op, n)
+
+    @FACTORED
+    @given(factored(max_factors=2), st.integers(0, 3))
+    def test_powers(self, case, p):
+        n, fs = case
+        T = _times(fs)
+        want = OperatorElement.identity(n).kernel_op
+        for _ in range(p):
+            want = reference_op_mul(T.kernel_op, want, n)
+        assert (T ** p).kernel_op == want
+
+    @FACTORED
+    @given(factored(), st.randoms(use_true_random=False), st.booleans())
+    def test_brackets_by_leibniz(self, case, rng, constant):
+        n, fs = case
+        T = _times(fs)
+        S = sum((_one_variable(rng, j, n)
+                 for j in rng.sample(range(n), rng.randint(1, n))),
+                random_base(rng) if constant else 0)
+        flat_s, flat_t = S.kernel_op, T.kernel_op
+        for sign, bracket in ((-1, commutator), (1, anticommutator)):
+            assert bracket(S, T).kernel_op == reference_bracket(
+                flat_s, flat_t, n, sign)
+            assert bracket(T, S).kernel_op == reference_bracket(
+                flat_t, flat_s, n, sign)
 
 
 class TestActOracle:
