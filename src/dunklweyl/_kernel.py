@@ -53,7 +53,10 @@ is the one-sided case of the same loop.
 ``op_outer`` multiplies operators whose terms touch disjoint sets of
 variables, which is how ``opalg`` flattens a product it keeps as
 one-variable factors: each monomial pair gives one output monomial, with no
-reordering.  Products, brackets and outer products are one pair loop,
+reordering.  ``op_act`` applies an operator to a Laurent polynomial lifted
+as its multiplication operator, ``x^g`` as the block ``(g, 0, 0)``: each
+pair gives at most one monomial, through a cached row per variable.
+Products, brackets, outer products and action are one pair loop,
 ``_product``, that differs only in its rule for a monomial pair.
 """
 
@@ -609,3 +612,30 @@ def op_outer(A, B, nvars):
     may carry any variable's deformation parameter.
     """
     return _product(A, B, nvars, _outer)
+
+
+@cache
+def _act_row(key):
+    """x^a d^b R^e on x^g, ``key = (a, b, e, g, 0, 0)``: the image's block
+    and integer, (-1)^g if ``e`` times g(g-1)...(g-b+1), 0 if d^b kills."""
+    a, b, e, g = key[:4]
+    k = -1 if e and g & 1 else 1
+    for t in range(b):
+        k *= g - t
+    return (a + g - b, 0, 0), k
+
+
+def _act(ka, kb):
+    """The pair rule of action: one monomial, or none if a d^b kills it."""
+    mono, k = (), 1
+    for blk, c in map(_act_row, map(add, ka, kb)):
+        if not c:
+            return ()
+        mono, k = mono + blk, k * c
+    return ((mono, k),)
+
+
+def op_act(A, F, nvars):
+    """``A`` applied to ``F``, a dict from exponent tuples to polynomials."""
+    flat = {tuple([u for g in e for u in (g, 0, 0)]): p for e, p in F.items()}
+    return {m[::3]: p for m, p in _product(A, flat, nvars, _act).items()}

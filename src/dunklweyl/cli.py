@@ -22,10 +22,30 @@ from .dsl import ParseError, parse_eval
 from .scalars import ArityMismatchError
 
 
+# Longest a --mu value may be, in characters with any exponent written
+# out (1e3 counts as 1000): the exact arithmetic of a request grows with
+# the size of its values.
+MAX_MU_LENGTH = 100
+
+
+def _length(text: str) -> int:
+    """Characters of a deformation value with its exponent written out."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        return len(mantissa) + abs(int(exponent or 0))
+    except ValueError:
+        # Too long for int, so too long here; else Fraction refuses it.
+        return len(text)
+
+
 def _mu_values(text: str) -> Tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"bad deformation values: {text!r}")
+    if any(_length(p) > MAX_MU_LENGTH for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"a deformation value is longer than {MAX_MU_LENGTH} characters "
+            "with its exponent written out")
     try:
         return tuple(Fraction(p) for p in parts)
     except ZeroDivisionError:

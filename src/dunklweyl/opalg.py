@@ -48,14 +48,13 @@ from typing import (
 from dunklweyl._kernel import (
     BN_ONE,
     bn_conj,
+    op_act,
     op_add,
     op_bracket,
     op_mul,
     op_outer,
     op_scale,
     op_sub,
-    poly_add,
-    poly_mul,
     poly_neg,
     poly_scale_int,
 )
@@ -457,45 +456,16 @@ class OperatorElement(_Combination):
         """Apply to a Laurent polynomial.
 
         Normal form acts right to left per variable: reflections first
-        (x -> -x), then derivatives, then coordinate powers.  This is
-        independent of the multiplication routine, which makes it a faithful
-        cross-check: acting with a product must equal acting twice.
+        (x -> -x), then derivatives, then coordinate powers.  ``op_act``
+        shares the kernel's lift and reduction with products and has its
+        own pair rule; ``reference_apply``, ``reference_act`` and the sympy
+        tests are the independent oracles.
         """
         if f.nvars != self._nvars:
             raise ArityMismatchError(
                 f"operator on {self._nvars} variables applied to function on {f.nvars}")
-        n = self._nvars
-        out: dict = {}
-        for mono, opoly in self._data.items():
-            for fexp, fpoly in f._data.items():
-                factor = 1
-                new_exp = []
-                for j in range(n):
-                    a, b, e = mono[3 * j], mono[3 * j + 1], mono[3 * j + 2]
-                    g = fexp[j]
-                    if e and (g & 1):
-                        factor = -factor
-                    for t in range(b):
-                        factor *= (g - t)
-                    if not factor:
-                        break
-                    new_exp.append(g - b + a)
-                if not factor:
-                    continue
-                piece = poly_mul(opoly, fpoly)
-                if factor != 1:
-                    piece = poly_scale_int(piece, factor)
-                key = tuple(new_exp)
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = piece
-                else:
-                    v = poly_add(cur, piece)
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        return LaurentPolynomial(out, n)
+        return LaurentPolynomial(op_act(self._data, f._data, self._nvars),
+                                 self._nvars)
 
     def __str__(self) -> str:
         return _render_sum((str(coeff), str(mono))

@@ -220,6 +220,50 @@ def reference_apply(A, s):
     return GaussState(LaurentPolynomial(acc, s.nvars))
 
 
+# OperatorElement.act's own pair loop, from before action went through
+# the kernel's op_act, kept verbatim as the oracle for it.
+
+
+def reference_act(self, f):
+    """Apply to a Laurent polynomial.
+
+    Normal form acts right to left per variable: reflections first
+    (x -> -x), then derivatives, then coordinate powers.
+    """
+    n = self._nvars
+    out: dict = {}
+    for mono, opoly in self._data.items():
+        for fexp, fpoly in f._data.items():
+            factor = 1
+            new_exp = []
+            for j in range(n):
+                a, b, e = mono[3 * j], mono[3 * j + 1], mono[3 * j + 2]
+                g = fexp[j]
+                if e and (g & 1):
+                    factor = -factor
+                for t in range(b):
+                    factor *= (g - t)
+                if not factor:
+                    break
+                new_exp.append(g - b + a)
+            if not factor:
+                continue
+            piece = poly_mul(opoly, fpoly)
+            if factor != 1:
+                piece = poly_scale_int(piece, factor)
+            key = tuple(new_exp)
+            cur = out.get(key)
+            if cur is None:
+                out[key] = piece
+            else:
+                v = poly_add(cur, piece)
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return LaurentPolynomial(out, n)
+
+
 # The adjoint's own reordering loop and the Laurent polynomial's own term
 # renderer, from before the adjoint went through op_mul and a Laurent
 # polynomial rendered as its multiplication operator, kept verbatim as

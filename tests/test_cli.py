@@ -272,6 +272,41 @@ class TestInputLimits:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # A --mu value at the limit, once as digits and once as an exponent,
+    # with its normal form; past it, by one character and by far.
+    _N = cli.MAX_MU_LENGTH
+    _AT_MU = [("9" * _N, "9" * _N), (f"1e{_N - 1}", str(10 ** (_N - 1)))]
+    _PAST_MU = ("9" * (_N + 1), f"1e{_N}", f"1e-{_N}", "1e5000",
+                "1e1000000000000")
+
+    @pytest.mark.parametrize("mu,value", _AT_MU, ids=("digits", "exponent"))
+    def test_mu_at_the_limit(self, capsys, mu, value):
+        code, out, err = run(capsys, ["nf", "mu1*x1", "--dims", "1",
+                                      f"--mu={mu}"])
+        assert (code, out, err) == (0, f"{value}*x1\n", "")
+        code, out, _ = run(capsys, ["verify", "sd2", f"--mu={mu}"])
+        assert code == 0 and "status: pass" in out
+        code, out, _ = run(capsys, ["spectrum", "--dims", "1", f"--mu={mu}",
+                                    "--levels", "2"])
+        assert code == 0 and len(out.splitlines()) == 4
+
+    # Parsing a value past the limit is the work the limit guards, so
+    # Fraction itself is poisoned.
+    @pytest.mark.parametrize("mu", _PAST_MU, ids=(
+        "digits", "exponent", "negative-exponent", "1e5000", "huge-exponent"))
+    @pytest.mark.parametrize("argv", [
+        ["nf", "mu1*x1", "--dims", "2"],
+        ["verify", "sd2"],
+        ["spectrum", "--dims", "2", "--levels", str(states.MAX_LEVEL)],
+    ], ids=lambda argv: argv[0])
+    def test_mu_past_the_limit(self, capsys, monkeypatch, argv, mu):
+        monkeypatch.setattr(cli, "Fraction", _refuse)
+        code, out, err = run(capsys, argv + [f"--mu=1/3,{mu}"])
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert err.endswith(f"longer than {self._N} characters "
+                            "with its exponent written out\n")
+
 
 class TestReadmeGolden:
     """Exit code and stdout of the README's examples, byte for byte."""

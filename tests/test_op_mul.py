@@ -1,7 +1,7 @@
-"""The exact kernel's operator functions: the common-denominator op_mul
-and the fused bracket against the term-by-term reference, the linear
-operations against it and each other, and the reordering rows against
-their closed form."""
+"""The exact kernel's operator functions: the common-denominator op_mul,
+the fused bracket and the action on Laurent polynomials against the
+term-by-term references, the linear operations against them and each
+other, and the reordering rows against their closed form."""
 
 import copy
 from math import comb, gcd, prod
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_bracket, reference_op_mul
+from helpers import reference_act, reference_bracket, reference_op_mul
 
 from dunklweyl._kernel import (
     _Surd,
@@ -18,12 +18,14 @@ from dunklweyl._kernel import (
     bn_make,
     bn_neg,
     dx_rows,
+    op_act,
     op_add,
     op_bracket,
     op_mul,
     op_scale,
     op_sub,
 )
+from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -118,9 +120,11 @@ def linear_cases(draw):
     return A, B, poly, nvars, nparams
 
 
-def assert_canonical(op, nvars, nparams):
+def assert_canonical(op, nvars, nparams, width=3):
+    """``op`` is canonical, its keys ``width`` entries per variable: 3 for
+    an operator's monomials, 1 for a function's exponents."""
     for mono, poly in op.items():
-        assert len(mono) == 3 * nvars
+        assert len(mono) == width * nvars
         assert poly, "empty polynomial kept"
         for e, c in poly.items():
             assert len(e) == nparams
@@ -262,6 +266,97 @@ class TestUnitLift:
         assert any(type(c) is _Surd for c in _lifted(A, B, nvars))
         self._check(A, B, nvars, nparams)
 
+
+def _functions(nvars, nparams, min_size=0, coeffs=_coeffs):
+    # Negative exponents, and nonnegative ones both below and above the
+    # derivative orders of _monos, so that d^b kills some terms.
+    expo = st.tuples(*[st.integers(-4, 6)] * nvars)
+    return st.dictionaries(expo, _polys(nparams, coeffs),
+                           min_size=min_size, max_size=5)
+
+
+def _as_operator(F):
+    """A function as its multiplication operator, x^g as (g, 0, 0)."""
+    return {sum(((g, 0, 0) for g in e), ()): p for e, p in F.items()}
+
+
+class TestActAgainstReference:
+    """``op_act(A, F, n)`` equals the term-by-term ``reference_act``, on
+    every unit line and on the four-part path."""
+
+    def _check(self, A, F, nvars, nparams):
+        A0, F0 = copy.deepcopy((A, F))
+        got = op_act(A, F, nvars)
+        assert (A, F) == (A0, F0), "operands mutated"
+        want = reference_act(OperatorElement(A, nvars),
+                             LaurentPolynomial(F, nvars))
+        assert got == want._data
+        assert_canonical(got, nvars, nparams, width=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference(self, data):
+        # As many parameters as variables, so that coefficients carry
+        # other variables' deformation parameters, as in the model.
+        nvars = data.draw(st.integers(1, 3))
+        A = data.draw(_ops(nvars, nvars))
+        F = data.draw(_functions(nvars, nvars))
+        self._check(A, F, nvars, nvars)
+
+    @pytest.mark.parametrize("parts", _LINE_PAIRS,
+                             ids=lambda parts: "%d-%d" % parts)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_each_pair_of_lines(self, parts, data):
+        nvars = data.draw(st.integers(1, 3))
+        for a, f in (parts, parts[::-1]):
+            A = data.draw(_ops(nvars, nvars, min_size=1, coeffs=_on_line(a)))
+            F = data.draw(_functions(nvars, nvars, min_size=1,
+                                     coeffs=_on_line(f)))
+            assert all(type(c) is int
+                       for c in _lifted(A, _as_operator(F), nvars))
+            self._check(A, F, nvars, nvars)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), part=st.integers(0, 3))
+    def test_mixed_operand(self, data, part):
+        nvars = data.draw(st.integers(1, 3))
+        A = data.draw(_ops(nvars, nvars, min_size=1, coeffs=_on_line(part)))
+        F = data.draw(_functions(nvars, nvars, min_size=1))
+        F[data.draw(st.tuples(*[st.integers(-4, 6)] * nvars))] = {
+            (0,) * nvars: bn_make(1, 0, 1, 0, 2)}
+        assert any(type(c) is _Surd
+                   for c in _lifted(A, _as_operator(F), nvars))
+        self._check(A, F, nvars, nvars)
+
+    @pytest.mark.parametrize("block,g,want", [
+        ((0, 3, 0), 2, None),          # d^3 kills x^2
+        ((0, 3, 0), 3, ((0,), 6)),     # d^3 x^3 = 6
+        ((2, 0, 1), 3, ((5,), -1)),    # R flips an odd power
+        ((0, 0, 1), 4, ((4,), 1)),     # and keeps an even one
+        ((1, 2, 1), -3, ((-4,), -12)),  # -3 * -4, negated by R
+        ((-2, 1, 0), 0, None),         # d kills a constant
+    ])
+    def test_one_term(self, block, g, want):
+        # One variable of two: the other's x^1 passes through.
+        unit = {(0, 0): (1, 0, 0, 0, 1)}
+        A = {block + (0, 0, 0): unit}
+        F = {(g, 1): unit}
+        got = op_act(A, F, 2)
+        if want is None:
+            assert got == {}
+        else:
+            (e,), k = want
+            assert got == {(e, 1): {(0, 0): (k, 0, 0, 0, 1)}}
+        self._check(A, F, 2, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_empty_operands(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        A = data.draw(_ops(nvars, nvars))
+        F = data.draw(_functions(nvars, nvars))
+        assert op_act({}, F, nvars) == {} == op_act(A, {}, nvars)
 
 class TestLinear:
     @SETTINGS
