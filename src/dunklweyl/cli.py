@@ -39,18 +39,27 @@ def _length(text: str) -> int:
 
 
 def _mu_values(text: str) -> Tuple[Fraction, ...]:
+    # argparse prints the message of an ArgumentTypeError; for any other
+    # error it names this function instead.
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"bad deformation values: {text!r}")
+    if any(not p for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"empty deformation value in {text!r}")
     if any(_length(p) > MAX_MU_LENGTH for p in parts):
         raise argparse.ArgumentTypeError(
             f"a deformation value is longer than {MAX_MU_LENGTH} characters "
             "with its exponent written out")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except ZeroDivisionError:
-        # argparse reports only ValueError/TypeError as a usage error.
-        raise ValueError(f"zero denominator in {text!r}") from None
+    values = []
+    for p in parts:
+        try:
+            values.append(Fraction(p))
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(
+                f"zero denominator in deformation value {p!r}") from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"deformation value {p!r} is not a rational number") from None
+    return tuple(values)
 
 
 def _mu_mode(mu: Optional[Tuple[Fraction, ...]]) -> str:

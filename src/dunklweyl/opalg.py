@@ -24,9 +24,14 @@ generator ``J+ = A+1*A-2`` and its powers, is kept as its one-variable
 factors: ``J+^5`` is two 36-term factors rather than 1,296 flat terms.
 Products and powers multiply such elements factor by factor, and a bracket
 of one with a sum of one-variable terms, ``[H1 + H2, X*Y] = [H1, X]*Y +
-X*[H2, Y]``, goes by the Leibniz rule; the flat normal form is built from
-the factors on first use and kept.  Results are the same normal forms
-either way.
+X*[H2, Y]``, goes by the Leibniz rule.  Where a Leibniz term is a scalar
+multiple of the product, as ``[H_j, A+_j^k] = k*A+_j^k`` makes every term
+of ``[H, J+^k]``, only the scalar is kept, and the result is the product
+again.  Scalar multiples, and sums and differences of two products that
+agree in all factors but one, stay factored too: ``comm(J0, J+^5) -
+11*J+^5`` is ``-J+^5`` before any flat term is built.  The flat normal
+form is built from the factors on first use and kept.  Results are the
+same normal forms either way.
 
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import (
-    Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Type, TypeVar,
-    Union)
+    Callable, Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Type,
+    TypeVar, Union)
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -55,6 +60,7 @@ from dunklweyl._kernel import (
     op_outer,
     op_scale,
     op_sub,
+    poly_add,
     poly_neg,
     poly_scale_int,
 )
@@ -62,6 +68,7 @@ from dunklweyl.scalars import (
     ArityMismatchError,
     BaseLike,
     BaseNumber,
+    InexactDivisionError,
     Scalar,
     ScalarLike,
     _render_sum,
@@ -236,8 +243,7 @@ class _Combination:
     __rmul__ = __mul__
 
     def __neg__(self: _C) -> _C:
-        return type(self)({k: poly_neg(p) for k, p in self._data.items()},
-                          self._nvars)
+        return type(self)(_op_neg(self._data), self._nvars)
 
     def __eq__(self, other: object) -> bool:
         if (isinstance(other, (type(self), Scalar))
@@ -252,6 +258,10 @@ class _Combination:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self}, nvars={self._nvars})"
+
+
+def _op_neg(data: dict) -> dict:
+    return {k: poly_neg(p) for k, p in data.items()}
 
 
 def _touched(mono: tuple) -> List[int]:
@@ -286,9 +296,16 @@ class OperatorElement(_Combination):
     variable to a kernel dict whose monomials touch no other variable (its
     coefficients may carry any parameter).  Products and powers of
     such elements multiply factor by factor, and brackets with a sum of
-    one-variable terms go by the Leibniz rule.  The flat normal form is
-    built from the factors, by outer products, on the first read of
-    ``_data`` and then kept.  ``_factors`` is None for every other element.
+    one-variable terms go by the Leibniz rule.  The linear operations keep
+    the factors where the result is still one product:
+    - a scalar multiple, a negation, or a product with a constant operator
+      (as the DSL makes for a number) scales the lowest variable's factor;
+    - ``a + b`` and ``a - b`` of two such products on the same variables
+      that agree in every factor but at most one (the same dict object, or
+      an equal one) add or subtract that one factor.
+    The flat normal form is built from the factors, by outer products, on
+    the first read of ``_data`` and then kept.  ``_factors`` is None for
+    every other element.
     """
 
     __slots__ = ("_factors",)
@@ -322,6 +339,55 @@ class OperatorElement(_Combination):
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         data = self._data = _flatten(self._factors, self._nvars)
         return data
+
+    def _scaled(self, scale: Callable[[dict], dict]) -> "OperatorElement":
+        """``scale``, a scalar multiple of kernel dicts, applied to this
+        element: to the lowest variable's factor only, if kept factored."""
+        factors = self._factors
+        if factors is None:
+            return OperatorElement(scale(self._data), self._nvars)
+        low = min(factors)
+        return OperatorElement._product_of(
+            {**factors, low: scale(factors[low])}, self._nvars)
+
+    def _constant(self) -> Optional[dict]:
+        """The coefficient of a constant operator (``{}`` for zero), or
+        None if the element is not one."""
+        if self._factors is not None or len(self._data) > 1:
+            return None
+        if not self._data:
+            return {}
+        return self._data.get(self._UNIT * self._nvars)
+
+    def _combine(self, other, op: Callable[[dict, dict], dict]
+                 ) -> Optional["OperatorElement"]:
+        """``op`` (``op_add`` or ``op_sub``) of two products kept factored
+        on the same variables that agree in every factor but at most one,
+        applied to that factor (to the lowest variable's if all agree);
+        None for any other pair of operands."""
+        if not isinstance(other, OperatorElement):
+            return None
+        f, g = self._factors, other._factors
+        if f is None or g is None or f.keys() != g.keys():
+            return None
+        self._check_arity(other)
+        differ = [j for j in f if f[j] is not g[j] and f[j] != g[j]]
+        if len(differ) > 1:
+            return None
+        j = differ[0] if differ else min(f)
+        return OperatorElement._product_of({**f, j: op(f[j], g[j])},
+                                           self._nvars)
+
+    def __add__(self, other) -> "OperatorElement":
+        out = self._combine(other, op_add)
+        return super().__add__(other) if out is None else out
+
+    def __sub__(self, other) -> "OperatorElement":
+        out = self._combine(other, op_sub)
+        return super().__sub__(other) if out is None else out
+
+    def __neg__(self) -> "OperatorElement":
+        return self._scaled(_op_neg)
 
     def _split(self) -> Optional[Dict[int, dict]]:
         """The factors of this element by variable, if it is kept factored
@@ -374,6 +440,12 @@ class OperatorElement(_Combination):
         if isinstance(other, OperatorElement):
             self._check_arity(other)
             n = self._nvars
+            # A constant operator times a product kept factored is a
+            # scalar multiple.
+            for product, const in ((self, other), (other, self)):
+                c = const._constant() if product._factors is not None else None
+                if c is not None:
+                    return product._scaled(lambda data: op_scale(data, c))
             left, right = self._split(), other._split()
             if left is None or right is None:
                 return OperatorElement(op_mul(self._data, other._data, n), n)
@@ -382,7 +454,13 @@ class OperatorElement(_Combination):
             for j, f in right.items():
                 factors[j] = op_mul(factors[j], f, n) if j in factors else f
             return OperatorElement._product_of(factors, n)
-        return super().__mul__(other)
+        if isinstance(other, _SCALARS):
+            poly = _scalar_poly(other, self._nvars)
+            return self._scaled(lambda data: op_scale(data, poly))
+        return NotImplemented
+
+    # Scalars are central, so left and right actions agree.
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "OperatorElement":
         if isinstance(other, Scalar):
@@ -477,6 +555,22 @@ class OperatorElement(_Combination):
         return self._data
 
 
+def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:
+    """The polynomial ``c`` with ``term == c*factor``, or None if there is
+    none.  ``c`` is the quotient of one coefficient, confirmed on all."""
+    if not term:
+        return {}
+    mono = next(iter(term))
+    if mono not in factor:
+        return None
+    try:
+        c = Scalar(term[mono], nvars).exact_div(
+            Scalar(factor[mono], nvars)).kernel_poly
+    except InexactDivisionError:
+        return None
+    return c if op_scale(factor, c) == term else None
+
+
 def _leibniz(a: OperatorElement, b: OperatorElement,
              sign: int) -> Optional[OperatorElement]:
     """``a*b + sign*b*a`` by the Leibniz rule, or None where it does not
@@ -487,8 +581,14 @@ def _leibniz(a: OperatorElement, b: OperatorElement,
     ``T = F_1*...*F_n`` kept factored.  ``S_j`` commutes with every ``F_k``
     but ``F_j``, so ``[S, T] = sum_j [S_j, F_j] * prod_{k != j} F_k``, and
     the same holds with ``T`` first and for the anticommutator, to which the
-    constant ``c`` adds ``2c*T``.  Each term is one small bracket and outer
-    products.
+    constant ``c`` adds ``2c*T``.  Each term is one small bracket.
+
+    A term that is a scalar multiple ``c_j*F_j``, as when ``F_j`` is a power
+    of a ladder operator of ``S_j``, only adds ``c_j`` to one running scalar
+    ``c``: if every term is one, the result is ``c*T``, kept factored.  The
+    other terms are products of factors too; ``c*T = c*F_j * prod_{k != j}
+    F_k`` joins the first of them, and only a sum of two or more is
+    flattened, by outer products.
     """
     if a._factors is None and b._factors is not None:
         s, t = a, b
@@ -503,16 +603,28 @@ def _leibniz(a: OperatorElement, b: OperatorElement,
     const = parts.pop(None, None)
     one = OperatorElement.identity(n)._data
     factors = t._factors
-    out: dict = {}
+    scalar: dict = {}
+    if const and sign > 0:
+        (c,) = const.values()
+        scalar = poly_scale_int(c, 2)
+    rest = []
     for j, s_j in parts.items():
         pair = (s_j, factors.get(j, one))
         term = op_bracket(*(pair if s is a else pair[::-1]), n, sign)
-        if term:
-            out = op_add(out, _flatten({**factors, j: term}, n))
-    if const and sign > 0:
-        (c,) = const.values()
-        out = op_add(out, op_scale(t._data, poly_scale_int(c, 2)))
-    return OperatorElement(out, n)
+        ratio = _ratio(term, pair[1], n)
+        if ratio is None:
+            rest.append((j, term))
+        else:
+            scalar = poly_add(scalar, ratio)
+    if not rest:
+        return t._scaled(lambda data: op_scale(data, scalar))
+    j, term = rest[0]
+    rest[0] = (j, op_add(term, op_scale(factors.get(j, one), scalar)))
+    products = [OperatorElement._product_of({**factors, j: term}, n)
+                for j, term in rest]
+    if len(products) == 1:
+        return products[0]
+    return OperatorElement(reduce(op_add, (p._data for p in products)), n)
 
 
 def _bracket(a, b, sign: int) -> OperatorElement:

@@ -307,6 +307,25 @@ class TestInputLimits:
         assert err.endswith(f"longer than {self._N} characters "
                             "with its exponent written out\n")
 
+    # A value that is not a rational number is named with its fault.
+    @pytest.mark.parametrize("mu,message", [
+        ("1/3,1/0", "zero denominator in deformation value '1/0'"),
+        ("1/3,abc", "deformation value 'abc' is not a rational number"),
+        ("1/3,", "empty deformation value in '1/3,'"),
+        ("1/3,,1/2", "empty deformation value in '1/3,,1/2'"),
+    ], ids=("zero-denominator", "unparsable", "trailing-comma", "empty-entry"))
+    @pytest.mark.parametrize("argv", [
+        ["nf", "mu1*x1", "--dims", "2"],
+        ["verify", "sd2"],
+        ["spectrum", "--dims", "2", "--levels", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_mu_not_a_number(self, capsys, argv, mu, message):
+        code, out, err = run(capsys, argv + [f"--mu={mu}"])
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "_mu_values" not in err
+        assert err.endswith(f"error: argument --mu: {message}\n")
+
 
 class TestReadmeGolden:
     """Exit code and stdout of the README's examples, byte for byte."""

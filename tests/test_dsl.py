@@ -248,6 +248,41 @@ class TestFactoredPath:
         assert parse_eval("comm(H, J+^5)", 2).is_zero()
         assert calls and max(max(sizes) for sizes in calls) <= 36
 
+    @staticmethod
+    def count_flattens(monkeypatch):
+        calls = []
+        flatten = opalg._flatten
+
+        def counting(factors, nvars):
+            calls.append(sorted(factors))
+            return flatten(factors, nvars)
+
+        monkeypatch.setattr(opalg, "_flatten", counting)
+        return calls
+
+    def test_ladder_bracket_never_flattens(self, monkeypatch):
+        # Both Leibniz terms of [H, J+^5] are multiples of J+^5 that cancel.
+        calls = self.count_flattens(monkeypatch)
+        assert parse_eval("comm(H, J+^5)", 2).is_zero()
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("mu", [[], ["--mu=1/3,1/2"]],
+                             ids=["parametric", "numeric"])
+    def test_control_flattens_once(self, monkeypatch, k, mu):
+        # [J0, J+^k] is 2k*J+^k, so the control is -J+^k, kept factored
+        # until it is rendered.
+        def nf(expr):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["nf", "--dims", "2", *mu, expr])
+            return code, out.getvalue()
+
+        want = nf(f"0 - J+^{k}")
+        calls = self.count_flattens(monkeypatch)
+        assert nf(f"comm(J0, J+^{k}) - {2 * k + 1}*J+^{k}") == want
+        assert calls == [[0, 1]]
+
     def test_flat_bracket_where_no_rule_applies(self, monkeypatch):
         # The Casimir has terms on both variables at once.
         casimir = build("C", 2)

@@ -19,7 +19,8 @@ from helpers import (
     reference_op_mul,
 )
 
-from dunklweyl._kernel import bn_make
+from dunklweyl._kernel import (
+    bn_make, op_add, op_bracket, op_scale, op_sub)
 
 from dunklweyl import opalg
 from dunklweyl.opalg import (
@@ -263,6 +264,111 @@ class TestFactoredPath:
                 flat_s, flat_t, n, sign)
             assert bracket(T, S).kernel_op == reference_bracket(
                 flat_t, flat_s, n, sign)
+
+
+def _graded(rng, j, nvars, degree):
+    """A random operator on variable j alone, homogeneous of ``degree``
+    (x counts 1, d counts -1): one or two of ``x^(degree+b)*d^b*R^e``."""
+    shapes = [(b, e) for b in range(3) for e in range(2)
+              if degree + b or b or e]
+    out = OperatorElement.zero(nvars)
+    for b, e in rng.sample(shapes, rng.randint(1, 2)):
+        coeff = random_base(rng) or BaseNumber(1)
+        term = (coeff * OperatorElement.x(j, nvars, degree + b)
+                * OperatorElement.d(j, nvars, b))
+        out = out + (term * OperatorElement.r(j, nvars) if e else term)
+    return out
+
+
+@st.composite
+def ladder_cases(draw):
+    """``(nvars, factors, sum)``: one-variable factors on each of 2-3
+    variables, some homogeneous (so that the Euler operator ``x_j*d_j``
+    brackets them to a multiple of themselves), some not (the bracket keeps
+    their monomials but scales them apart); and a sum of one-variable
+    terms: ``x_j*d_j``, ``mu_j*x_j*d_j``, a random operator, and a
+    constant."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 3))
+    factors = []
+    for j in range(n):
+        degree = rng.randint(-2, 2)
+        f = _graded(rng, j, n, degree)
+        if draw(st.booleans()):
+            f = f + _graded(rng, j, n, degree + rng.choice([-1, 1]))
+        factors.append(f)
+    s = random_base(rng) if draw(st.booleans()) else 0
+    for j in rng.sample(range(n), rng.randint(1, n)):
+        euler = OperatorElement.x(j, n) * OperatorElement.d(j, n)
+        s = s + draw(st.sampled_from([
+            euler, Scalar.parameter(j, n) * euler,
+            _one_variable(rng, j, n)]))
+    return n, factors, s
+
+
+class TestFactoredArithmetic:
+    """Sums, differences, scalar multiples and Leibniz brackets of products
+    kept factored, against the flat kernel operations on operands
+    flattened by the reference product."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ladder_cases(), st.randoms(use_true_random=False))
+    def test_against_flat_operations(self, case, rng):
+        n, fs, s = case
+        flat = [_reference_product(fs, n)]
+        T = _times(fs)
+        assert T._factors is not None and T.kernel_op == flat[0]
+        # U agrees with T in all factors but one; V differs in two;
+        # W is T again from equal dicts that are other objects.
+        j, k = rng.sample(range(n), 2)
+        other = _graded(rng, j, n, rng.randint(-2, 2))
+        us = fs[:j] + [other] + fs[j + 1:]
+        vs = [_one_variable(rng, i, n) if i in (j, k) else f
+              for i, f in enumerate(fs)]
+        ws = [OperatorElement(dict(f.kernel_op), n) for f in fs]
+        operands = [T]
+        for gs in (us, vs, ws):
+            operands.append(_times(gs))
+            flat.append(_reference_product(gs, n))
+        for X, fx in zip(operands[1:], flat[1:]):
+            assert (T + X).kernel_op == op_add(flat[0], fx)
+            assert (T - X).kernel_op == op_sub(flat[0], fx)
+            assert (X - T).kernel_op == op_sub(fx, flat[0])
+        assert (T - T).is_zero()
+        assert (T + T).kernel_op == op_add(flat[0], flat[0])
+        assert (-T).kernel_op == op_sub({}, flat[0])
+        mu = Scalar.parameter(rng.randrange(n), n)
+        for c in (3, Fraction(-2, 5), mu, mu - 1, 0):
+            want = op_scale(flat[0], (Scalar.one(n) * c).kernel_poly)
+            assert (c * T).kernel_op == want and (T * c).kernel_op == want
+            const = c * OperatorElement.identity(n)
+            assert (const * T).kernel_op == want
+            assert (T * const).kernel_op == want
+        # Brackets with the sum of one-variable terms, either way round.
+        fs_ = s.kernel_op
+        for sign, bracket in ((-1, commutator), (1, anticommutator)):
+            assert bracket(s, T).kernel_op == op_bracket(fs_, flat[0], n, sign)
+            assert bracket(T, s).kernel_op == op_bracket(flat[0], fs_, n, sign)
+
+    def test_proportional_terms_stay_factored(self):
+        # [x1*d1 + mu2*x2*d2, x1^2*R1 * x2^-1*d2] is (2 - 2*mu2) times the
+        # product, and {3 + mu2, T} is (6 + 2*mu2)*T.
+        n = 2
+        x, d, r = OperatorElement.x, OperatorElement.d, OperatorElement.r
+        T = (x(0, n, 2) * r(0, n)) * (x(1, n, -1) * d(1, n))
+        mu2 = Scalar.parameter(1, n)
+        euler = x(0, n) * d(0, n) + mu2 * x(1, n) * d(1, n)
+        const = (3 + mu2) * OperatorElement.identity(n)
+        # A single term that is not proportional keeps the product too.
+        single = x(0, n) * d(0, n) + 3
+        for S, sign, want in ((euler, -1, (2 - 2 * mu2) * T),
+                              (const, 1, (6 + 2 * mu2) * T),
+                              (single, 1, None)):
+            out = (commutator if sign < 0 else anticommutator)(S, T)
+            assert out._factors is not None
+            flat = op_bracket(S.kernel_op, T.kernel_op, n, sign)
+            assert out.kernel_op == flat
+            assert want is None or out == want
 
 
 class TestActOracle:
