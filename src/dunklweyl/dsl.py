@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .builders import build, names
 from .opalg import OperatorElement, anticommutator, commutator
-from .scalars import SQRT2, BaseNumber, I, Scalar
+from .scalars import SQRT2, I, Scalar
 
 
 class ParseError(ValueError):
@@ -323,26 +323,16 @@ def _resolve_name(identifier: str, dims: int) -> OperatorElement:
     return build(identifier, dims)
 
 
-def _constant_of(a: OperatorElement) -> Optional[BaseNumber]:
-    terms = list(a.terms())
-    if len(terms) != 1:
-        return None
-    mono, coeff = terms[0]
-    if not (mono.is_identity() and coeff.is_constant()):
-        return None
-    return coeff.constant_value()
-
-
 def _invert(a: OperatorElement, dims: int) -> OperatorElement:
     if a.is_zero():
         raise ValueError("division by zero")
     terms = list(a.terms())
     if len(terms) == 1:
-        mono, coeff = terms[0]
-        pure = all(b == 0 and e == 0 for _, b, e in mono.blocks)
+        blocks, coeff = terms[0]
+        pure = all(b == 0 and e == 0 for _, b, e in blocks)
         if pure and coeff.is_constant():
             out = coeff.constant_value().inverse() * OperatorElement.identity(dims)
-            for j, (aexp, _, _) in enumerate(mono.blocks):
+            for j, (aexp, _, _) in enumerate(blocks):
                 if aexp:
                     out = out * OperatorElement.x(j, dims, -aexp)
             return out
@@ -385,12 +375,12 @@ def _apply(node: Expr, args: List[OperatorElement],
             return left - right
         if node.op == "*":
             return left * right
-        if right.is_zero():
-            raise ValueError("division by zero")
-        divisor = _constant_of(right)
-        if divisor is None:
+        divisor = right.as_scalar()
+        if divisor is None or not divisor.is_constant():
             raise ValueError("division needs a constant divisor")
-        return left * divisor.inverse()
+        if not divisor:
+            raise ValueError("division by zero")
+        return left / divisor
     if node.function == "comm":
         return commutator(*args)
     if node.function == "acomm":

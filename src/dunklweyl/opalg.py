@@ -29,26 +29,29 @@ multiple of the product, as ``[H_j, A+_j^k] = k*A+_j^k`` makes every term
 of ``[H, J+^k]``, only the scalar is kept, and the result is the product
 again.  Scalar multiples, and sums and differences of two products that
 agree in all factors but one, stay factored too: ``comm(J0, J+^5) -
-11*J+^5`` is ``-J+^5`` before any flat term is built.  The flat normal
-form is built from the factors on first use and kept.  Results are the
-same normal forms either way.
+11*J+^5`` is ``-J+^5`` before any flat term is built, and substituting
+numeric parameters goes factor by factor.  The flat normal form is built
+from the factors on first use and kept.  Results are the same normal forms
+either way.
 
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
-multiples and equality; only the key of the unit term differs (a
-``(0, 0, 0)`` block per variable against a ``0`` exponent).  Each subclass
-adds its own constructors and products, and a Laurent polynomial renders as
-its multiplication operator.
+multiples, equality and ``ratio``, the one test for an exact scalar multiple
+(``self == c*other``); only the key of the unit term differs (a ``(0, 0,
+0)`` block per variable against a ``0`` exponent).  Each subclass adds its
+own constructors and products, and a Laurent polynomial renders as its
+multiplication operator.  ``OperatorElement.as_scalar`` is the one test
+for a constant operator.  Terms are read as ``(blocks, coefficient)``
+pairs, one ``(a, b, e)`` block per variable, from ``terms()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import (
     Callable, Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Type,
-    TypeVar, Union)
+    TypeVar)
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -116,44 +119,6 @@ def _mono_sort_key(flat: tuple, nvars: int) -> tuple:
                  for j in range(nvars))
 
 
-@dataclass(frozen=True)
-class NFMonomial:
-    """A normal-form monomial: one ``(x_power, d_power, reflection)`` block
-    per variable."""
-
-    blocks: Tuple[Block, ...]
-
-    def __post_init__(self) -> None:
-        for a, b, e in self.blocks:
-            if b < 0:
-                raise ValueError("derivative power must be nonnegative")
-            if e not in (0, 1):
-                raise ValueError("reflection exponent must be 0 or 1")
-
-    @classmethod
-    def from_flat(cls, flat: tuple, nvars: int) -> "NFMonomial":
-        return cls(tuple(
-            (flat[3 * j], flat[3 * j + 1], flat[3 * j + 2])
-            for j in range(nvars)))
-
-    @property
-    def flat(self) -> tuple:
-        out: tuple = ()
-        for blk in self.blocks:
-            out += blk
-        return out
-
-    @property
-    def nvars(self) -> int:
-        return len(self.blocks)
-
-    def is_identity(self) -> bool:
-        return all(blk == (0, 0, 0) for blk in self.blocks)
-
-    def __str__(self) -> str:
-        return _render_monomial(self.flat, len(self.blocks))
-
-
 class _Combination:
     """A finite sum of keyed terms with Scalar coefficients on ``nvars``
     variables, stored as the kernel dict ``{key: polynomial}``.
@@ -186,15 +151,23 @@ class _Combination:
     def __bool__(self) -> bool:
         return bool(self._data)
 
-    def coefficient(self, key: Union[NFMonomial, Sequence[int]]) -> Scalar:
-        """The Scalar coefficient of a term (zero if absent): an exponent
-        tuple, or for operators a flat monomial or an NFMonomial."""
-        if isinstance(key, NFMonomial):
-            key = key.flat
+    def coefficient(self, key: Sequence[int]) -> Scalar:
+        """The Scalar coefficient of a term, zero if absent.  The key is an
+        exponent tuple for functions and a flat monomial, ``(a, b, e)`` per
+        variable in a row, for operators."""
         poly = self._data.get(tuple(key))
         if poly is None:
             return Scalar.zero(self._nvars)
         return Scalar(dict(poly), self._nvars)
+
+    def ratio(self: _C, other: _C) -> Optional[Scalar]:
+        """The Scalar ``c`` with ``self == c*other``, or None if there is
+        none (zero if ``self`` is zero; None if only ``other`` is).  The
+        energies and ladder coefficients of ``states`` are such ratios.
+        """
+        self._check_arity(other)
+        c = _ratio(self._data, other._data, self._nvars)
+        return None if c is None else Scalar(c, self._nvars)
 
     def _check_arity(self: _C, other: _C) -> None:
         if other._nvars != self._nvars:
@@ -350,14 +323,14 @@ class OperatorElement(_Combination):
         return OperatorElement._product_of(
             {**factors, low: scale(factors[low])}, self._nvars)
 
-    def _constant(self) -> Optional[dict]:
-        """The coefficient of a constant operator (``{}`` for zero), or
-        None if the element is not one."""
-        if self._factors is not None or len(self._data) > 1:
-            return None
-        if not self._data:
-            return {}
-        return self._data.get(self._UNIT * self._nvars)
+    def as_scalar(self) -> Optional[Scalar]:
+        """The coefficient of a constant operator (zero for zero), else
+        None.  A product kept factored is not constant and stays factored.
+        """
+        unit = self._UNIT * self._nvars
+        if self._factors is None and self._data.keys() <= {unit}:
+            return self.coefficient(unit)
+        return None
 
     def _combine(self, other, op: Callable[[dict, dict], dict]
                  ) -> Optional["OperatorElement"]:
@@ -430,11 +403,13 @@ class OperatorElement(_Combination):
         """The reflection R_{index+1}."""
         return cls._single(index, nvars, (0, 0, 1))
 
-    def terms(self) -> Iterator[Tuple[NFMonomial, Scalar]]:
-        """Deterministic (monomial, coefficient) pairs."""
-        for flat in sorted(self._data, key=lambda m: _mono_sort_key(m, self._nvars)):
-            yield (NFMonomial.from_flat(flat, self._nvars),
-                   Scalar(dict(self._data[flat]), self._nvars))
+    def terms(self) -> Iterator[Tuple[Tuple[Block, ...], Scalar]]:
+        """Deterministic ``(blocks, coefficient)`` pairs, ``blocks`` holding
+        one ``(x_power, d_power, reflection)`` triple per variable."""
+        n = self._nvars
+        for flat in sorted(self._data, key=lambda m: _mono_sort_key(m, n)):
+            yield (tuple(flat[j:j + 3] for j in range(0, 3 * n, 3)),
+                   Scalar(dict(self._data[flat]), n))
 
     def __mul__(self, other) -> "OperatorElement":
         if isinstance(other, OperatorElement):
@@ -443,9 +418,10 @@ class OperatorElement(_Combination):
             # A constant operator times a product kept factored is a
             # scalar multiple.
             for product, const in ((self, other), (other, self)):
-                c = const._constant() if product._factors is not None else None
+                c = const.as_scalar() if product._factors is not None else None
                 if c is not None:
-                    return product._scaled(lambda data: op_scale(data, c))
+                    return product._scaled(
+                        lambda data: op_scale(data, c.kernel_poly))
             left, right = self._split(), other._split()
             if left is None or right is None:
                 return OperatorElement(op_mul(self._data, other._data, n), n)
@@ -518,17 +494,23 @@ class OperatorElement(_Combination):
         return OperatorElement(out, n)
 
     def substitute_params(self, values: Sequence[BaseLike]) -> "OperatorElement":
-        """Evaluate every coefficient at numeric parameter values."""
-        if len(values) != self._nvars:
+        """Evaluate every coefficient at numeric parameter values.  A
+        product kept factored is substituted factor by factor and stays
+        factored (zero if a factor vanishes)."""
+        n = self._nvars
+        if len(values) != n:
             raise ArityMismatchError(
-                f"expected {self._nvars} parameter values, got {len(values)}")
-        zero_expo = (0,) * self._nvars
-        out: dict = {}
-        for mono, poly in self._data.items():
-            val = Scalar(dict(poly), self._nvars).evaluate(values)
-            if val:
-                out[mono] = {zero_expo: base_tuple(val)}
-        return OperatorElement(out, self._nvars)
+                f"expected {n} parameter values, got {len(values)}")
+        zero = (0,) * n
+
+        def substitute(data: dict) -> dict:
+            return {mono: {zero: base_tuple(val)} for mono, poly in data.items()
+                    if (val := Scalar(poly, n).evaluate(values))}
+
+        if self._factors is None:
+            return OperatorElement(substitute(self._data), n)
+        return OperatorElement._product_of(
+            {j: substitute(f) for j, f in self._factors.items()}, n)
 
     def act(self, f: "LaurentPolynomial") -> "LaurentPolynomial":
         """Apply to a Laurent polynomial.
@@ -546,8 +528,10 @@ class OperatorElement(_Combination):
                                  self._nvars)
 
     def __str__(self) -> str:
-        return _render_sum((str(coeff), str(mono))
-                           for mono, coeff in self.terms())
+        n = self._nvars
+        flats = sorted(self._data, key=lambda m: _mono_sort_key(m, n))
+        return _render_sum((str(Scalar(self._data[m], n)),
+                            _render_monomial(m, n)) for m in flats)
 
     @property
     def kernel_op(self) -> dict:

@@ -37,7 +37,6 @@ from .scalars import (
     ArityMismatchError,
     BaseLike,
     BaseNumber,
-    InexactDivisionError,
     Scalar,
     ScalarLike,
 )
@@ -126,9 +125,9 @@ def gauge(A: OperatorElement) -> OperatorElement:
     """
     n = A.nvars
     out = OperatorElement.zero(n)
-    for mono, coeff in A.terms():
+    for blocks, coeff in A.terms():
         piece = coeff * OperatorElement.identity(n)
-        for j, (a, b, e) in enumerate(mono.blocks):
+        for j, (a, b, e) in enumerate(blocks):
             if a:
                 piece = piece * OperatorElement.x(j, n, a)
             if b:
@@ -195,27 +194,11 @@ def fock(
     return state
 
 
-def _ratio(image: GaussState, s: GaussState) -> Optional[Scalar]:
-    """The scalar c with image == c * s, or None when there is none.
-
-    c can only be the ratio of the coefficients of s's leading monomial.
-    """
-    support = max(s.polynomial.exponents())
-    try:
-        c = image.polynomial.coefficient(support).exact_div(
-            s.polynomial.coefficient(support))
-    except InexactDivisionError:
-        return None
-    if image == c * s:
-        return c
-    return None
-
-
 def eigencheck(A: OperatorElement, s: GaussState) -> Optional[Scalar]:
     """Exact eigenvalue of A on s, or None if s is not an eigenstate."""
     if s.is_zero():
         raise ValueError("eigencheck needs a nonzero state")
-    return _ratio(apply(A, s), s)
+    return apply(A, s).polynomial.ratio(s.polynomial)
 
 
 @dataclass(frozen=True)
@@ -273,8 +256,8 @@ def _ladder(
         coefficients = []
         for j, lower in enumerate(lowerers):
             top = (0,) * j + (n,) + (0,) * (dims - j - 1)
-            c = _ratio(GaussState(lower.act(level[top].polynomial)),
-                       below[top[:j] + (n - 1,) + top[j + 1:]])
+            c = GaussState(lower.act(level[top].polynomial)).polynomial.ratio(
+                below[top[:j] + (n - 1,) + top[j + 1:]].polynomial)
             if c is None:
                 raise ArithmeticError(f"lowering state {top} left the ladder")
             coefficients.append(c)
@@ -317,7 +300,8 @@ def spectrum_table(
         energy: Optional[BaseNumber] = None
         leading: set = set()
         for ns, state in states.items():
-            lam = _ratio(GaussState(hamiltonian.act(state.polynomial)), state)
+            lam = GaussState(hamiltonian.act(state.polynomial)).polynomial.ratio(
+                state.polynomial)
             if lam is None:
                 raise ArithmeticError(
                     f"state {ns} failed to be an eigenstate")

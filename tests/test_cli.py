@@ -12,7 +12,7 @@ import pytest
 from helpers import random_operator
 
 import dunklweyl
-from dunklweyl import cli, dsl, states
+from dunklweyl import cli, dsl, opalg, states
 from dunklweyl.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
@@ -213,6 +213,20 @@ class TestZeroDenominator:
         code, out, err = run(capsys, ["nf", expr, "--dims", "1"])
         assert code == 2
         assert out == "" and err == "error: division by zero\n"
+
+
+class TestConstantDivisor:
+    @pytest.mark.parametrize("expr", ["x1/J+^2", "x1/mu1", "x1/(x1 + 1)"])
+    def test_divisor_must_be_constant(self, capsys, monkeypatch, expr):
+        # A product kept factored is refused as it stands, unflattened.
+        def flatten(*args):
+            raise AssertionError("flattened the divisor")
+
+        monkeypatch.setattr(opalg, "_flatten", flatten)
+        code, out, err = run(capsys, ["nf", expr, "--dims", "2"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: division needs a constant divisor\n"
 
 
 def _refuse(*args, **kwargs):

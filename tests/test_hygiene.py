@@ -146,3 +146,18 @@ def test_one_pair_loop(path):
     lines = _reads_outside(tree, "_plan", "_product")
     assert not lines, (f"{path.name} uses _plan outside _product on lines "
                        f"{lines}; add a pair rule to _product instead")
+
+
+def test_ratios_in_one_place():
+    """Exact quotients are taken by ``ratio`` on the value types of
+    ``opalg``; ``scalars`` defines ``exact_div`` and nothing else reads it."""
+    readers = {}
+    for path in SOURCES:
+        if path.name in ("opalg.py", "scalars.py"):
+            continue
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "exact_div"]
+        if lines:
+            readers[path.name] = lines
+    assert not readers, (f"exact_div read outside opalg on lines {readers}; "
+                         f"call ratio on the value types instead")

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,9 +24,9 @@ from dunklweyl._kernel import (
     bn_make, op_add, op_bracket, op_scale, op_sub)
 
 from dunklweyl import opalg
+from dunklweyl.builders import build
 from dunklweyl.opalg import (
     LaurentPolynomial,
-    NFMonomial,
     OperatorElement,
     anticommutator,
     commutator,
@@ -465,6 +466,28 @@ class TestSubstitution:
         with pytest.raises(ArityMismatchError):
             OperatorElement.identity(2).substitute_params([1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(factored(), st.lists(st.fractions(-3, 3).filter(bool),
+                                min_size=4, max_size=4))
+    def test_factored_product_one_factor_at_a_time(self, case, values):
+        n, fs = case
+        vals = values[:n]
+        with mock.patch.object(opalg, "_flatten", side_effect=AssertionError):
+            got = _times(fs).substitute_params(vals)
+        assert got._factors is not None
+        flat = OperatorElement(_reference_product(fs, n), n)
+        assert got.kernel_op == flat.substitute_params(vals).kernel_op
+
+    def test_vanishing_factor(self):
+        n = 2
+        mu1 = Scalar.parameter(0, n)
+        T = ((mu1 - Fraction(1, 3)) * OperatorElement.x(0, n)
+             * OperatorElement.d(1, n))
+        assert T._factors is not None
+        assert T.substitute_params([Fraction(1, 3), 5]).is_zero()
+        assert T.substitute_params([1, 5]) == (
+            Fraction(2, 3) * OperatorElement.x(0, n) * OperatorElement.d(1, n))
+
 
 class TestElementApi:
     def test_zero_identity(self):
@@ -513,14 +536,17 @@ class TestElementApi:
         mu = Scalar.parameter(0, 1)
         A = mu * OperatorElement.x(0, 1, -1) + 3
         assert A.coefficient((-1, 0, 0)) == mu
-        assert A.coefficient(NFMonomial(((0, 0, 0),))) == 3
+        assert A.coefficient((0, 0, 0)) == 3
         assert A.coefficient((5, 0, 0)) == Scalar.zero(1)
 
     def test_terms_sorted(self):
         x, d, r = gens(1)
         A = r + x + d
-        monos = [str(m) for m, _ in A.terms()]
-        assert monos == ["x1", "d1", "R1"]
+        blocks = [m for m, _ in A.terms()]
+        assert blocks == [((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)]
+        B = OperatorElement.x(1, 2, -1) * OperatorElement.r(0, 2) * 2 + 3
+        assert list(B.terms()) == [(((0, 0, 0), (0, 0, 0)), 3),
+                                   (((0, 0, 1), (-1, 0, 0)), 2)]
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
@@ -566,26 +592,68 @@ class TestElementApi:
         assert str(A) == "-mu1*x1^-2 + 2*mu1*x1^-1*d1 + d1^2 + mu1*x1^-2*R1"
         assert str(OperatorElement.zero(1)) == "0"
         assert str((mu + 1) * x) == "(mu1 + 1)*x1"
+        assert str(OperatorElement.identity(1)) == "1"
+        n = 2
+        two = (OperatorElement.x(0, n, 2) * OperatorElement.d(0, n)
+               * OperatorElement.r(0, n) * OperatorElement.x(1, n, -1))
+        assert str(two) == "x1^2*d1*R1*x2^-1"
 
 
-class TestNFMonomial:
-    def test_roundtrip(self):
-        m = NFMonomial(((2, 1, 1), (-1, 0, 0)))
-        assert NFMonomial.from_flat(m.flat, 2) == m
-        assert m.flat == (2, 1, 1, -1, 0, 0)
-        assert m.nvars == 2
-        assert str(m) == "x1^2*d1*R1*x2^-1"
+class TestRatio:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3),
+           st.booleans())
+    def test_scalar_multiple(self, rng, n, operator):
+        A = random_operator(rng, n) if operator else random_laurent(rng, n)
+        assume(A)
+        c = random_scalar(rng, n)
+        assert (c * A).ratio(A) == c
+        # A term A lacks: no multiple of A has it.
+        lacks = (OperatorElement.x(0, n, 9) if operator
+                 else LaurentPolynomial.monomial((9,) * n))
+        assert (c * A + lacks).ratio(A) is None
+        assert type(A).zero(n).ratio(A) == 0
+        assert A.ratio(type(A).zero(n)) is None
 
-    def test_identity(self):
-        m = NFMonomial(((0, 0, 0),))
-        assert m.is_identity()
-        assert str(m) == "1"
+    def test_not_proportional(self):
+        x, d, _ = gens(1)
+        mu = Scalar.parameter(0, 1)
+        assert (2 * x + 3 * d).ratio(x + d) is None
+        assert (mu * x + 1).ratio(x + 1) is None
+        assert (mu * x).ratio((mu + 1) * x) is None
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NFMonomial(((0, -1, 0),))
-        with pytest.raises(ValueError):
-            NFMonomial(((0, 0, 2),))
+    def test_factored_against_flat(self):
+        mu1 = Scalar.parameter(0, 2)
+        T = build("J+", 2) ** 3
+        assert T._factors is not None
+        flat = OperatorElement(dict(T.kernel_op), 2)
+        assert (mu1 * T).ratio(flat) == mu1
+        assert flat.ratio(-T) == -1
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ArityMismatchError):
+            OperatorElement.x(0, 1).ratio(OperatorElement.x(0, 2))
+        with pytest.raises(ArityMismatchError):
+            LaurentPolynomial.one(1).ratio(LaurentPolynomial.one(2))
+
+
+class TestAsScalar:
+    def test_constants(self):
+        one = OperatorElement.identity(1)
+        assert (3 * one).as_scalar() == 3
+        assert OperatorElement.zero(1).as_scalar() == 0
+        mu1 = Scalar.parameter(0, 1)
+        assert (mu1 * one).as_scalar() == mu1
+
+    def test_not_constant(self):
+        x = OperatorElement.x(0, 1)
+        assert x.as_scalar() is None
+        assert (x + 1).as_scalar() is None
+
+    def test_factored_stays_factored(self):
+        T = build("J+", 2) ** 2
+        with mock.patch.object(opalg, "_flatten", side_effect=AssertionError):
+            assert T.as_scalar() is None
 
 
 class TestLaurentPolynomial:
