@@ -326,11 +326,11 @@ def _resolve_name(identifier: str, dims: int) -> OperatorElement:
 def _invert(a: OperatorElement, dims: int) -> OperatorElement:
     if a.is_zero():
         raise ValueError("division by zero")
-    terms = list(a.terms())
-    if len(terms) == 1:
-        blocks, coeff = terms[0]
-        pure = all(b == 0 and e == 0 for _, b, e in blocks)
-        if pure and coeff.is_constant():
+    # One term commuting with every x_j; neither test flattens a product.
+    if len(a) == 1 and all(commutator(a, OperatorElement.x(j, dims)).is_zero()
+                           for j in range(dims)):
+        ((blocks, coeff),) = a.terms()
+        if coeff.is_constant():
             out = coeff.constant_value().inverse() * OperatorElement.identity(dims)
             for j, (aexp, _, _) in enumerate(blocks):
                 if aexp:

@@ -30,9 +30,9 @@ of ``[H, J+^k]``, only the scalar is kept, and the result is the product
 again.  Scalar multiples, and sums and differences of two products that
 agree in all factors but one, stay factored too: ``comm(J0, J+^5) -
 11*J+^5`` is ``-J+^5`` before any flat term is built, and substituting
-numeric parameters goes factor by factor.  The flat normal form is built
-from the factors on first use and kept.  Results are the same normal forms
-either way.
+numeric parameters goes factor by factor.  ``kernel_op`` alone builds the
+flat normal form, once, and keeps it; ``len()`` counts terms without it.
+Results are the same normal forms either way.
 
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from typing import (
     Callable, Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Type,
     TypeVar)
@@ -145,17 +146,23 @@ class _Combination:
     def nvars(self) -> int:
         return self._nvars
 
-    def is_zero(self) -> bool:
-        return not self._data
+    @property
+    def kernel_op(self) -> dict:
+        """The underlying kernel dict; treat as read-only."""
+        return self._data
 
-    def __bool__(self) -> bool:
-        return bool(self._data)
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._data)
+
+    def is_zero(self) -> bool:
+        return len(self) == 0
 
     def coefficient(self, key: Sequence[int]) -> Scalar:
         """The Scalar coefficient of a term, zero if absent.  The key is an
         exponent tuple for functions and a flat monomial, ``(a, b, e)`` per
         variable in a row, for operators."""
-        poly = self._data.get(tuple(key))
+        poly = self.kernel_op.get(tuple(key))
         if poly is None:
             return Scalar.zero(self._nvars)
         return Scalar(dict(poly), self._nvars)
@@ -166,7 +173,7 @@ class _Combination:
         energies and ladder coefficients of ``states`` are such ratios.
         """
         self._check_arity(other)
-        c = _ratio(self._data, other._data, self._nvars)
+        c = _ratio(self.kernel_op, other.kernel_op, self._nvars)
         return None if c is None else Scalar(c, self._nvars)
 
     def _check_arity(self: _C, other: _C) -> None:
@@ -179,7 +186,7 @@ class _Combination:
         None."""
         if isinstance(other, type(self)):
             self._check_arity(other)
-            return other._data
+            return other.kernel_op
         if isinstance(other, _SCALARS):
             poly = _scalar_poly(other, self._nvars)
             return {self._UNIT * self._nvars: poly} if poly else {}
@@ -189,7 +196,7 @@ class _Combination:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(op_add(self._data, o), self._nvars)
+        return type(self)(op_add(self.kernel_op, o), self._nvars)
 
     __radd__ = __add__
 
@@ -197,18 +204,18 @@ class _Combination:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(op_sub(self._data, o), self._nvars)
+        return type(self)(op_sub(self.kernel_op, o), self._nvars)
 
     def __rsub__(self: _C, other) -> _C:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(op_sub(o, self._data), self._nvars)
+        return type(self)(op_sub(o, self.kernel_op), self._nvars)
 
     def __mul__(self: _C, other) -> _C:
         if isinstance(other, _SCALARS):
             return type(self)(
-                op_scale(self._data, _scalar_poly(other, self._nvars)),
+                op_scale(self.kernel_op, _scalar_poly(other, self._nvars)),
                 self._nvars)
         return NotImplemented
 
@@ -216,7 +223,7 @@ class _Combination:
     __rmul__ = __mul__
 
     def __neg__(self: _C) -> _C:
-        return type(self)(_op_neg(self._data), self._nvars)
+        return type(self)(_op_neg(self.kernel_op), self._nvars)
 
     def __eq__(self, other: object) -> bool:
         if (isinstance(other, (type(self), Scalar))
@@ -225,7 +232,7 @@ class _Combination:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._data == o
+        return self.kernel_op == o
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -276,16 +283,16 @@ class OperatorElement(_Combination):
     - ``a + b`` and ``a - b`` of two such products on the same variables
       that agree in every factor but at most one (the same dict object, or
       an equal one) add or subtract that one factor.
-    The flat normal form is built from the factors, by outer products, on
-    the first read of ``_data`` and then kept.  ``_factors`` is None for
-    every other element.
+    ``_data`` is then None until ``kernel_op``, the one place a product is
+    flattened, builds the flat form by outer products and keeps it; ``len()``
+    counts the terms without it.  ``_factors`` is None for any other element.
     """
 
     __slots__ = ("_factors",)
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
 
-    def __init__(self, data: dict, nvars: int) -> None:
+    def __init__(self, data: Optional[dict], nvars: int) -> None:
         super().__init__(data, nvars)
         self._factors: Optional[Dict[int, dict]] = None
 
@@ -299,19 +306,23 @@ class OperatorElement(_Combination):
         if len(factors) == 1:
             (data,) = factors.values()
             return cls(data, nvars)
-        out = cls.__new__(cls)
-        out._nvars = nvars
+        out = cls(None, nvars)
         out._factors = factors
         return out
 
-    def __getattr__(self, name: str):
-        # Called only for a slot left unset: the flat terms of a product
-        # kept factored, built here on first use.
-        if name != "_data":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        data = self._data = _flatten(self._factors, self._nvars)
-        return data
+    @property
+    def kernel_op(self) -> dict:
+        """The flat kernel dict; treat as read-only.  A product kept
+        factored is flattened here, on the first read, and only here."""
+        if self._data is None:
+            self._data = _flatten(self._factors, self._nvars)
+        return self._data
+
+    def __len__(self) -> int:
+        """The number of terms, counted without flattening a product: the
+        terms of its factors multiply to distinct monomials, none zero."""
+        f = self._factors
+        return len(self._data) if f is None else prod(map(len, f.values()))
 
     def _scaled(self, scale: Callable[[dict], dict]) -> "OperatorElement":
         """``scale``, a scalar multiple of kernel dicts, applied to this
@@ -406,10 +417,10 @@ class OperatorElement(_Combination):
     def terms(self) -> Iterator[Tuple[Tuple[Block, ...], Scalar]]:
         """Deterministic ``(blocks, coefficient)`` pairs, ``blocks`` holding
         one ``(x_power, d_power, reflection)`` triple per variable."""
-        n = self._nvars
-        for flat in sorted(self._data, key=lambda m: _mono_sort_key(m, n)):
+        n, data = self._nvars, self.kernel_op
+        for flat in sorted(data, key=lambda m: _mono_sort_key(m, n)):
             yield (tuple(flat[j:j + 3] for j in range(0, 3 * n, 3)),
-                   Scalar(dict(self._data[flat]), n))
+                   Scalar(dict(data[flat]), n))
 
     def __mul__(self, other) -> "OperatorElement":
         if isinstance(other, OperatorElement):
@@ -424,7 +435,8 @@ class OperatorElement(_Combination):
                         lambda data: op_scale(data, c.kernel_poly))
             left, right = self._split(), other._split()
             if left is None or right is None:
-                return OperatorElement(op_mul(self._data, other._data, n), n)
+                return OperatorElement(
+                    op_mul(self.kernel_op, other.kernel_op, n), n)
             # Distinct variables commute: multiply factor by factor.
             factors = dict(left)
             for j, f in right.items():
@@ -480,7 +492,7 @@ class OperatorElement(_Combination):
         """
         n = self._nvars
         groups: dict = {}
-        for mono, poly in self._data.items():
+        for mono, poly in self.kernel_op.items():
             left = tuple(0 if j % 3 == 0 else k for j, k in enumerate(mono))
             right = tuple(k if j % 3 == 0 else 0 for j, k in enumerate(mono))
             groups.setdefault(left, {})[right] = {
@@ -524,19 +536,14 @@ class OperatorElement(_Combination):
         if f.nvars != self._nvars:
             raise ArityMismatchError(
                 f"operator on {self._nvars} variables applied to function on {f.nvars}")
-        return LaurentPolynomial(op_act(self._data, f._data, self._nvars),
-                                 self._nvars)
+        return LaurentPolynomial(
+            op_act(self.kernel_op, f._data, self._nvars), self._nvars)
 
     def __str__(self) -> str:
-        n = self._nvars
-        flats = sorted(self._data, key=lambda m: _mono_sort_key(m, n))
-        return _render_sum((str(Scalar(self._data[m], n)),
+        n, data = self._nvars, self.kernel_op
+        flats = sorted(data, key=lambda m: _mono_sort_key(m, n))
+        return _render_sum((str(Scalar(data[m], n)),
                             _render_monomial(m, n)) for m in flats)
-
-    @property
-    def kernel_op(self) -> dict:
-        """The underlying kernel dict; treat as read-only."""
-        return self._data
 
 
 def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:
@@ -608,7 +615,7 @@ def _leibniz(a: OperatorElement, b: OperatorElement,
                 for j, term in rest]
     if len(products) == 1:
         return products[0]
-    return OperatorElement(reduce(op_add, (p._data for p in products)), n)
+    return OperatorElement(reduce(op_add, (p.kernel_op for p in products)), n)
 
 
 def _bracket(a, b, sign: int) -> OperatorElement:
@@ -628,7 +635,8 @@ def _bracket(a, b, sign: int) -> OperatorElement:
     if data is None:
         raise TypeError(f"no bracket of {type(a).__name__} "
                         f"and {type(b).__name__}")
-    return OperatorElement(op_bracket(a._data, data, a._nvars, sign), a._nvars)
+    return OperatorElement(op_bracket(a.kernel_op, data, a._nvars, sign),
+                           a._nvars)
 
 
 def commutator(a: OperatorElement, b: OperatorElement) -> OperatorElement:

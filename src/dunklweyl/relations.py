@@ -51,7 +51,7 @@ class IdentityResult:
 
     @property
     def residual_terms(self) -> int:
-        return len(self.residual.kernel_op)
+        return len(self.residual)
 
     @property
     def passed(self) -> bool:

@@ -196,7 +196,7 @@ def reference_apply(A, s):
     derivative rule d_j(p * e) = (d_j p - x_j p) * e written out."""
     from dunklweyl.states import GaussState
     acc = {}
-    for mono, coeff in A._data.items():
+    for mono, coeff in A.kernel_op.items():
         f = s.polynomial
         for j in range(s.nvars):
             a, b, e = mono[3 * j:3 * j + 3]
@@ -232,7 +232,7 @@ def reference_act(self, f):
     """
     n = self._nvars
     out: dict = {}
-    for mono, opoly in self._data.items():
+    for mono, opoly in self.kernel_op.items():
         for fexp, fpoly in f._data.items():
             factor = 1
             new_exp = []
@@ -280,7 +280,7 @@ def reference_adjoint(self):
     """
     out: dict = {}
     n = self._nvars
-    for mono, poly in self._data.items():
+    for mono, poly in self.kernel_op.items():
         conj = {e: bn_conj(c) for e, c in poly.items()}
         sign = 1
         rows = []

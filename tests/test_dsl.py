@@ -127,7 +127,11 @@ class TestEvaluation:
         assert parse_eval("x1^-2", 1) == x(0, 1, -2)
         assert parse_eval("(x1*x2)^-1", 2) == x(0, 2, -1) * x(1, 2, -1)
         assert parse_eval("(2*x1)^-1", 1) == x(0, 1, -1) / 2
-        for bad in ("d1^-1", "R1^-1", "(x1 + x2)^-1", "(mu1*x1)^-1"):
+        # Single terms that are products kept factored.
+        assert str(parse_eval("(x1*x2)^-1", 2)) == "x1^-1*x2^-1"
+        assert str(parse_eval("(2*x1*x2^2)^-2", 2)) == "1/4*x1^-2*x2^-4"
+        for bad in ("d1^-1", "R1^-1", "(x1 + x2)^-1", "(mu1*x1)^-1",
+                    "(x1*R2)^-1", "(x1*d2)^-1"):
             with pytest.raises(ValueError):
                 parse_eval(bad, 2)
 
@@ -282,6 +286,18 @@ class TestFactoredPath:
         calls = self.count_flattens(monkeypatch)
         assert nf(f"comm(J0, J+^{k}) - {2 * k + 1}*J+^{k}") == want
         assert calls == [[0, 1]]
+
+    @pytest.mark.parametrize("expr", ["(J+^5)^-1", "P^-1"])
+    def test_refused_inverse_never_flattens(self, capsys, monkeypatch, expr):
+        # Neither is a coordinate monomial: J+^5 has 1,296 terms, and P =
+        # R1*R2 does not commute with x1.
+        calls = self.count_flattens(monkeypatch)
+        code = cli.main(["nf", "--dims", "2", expr])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == ("error: negative powers need a coordinate monomial "
+                       "with constant coefficient\n")
+        assert calls == []
 
     def test_flat_bracket_where_no_rule_applies(self, monkeypatch):
         # The Casimir has terms on both variables at once.

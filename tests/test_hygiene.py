@@ -161,3 +161,28 @@ def test_ratios_in_one_place():
             readers[path.name] = lines
     assert not readers, (f"exact_div read outside opalg on lines {readers}; "
                          f"call ratio on the value types instead")
+
+
+def test_one_place_flattens():
+    """A product kept factored is flattened by ``kernel_op`` alone: no
+    ``__getattr__`` builds the flat form on a stray read, and no module
+    but ``opalg`` and ``scalars`` reads the slots behind it."""
+    path = Path(dunklweyl.__file__).parent / "opalg.py"
+    tree = ast.parse(path.read_text(), str(path))
+    lines = _reads_outside(tree, "_flatten", "kernel_op")
+    assert not lines, f"opalg.py reads _flatten outside kernel_op on {lines}"
+    hooks = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "__getattr__"]
+    assert not hooks, f"opalg.py defines __getattr__ on lines {hooks}"
+    readers = {}
+    for path in SOURCES:
+        if path.name in ("opalg.py", "scalars.py"):
+            continue
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("_data", "_factors")]
+        if lines:
+            readers[path.name] = lines
+    assert not readers, (f"_data or _factors read outside opalg on lines "
+                         f"{readers}; read kernel_op or len() instead")

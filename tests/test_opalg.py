@@ -266,6 +266,38 @@ class TestFactoredPath:
             assert bracket(T, S).kernel_op == reference_bracket(
                 flat_t, flat_s, n, sign)
 
+    @FACTORED
+    @given(factored(), st.randoms(use_true_random=False))
+    def test_reads_match_flat_twin(self, case, rng):
+        # Every read is the first on a fresh product, so none of them sees
+        # a flat form that an earlier read built.
+        n, fs = case
+        twin = OperatorElement(_reference_product(fs, n), n)
+
+        def fresh():
+            return _times(fs)
+
+        with mock.patch.object(opalg, "_flatten", side_effect=AssertionError):
+            assert len(fresh()) == len(twin)
+            assert bool(fresh()) == bool(twin)
+            assert fresh().is_zero() == twin.is_zero()
+        assert str(fresh()) == str(twin)
+        assert list(fresh().terms()) == list(twin.terms())
+        absent = (9, 0, 0) * n
+        for key in (next(iter(twin.kernel_op), absent), absent):
+            assert fresh().coefficient(key) == twin.coefficient(key)
+        for other in (twin, 3 * twin, fs[0]):
+            assert fresh().ratio(other) == twin.ratio(other)
+            assert other.ratio(fresh()) == other.ratio(twin)
+        assert fresh().as_scalar() == twin.as_scalar()
+        f = random_laurent(rng, n)
+        assert fresh().act(f) == twin.act(f)
+        assert fresh().adjoint() == twin.adjoint()
+        vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(n)]
+        assert fresh().substitute_params(vals) == twin.substitute_params(vals)
+        assert fresh() == twin and twin == fresh()
+
 
 def _graded(rng, j, nvars, degree):
     """A random operator on variable j alone, homogeneous of ``degree``
@@ -517,7 +549,7 @@ class TestElementApi:
         assert A ** 3 == cube
         assert len(calls) == 2
         # The single factor stays on the left: A * (A * A).
-        assert all(left == A._data for left, _, _ in calls)
+        assert all(left == A.kernel_op for left, _, _ in calls)
         assert A ** 1 == A
 
     @settings(max_examples=60, deadline=None)

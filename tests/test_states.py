@@ -125,10 +125,10 @@ class TestApply:
             n = rng.choice([1, 2])
             cases.append((random_operator(rng, n), random_state(rng, n)))
         for A, s in cases:
-            op_before = copy.deepcopy(A._data)
+            op_before = copy.deepcopy(A.kernel_op)
             state_before = copy.deepcopy(s.polynomial._data)
             image = apply(A, s)
-            assert A._data == op_before
+            assert A.kernel_op == op_before
             assert s.polynomial._data == state_before
             assert apply(A, s) == image
 
