@@ -32,6 +32,9 @@ agree in all factors but one, stay factored too: ``comm(J0, J+^5) -
 11*J+^5`` is ``-J+^5`` before any flat term is built, and substituting
 numeric parameters goes factor by factor.  ``kernel_op`` alone builds the
 flat normal form, once, and keeps it; ``len()`` counts terms without it.
+A power made by ``**`` remembers its base, and a commutator with one is
+first tried from the bracket of the bases: ``[C, J-] = 0`` gives ``[C,
+J-^3] = 0`` and ``[J0, J+] = 2*J+`` gives ``[J0, J+^5] = 10*J+^5``.
 Results are the same normal forms either way.
 
 Both value types are linear combinations of keyed terms and share one base,
@@ -65,6 +68,7 @@ from dunklweyl._kernel import (
     op_scale,
     op_sub,
     poly_add,
+    poly_mul,
     poly_neg,
     poly_scale_int,
 )
@@ -286,15 +290,21 @@ class OperatorElement(_Combination):
     ``_data`` is then None until ``kernel_op``, the one place a product is
     flattened, builds the flat form by outer products and keeps it; ``len()``
     counts the terms without it.  ``_factors`` is None for any other element.
+
+    ``_power`` is ``(base, k)`` on a value made as ``base**k`` with ``k >=
+    2`` (the base of a power of a power is the innermost one), and None on
+    any other value, products made by ``*`` included: a commutator with it
+    may be decided from the one bracket of the bases (see ``_bracket``).
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_factors", "_power")
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
 
     def __init__(self, data: Optional[dict], nvars: int) -> None:
         super().__init__(data, nvars)
         self._factors: Optional[Dict[int, dict]] = None
+        self._power: Optional[Tuple[OperatorElement, int]] = None
 
     @classmethod
     def _product_of(cls, factors: Dict[int, dict],
@@ -468,6 +478,9 @@ class OperatorElement(_Combination):
         factor, each factor from the left, and stays factored: ``J+^5`` is
         ``A+1^5`` and ``A-2^5``, 36 terms each, and its 1,296 flat terms
         are built only when something reads them.
+
+        For ``n >= 2`` the result records its base and exponent in
+        ``_power``: ``(B, n)``, or ``(B, j*n)`` when ``self`` is ``B^j``.
         """
         if not isinstance(n, int) or n < 0:
             return NotImplemented
@@ -476,6 +489,9 @@ class OperatorElement(_Combination):
         out = self
         for _ in range(n - 1):
             out = self * out
+        if n >= 2:
+            base, j = self._power or (self, 1)
+            out._power = (base, j * n)
         return out
 
     def adjoint(self) -> "OperatorElement":
@@ -618,13 +634,67 @@ def _leibniz(a: OperatorElement, b: OperatorElement,
     return OperatorElement(reduce(op_add, (p.kernel_op for p in products)), n)
 
 
+def _factor_ratio(a: OperatorElement, b: OperatorElement
+                  ) -> Optional[dict]:
+    """The polynomial ``c`` with ``a == c*b``, found without flattening, or
+    None.  Two products kept factored on the same variables go factor by
+    factor, ``c`` being the product of the factors' ratios; two flat
+    elements go by ``_ratio``.  None may miss a ratio that exists: where
+    one operand is kept factored and the other is not, or where the
+    factors' ratios are not all polynomials."""
+    f, g = a._factors, b._factors
+    if f is None and g is None:
+        return _ratio(a._data, b._data, a._nvars)
+    if f is None or g is None or f.keys() != g.keys():
+        return None
+    c = {(0,) * a._nvars: BN_ONE}
+    for j in f:
+        if f[j] is not g[j]:
+            r = _ratio(f[j], g[j], a._nvars)
+            if r is None:
+                return None
+            c = poly_mul(c, r)
+    return c
+
+
+def _power_bracket(a: OperatorElement, b: OperatorElement
+                   ) -> Optional[OperatorElement]:
+    """``[a, b]`` from the bracket of the bases where ``a`` or ``b`` is a
+    recorded power, or None where that bracket does not decide it.
+
+    ``ad_A = [A, .]`` is a derivation, so ``[A, B^k] = sum_i B^i [A, B]
+    B^(k-1-i)``.  With ``c = [A, B]``: if ``c`` is zero, so is every
+    bracket of powers of ``A`` and ``B``; if ``c = l*B``, then ``[A, B^k] =
+    k*l*B^k``; and if ``c = l*A``, then ``[A^j, B] = j*l*A^j``.
+    """
+    a0, j = a._power or (a, 1)
+    b0, k = b._power or (b, 1)
+    if j == k == 1:
+        return None
+    c = _bracket(a0, b0, -1)
+    if c.is_zero():
+        return c
+    if j > 1 and k > 1:
+        return None
+    power, base, n = (b, b0, k) if j == 1 else (a, a0, j)
+    lam = _factor_ratio(c, base)
+    if lam is None:
+        return None
+    scale = poly_scale_int(lam, n)
+    return power._scaled(lambda data: op_scale(data, scale))
+
+
 def _bracket(a, b, sign: int) -> OperatorElement:
     """``a*b + sign*b*a`` in the kernel's one pass over both orders, or by
     the Leibniz rule over the factors of a product; either operand may be
-    a scalar."""
+    a scalar.  A commutator with a recorded power (``_power``) is first
+    tried from the bracket of the bases (``_power_bracket``); the
+    anticommutator is not, as ``{A, .}`` is no derivation."""
     if isinstance(a, OperatorElement) and isinstance(b, OperatorElement):
         a._check_arity(b)
-        out = _leibniz(a, b, sign)
+        out = _power_bracket(a, b) if sign < 0 else None
+        if out is None:
+            out = _leibniz(a, b, sign)
         if out is not None:
             return out
     if not isinstance(a, OperatorElement) and isinstance(b, OperatorElement):

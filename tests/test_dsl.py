@@ -300,12 +300,23 @@ class TestFactoredPath:
         assert calls == []
 
     def test_flat_bracket_where_no_rule_applies(self, monkeypatch):
-        # The Casimir has terms on both variables at once.
+        # The Casimir has terms on both variables at once, and a product
+        # made by * records no base.
         casimir = build("C", 2)
-        cube = parse_eval("J-^3", 2)
+        cube = parse_eval("J-*J-*J-", 2)
         calls = self.count_brackets(monkeypatch)
-        assert parse_eval("comm(C, J-^3)", 2).is_zero()
+        assert parse_eval("comm(C, J-*J-*J-)", 2).is_zero()
         assert calls == [(len(casimir.kernel_op), len(cube.kernel_op))]
+
+    def test_power_bracket_takes_the_base(self, monkeypatch):
+        # [C, J-] = 0 decides [C, J-^3] with one bracket of J-, read flat
+        # here first; the power itself is never flattened.
+        sizes = (len(build("C", 2).kernel_op), len(build("J-", 2).kernel_op))
+        calls = self.count_brackets(monkeypatch)
+        flattens = self.count_flattens(monkeypatch)
+        assert parse_eval("comm(C, J-^3)", 2).is_zero()
+        assert calls == [sizes]
+        assert flattens == []
 
 
 # Differential grammar fuzzer -------------------------------------------------

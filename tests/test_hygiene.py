@@ -166,7 +166,8 @@ def test_ratios_in_one_place():
 def test_one_place_flattens():
     """A product kept factored is flattened by ``kernel_op`` alone: no
     ``__getattr__`` builds the flat form on a stray read, and no module
-    but ``opalg`` and ``scalars`` reads the slots behind it."""
+    but ``opalg`` and ``scalars`` reads the slots behind it or the base
+    that a power records."""
     path = Path(dunklweyl.__file__).parent / "opalg.py"
     tree = ast.parse(path.read_text(), str(path))
     lines = _reads_outside(tree, "_flatten", "kernel_op")
@@ -181,8 +182,8 @@ def test_one_place_flattens():
             continue
         lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute)
-                 and node.attr in ("_data", "_factors")]
+                 and node.attr in ("_data", "_factors", "_power")]
         if lines:
             readers[path.name] = lines
-    assert not readers, (f"_data or _factors read outside opalg on lines "
-                         f"{readers}; read kernel_op or len() instead")
+    assert not readers, (f"_data, _factors or _power read outside opalg on "
+                         f"lines {readers}; read kernel_op or len() instead")

@@ -206,6 +206,14 @@ def _reference_product(ops, nvars):
     return out
 
 
+def _reference_power(op, k, nvars):
+    """``op^k`` by reference products on the flat operand."""
+    out = OperatorElement.identity(nvars).kernel_op
+    for _ in range(k):
+        out = reference_op_mul(op.kernel_op, out, nvars)
+    return out
+
+
 def _times(ops):
     out = ops[0]
     for op in ops[1:]:
@@ -246,10 +254,7 @@ class TestFactoredPath:
     def test_powers(self, case, p):
         n, fs = case
         T = _times(fs)
-        want = OperatorElement.identity(n).kernel_op
-        for _ in range(p):
-            want = reference_op_mul(T.kernel_op, want, n)
-        assert (T ** p).kernel_op == want
+        assert (T ** p).kernel_op == _reference_power(T, p, n)
 
     @FACTORED
     @given(factored(), st.randoms(use_true_random=False), st.booleans())
@@ -402,6 +407,152 @@ class TestFactoredArithmetic:
             flat = op_bracket(S.kernel_op, T.kernel_op, n, sign)
             assert out.kernel_op == flat
             assert want is None or out == want
+
+
+@st.composite
+def power_cases(draw):
+    """``(nvars, A, B)``: small operators on one or two variables where
+    ``[A, B]`` is anything (random), zero (``A`` a polynomial in ``B``), or
+    a scalar multiple of ``B`` (``A`` a sum of ``c_i*x_i*d_i`` with
+    parametric ``c_i`` and ``B`` one term)."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["random", "commuting", "euler"]))
+    # One term in B keeps the powers of A = c*B^2 + ... small.  A zero B
+    # would make every bracket zero.
+    B = (random_operator(rng, n, max_terms=2 if kind == "random" else 1,
+                         max_pow=2)
+         or OperatorElement.x(0, n, -1) * OperatorElement.d(0, n))
+    if kind == "random":
+        A = random_operator(rng, n, max_terms=2, max_pow=2)
+    elif kind == "commuting":
+        A = random_scalar(rng, n) * B * B + random_base(rng) * B + 2
+    else:
+        A = sum(random_scalar(rng, n) * OperatorElement.x(i, n)
+                * OperatorElement.d(i, n) for i in range(n))
+    return n, A, B
+
+
+class TestPowerBracket:
+    """A commutator with a recorded power, ``[A, B^k]``, decided from
+    ``[A, B]`` where that is zero or a multiple of ``B`` (or of ``A``, for
+    ``[A^j, B]``), against the kernel's bracket on operands flattened by
+    the reference product."""
+
+    @staticmethod
+    def outcomes(monkeypatch):
+        """What the rule made of each bracket with a recorded power: zero,
+        a multiple, or None where it fell through."""
+        out = []
+        rule = opalg._power_bracket
+
+        def recording(a, b):
+            value = rule(a, b)
+            if a._power or b._power:
+                out.append(value if value is None
+                           else "zero" if value.is_zero() else "multiple")
+            return value
+
+        monkeypatch.setattr(opalg, "_power_bracket", recording)
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(power_cases(), st.integers(0, 4))
+    def test_against_flat_bracket(self, case, k):
+        n, A, B = case
+        flat_a, flat_p = A.kernel_op, _reference_power(B, k, n)
+        assert commutator(A, B ** k).kernel_op == op_bracket(
+            flat_a, flat_p, n, -1)
+        assert commutator(B ** k, A).kernel_op == op_bracket(
+            flat_p, flat_a, n, -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(power_cases(), st.integers(2, 3), st.integers(0, 2))
+    def test_powers_of_powers(self, case, i, j):
+        n, A, B = case
+        flat_a = A.kernel_op
+        nested, flat_n = (B ** j) ** i, _reference_power(B, i * j, n)
+        assert commutator(A, nested).kernel_op == op_bracket(
+            flat_a, flat_n, n, -1)
+        assert commutator(nested, A).kernel_op == op_bracket(
+            flat_n, flat_a, n, -1)
+        assert commutator(A ** i, B ** j).kernel_op == op_bracket(
+            _reference_power(A, i, n), _reference_power(B, j, n), n, -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ladder_cases(), st.integers(0, 2))
+    def test_factored_bases(self, case, k):
+        # A product kept factored as the base, bracketed with a sum of
+        # one-variable terms: zero, a multiple of it, or neither.
+        n, fs, s = case
+        T = _times(fs)
+        flat_s, flat_p = s.kernel_op, _reference_power(T, k, n)
+        assert commutator(s, T ** k).kernel_op == op_bracket(
+            flat_s, flat_p, n, -1)
+        assert commutator(T ** k, s).kernel_op == op_bracket(
+            flat_p, flat_s, n, -1)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("ladder", ["J+", "J-"])
+    def test_hamiltonian_and_ladder_powers(self, monkeypatch, ladder, k):
+        H, J = build("H", 2), build(ladder, 2)
+        outcomes = self.outcomes(monkeypatch)
+        out = commutator(H, J ** k)
+        assert out.kernel_op == op_bracket(
+            H.kernel_op, _reference_power(J, k, 2), 2, -1) == {}
+        assert outcomes == (["zero"] if k >= 2 else [])
+
+    def test_zero_the_rule_does_not_decide(self, monkeypatch):
+        # [R1, x1] = -2*x1*R1 is no multiple of x1, yet [R1, x1^2] = 0.
+        r, x = OperatorElement.r(0, 1), OperatorElement.x(0, 1)
+        outcomes = self.outcomes(monkeypatch)
+        assert commutator(r, x ** 2).is_zero()
+        assert outcomes == [None]
+
+    def test_multiples(self, monkeypatch):
+        # [J0, J+] = 2*J+ and [mu1*J0, J+] = 2*mu1*J+.
+        n = 2
+        mu1 = Scalar.parameter(0, n)
+        j0, jp = build("J0", n), build("J+", n)
+        outcomes = self.outcomes(monkeypatch)
+        for a, b, want, k in ((j0, jp ** 3, 6, 3),
+                              (mu1 * j0, jp ** 3, 6 * mu1, 3),
+                              (jp ** 3, j0, -6, 3),
+                              (j0, (jp ** 2) ** 2, 8, 4)):
+            power = _reference_power(jp, k, n)
+            out = commutator(a, b)
+            assert out._factors is not None
+            assert out.kernel_op == op_scale(
+                power, (Scalar.one(n) * want).kernel_poly)
+            flat_a = power if a._power else a.kernel_op
+            flat_b = power if b._power else b.kernel_op
+            assert out.kernel_op == op_bracket(flat_a, flat_b, n, -1)
+        assert outcomes == ["multiple"] * 4
+
+    def test_fall_through(self, monkeypatch):
+        # [K-, K+] has two powers whose bases do not commute; [J0 + x1, J+]
+        # is no multiple of J+.
+        n = 2
+        jm, jp = build("J-", n), build("J+", n)
+        mixed = build("J0", n) + OperatorElement.x(0, n)
+        outcomes = self.outcomes(monkeypatch)
+        assert commutator(build("K-", n), build("K+", n)).kernel_op == (
+            op_bracket(_reference_power(jm, 2, n),
+                       _reference_power(jp, 2, n), n, -1))
+        assert commutator(mixed, jp ** 2).kernel_op == op_bracket(
+            mixed.kernel_op, _reference_power(jp, 2, n), n, -1)
+        assert outcomes == [None, None]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_anticommutator_takes_no_rule(self, monkeypatch, k):
+        n = 2
+        j0, jp = build("J0", n), build("J+", n)
+        outcomes = self.outcomes(monkeypatch)
+        assert anticommutator(j0, jp ** k).kernel_op == op_bracket(
+            j0.kernel_op, _reference_power(jp, k, n), n, 1)
+        assert anticommutator(jp ** k, j0).kernel_op == op_bracket(
+            _reference_power(jp, k, n), j0.kernel_op, n, 1)
+        assert outcomes == []
 
 
 class TestActOracle:
