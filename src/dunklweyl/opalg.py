@@ -81,6 +81,7 @@ from dunklweyl.scalars import (
     ScalarLike,
     _render_sum,
     base_tuple,
+    poly_renderer,
 )
 
 Block = Tuple[int, int, int]
@@ -101,21 +102,23 @@ def _scalar_poly(value: ScalarLike, nvars: int) -> dict:
     return {(0,) * nvars: data}
 
 
-def _render_monomial(flat: tuple, nvars: int) -> str:
+def _render_monomial(flat: tuple, blocks: List[dict]) -> str:
+    """``flat`` written as ``x^a*d^b*R`` per variable; ``blocks[j]`` keeps
+    the text of each block of variable j already written."""
     factors = []
-    for j in range(nvars):
-        a, b, e = flat[3 * j], flat[3 * j + 1], flat[3 * j + 2]
-        if a == 1:
-            factors.append(f"x{j + 1}")
-        elif a:
-            factors.append(f"x{j + 1}^{a}")
-        if b == 1:
-            factors.append(f"d{j + 1}")
-        elif b:
-            factors.append(f"d{j + 1}^{b}")
-        if e:
-            factors.append(f"R{j + 1}")
-    return "*".join(factors) if factors else "1"
+    for j, texts in enumerate(blocks):
+        block = flat[3 * j:3 * j + 3]
+        text = texts.get(block)
+        if text is None:
+            a, b, e = block
+            v = j + 1
+            text = texts[block] = "*".join(part for part in (
+                (f"x{v}" if a == 1 else f"x{v}^{a}") if a else "",
+                (f"d{v}" if b == 1 else f"d{v}^{b}") if b else "",
+                f"R{v}" if e else "") if part)
+        if text:
+            factors.append(text)
+    return "*".join(factors) or "1"
 
 
 def _mono_sort_key(flat: tuple, nvars: int) -> tuple:
@@ -556,10 +559,12 @@ class OperatorElement(_Combination):
             op_act(self.kernel_op, f._data, self._nvars), self._nvars)
 
     def __str__(self) -> str:
+        # One memo of number, mu-monomial and block texts for the output.
         n, data = self._nvars, self.kernel_op
         flats = sorted(data, key=lambda m: _mono_sort_key(m, n))
-        return _render_sum((str(Scalar(data[m], n)),
-                            _render_monomial(m, n)) for m in flats)
+        coefficient, blocks = poly_renderer(), [{} for _ in range(n)]
+        return _render_sum((coefficient(data[m]), _render_monomial(m, blocks))
+                           for m in flats)
 
 
 def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:

@@ -9,9 +9,11 @@ parameters are real, so conjugation only touches the coefficients.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union)
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -238,13 +240,49 @@ def _render_sum(terms: Iterable[Tuple[str, str]]) -> str:
     return out or "0"
 
 
+def _quotient(num: int, den: int) -> str:
+    """``num/den`` in lowest terms, written as ``str(Fraction(num, den))``
+    writes it for ``den > 0``, without building the Fraction."""
+    g = gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:
+        # str() of an int with more digits than the interpreter allows.
+        raise ValueError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} "
+            f"digits, too large to print") from None
+
+
 def render_base(data: tuple) -> str:
     """Deterministic human-readable form of a base-number tuple."""
-    p, q, r, s, den = data
-    return _render_sum(
-        (str(Fraction(num, den)), unit)
-        for num, unit in ((p, "1"), (q, "i"), (r, "sqrt2"), (s, "i*sqrt2"))
-        if num)
+    den = data[4]
+    return _render_sum((_quotient(num, den), unit) for num, unit
+                       in zip(data, ("1", "i", "sqrt2", "i*sqrt2")) if num)
+
+
+def poly_renderer() -> Callable[[dict], str]:
+    """A renderer of kernel mu-polynomials, terms lex-descending in mu,
+    that formats each distinct base number and mu-monomial once in its
+    life: a caller keeps it for one output, and the memo dies with it."""
+    numbers: dict = {}
+    monomials: dict = {}
+
+    def render(poly: dict) -> str:
+        terms = []
+        for expo in sorted(poly, reverse=True):
+            coef = poly[expo]
+            cs = numbers.get(coef)
+            if cs is None:
+                cs = numbers[coef] = render_base(coef)
+            ms = monomials.get(expo)
+            if ms is None:
+                ms = monomials[expo] = "*".join(
+                    f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
+                    for i, e in enumerate(expo) if e) or "1"
+            terms.append((cs, ms))
+        return _render_sum(terms)
+
+    return render
 
 
 def base_tuple(value: BaseLike) -> tuple:
@@ -452,12 +490,7 @@ class Scalar:
             yield e, BaseNumber._from_tuple(self._poly[e])
 
     def __str__(self) -> str:
-        terms = []
-        for expo, coef in self.terms():
-            factors = [f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
-                       for i, e in enumerate(expo) if e]
-            terms.append((render_base(coef._data), "*".join(factors) or "1"))
-        return _render_sum(terms)
+        return poly_renderer()(self._poly)
 
     def __repr__(self) -> str:
         return f"Scalar({self}, nvars={self._nvars})"

@@ -315,3 +315,86 @@ def reference_laurent_str(self):
                    for j, g in enumerate(exps) if g]
         terms.append((str(coeff), "*".join(factors) or "1"))
     return _render_sum(terms)
+
+
+# The Fraction-based term renderer that the memoised one in ``scalars``
+# replaced, kept verbatim (its ``_render_sum``, ``render_base``,
+# ``Scalar.__str__``, ``_render_monomial``, ``_mono_sort_key`` and
+# ``OperatorElement.__str__``) as the oracle for the renderer's property
+# tests.
+
+
+def _reference_render_sum(terms):
+    out = ""
+    for cs, ms in terms:
+        if ms == "1":
+            body = cs
+        elif cs == "1":
+            body = ms
+        elif cs == "-1":
+            body = "-" + ms
+        elif " " in cs:
+            body = f"({cs})*{ms}"
+        else:
+            body = f"{cs}*{ms}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out or "0"
+
+
+def _reference_render_base(data):
+    p, q, r, s, den = data
+    return _reference_render_sum(
+        (str(Fraction(num, den)), unit)
+        for num, unit in ((p, "1"), (q, "i"), (r, "sqrt2"), (s, "i*sqrt2"))
+        if num)
+
+
+def _reference_scalar_str(self):
+    terms = []
+    for expo, coef in self.terms():
+        factors = [f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
+                   for i, e in enumerate(expo) if e]
+        terms.append((_reference_render_base(coef._data),
+                      "*".join(factors) or "1"))
+    return _reference_render_sum(terms)
+
+
+def _reference_render_monomial(flat, nvars):
+    factors = []
+    for j in range(nvars):
+        a, b, e = flat[3 * j], flat[3 * j + 1], flat[3 * j + 2]
+        if a == 1:
+            factors.append(f"x{j + 1}")
+        elif a:
+            factors.append(f"x{j + 1}^{a}")
+        if b == 1:
+            factors.append(f"d{j + 1}")
+        elif b:
+            factors.append(f"d{j + 1}^{b}")
+        if e:
+            factors.append(f"R{j + 1}")
+    return "*".join(factors) if factors else "1"
+
+
+def _reference_mono_sort_key(flat, nvars):
+    # Reflection-free, low-order terms first; deterministic everywhere.
+    return tuple((flat[3 * j + 2], flat[3 * j + 1], flat[3 * j])
+                 for j in range(nvars))
+
+
+def reference_render(value):
+    """Text of a ``BaseNumber``, ``Scalar`` or ``OperatorElement``."""
+    if isinstance(value, BaseNumber):
+        return _reference_render_base(value._data)
+    if isinstance(value, Scalar):
+        return _reference_scalar_str(value)
+    n, data = value.nvars, value.kernel_op
+    flats = sorted(data, key=lambda m: _reference_mono_sort_key(m, n))
+    return _reference_render_sum((_reference_scalar_str(Scalar(data[m], n)),
+                                  _reference_render_monomial(m, n))
+                                 for m in flats)

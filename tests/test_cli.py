@@ -304,6 +304,22 @@ class TestInputLimits:
                                     "--levels", "2"])
         assert code == 0 and len(out.splitlines()) == 4
 
+    # A coefficient of 4,097 digits prints; squared, it has more digits
+    # than the interpreter writes for an int, and the fault is named.
+    def test_coefficient_digits_at_the_limit(self, capsys):
+        code, out, err = run(capsys, ["nf", "--dims", "1", "(10^64)^64"])
+        assert (code, out, err) == (0, str(10 ** 4096) + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_past_the_digit_limit(self, capsys, fmt):
+        code, out, err = run(capsys, ["nf", "--dims", "1", "--format", fmt,
+                                      "((10^64)^64)^2"])
+        assert code == 2 and out == ""
+        assert err == (f"error: a coefficient has more than "
+                       f"{sys.get_int_max_str_digits()} digits, too large "
+                       f"to print\n")
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
     # Parsing a value past the limit is the work the limit guards, so
     # Fraction itself is poisoned.
     @pytest.mark.parametrize("mu", _PAST_MU, ids=(

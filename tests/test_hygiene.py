@@ -187,3 +187,106 @@ def test_one_place_flattens():
             readers[path.name] = lines
     assert not readers, (f"_data, _factors or _power read outside opalg on "
                          f"lines {readers}; read kernel_op or len() instead")
+
+
+def _render_path():
+    """``(path, trees)``: ``path`` lists ``(module file, function node)``
+    for the functions that write values as text, every ``__str__`` of
+    ``scalars`` and ``opalg`` and the module-level functions of either
+    that they call by name, transitively (a name ``opalg`` imports from
+    ``scalars`` resolves there); ``trees`` maps each file to its AST."""
+    trees = {name: ast.parse((Path(dunklweyl.__file__).parent / name)
+                             .read_text(), name)
+             for name in ("scalars.py", "opalg.py")}
+    functions = {name: {node.name: node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}
+                 for name, tree in trees.items()}
+    todo = [(name, node) for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__str__"]
+    seen = {}
+    while todo:
+        name, fn = todo.pop()
+        if (name, fn.name, fn.lineno) in seen:
+            continue
+        seen[name, fn.name, fn.lineno] = (name, fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                for owner in (name, "scalars.py"):
+                    callee = functions[owner].get(node.func.id)
+                    if callee is not None:
+                        todo.append((owner, callee))
+                        break
+    return list(seen.values()), trees
+
+
+def _mu_powers(tree):
+    """Lines of every f-string that writes a mu power, ``mu{i}^{e}``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            parts = node.values
+            for k in range(len(parts) - 3):
+                a, b, c, d = parts[k:k + 4]
+                if (isinstance(a, ast.Constant) and a.value.endswith("mu")
+                        and isinstance(b, ast.FormattedValue)
+                        and isinstance(c, ast.Constant)
+                        and c.value == "^"
+                        and isinstance(d, ast.FormattedValue)):
+                    out.append(node.lineno)
+    return out
+
+
+def _module_dicts(tree):
+    """Names bound at module level to a dict display or a dict call."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if (isinstance(value, (ast.Dict, ast.DictComp))
+                or (isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None)
+                    in ("dict", "defaultdict", "OrderedDict"))):
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_one_renderer():
+    """Numbers and mu-monomials are written only in ``scalars``, without
+    building a Fraction, and the memo that writes each distinct one once
+    per output lives in the call, not in the module."""
+    path, trees = _render_path()
+    names = {name for name, _ in path}
+    assert {"scalars.py", "opalg.py"} <= names
+    module_dicts = {name: _module_dicts(tree)
+                    for name, tree in trees.items()}
+    faults = []
+    for name, fn in path:
+        where = f"{name} {fn.name} (line {fn.lineno})"
+        if fn.decorator_list:
+            faults.append(f"{where} is decorated, so it may cache")
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                faults.append(f"{where} writes a global")
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and node.id in module_dicts[name]):
+                faults.append(f"{where} reads the module-level dict {node.id}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "Fraction"):
+                faults.append(f"{where} builds a Fraction")
+            elif (name != "scalars.py" and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("Scalar", "BaseNumber")):
+                faults.append(f"{where} builds a {node.func.id} to write "
+                              f"it instead of passing the shared renderer "
+                              f"its kernel data")
+    for path_ in SOURCES:
+        if path_.name != "scalars.py":
+            lines = _mu_powers(ast.parse(path_.read_text(), str(path_)))
+            if lines:
+                faults.append(f"{path_.name} writes a mu power on {lines}")
+    assert not faults, "; ".join(faults)

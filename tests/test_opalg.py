@@ -18,10 +18,11 @@ from helpers import (
     reference_laurent_mul,
     reference_laurent_str,
     reference_op_mul,
+    reference_render,
 )
 
 from dunklweyl._kernel import (
-    bn_make, op_add, op_bracket, op_scale, op_sub)
+    BN_ZERO, bn_make, op_add, op_bracket, op_scale, op_sub)
 
 from dunklweyl import opalg
 from dunklweyl.builders import build
@@ -879,3 +880,63 @@ class TestLaurentPolynomial:
             LaurentPolynomial.one(1) + LaurentPolynomial.one(2)
         with pytest.raises(ArityMismatchError):
             OperatorElement.x(0, 1).act(LaurentPolynomial.one(2))
+
+
+# Coefficients as the renderer meets them: each of the four units alone or
+# mixed with the others, negative numerators, denominators up to a million.
+_parts = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
+_wide_coeffs = st.builds(
+    bn_make, _parts, _parts, _parts, _parts,
+    st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+).filter(lambda c: c[0] or c[1] or c[2] or c[3])
+
+
+def _wide_polys(nvars, min_size=1):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                           _wide_coeffs, min_size=min_size, max_size=4)
+
+
+@st.composite
+def wide_scalars(draw):
+    n = draw(st.integers(1, 3))
+    return Scalar(draw(_wide_polys(n, min_size=0)), n)
+
+
+@st.composite
+def wide_operators(draw):
+    n = draw(st.integers(1, 3))
+    block = st.tuples(st.integers(-4, 4), st.integers(0, 4), st.integers(0, 1))
+    monos = st.tuples(*[block] * n).map(lambda bs: sum(bs, ()))
+    return OperatorElement(
+        draw(st.dictionaries(monos, _wide_polys(n), max_size=8)), n)
+
+
+class TestRenderer:
+    """Numbers, scalars and operators render as the Fraction-based
+    renderer that the memoised one replaced did, byte for byte."""
+
+    @SETTINGS
+    @given(st.one_of(st.just(BN_ZERO), _wide_coeffs))
+    def test_base_numbers(self, data):
+        value = BaseNumber._from_tuple(data)
+        assert str(value) == reference_render(value)
+
+    @SETTINGS
+    @given(wide_scalars())
+    def test_scalars(self, value):
+        assert str(value) == reference_render(value)
+
+    @SETTINGS
+    @given(wide_operators())
+    def test_operators(self, op):
+        assert str(op) == reference_render(op)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factored(), _wide_coeffs)
+    def test_fresh_product_renders_as_its_flat_twin(self, case, coef):
+        n, fs = case
+        T = BaseNumber._from_tuple(coef) * _times(fs)
+        assert T._factors is not None and T._data is None
+        twin = OperatorElement(
+            op_scale(_reference_product(fs, n), {(0,) * n: coef}), n)
+        assert str(T) == reference_render(twin) == str(twin)
