@@ -50,14 +50,15 @@ blocks commute in all variables but one, the merged multipliers are the
 other variables' rows times that variable's cached merged row.  ``op_mul``
 is the one-sided case of the same loop.
 
-``op_outer`` multiplies operators whose terms touch disjoint sets of
-variables, which is how ``opalg`` flattens a product it keeps as
-one-variable factors: each monomial pair gives one output monomial, with no
-reordering.  ``op_act`` applies an operator to a Laurent polynomial lifted
-as its multiplication operator, ``x^g`` as the block ``(g, 0, 0)``: each
-pair gives at most one monomial, through a cached row per variable.
-Products, brackets, outer products and action are one pair loop,
-``_product``, that differs only in its rule for a monomial pair.
+``op_act`` applies an operator to a Laurent polynomial lifted as its
+multiplication operator, ``x^g`` as the block ``(g, 0, 0)``: each pair
+gives at most one monomial, through a cached row per variable.
+``op_adjoint`` multiplies the conjugated operator by the identity, each
+monomial ``x^a d^b R^e`` taken to the normal form of ``R^e (-d)^b x^a``
+through a cached row per variable.  Products, brackets, action and adjoint
+are one pair loop, ``_product``, that differs only in its rule for a
+monomial pair, and every row comes from the one reordering rule,
+``dx_rows`` through ``_block``.
 """
 
 from functools import cache, partial
@@ -546,14 +547,6 @@ def _product(A, B, nvars, pair_terms):
     return _reduce(acc, den, unpack, unit)
 
 
-def _outer(ka, kb):
-    """The pair rule of operands on disjoint variables: in every variable
-    one of the two blocks is ``(0, 0, 0)``, so the pair gives one monomial,
-    the blocks added, with multiplier 1."""
-    return ((tuple([u + v for x, y in zip(ka, kb) for u, v in zip(x, y)]),
-             1),)
-
-
 def op_mul(A, B, nvars):
     """Normal-ordered product of two operators on ``nvars`` variables.
 
@@ -602,27 +595,15 @@ def op_bracket(A, B, nvars, sign):
     return _product(A, B, nvars, pair_terms)
 
 
-def op_outer(A, B, nvars):
-    """``A*B`` for operators whose terms touch disjoint sets of variables,
-    as when a product of one-variable factors is flattened.
-
-    Distinct variables commute, so no monomial needs reordering: each pair
-    of monomials gives one output monomial.  Its coefficient is still the
-    sum of the pair's coefficient products, since a factor's coefficients
-    may carry any variable's deformation parameter.
-    """
-    return _product(A, B, nvars, _outer)
-
-
 @cache
 def _act_row(key):
     """x^a d^b R^e on x^g, ``key = (a, b, e, g, 0, 0)``: the image's block
-    and integer, (-1)^g if ``e`` times g(g-1)...(g-b+1), 0 if d^b kills."""
+    and integer, (-1)^g if ``e`` times g(g-1)...(g-b+1), 0 if d^b kills.
+    The falling factorial is the d-free entry of ``dx_rows(b, g)``."""
     a, b, e, g = key[:4]
-    k = -1 if e and g & 1 else 1
-    for t in range(b):
-        k *= g - t
-    return (a + g - b, 0, 0), k
+    k, c = dx_rows(b, g)[-1]
+    sign = -1 if e and g & 1 else 1
+    return (a + g - b, 0, 0), sign * c if k == b else 0
 
 
 def _act(ka, kb):
@@ -639,3 +620,24 @@ def op_act(A, F, nvars):
     """``A`` applied to ``F``, a dict from exponent tuples to polynomials."""
     flat = {tuple([u for g in e for u in (g, 0, 0)]): p for e, p in F.items()}
     return {m[::3]: p for m, p in _product(A, flat, nvars, _act).items()}
+
+
+@cache
+def _adjoint_row(key):
+    """The adjoint of x^a d^b R^e, ``key = (a, b, e, 0, 0, 0)``: the row of
+    ``R^e (-d)^b x^a``, which is ``(-1)^b d^b x^a`` when ``e = 0`` and, as
+    ``R d = -d R``, ``d^b R x^a`` when ``e = 1``."""
+    a, b, e = key[:3]
+    sign = -1 if b & 1 and not e else 1
+    return tuple([(blk, sign * c) for blk, c in _block((0, b, e, a, 0, 0))])
+
+
+def op_adjoint(A, nvars):
+    """The formal adjoint of ``A``: coefficients conjugated and each
+    monomial reversed, with x and R self-adjoint and d skew-adjoint.
+    Distinct variables commute, so the reversed monomial is one block per
+    variable; it is ``A``, conjugated, times the identity, under the pair
+    rule of :func:`_adjoint_row`."""
+    conj = {m: {e: bn_conj(c) for e, c in p.items()} for m, p in A.items()}
+    one = {(0, 0, 0) * nvars: {(0,) * nvars: BN_ONE}}
+    return _product(conj, one, nvars, partial(_expand, rows=_adjoint_row))

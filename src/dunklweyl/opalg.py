@@ -32,9 +32,10 @@ agree in all factors but one, stay factored too: ``comm(J0, J+^5) -
 11*J+^5`` is ``-J+^5`` before any flat term is built, and substituting
 numeric parameters goes factor by factor.  ``kernel_op`` alone builds the
 flat normal form, once, and keeps it; ``len()`` counts terms without it.
-A power made by ``**`` remembers its base, and a commutator with one is
-first tried from the bracket of the bases: ``[C, J-] = 0`` gives ``[C,
-J-^3] = 0`` and ``[J0, J+] = 2*J+`` gives ``[J0, J+^5] = 10*J+^5``.
+A power made by ``**`` remembers its base, and a commutator of one with a
+value that is no power is first tried from the bracket of the bases:
+``[C, J-] = 0`` gives ``[C, J-^3] = 0`` and ``[J0, J+] = 2*J+`` gives
+``[J0, J+^5] = 10*J+^5``.
 Results are the same normal forms either way.
 
 Both value types are linear combinations of keyed terms and share one base,
@@ -59,12 +60,11 @@ from typing import (
 
 from dunklweyl._kernel import (
     BN_ONE,
-    bn_conj,
     op_act,
     op_add,
+    op_adjoint,
     op_bracket,
     op_mul,
-    op_outer,
     op_scale,
     op_sub,
     poly_add,
@@ -271,7 +271,7 @@ def _separate(data: dict) -> Optional[Dict[Optional[int], dict]]:
 
 def _flatten(factors: Dict[int, dict], nvars: int) -> dict:
     """The normal form of a product of factors on distinct variables."""
-    return reduce(lambda a, b: op_outer(a, b, nvars),
+    return reduce(lambda a, b: op_mul(a, b, nvars),
                   [factors[j] for j in sorted(factors)])
 
 
@@ -291,7 +291,7 @@ class OperatorElement(_Combination):
       that agree in every factor but at most one (the same dict object, or
       an equal one) add or subtract that one factor.
     ``_data`` is then None until ``kernel_op``, the one place a product is
-    flattened, builds the flat form by outer products and keeps it; ``len()``
+    flattened, builds the flat form by products and keeps it; ``len()``
     counts the terms without it.  ``_factors`` is None for any other element.
 
     ``_power`` is ``(base, k)`` on a value made as ``base**k`` with ``k >=
@@ -501,28 +501,11 @@ class OperatorElement(_Combination):
         """Formal adjoint of the flat L^2 pairing.
 
         Reverses products, conjugates coefficients, and maps x -> x,
-        d -> -d, R -> R.  Distinct variables commute, so the adjoint of
-        ``c * x^a d^b R^e`` is ``R^e (-d)^b * conj(c) x^a`` with every
-        variable's ``R^e (-d)^b`` gathered on the left; in normal form that
-        left factor is ``d^b R^e`` when ``e = 1`` and ``(-d)^b`` when
-        ``e = 0``.  Terms sharing their d- and R-exponents share it, so each
-        such group is one product of that monomial by the group's conjugated
-        x-part, normal-ordered by ``op_mul``.
+        d -> -d, R -> R: ``op_adjoint``, one more pair rule of the kernel's
+        product loop; ``reference_adjoint`` is the independent oracle.
         """
-        n = self._nvars
-        groups: dict = {}
-        for mono, poly in self.kernel_op.items():
-            left = tuple(0 if j % 3 == 0 else k for j, k in enumerate(mono))
-            right = tuple(k if j % 3 == 0 else 0 for j, k in enumerate(mono))
-            groups.setdefault(left, {})[right] = {
-                e: bn_conj(c) for e, c in poly.items()}
-        out: dict = {}
-        for left, x_part in groups.items():
-            sign = (-1) ** sum(left[j + 1] for j in range(0, 3 * n, 3)
-                               if not left[j + 2])
-            out = op_add(out, op_mul({left: {(0,) * n: (sign, 0, 0, 0, 1)}},
-                                     x_part, n))
-        return OperatorElement(out, n)
+        return OperatorElement(op_adjoint(self.kernel_op, self._nvars),
+                               self._nvars)
 
     def substitute_params(self, values: Sequence[BaseLike]) -> "OperatorElement":
         """Evaluate every coefficient at numeric parameter values.  A
@@ -600,7 +583,7 @@ def _leibniz(a: OperatorElement, b: OperatorElement,
     ``c``: if every term is one, the result is ``c*T``, kept factored.  The
     other terms are products of factors too; ``c*T = c*F_j * prod_{k != j}
     F_k`` joins the first of them, and only a sum of two or more is
-    flattened, by outer products.
+    flattened, by products.
     """
     if a._factors is None and b._factors is not None:
         s, t = a, b
@@ -664,23 +647,24 @@ def _factor_ratio(a: OperatorElement, b: OperatorElement
 
 def _power_bracket(a: OperatorElement, b: OperatorElement
                    ) -> Optional[OperatorElement]:
-    """``[a, b]`` from the bracket of the bases where ``a`` or ``b`` is a
-    recorded power, or None where that bracket does not decide it.
+    """``[a, b]`` from the bracket of the bases where exactly one of ``a``
+    and ``b`` is a recorded power, or None where that bracket does not
+    decide it.
 
     ``ad_A = [A, .]`` is a derivation, so ``[A, B^k] = sum_i B^i [A, B]
-    B^(k-1-i)``.  With ``c = [A, B]``: if ``c`` is zero, so is every
-    bracket of powers of ``A`` and ``B``; if ``c = l*B``, then ``[A, B^k] =
-    k*l*B^k``; and if ``c = l*A``, then ``[A^j, B] = j*l*A^j``.
+    B^(k-1-i)``.  With ``c = [A, B]``: if ``c`` is zero, so are ``[A, B^k]``
+    and ``[A^j, B]``; if ``c = l*B``, then ``[A, B^k] = k*l*B^k``; and if
+    ``c = l*A``, then ``[A^j, B] = j*l*A^j``.  Where both are powers only
+    the zero case could apply, so the rule is not tried there: the bases'
+    bracket would be paid first and, as in ``[K-, K+]``, decide nothing.
     """
     a0, j = a._power or (a, 1)
     b0, k = b._power or (b, 1)
-    if j == k == 1:
+    if (j > 1) == (k > 1):
         return None
     c = _bracket(a0, b0, -1)
     if c.is_zero():
         return c
-    if j > 1 and k > 1:
-        return None
     power, base, n = (b, b0, k) if j == 1 else (a, a0, j)
     lam = _factor_ratio(c, base)
     if lam is None:
@@ -692,8 +676,8 @@ def _power_bracket(a: OperatorElement, b: OperatorElement
 def _bracket(a, b, sign: int) -> OperatorElement:
     """``a*b + sign*b*a`` in the kernel's one pass over both orders, or by
     the Leibniz rule over the factors of a product; either operand may be
-    a scalar.  A commutator with a recorded power (``_power``) is first
-    tried from the bracket of the bases (``_power_bracket``); the
+    a scalar.  A commutator with exactly one recorded power (``_power``) is
+    first tried from the bracket of the bases (``_power_bracket``); the
     anticommutator is not, as ``{A, .}`` is no derivation."""
     if isinstance(a, OperatorElement) and isinstance(b, OperatorElement):
         a._check_arity(b)
@@ -760,6 +744,9 @@ class LaurentPolynomial(_Combination):
 
     def diff(self, index: int) -> "LaurentPolynomial":
         """Partial derivative in x_{index+1}."""
+        if not 0 <= index < self._nvars:
+            raise IndexError(f"variable index {index} out of range for "
+                             f"{self._nvars} variables")
         # Distinct exponents stay distinct after lowering one of them, so
         # no two terms meet and nothing can cancel.
         return LaurentPolynomial(

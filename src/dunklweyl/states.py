@@ -3,9 +3,11 @@
 A state is p(x1..xn) * exp(-(x1^2 + ... + xn^2)/2) with p a polynomial
 whose coefficients may depend on the deformation parameters.  Every
 operator acts through OperatorElement.act on the polynomial part, after
-gauge() has conjugated it by the envelope: x and R commute with the
-Gaussian, and d_j(p * e) = ((d_j - x_j) p) * e.  The registry operators
-the spectra use are gauged once per process and only then substituted.
+gauge() has conjugated it by the envelope e^{-X}, X = (x1^2 + ... +
+xn^2)/2, through Hadamard's series e^X A e^{-X} = sum_k ad_X^k(A)/k!: x
+and R commute with X, and [X, d_j] = -x_j, so d_j(p * e) = ((d_j - x_j)
+p) * e.  The registry operators the spectra use are gauged once per
+process and only then substituted.
 All computation stays in the Laurent ring; a state is only required to
 be pole free at the boundaries, i.e. at construction and in the final
 result of an operator application.  Inverse powers inside an operator
@@ -32,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .builders import build
-from .opalg import LaurentPolynomial, OperatorElement
+from .opalg import LaurentPolynomial, OperatorElement, commutator
 from .scalars import (
     ArityMismatchError,
     BaseLike,
@@ -119,23 +121,20 @@ class GaussState:
 def gauge(A: OperatorElement) -> OperatorElement:
     """The envelope-conjugated operator e^{|x|^2/2} A e^{-|x|^2/2}.
 
-    Each term coeff * x_j^a d_j^b R_j^e becomes coeff * x_j^a (d_j -
-    x_j)^b R_j^e, so gauge(A).act(p) is the polynomial part of A acting
-    on p * exp(-|x|^2/2).
+    Hadamard's series sum_k ad_X^k(A)/k! with X = |x|^2/2, one commutator
+    per term: each ad_X lowers the total d-degree, taking d_j to -x_j, so
+    the series ends after A's top d-degree.  gauge(A).act(p) is the
+    polynomial part of A acting on p * exp(-|x|^2/2).
     """
     n = A.nvars
-    out = OperatorElement.zero(n)
-    for blocks, coeff in A.terms():
-        piece = coeff * OperatorElement.identity(n)
-        for j, (a, b, e) in enumerate(blocks):
-            if a:
-                piece = piece * OperatorElement.x(j, n, a)
-            if b:
-                piece = piece * (OperatorElement.d(j, n)
-                                 - OperatorElement.x(j, n)) ** b
-            if e:
-                piece = piece * OperatorElement.r(j, n)
-        out = out + piece
+    X = sum((OperatorElement.x(j, n, 2) for j in range(n)),
+            OperatorElement.zero(n)) / 2
+    out = term = A
+    k = 0
+    while not term.is_zero():
+        k += 1
+        term = commutator(X, term) / k
+        out = out + term
     return out
 
 

@@ -308,6 +308,33 @@ def reference_adjoint(self):
     return OperatorElement(out, n)
 
 
+# The state layer's per-term gauge loop, from before gauge went by
+# Hadamard's series of commutators, kept verbatim as the oracle for it.
+
+
+def reference_gauge(A):
+    """The envelope-conjugated operator e^{|x|^2/2} A e^{-|x|^2/2}.
+
+    Each term coeff * x_j^a d_j^b R_j^e becomes coeff * x_j^a (d_j -
+    x_j)^b R_j^e, so gauge(A).act(p) is the polynomial part of A acting
+    on p * exp(-|x|^2/2).
+    """
+    n = A.nvars
+    out = OperatorElement.zero(n)
+    for blocks, coeff in A.terms():
+        piece = coeff * OperatorElement.identity(n)
+        for j, (a, b, e) in enumerate(blocks):
+            if a:
+                piece = piece * OperatorElement.x(j, n, a)
+            if b:
+                piece = piece * (OperatorElement.d(j, n)
+                                 - OperatorElement.x(j, n)) ** b
+            if e:
+                piece = piece * OperatorElement.r(j, n)
+        out = out + piece
+    return out
+
+
 def reference_laurent_str(self):
     terms = []
     for exps, coeff in self.terms():

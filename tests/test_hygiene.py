@@ -140,12 +140,30 @@ def _reads_outside(tree, name, owner):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_one_pair_loop(path):
-    """Only ``_product`` lifts operands, so every product, bracket and
-    flattening runs its one pair loop and no second loop can appear."""
+    """Only ``_product`` lifts operands, so the pair rules of product,
+    bracket, action and adjoint all run its one pair loop and no second
+    loop can appear."""
     tree = ast.parse(path.read_text(), str(path))
     lines = _reads_outside(tree, "_plan", "_product")
     assert not lines, (f"{path.name} uses _plan outside _product on lines "
                        f"{lines}; add a pair rule to _product instead")
+
+
+def test_one_reordering_rule():
+    """Every cached row of the kernel other than ``_block`` is built from
+    ``dx_rows`` or ``_block``, so monomials are reordered by one rule."""
+    path = Path(dunklweyl.__file__).parent / "_kernel.py"
+    tree = ast.parse(path.read_text(), str(path))
+    cached = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name != "_block"
+              and any(getattr(d, "id", None) == "cache"
+                      for d in node.decorator_list)]
+    assert cached
+    own = sorted(f"{node.name} (line {node.lineno})" for node in cached
+                 if not {"dx_rows", "_block"} & {
+                     n.id for n in ast.walk(node) if isinstance(n, ast.Name)})
+    assert not own, (f"_kernel.py cached rows with their own reordering: "
+                     f"{own}; build them from dx_rows or _block")
 
 
 def test_ratios_in_one_place():

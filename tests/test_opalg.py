@@ -544,6 +544,22 @@ class TestPowerBracket:
             mixed.kernel_op, _reference_power(jp, 2, n), n, -1)
         assert outcomes == [None, None]
 
+    def test_two_powers_take_one_bracket(self, monkeypatch):
+        # With both operands powers the bases' bracket is not paid first.
+        n = 2
+        km, kp = build("K-", n), build("K+", n)
+        flat = op_bracket(_reference_power(build("J-", n), 2, n),
+                          _reference_power(build("J+", n), 2, n), n, -1)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return op_bracket(*args)
+
+        monkeypatch.setattr(opalg, "op_bracket", counting)
+        assert commutator(km, kp).kernel_op == flat
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_anticommutator_takes_no_rule(self, monkeypatch, k):
         n = 2
@@ -857,6 +873,15 @@ class TestLaurentPolynomial:
 
     def test_diff_constant(self):
         assert LaurentPolynomial.one(1).diff(0).is_zero()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 3])
+    def test_diff_index_out_of_range(self, offset):
+        # Index -1, n and n + 3, on zero and nonzero functions.
+        for f in (LaurentPolynomial.zero(2), LaurentPolynomial.monomial((2, 3)),
+                  LaurentPolynomial.monomial((-1, 4), Scalar.parameter(1, 2))):
+            index = -1 if offset < 0 else f.nvars + offset
+            with pytest.raises(IndexError, match=f"index {index} out"):
+                f.diff(index)
 
     def test_str(self):
         f = LaurentPolynomial.monomial((1, -2), 3) - 1

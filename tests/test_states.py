@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_operator, random_state, reference_apply
+from helpers import (
+    random_operator, random_state, reference_apply, reference_gauge)
 
 from dunklweyl.builders import build, names
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
@@ -173,6 +174,17 @@ class TestGauge:
             A = random_operator(rng, n)
             B = random_operator(rng, n)
             assert gauge(A * B) == gauge(A) * gauge(B)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.sampled_from([1, 2, 3]))
+    def test_series_matches_reference(self, rng, n):
+        # Negative x-powers, reflections and parametric coefficients.
+        A = random_operator(rng, n)
+        assert gauge(A).kernel_op == reference_gauge(A).kernel_op
+
+    def test_factored_product_matches_reference(self):
+        jp2 = build("J+", 2) ** 2
+        assert gauge(jp2).kernel_op == reference_gauge(jp2).kernel_op
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_cached_gauge_commutes_with_substitution(self, dims):
