@@ -50,9 +50,13 @@ blocks commute in all variables but one, the merged multipliers are the
 other variables' rows times that variable's cached merged row.  ``op_mul``
 is the one-sided case of the same loop.
 
-``op_act`` applies an operator to a Laurent polynomial lifted as its
-multiplication operator, ``x^g`` as the block ``(g, 0, 0)``: each pair
-gives at most one monomial, through a cached row per variable.
+``op_act`` applies an operator to a Laurent polynomial lifted straight from
+its exponent tuples, ``x^g`` as the one-int block ``(g,)``: each pair gives
+at most one exponent tuple, through a cached row per variable, so the
+result comes out keyed as a function.  Each operand of the pair loop is an
+:class:`Operand` holding its own set-up (denominator, exponent range and
+line) and its last lift; an operator value keeps its ``Operand``, so that
+repeated actions of one operator lift it once.
 ``op_adjoint`` multiplies the conjugated operator by the identity, each
 monomial ``x^a d^b R^e`` taken to the normal form of ``R^e (-d)^b x^a``
 through a cached row per variable.  Products, brackets, action and adjoint
@@ -337,19 +341,21 @@ def _bounds(X):
             axes[0] if len(axes) == 1 else None)
 
 
-def _lift(X, den, lo, weights, nvars, axis):
-    """Operator terms as ``(blocks, [(packed_exponent, numerator)])``.
+def _lift(X, den, lo, weights, nvars, axis, width):
+    """Terms as ``(blocks, [(packed_exponent, numerator)])``.
 
-    ``blocks`` splits the flat monomial into one ``(a, b, e)`` triple per
-    variable.  The exponent tuple, shifted by ``lo``, is packed with the
-    place values ``weights``.  The numerator is over ``den``: with ``axis``
-    set, every coefficient lies on that part's line and the numerator is
-    the int on it; with ``axis`` None, an int when the coefficient is
-    rational and a :class:`_Surd` otherwise.
+    ``blocks`` splits each key of ``X`` into one block of ``width`` ints
+    per variable: an ``(a, b, e)`` triple of a flat monomial, or the
+    one-int ``(g,)`` of an exponent tuple.  The exponent tuple of each
+    coefficient, shifted by ``lo``, is packed with the place values
+    ``weights``.  The numerator is over ``den``: with ``axis`` set, every
+    coefficient lies on that part's line and the numerator is the int on
+    it; with ``axis`` None, an int when the coefficient is rational and a
+    :class:`_Surd` otherwise.
     """
     shift = sum(b * w for b, w in zip(lo, weights))
     packed = {}
-    starts = range(0, 3 * nvars, 3)
+    starts = range(0, width * nvars, width)
     out = []
     for m, p in X.items():
         nums = []
@@ -366,8 +372,42 @@ def _lift(X, den, lo, weights, nvars, axis):
                                         c[3] * k)))
             else:
                 nums.append((key, c[0] * k))
-        out.append((tuple([m[j:j + 3] for j in starts]), nums))
+        out.append((tuple([m[j:j + width] for j in starts]), nums))
     return out
+
+
+class Operand:
+    """One operand of the pair loop: its terms, their own set-up and the
+    last lift made of them.
+
+    ``terms`` is an operator, keyed by flat monomials (``width`` 3), or a
+    function, keyed by exponent tuples (``width`` 1).  The set-up,
+    ``bounds``, is :func:`_bounds` of the terms and needs no partner.  The
+    lift reads two things from the partner, the packing weights and the
+    line the numerators are taken on, so :meth:`lift` keeps its last
+    result under that key and lifts again only when the key changes.  An
+    operator value keeps its ``Operand`` for its life, so that every
+    action after the first reuses the lift; products, brackets and the
+    function side of an action make theirs per call and drop them.
+    """
+
+    __slots__ = ("terms", "width", "bounds", "_key", "_lifted")
+
+    def __init__(self, terms, width=3):
+        self.terms = terms
+        self.width = width
+        self.bounds = _bounds(terms) if terms else None
+        self._key = self._lifted = None
+
+    def lift(self, weights, axis, nvars):
+        """The terms lifted onto ``weights`` and ``axis``, see :func:`_lift`."""
+        key = (weights, axis)
+        if key != self._key:
+            den, lo = self.bounds[:2]
+            self._lifted = _lift(self.terms, den, lo, weights, nvars, axis,
+                                 self.width)
+            self._key = key
+        return self._lifted
 
 
 @cache
@@ -449,22 +489,25 @@ _UNIT_PRODUCTS = {
 }
 
 
-def _plan(A, B, nvars):
+def _plan(a, b, nvars):
     """Lift both operands of one product onto a shared exponent packing.
 
-    Returns ``(den, unpack, unit, ta, tb)``: ``den`` is the denominator
-    ``DA*DB`` of every product term, ``unpack`` the ``(weight, radix,
-    offset)`` of each parameter for :func:`_reduce`, ``unit`` the ``(part,
-    integer)`` an int sum of products stands for, and ``ta``/``tb`` the
-    lifted terms of ``A``/``B``.  When each operand's coefficients lie on
-    one line, ``Q`` times 1, i, sqrt2 or i*sqrt2, both lift to plain ints
-    and ``unit`` is the product of the two lines' units; otherwise ints are
-    rational and the rest :class:`_Surd`.  Radix, denominator and unit are
-    symmetric in the operands, so one plan serves ``A*B`` and ``B*A``
-    alike.
+    ``a`` and ``b`` are :class:`Operand` values.  Returns ``(den, unpack,
+    unit, ta, tb)``: ``den`` is the denominator ``DA*DB`` of every product
+    term, ``unpack`` the ``(weight, radix, offset)`` of each parameter for
+    :func:`_reduce`, ``unit`` the ``(part, integer)`` an int sum of
+    products stands for, and ``ta``/``tb`` the lifted terms of ``a``/``b``.
+    When each operand's coefficients lie on one line, ``Q`` times 1, i,
+    sqrt2 or i*sqrt2, both lift to plain ints and ``unit`` is the product
+    of the two lines' units; otherwise ints are rational and the rest
+    :class:`_Surd`.  Radix, denominator and unit are symmetric in the
+    operands, so one plan serves ``A*B`` and ``B*A`` alike.  Each operand's
+    bounds are its own; its lift depends on the partner only through the
+    weights and the line, and an operand reuses its last lift when both
+    are unchanged.
     """
-    da, loa, hia, axa = _bounds(A)
-    db, lob, hib, axb = _bounds(B)
+    da, loa, hia, axa = a.bounds
+    db, lob, hib, axb = b.bounds
     if axa is None or axb is None:
         axa = axb = None
         unit = (0, 1)
@@ -480,8 +523,8 @@ def _plan(A, B, nvars):
         weights.append(weight)
         unpack.append((weight, radix, loa[j] + lob[j]))
         weight *= radix
-    return (da * db, unpack, unit, _lift(A, da, loa, weights, nvars, axa),
-            _lift(B, db, lob, weights, nvars, axb))
+    return (da * db, unpack, unit, a.lift(weights, axa, nvars),
+            b.lift(weights, axb, nvars))
 
 
 def _reduce(acc, den, unpack, unit):
@@ -523,14 +566,14 @@ def _reduce(acc, den, unpack, unit):
     return {m: p for m, p in acc.items() if p}
 
 
-def _product(A, B, nvars, pair_terms):
-    """The sum over monomial pairs of ``A`` and ``B`` of ``pair_terms(ka,
-    kb)``, each output monomial's integer multiplier times the pair's
-    coefficient product.  The ``pa x pb`` coefficient loop runs once per
-    output monomial of each pair."""
-    if not A or not B:
+def _product(a, b, nvars, pair_terms):
+    """The sum over term pairs of the :class:`Operand` values ``a`` and
+    ``b`` of ``pair_terms(ka, kb)``, each output key's integer multiplier
+    times the pair's coefficient product.  The ``pa x pb`` coefficient loop
+    runs once per output key of each pair."""
+    if not a.terms or not b.terms:
         return {}
-    den, unpack, unit, ta, tb = _plan(A, B, nvars)
+    den, unpack, unit, ta, tb = _plan(a, b, nvars)
     acc = {}
     for ka, pa in ta:
         for kb, pb in tb:
@@ -564,7 +607,7 @@ def op_mul(A, B, nvars):
     by ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the
     canonical form is unique the result equals term-by-term arithmetic.
     """
-    return _product(A, B, nvars, _expand)
+    return _product(Operand(A), Operand(B), nvars, _expand)
 
 
 def op_bracket(A, B, nvars, sign):
@@ -592,22 +635,24 @@ def op_bracket(A, B, nvars, sign):
             return ()
         return [(m, 2 * k) for m, k in _expand(ka, kb)]
 
-    return _product(A, B, nvars, pair_terms)
+    return _product(Operand(A), Operand(B), nvars, pair_terms)
 
 
 @cache
 def _act_row(key):
-    """x^a d^b R^e on x^g, ``key = (a, b, e, g, 0, 0)``: the image's block
-    and integer, (-1)^g if ``e`` times g(g-1)...(g-b+1), 0 if d^b kills.
-    The falling factorial is the d-free entry of ``dx_rows(b, g)``."""
-    a, b, e, g = key[:4]
+    """x^a d^b R^e on x^g, ``key = (a, b, e, g)``: the image's one-int
+    block ``(a + g - b,)`` and integer, (-1)^g if ``e`` times
+    g(g-1)...(g-b+1), 0 if d^b kills.  The falling factorial is the d-free
+    entry of ``dx_rows(b, g)``."""
+    a, b, e, g = key
     k, c = dx_rows(b, g)[-1]
     sign = -1 if e and g & 1 else 1
-    return (a + g - b, 0, 0), sign * c if k == b else 0
+    return (a + g - b,), sign * c if k == b else 0
 
 
 def _act(ka, kb):
-    """The pair rule of action: one monomial, or none if a d^b kills it."""
+    """The pair rule of action: one exponent tuple, or none if a d^b kills
+    the term."""
     mono, k = (), 1
     for blk, c in map(_act_row, map(add, ka, kb)):
         if not c:
@@ -617,9 +662,17 @@ def _act(ka, kb):
 
 
 def op_act(A, F, nvars):
-    """``A`` applied to ``F``, a dict from exponent tuples to polynomials."""
-    flat = {tuple([u for g in e for u in (g, 0, 0)]): p for e, p in F.items()}
-    return {m[::3]: p for m, p in _product(A, flat, nvars, _act).items()}
+    """``A`` applied to ``F``, a dict from exponent tuples to polynomials.
+
+    ``A`` is an operator dict or its :class:`Operand`; an ``Operand`` kept
+    across calls lifts the operator once, for as long as the packing
+    weights and the line stay the same.  ``F`` is lifted per call straight
+    from its exponent tuples, one-int blocks ``(g,)``, so the pair loop
+    returns exponent-keyed terms.
+    """
+    if isinstance(A, dict):
+        A = Operand(A)
+    return _product(A, Operand(F, 1), nvars, _act)
 
 
 @cache
@@ -640,4 +693,5 @@ def op_adjoint(A, nvars):
     rule of :func:`_adjoint_row`."""
     conj = {m: {e: bn_conj(c) for e, c in p.items()} for m, p in A.items()}
     one = {(0, 0, 0) * nvars: {(0,) * nvars: BN_ONE}}
-    return _product(conj, one, nvars, partial(_expand, rows=_adjoint_row))
+    return _product(Operand(conj), Operand(one), nvars,
+                    partial(_expand, rows=_adjoint_row))

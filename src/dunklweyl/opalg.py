@@ -60,6 +60,7 @@ from typing import (
 
 from dunklweyl._kernel import (
     BN_ONE,
+    Operand,
     op_act,
     op_add,
     op_adjoint,
@@ -298,9 +299,13 @@ class OperatorElement(_Combination):
     2`` (the base of a power of a power is the innermost one), and None on
     any other value, products made by ``*`` included: a commutator with it
     may be decided from the one bracket of the bases (see ``_bracket``).
+
+    ``_action`` is None until the first ``act``, which keeps there the
+    kernel's prepared operand of this value (its set-up and lift), so that
+    every later ``act`` reuses it; it dies with the value.
     """
 
-    __slots__ = ("_factors", "_power")
+    __slots__ = ("_factors", "_power", "_action")
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
 
@@ -308,6 +313,7 @@ class OperatorElement(_Combination):
         super().__init__(data, nvars)
         self._factors: Optional[Dict[int, dict]] = None
         self._power: Optional[Tuple[OperatorElement, int]] = None
+        self._action: Optional[Operand] = None
 
     @classmethod
     def _product_of(cls, factors: Dict[int, dict],
@@ -532,14 +538,19 @@ class OperatorElement(_Combination):
         Normal form acts right to left per variable: reflections first
         (x -> -x), then derivatives, then coordinate powers.  ``op_act``
         shares the kernel's lift and reduction with products and has its
-        own pair rule; ``reference_apply``, ``reference_act`` and the sympy
-        tests are the independent oracles.
+        own pair rule; the function is lifted from its exponent tuples.
+        The operator's lift is made on the first call and kept with the
+        value in ``_action``, and every later call reuses it while the
+        packing and the line it was made for hold.  ``reference_apply``,
+        ``reference_act`` and the sympy tests are the independent oracles.
         """
-        if f.nvars != self._nvars:
+        n = self._nvars
+        if f.nvars != n:
             raise ArityMismatchError(
-                f"operator on {self._nvars} variables applied to function on {f.nvars}")
-        return LaurentPolynomial(
-            op_act(self.kernel_op, f._data, self._nvars), self._nvars)
+                f"operator on {n} variables applied to function on {f.nvars}")
+        if self._action is None:
+            self._action = Operand(self.kernel_op)
+        return LaurentPolynomial(op_act(self._action, f._data, n), n)
 
     def __str__(self) -> str:
         # One memo of number, mu-monomial and block texts for the output.

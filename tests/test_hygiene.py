@@ -255,20 +255,21 @@ def _mu_powers(tree):
     return out
 
 
-def _module_dicts(tree):
-    """Names bound at module level to a dict display or a dict call."""
+def _tables(body, displays=(ast.Dict, ast.DictComp),
+            calls=("dict", "defaultdict", "OrderedDict")):
+    """Names bound in the statements ``body`` to one of ``displays`` or to
+    a call of one of ``calls``; by default, the dicts."""
     out = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign):
             targets, value = [node.target], node.value
         else:
             continue
-        if (isinstance(value, (ast.Dict, ast.DictComp))
+        if (isinstance(value, displays)
                 or (isinstance(value, ast.Call)
-                    and getattr(value.func, "id", None)
-                    in ("dict", "defaultdict", "OrderedDict"))):
+                    and getattr(value.func, "id", None) in calls)):
             out |= {t.id for t in targets if isinstance(t, ast.Name)}
     return out
 
@@ -280,7 +281,7 @@ def test_one_renderer():
     path, trees = _render_path()
     names = {name for name, _ in path}
     assert {"scalars.py", "opalg.py"} <= names
-    module_dicts = {name: _module_dicts(tree)
+    module_dicts = {name: _tables(tree.body)
                     for name, tree in trees.items()}
     faults = []
     for name, fn in path:
@@ -307,4 +308,67 @@ def test_one_renderer():
             lines = _mu_powers(ast.parse(path_.read_text(), str(path_)))
             if lines:
                 faults.append(f"{path_.name} writes a mu power on {lines}")
+    assert not faults, "; ".join(faults)
+
+
+# Methods that fill a dict, list or set in place.
+_FILLS = {"append", "extend", "insert", "update", "setdefault", "add",
+          "__setitem__"}
+
+
+def test_prepared_action_lives_on_the_value():
+    """``_kernel`` and ``opalg`` call no ``id()``, fill no dict, list or
+    set of the module or of a class at run time, and cache nothing but
+    rows: an operator's prepared action is kept on the value and dies with
+    it, never in a process-wide table of operands, which is what raises
+    ``peak_rss_mb``.  The ``@cache``d row functions of one ``key`` and the
+    constant tables ``_UNIT_PRODUCTS`` and ``_BRACKET_ROWS`` (whose
+    entries are such caches, per sign) are allowed."""
+    faults = []
+    for name in ("_kernel.py", "opalg.py"):
+        path = Path(dunklweyl.__file__).parent / name
+        tree = ast.parse(path.read_text(), str(path))
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        tables = set().union(*(_tables(
+            body, (ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set,
+                   ast.SetComp),
+            ("dict", "defaultdict", "OrderedDict", "list", "set"))
+            for body in bodies))
+        rows = {id(n) for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and [a.arg for a in node.args.args] == ["key"]
+                for d in node.decorator_list for n in ast.walk(d)}
+        rows |= {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["_BRACKET_ROWS"] for n in ast.walk(node.value)}
+
+        def table(node):
+            return getattr(node, "id", getattr(node, "attr", None)) in tables
+
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                line = f"{name}:{getattr(node, 'lineno', '?')}"
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "id"):
+                    faults.append(f"{line} calls id()")
+                elif isinstance(node, ast.Global):
+                    faults.append(f"{line} writes a global")
+                elif (isinstance(node, ast.Subscript)
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and table(node.value)):
+                    faults.append(f"{line} fills a module or class table")
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _FILLS and table(node.func.value)):
+                    faults.append(f"{line} fills a module or class table")
+                elif isinstance(node, ast.AugAssign) and table(node.target):
+                    faults.append(f"{line} fills a module or class table")
+        for node in ast.walk(tree):
+            if (getattr(node, "id", getattr(node, "attr", None))
+                    in ("cache", "lru_cache") and id(node) not in rows):
+                faults.append(f"{name}:{node.lineno} caches something "
+                              f"other than a row of one key")
     assert not faults, "; ".join(faults)

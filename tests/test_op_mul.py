@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import reference_act, reference_bracket, reference_op_mul
 
 from dunklweyl._kernel import (
+    Operand,
     _Surd,
     _plan,
     bn_make,
@@ -221,7 +222,7 @@ _LINE_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
 
 def _lifted(A, B, nvars):
     """The lifted numerators of both operands of one product."""
-    *_, ta, tb = _plan(A, B, nvars)
+    *_, ta, tb = _plan(Operand(A), Operand(B), nvars)
     return [c for _, nums in ta + tb for _, c in nums]
 
 
@@ -328,6 +329,36 @@ class TestActAgainstReference:
         assert any(type(c) is _Surd
                    for c in _lifted(A, _as_operator(F), nvars))
         self._check(A, F, nvars, nvars)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_operator_many_functions(self, data):
+        # One value acts on a sequence of functions and keeps its lift
+        # between calls, so each call must still see its own function's
+        # packing weights (the mu-exponent ranges differ from call to call)
+        # and line (plain-line and mixed functions come in any order).
+        nvars = data.draw(st.integers(1, 3))
+        A = data.draw(_ops(nvars, nvars, min_size=1,
+                           coeffs=_on_line(data.draw(st.integers(0, 3)))))
+        op = OperatorElement(A, nvars)
+        for _ in range(data.draw(st.integers(3, 6))):
+            lo = data.draw(st.integers(-3, 6))
+            expo = st.tuples(*[st.integers(lo, lo + data.draw(
+                st.integers(0, 8)))] * nvars)
+            mixed = data.draw(st.booleans())
+            coeffs = _coeffs if mixed else _on_line(
+                data.draw(st.integers(0, 3)))
+            F = data.draw(st.dictionaries(
+                st.tuples(*[st.integers(-4, 6)] * nvars),
+                st.dictionaries(expo, coeffs, min_size=1, max_size=4),
+                min_size=1, max_size=5))
+            if mixed:
+                F[data.draw(st.tuples(*[st.integers(-4, 6)] * nvars))] = {
+                    (lo,) * nvars: bn_make(1, 0, 1, 0, 2)}
+            f = LaurentPolynomial(F, nvars)
+            got = op.act(f)
+            assert got._data == reference_act(op, f)._data
+            assert_canonical(got._data, nvars, nvars, width=1)
 
     @pytest.mark.parametrize("block,g,want", [
         ((0, 3, 0), 2, None),          # d^3 kills x^2

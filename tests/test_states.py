@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     random_operator, random_state, reference_apply, reference_gauge)
 
+from dunklweyl import _kernel, states
 from dunklweyl.builders import build, names
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import ArityMismatchError, SQRT2, Scalar
@@ -388,3 +390,49 @@ class TestLadderNorms:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             ladder_norm_coefficients(0)
+
+
+class TestLiftOnce:
+    """An operator keeps its lift on the value: each operator of a spectrum
+    table or of a ladder walk is lifted once, however many states it acts
+    on."""
+
+    @staticmethod
+    def count_lifts(monkeypatch):
+        """The operator dicts lifted from now on; function lifts (one int
+        per variable) are left out."""
+        calls = []
+        lift = _kernel._lift
+
+        def counting(X, den, lo, weights, nvars, axis, width):
+            if width == 3:
+                calls.append(X)
+            return lift(X, den, lo, weights, nvars, axis, width)
+
+        monkeypatch.setattr(_kernel, "_lift", counting)
+        return calls
+
+    def test_spectrum_table(self, monkeypatch):
+        operators = ("H", "A+1", "A-1", "A+2", "A-2")
+        mu = (Fraction(1, 3), Fraction(1, 2))
+        for name in operators:
+            # Gauge outside the count: the brackets of gauge lift too.
+            _gauged(name, 2)
+        calls = self.count_lifts(monkeypatch)
+        spectrum_table(2, mu, 6)
+        want = [_gauged(name, 2).substitute_params(mu).kernel_op
+                for name in operators]
+        assert len(calls) == len(operators)
+        assert [sum(X == w for X in calls) for w in want] == [1] * len(want)
+
+    def test_parametric_ladder_norms(self, monkeypatch):
+        # The parametric operators are the process-wide gauged ones, so a
+        # fresh gauge cache keeps earlier acts out of the count.
+        monkeypatch.setattr(states, "_gauged",
+                            lru_cache(maxsize=None)(_gauged.__wrapped__))
+        operators = [states._gauged(name, 1) for name in ("A+1", "A-1")]
+        calls = self.count_lifts(monkeypatch)
+        ladder_norm_coefficients(8)
+        assert len(calls) == len(operators)
+        assert [sum(X is op.kernel_op for X in calls)
+                for op in operators] == [1] * len(operators)
