@@ -22,21 +22,21 @@ are complex-conjugated, and products reverse.
 A product of operators on distinct variables, such as the Schwinger-Dunkl
 generator ``J+ = A+1*A-2`` and its powers, is kept as its one-variable
 factors: ``J+^5`` is two 36-term factors rather than 1,296 flat terms.
-Products and powers multiply such elements factor by factor, and a bracket
-of one with a sum of one-variable terms, ``[H1 + H2, X*Y] = [H1, X]*Y +
-X*[H2, Y]``, goes by the Leibniz rule.  Where a Leibniz term is a scalar
-multiple of the product, as ``[H_j, A+_j^k] = k*A+_j^k`` makes every term
-of ``[H, J+^k]``, only the scalar is kept, and the result is the product
-again.  Scalar multiples, and sums and differences of two products that
-agree in all factors but one, stay factored too: ``comm(J0, J+^5) -
-11*J+^5`` is ``-J+^5`` before any flat term is built, and substituting
-numeric parameters goes factor by factor.  ``kernel_op`` alone builds the
-flat normal form, once, and keeps it; ``len()`` counts terms without it.
-A power made by ``**`` remembers its base, and a commutator of one with a
-value that is no power is first tried from the bracket of the bases:
-``[C, J-] = 0`` gives ``[C, J-^3] = 0`` and ``[J0, J+] = 2*J+`` gives
-``[J0, J+^5] = 10*J+^5``.
-Results are the same normal forms either way.
+Products and powers multiply such elements factor by factor, and one
+telescoping rule brackets them with another product or with a sum of
+one-variable terms (``_product_bracket``; against a sum it is the Leibniz
+rule, ``[H1 + H2, X*Y] = [H1, X]*Y + X*[H2, Y]``).  Where a term is a
+scalar multiple of the product, as ``[H_j, A+_j^k] = k*A+_j^k`` makes every
+term of ``[H, J+^k]``, only the scalar is kept.  Scalar multiples, and sums
+and differences of two products that agree in all factors but one, stay
+factored too: ``comm(J0, J+^5) - 11*J+^5`` is ``-J+^5`` before any flat
+term is built, and substituting numeric parameters goes factor by factor.
+``kernel_op`` alone builds the flat normal form, once, and keeps it;
+``len()`` counts terms without it.  A power made by ``**`` remembers its
+base, and a commutator of one with a value that is no power is first tried
+from the bracket of the bases: ``[C, J-] = 0`` gives ``[C, J-^3] = 0`` and
+``[J0, J+] = 2*J+`` gives ``[J0, J+^5] = 10*J+^5``.  Results are the same
+normal forms either way.
 
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
@@ -252,22 +252,29 @@ def _op_neg(data: dict) -> dict:
     return {k: poly_neg(p) for k, p in data.items()}
 
 
-def _touched(mono: tuple) -> List[int]:
-    """The variables whose block in a flat monomial is not ``(0, 0, 0)``."""
-    return [j // 3 for j in range(0, len(mono), 3)
-            if mono[j] or mono[j + 1] or mono[j + 2]]
-
-
-def _separate(data: dict) -> Optional[Dict[Optional[int], dict]]:
-    """The terms of ``data`` by the one variable each touches, the constant
-    term under None; None when some term touches two or more variables."""
-    out: Dict[Optional[int], dict] = {}
-    for mono, poly in data.items():
-        touched = _touched(mono)
+def _products(x: OperatorElement) -> Optional[List[Dict[int, dict]]]:
+    """``x`` as a sum of products of one-variable factors keyed by
+    variable: the one product kept factored, or one one-factor product per
+    variable of a sum of one-variable terms, its constant joining the
+    lowest variable's factor (variable 0's if alone); else None."""
+    if x._factors is not None:
+        return [x._factors]
+    parts: Dict[int, dict] = {}
+    const: dict = {}
+    for mono, poly in x._data.items():
+        touched = [j // 3 for j in range(0, len(mono), 3)
+                   if mono[j] or mono[j + 1] or mono[j + 2]]
         if len(touched) > 1:
             return None
-        out.setdefault(touched[0] if touched else None, {})[mono] = poly
-    return out
+        (parts.setdefault(touched[0], {}) if touched else const)[mono] = poly
+    if const:
+        parts.setdefault(min(parts, default=0), {}).update(const)
+    return [{j: parts[j]} for j in sorted(parts)]
+
+
+def _times(p: dict, q: dict, i: int, nvars: int) -> dict:
+    """The factor at variable ``i`` of the product of two products."""
+    return op_mul(p[i], q[i], nvars) if i in p and i in q else p.get(i) or q[i]
 
 
 def _flatten(factors: Dict[int, dict], nvars: int) -> dict:
@@ -282,10 +289,10 @@ class OperatorElement(_Combination):
     A product of operators on distinct variables, such as ``J+ = A+1*A-2``
     or ``J+^5``, is held as its factors instead: ``_factors`` maps each
     variable to a kernel dict whose monomials touch no other variable (its
-    coefficients may carry any parameter).  Products and powers of
-    such elements multiply factor by factor, and brackets with a sum of
-    one-variable terms go by the Leibniz rule.  The linear operations keep
-    the factors where the result is still one product:
+    coefficients may carry any parameter).  Products, powers and brackets
+    take any element as such products where ``_products`` can read it so,
+    and go factor by factor.  The linear operations keep the factors where
+    the result is still one product:
     - a scalar multiple, a negation, or a product with a constant operator
       (as the DSL makes for a number) scales the lowest variable's factor;
     - ``a + b`` and ``a - b`` of two such products on the same variables
@@ -392,15 +399,6 @@ class OperatorElement(_Combination):
     def __neg__(self) -> "OperatorElement":
         return self._scaled(_op_neg)
 
-    def _split(self) -> Optional[Dict[int, dict]]:
-        """The factors of this element by variable, if it is kept factored
-        or touches exactly one variable; else None."""
-        if self._factors is not None:
-            return self._factors
-        parts = _separate(self._data)
-        touched = [j for j in parts or () if j is not None]
-        return {touched[0]: self._data} if len(touched) == 1 else None
-
     @classmethod
     def identity(cls, nvars: int) -> "OperatorElement":
         return cls({(0, 0, 0) * nvars: {(0,) * nvars: BN_ONE}}, nvars)
@@ -445,22 +443,20 @@ class OperatorElement(_Combination):
         if isinstance(other, OperatorElement):
             self._check_arity(other)
             n = self._nvars
-            # A constant operator times a product kept factored is a
-            # scalar multiple.
+            # A constant operator times anything is a scalar multiple.
             for product, const in ((self, other), (other, self)):
-                c = const.as_scalar() if product._factors is not None else None
+                c = const.as_scalar()
                 if c is not None:
                     return product._scaled(
                         lambda data: op_scale(data, c.kernel_poly))
-            left, right = self._split(), other._split()
-            if left is None or right is None:
-                return OperatorElement(
-                    op_mul(self.kernel_op, other.kernel_op, n), n)
-            # Distinct variables commute: multiply factor by factor.
-            factors = dict(left)
-            for j, f in right.items():
-                factors[j] = op_mul(factors[j], f, n) if j in factors else f
-            return OperatorElement._product_of(factors, n)
+            left, right = _products(self), _products(other)
+            if left and right and len(left) == len(right) == 1:
+                # Distinct variables commute: multiply factor by factor.
+                (p,), (q,) = left, right
+                return OperatorElement._product_of(
+                    {i: _times(p, q, i, n) for i in p.keys() | q.keys()}, n)
+            return OperatorElement(op_mul(self.kernel_op, other.kernel_op, n),
+                                   n)
         if isinstance(other, _SCALARS):
             poly = _scalar_poly(other, self._nvars)
             return self._scaled(lambda data: op_scale(data, poly))
@@ -516,7 +512,8 @@ class OperatorElement(_Combination):
     def substitute_params(self, values: Sequence[BaseLike]) -> "OperatorElement":
         """Evaluate every coefficient at numeric parameter values.  A
         product kept factored is substituted factor by factor and stays
-        factored (zero if a factor vanishes)."""
+        factored (zero if a factor vanishes); a recorded power keeps its
+        record, with the base substituted."""
         n = self._nvars
         if len(values) != n:
             raise ArityMismatchError(
@@ -527,10 +524,13 @@ class OperatorElement(_Combination):
             return {mono: {zero: base_tuple(val)} for mono, poly in data.items()
                     if (val := Scalar(poly, n).evaluate(values))}
 
-        if self._factors is None:
-            return OperatorElement(substitute(self._data), n)
-        return OperatorElement._product_of(
-            {j: substitute(f) for j, f in self._factors.items()}, n)
+        out = (OperatorElement(substitute(self._data), n)
+               if self._factors is None else OperatorElement._product_of(
+                   {j: substitute(f) for j, f in self._factors.items()}, n))
+        if self._power is not None:
+            base, k = self._power
+            out._power = (base.substitute_params(values), k)
+        return out
 
     def act(self, f: "LaurentPolynomial") -> "LaurentPolynomial":
         """Apply to a Laurent polynomial.
@@ -563,71 +563,70 @@ class OperatorElement(_Combination):
 
 def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:
     """The polynomial ``c`` with ``term == c*factor``, or None if there is
-    none.  ``c`` is the quotient of one coefficient, confirmed on all."""
+    none: the quotient of one coefficient, confirmed on each in turn."""
     if not term:
         return {}
     mono = next(iter(term))
-    if mono not in factor:
+    if len(term) != len(factor) or mono not in factor:
         return None
     try:
         c = Scalar(term[mono], nvars).exact_div(
             Scalar(factor[mono], nvars)).kernel_poly
     except InexactDivisionError:
         return None
-    return c if op_scale(factor, c) == term else None
+    for m, p in factor.items():
+        if term.get(m) != poly_mul(p, c):
+            return None
+    return c
 
 
-def _leibniz(a: OperatorElement, b: OperatorElement,
-             sign: int) -> Optional[OperatorElement]:
-    """``a*b + sign*b*a`` by the Leibniz rule, or None where it does not
-    apply.
+def _product_bracket(a: OperatorElement, b: OperatorElement,
+                     sign: int) -> Optional[OperatorElement]:
+    """``a*b + sign*b*a`` factor by factor where one operand ``T`` is a
+    product kept factored and ``_products`` reads the other, else None.
+    Distinct variables commute, so for ``X = prod_i X_i`` and ``Y = prod_i
+    Y_i``, a missing factor read as 1,
 
-    It applies when one operand is a sum ``S = c + S_1 + ... + S_n`` of
-    terms that each touch at most one variable and the other is a product
-    ``T = F_1*...*F_n`` kept factored.  ``S_j`` commutes with every ``F_k``
-    but ``F_j``, so ``[S, T] = sum_j [S_j, F_j] * prod_{k != j} F_k``, and
-    the same holds with ``T`` first and for the anticommutator, to which the
-    constant ``c`` adds ``2c*T``.  Each term is one small bracket.
+        [X, Y] = sum_j (prod_{i<j} Y_i X_i) [X_j, Y_j] (prod_{i>j} X_i Y_i),
+        {X, Y} = prod_i X_i Y_i + prod_i Y_i X_i,
 
-    A term that is a scalar multiple ``c_j*F_j``, as when ``F_j`` is a power
-    of a ladder operator of ``S_j``, only adds ``c_j`` to one running scalar
-    ``c``: if every term is one, the result is ``c*T``, kept factored.  The
-    other terms are products of factors too; ``c*T = c*F_j * prod_{k != j}
-    F_k`` joins the first of them, and only a sum of two or more is
-    flattened, by products.
+    one term, ``{X_j, Y_j}`` at ``j``, if they share no other variable.
+    With a one-factor ``X`` this is the Leibniz rule, each term ``T`` but
+    at ``j``; one that is ``c_j*T_j`` there only adds ``c_j`` to a scalar
+    ``c``, and ``c*T`` stays factored or joins the first other term.  Only
+    a sum of two or more products is flattened.
     """
-    if a._factors is None and b._factors is not None:
-        s, t = a, b
-    elif b._factors is None and a._factors is not None:
-        s, t = b, a
-    else:
+    T = b if b._factors is not None else a
+    others = None if T._factors is None else _products(a if T is b else b)
+    if others is None:
         return None
-    parts = _separate(s._data)
-    if parts is None:
-        return None
-    n = a._nvars
-    const = parts.pop(None, None)
+    n, t = a._nvars, T._factors
     one = OperatorElement.identity(n)._data
-    factors = t._factors
     scalar: dict = {}
-    if const and sign > 0:
-        (c,) = const.values()
-        scalar = poly_scale_int(c, 2)
-    rest = []
-    for j, s_j in parts.items():
-        pair = (s_j, factors.get(j, one))
-        term = op_bracket(*(pair if s is a else pair[::-1]), n, sign)
-        ratio = _ratio(term, pair[1], n)
-        if ratio is None:
-            rest.append((j, term))
-        else:
-            scalar = poly_add(scalar, ratio)
+    rest: List[Tuple[Optional[int], Dict[int, dict]]] = []
+    for s in others:
+        x, y = (s, t) if T is b else (t, s)
+        variables = sorted(s.keys() | t.keys())
+        shared = [j for j in variables if j in s and j in t]
+        if sign > 0 and len(shared) > 1:
+            rest += [(None, {i: _times(x, y, i, n) for i in variables}),
+                     (None, {i: _times(y, x, i, n) for i in variables})]
+            continue
+        for j in shared if sign < 0 else shared or [min(s)]:
+            bracket = op_bracket(x.get(j, one), y.get(j, one), n, sign)
+            c = _ratio(bracket, t.get(j, one), n) if len(s) == 1 else None
+            if c is not None:
+                scalar = poly_add(scalar, c)
+            elif bracket:
+                rest.append((j, {i: bracket if i == j else _times(y, x, i, n)
+                                 if i < j else _times(x, y, i, n)
+                                 for i in variables}))
     if not rest:
-        return t._scaled(lambda data: op_scale(data, scalar))
-    j, term = rest[0]
-    rest[0] = (j, op_add(term, op_scale(factors.get(j, one), scalar)))
-    products = [OperatorElement._product_of({**factors, j: term}, n)
-                for j, term in rest]
+        return T._scaled(lambda data: op_scale(data, scalar))
+    j, first = rest[0]
+    if scalar:
+        first[j] = op_add(first[j], op_scale(t.get(j, one), scalar))
+    products = [OperatorElement._product_of(term, n) for _, term in rest]
     if len(products) == 1:
         return products[0]
     return OperatorElement(reduce(op_add, (p.kernel_op for p in products)), n)
@@ -666,8 +665,8 @@ def _power_bracket(a: OperatorElement, b: OperatorElement
     B^(k-1-i)``.  With ``c = [A, B]``: if ``c`` is zero, so are ``[A, B^k]``
     and ``[A^j, B]``; if ``c = l*B``, then ``[A, B^k] = k*l*B^k``; and if
     ``c = l*A``, then ``[A^j, B] = j*l*A^j``.  Where both are powers only
-    the zero case could apply, so the rule is not tried there: the bases'
-    bracket would be paid first and, as in ``[K-, K+]``, decide nothing.
+    the zero case could apply, and the bases' bracket would be paid for
+    nothing, as in ``[K-, K+]``, which ``_product_bracket`` decides.
     """
     a0, j = a._power or (a, 1)
     b0, k = b._power or (b, 1)
@@ -685,16 +684,16 @@ def _power_bracket(a: OperatorElement, b: OperatorElement
 
 
 def _bracket(a, b, sign: int) -> OperatorElement:
-    """``a*b + sign*b*a`` in the kernel's one pass over both orders, or by
-    the Leibniz rule over the factors of a product; either operand may be
-    a scalar.  A commutator with exactly one recorded power (``_power``) is
-    first tried from the bracket of the bases (``_power_bracket``); the
-    anticommutator is not, as ``{A, .}`` is no derivation."""
+    """``a*b + sign*b*a``; either operand may be a scalar.  A commutator
+    with one recorded power (``_power``) is tried from the bases' bracket
+    (``_power_bracket``; ``{A, .}`` is no derivation), then any bracket
+    factor by factor (``_product_bracket``), else in the kernel's one pass.
+    """
     if isinstance(a, OperatorElement) and isinstance(b, OperatorElement):
         a._check_arity(b)
         out = _power_bracket(a, b) if sign < 0 else None
         if out is None:
-            out = _leibniz(a, b, sign)
+            out = _product_bracket(a, b, sign)
         if out is not None:
             return out
     if not isinstance(a, OperatorElement) and isinstance(b, OperatorElement):

@@ -252,6 +252,14 @@ class TestFactoredPath:
         assert parse_eval("comm(H, J+^5)", 2).is_zero()
         assert calls and max(max(sizes) for sizes in calls) <= 36
 
+    def test_two_products_bracket_only_factors(self, monkeypatch):
+        # J-^3 and J+^3 have 256 terms each; each of their factors has 16.
+        assert len(parse_eval("A+1^3", 2).kernel_op) == 16
+        want = parse_eval("J-^3*J+^3 - J+^3*J-^3", 2)
+        calls = self.count_brackets(monkeypatch)
+        assert parse_eval("comm(J-^3, J+^3)", 2) == want
+        assert calls and max(max(sizes) for sizes in calls) <= 16
+
     @staticmethod
     def count_flattens(monkeypatch):
         calls = []

@@ -224,8 +224,8 @@ def _times(ops):
 
 class TestFactoredPath:
     """Products of one-variable factors on distinct variables are kept
-    factored, multiplied factor by factor and bracketed by the Leibniz
-    rule; every result equals the reference on the flattened operands."""
+    factored, multiplied and bracketed factor by factor; every result
+    equals the reference on the flattened operands."""
 
     FACTORED = settings(max_examples=60, deadline=None)
 
@@ -260,17 +260,24 @@ class TestFactoredPath:
     @FACTORED
     @given(factored(), st.randoms(use_true_random=False), st.booleans())
     def test_brackets_by_leibniz(self, case, rng, constant):
+        # T against a sum S of one-variable terms and against a product U
+        # kept factored, on 2-4 of T's variables and others.
         n, fs = case
         T = _times(fs)
         S = sum((_one_variable(rng, j, n)
                  for j in rng.sample(range(n), rng.randint(1, n))),
                 random_base(rng) if constant else 0)
-        flat_s, flat_t = S.kernel_op, T.kernel_op
-        for sign, bracket in ((-1, commutator), (1, anticommutator)):
-            assert bracket(S, T).kernel_op == reference_bracket(
-                flat_s, flat_t, n, sign)
-            assert bracket(T, S).kernel_op == reference_bracket(
-                flat_t, flat_s, n, sign)
+        U = _times([_one_variable(rng, j, n)
+                    for j in rng.sample(range(n), rng.randint(2, n))])
+        assert U._factors is not None or U.is_zero()
+        flat_t = T.kernel_op
+        for other in (S, U):
+            flat_o = other.kernel_op
+            for sign, bracket in ((-1, commutator), (1, anticommutator)):
+                assert bracket(other, T).kernel_op == reference_bracket(
+                    flat_o, flat_t, n, sign)
+                assert bracket(T, other).kernel_op == reference_bracket(
+                    flat_t, flat_o, n, sign)
 
     @FACTORED
     @given(factored(), st.randoms(use_true_random=False))
@@ -544,21 +551,25 @@ class TestPowerBracket:
             mixed.kernel_op, _reference_power(jp, 2, n), n, -1)
         assert outcomes == [None, None]
 
-    def test_two_powers_take_one_bracket(self, monkeypatch):
-        # With both operands powers the bases' bracket is not paid first.
+    def test_two_powers_bracket_by_factors(self, monkeypatch):
+        # With both operands powers the bases' bracket is not paid first,
+        # and the products K- = J-^2 and K+ = J+^2 are bracketed factor by
+        # factor: no bracket sees more than one factor of J-^2 or J+^2.
         n = 2
         km, kp = build("K-", n), build("K+", n)
         flat = op_bracket(_reference_power(build("J-", n), 2, n),
                           _reference_power(build("J+", n), 2, n), n, -1)
+        largest = max(map(len, [*km._factors.values(),
+                                *kp._factors.values()]))
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return op_bracket(*args)
+        def counting(A, B, nvars, sign):
+            calls.append((len(A), len(B)))
+            return op_bracket(A, B, nvars, sign)
 
         monkeypatch.setattr(opalg, "op_bracket", counting)
         assert commutator(km, kp).kernel_op == flat
-        assert len(calls) == 1
+        assert calls and max(max(sizes) for sizes in calls) <= largest
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_anticommutator_takes_no_rule(self, monkeypatch, k):
@@ -677,6 +688,22 @@ class TestSubstitution:
         assert got._factors is not None
         flat = OperatorElement(_reference_product(fs, n), n)
         assert got.kernel_op == flat.substitute_params(vals).kernel_op
+
+    def test_power_keeps_its_base(self, monkeypatch):
+        # K- = J-^2 substituted is the substituted J- squared, and the
+        # power rule decides its brackets at numeric mu as it does
+        # parametrically, with the flat bracket's result.
+        n, vals = 2, [Fraction(1, 3), Fraction(1, 2)]
+        km = build("K-", n).substitute_params(vals)
+        base, k = km._power
+        assert k == 2 and base == build("J-", n).substitute_params(vals)
+        assert km == base ** 2
+        outcomes = TestPowerBracket.outcomes(monkeypatch)
+        for name in ("C", "J0"):
+            a = build(name, n).substitute_params(vals)
+            assert commutator(a, km).kernel_op == op_bracket(
+                a.kernel_op, km.kernel_op, n, -1)
+        assert outcomes == ["zero", "multiple"]
 
     def test_vanishing_factor(self):
         n = 2

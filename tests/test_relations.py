@@ -1,10 +1,15 @@
 """Tests for the verified identity registry."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from dunklweyl import cli, opalg, states
 from dunklweyl.builders import build
 from dunklweyl.opalg import OperatorElement, anticommutator, commutator
 from dunklweyl.relations import FAMILIES, REGISTRY, check, check_all
@@ -154,3 +159,99 @@ class TestNegativeDemonstrations:
         bad = anticommutator(e0, e2) + tail
         assert (commutator(e1, e2) - good).is_zero()
         assert not (commutator(e1, e2) - bad).is_zero()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestShortcutFreeTwin:
+    """With every rule of the factored path switched off, every identity
+    gives the same residual, and every golden ``nf`` and registry normal
+    form the same output.
+
+    Three rules decide products and brackets without the flat kernel, and
+    each has property tests on random operators; this twin checks their
+    composition on the real families.  ``_products`` off removes the
+    factor-by-factor product and bracket, ``_power_bracket`` off the
+    commutator with a recorded power, and ``_combine`` off the sums of
+    products kept factored; the registry caches are cleared on both sides
+    of the run, so that no value built one way is read the other.
+
+    What each rule pays: the warm time of one pass of the ``perfbench``
+    workload at seed 1, in ms, with that rule off and a cold registry
+    (Python 3.11, 2 vCPU, single runs).  Before ``_products`` the
+    factor-by-factor product and the Leibniz bracket were two rules,
+    ``_split`` and ``_leibniz``:
+
+    | rule off | ``scaling`` | ``verify`` |
+    |---|---|---|
+    | none | 68 | 274 |
+    | ``_power_bracket`` | 151 | 276 |
+    | ``_leibniz`` | 278 | 405 |
+    | ``_combine`` | 83 | 352 |
+    | ``_split`` (factor-by-factor ``*``) | 394 | 388 |
+    | all four | 751 | 384 |
+
+    With ``_products``, summing over one cycle each request's least warm
+    time of five (``verify --mu`` now keeps the recorded powers, so
+    ``_power_bracket`` runs there too):
+
+    | rule off | ``scaling`` | ``verify`` |
+    |---|---|---|
+    | none | 58 | 199 |
+    | ``_products`` | 322 | 218 |
+    | ``_power_bracket`` | 137 | 205 |
+    | ``_combine`` | 144 | 211 |
+    | all three | 1,111 | 231 |
+    """
+
+    MU = (Fraction(1, 3), Fraction(1, 2))
+
+    @staticmethod
+    def residuals():
+        runs = [(fid, mu, False) for mu in (None, TestShortcutFreeTwin.MU)
+                for fid in FAMILIES]
+        runs += [(fid, None, True) for fid, fam in REGISTRY.items()
+                 if fam.perturbable]
+        return {run: [(ir.label, str(ir.residual)) for ir in check(
+            run[0], mu_values=run[1], perturb=run[2]).identities]
+            for run in runs}
+
+    @staticmethod
+    def golden_nf():
+        return [case for name in ("readme_cli.json", "bracket_nf.json")
+                for case in json.loads((GOLDEN / name).read_text())
+                if case["argv"][0] == "nf"]
+
+    @staticmethod
+    def clear_registry():
+        build.cache_clear()
+        states._gauged.cache_clear()
+
+    @pytest.fixture
+    def cold_registry_after(self):
+        yield
+        self.clear_registry()
+
+    def test_rules_off_give_the_same_residuals(self, monkeypatch,
+                                               cold_registry_after):
+        want = self.residuals()
+        self.clear_registry()
+
+        def off(*args):
+            return None
+
+        monkeypatch.setattr(opalg, "_products", off)
+        monkeypatch.setattr(opalg, "_power_bracket", off)
+        monkeypatch.setattr(opalg.OperatorElement, "_combine", off)
+        assert build("J+", 2)._factors is None
+        assert self.residuals() == want
+        for case in self.golden_nf():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(case["argv"])
+            assert (code, stdout.getvalue()) == (case["exit"], case["stdout"])
+        registry = json.loads((GOLDEN / "registry_nf.json").read_text())
+        for key, nf in registry.items():
+            dims, name = key.split(":", 1)
+            assert str(build(name, int(dims))) == nf, key
