@@ -55,8 +55,9 @@ its exponent tuples, ``x^g`` as the one-int block ``(g,)``: each pair gives
 at most one exponent tuple, through a cached row per variable, so the
 result comes out keyed as a function.  Each operand of the pair loop is an
 :class:`Operand` holding its own set-up (denominator, exponent range and
-line) and its last lift; an operator value keeps its ``Operand``, so that
-repeated actions of one operator lift it once.
+line) and its last lift; an operator or function value keeps its
+``Operand``, so that repeated actions of one operator, and every action on
+one function, lift it once.
 ``op_adjoint`` multiplies the conjugated operator by the identity, each
 monomial ``x^a d^b R^e`` taken to the normal form of ``R^e (-d)^b x^a``
 through a cached row per variable.  Products, brackets, action and adjoint
@@ -144,6 +145,25 @@ def bn_conj(a):
     """Complex conjugation: i -> -i, sqrt2 fixed."""
     p, q, r, s, d = a
     return (p, -q, r, -s, d)
+
+
+def bn_inv(a):
+    """The inverse of a nonzero base number.
+
+    Write the numerator as A + B*sqrt2 with Gaussian integers A = p + q*i,
+    B = r + s*i.  Then 1/(A + B*sqrt2) = (A - B*sqrt2) / (A^2 - 2*B^2), and
+    the Gaussian denominator C = A^2 - 2*B^2 is cleared by its own
+    conjugate.  C vanishes only when the number itself is zero, since sqrt2
+    is not in Q(i).
+    """
+    p, q, r, s, den = a
+    cp = p * p - q * q - 2 * (r * r - s * s)
+    cq = 2 * (p * q - 2 * r * s)
+    if cp == 0 and cq == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return bn_make(den * (p * cp + q * cq), den * (q * cp - p * cq),
+                   den * (-r * cp - s * cq), den * (-s * cp + r * cq),
+                   cp * cp + cq * cq)
 
 
 def poly_add(a, b):
@@ -386,9 +406,12 @@ class Operand:
     lift reads two things from the partner, the packing weights and the
     line the numerators are taken on, so :meth:`lift` keeps its last
     result under that key and lifts again only when the key changes.  An
-    operator value keeps its ``Operand`` for its life, so that every
-    action after the first reuses the lift; products, brackets and the
-    function side of an action make theirs per call and drop them.
+    operator or function value keeps its ``Operand`` for its life, so
+    that an action reuses the lift of either side whenever the partner
+    leaves the key as it was: a state of a spectrum is lifted once for
+    its eigencheck, its raise and its lowering, whose operators share
+    their exponent ranges and lines.  Products, brackets and adjoints
+    make theirs per call and drop them.
     """
 
     __slots__ = ("terms", "width", "bounds", "_key", "_lifted")
@@ -664,15 +687,17 @@ def _act(ka, kb):
 def op_act(A, F, nvars):
     """``A`` applied to ``F``, a dict from exponent tuples to polynomials.
 
-    ``A`` is an operator dict or its :class:`Operand`; an ``Operand`` kept
-    across calls lifts the operator once, for as long as the packing
-    weights and the line stay the same.  ``F`` is lifted per call straight
-    from its exponent tuples, one-int blocks ``(g,)``, so the pair loop
-    returns exponent-keyed terms.
+    ``A`` is an operator dict or its :class:`Operand`, ``F`` a function
+    dict or its ``Operand`` of ``width`` 1; an ``Operand`` kept across
+    calls lifts its terms once, for as long as the packing weights and the
+    line stay the same.  ``F`` is lifted straight from its exponent tuples,
+    one-int blocks ``(g,)``, so the pair loop returns exponent-keyed terms.
     """
     if isinstance(A, dict):
         A = Operand(A)
-    return _product(A, Operand(F, 1), nvars, _act)
+    if isinstance(F, dict):
+        F = Operand(F, 1)
+    return _product(A, F, nvars, _act)
 
 
 @cache

@@ -41,7 +41,8 @@ normal forms either way.
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
 multiples, equality and ``ratio``, the one test for an exact scalar multiple
-(``self == c*other``); only the key of the unit term differs (a ``(0, 0,
+(``self == c*other``), and the kernel operand a value keeps from its first
+``act`` on either side; only the key of the unit term differs (a ``(0, 0,
 0)`` block per variable against a ``0`` exponent).  Each subclass adds its
 own constructors and products, and a Laurent polynomial renders as its
 multiplication operator.  ``OperatorElement.as_scalar`` is the one test
@@ -61,6 +62,8 @@ from typing import (
 from dunklweyl._kernel import (
     BN_ONE,
     Operand,
+    bn_inv,
+    bn_mul,
     op_act,
     op_add,
     op_adjoint,
@@ -136,15 +139,22 @@ class _Combination:
     the key of its unit term, per variable, in ``_UNIT``, names its values
     in ``_NOUN`` for arity errors, and adds its own products.  Instances are
     immutable; all operations return new objects.
+
+    ``_action`` is None until the first ``act`` that reads this value, as
+    the operator or as the function, and keeps there the kernel's prepared
+    operand of it (its set-up and last lift, ``len(_UNIT)`` ints per
+    variable), so that every later ``act`` on the value reuses it; it dies
+    with the value.
     """
 
-    __slots__ = ("_data", "_nvars")
+    __slots__ = ("_data", "_nvars", "_action")
     _UNIT: tuple = ()
     _NOUN = ""
 
     def __init__(self, data: dict, nvars: int) -> None:
         self._data = data
         self._nvars = nvars
+        self._action: Optional[Operand] = None
 
     @classmethod
     def zero(cls: Type[_C], nvars: int) -> _C:
@@ -179,10 +189,19 @@ class _Combination:
         """The Scalar ``c`` with ``self == c*other``, or None if there is
         none (zero if ``self`` is zero; None if only ``other`` is).  The
         energies and ladder coefficients of ``states`` are such ratios.
+        Where the leading coefficients are single terms, as at numeric
+        parameters, ``c`` is confirmed on base numbers (see ``_ratio``).
         """
         self._check_arity(other)
         c = _ratio(self.kernel_op, other.kernel_op, self._nvars)
         return None if c is None else Scalar(c, self._nvars)
+
+    def _operand(self) -> Operand:
+        """The kernel's prepared operand of this value, made on the first
+        call and kept in ``_action``."""
+        if self._action is None:
+            self._action = Operand(self.kernel_op, len(self._UNIT))
+        return self._action
 
     def _check_arity(self: _C, other: _C) -> None:
         if other._nvars != self._nvars:
@@ -306,13 +325,9 @@ class OperatorElement(_Combination):
     2`` (the base of a power of a power is the innermost one), and None on
     any other value, products made by ``*`` included: a commutator with it
     may be decided from the one bracket of the bases (see ``_bracket``).
-
-    ``_action`` is None until the first ``act``, which keeps there the
-    kernel's prepared operand of this value (its set-up and lift), so that
-    every later ``act`` reuses it; it dies with the value.
     """
 
-    __slots__ = ("_factors", "_power", "_action")
+    __slots__ = ("_factors", "_power")
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
 
@@ -320,7 +335,6 @@ class OperatorElement(_Combination):
         super().__init__(data, nvars)
         self._factors: Optional[Dict[int, dict]] = None
         self._power: Optional[Tuple[OperatorElement, int]] = None
-        self._action: Optional[Operand] = None
 
     @classmethod
     def _product_of(cls, factors: Dict[int, dict],
@@ -539,18 +553,18 @@ class OperatorElement(_Combination):
         (x -> -x), then derivatives, then coordinate powers.  ``op_act``
         shares the kernel's lift and reduction with products and has its
         own pair rule; the function is lifted from its exponent tuples.
-        The operator's lift is made on the first call and kept with the
-        value in ``_action``, and every later call reuses it while the
-        packing and the line it was made for hold.  ``reference_apply``,
-        ``reference_act`` and the sympy tests are the independent oracles.
+        Each side's lift is made on its first action and kept with its
+        value in ``_action``, and every later action reuses it while the
+        packing and the line it was made for hold: an operator acting on
+        many states lifts once, and so does a state that many operators
+        act on.  ``reference_apply``, ``reference_act`` and the sympy
+        tests are the independent oracles.
         """
         n = self._nvars
         if f.nvars != n:
             raise ArityMismatchError(
                 f"operator on {n} variables applied to function on {f.nvars}")
-        if self._action is None:
-            self._action = Operand(self.kernel_op)
-        return LaurentPolynomial(op_act(self._action, f._data, n), n)
+        return LaurentPolynomial(op_act(self._operand(), f._operand(), n), n)
 
     def __str__(self) -> str:
         # One memo of number, mu-monomial and block texts for the output.
@@ -563,15 +577,38 @@ class OperatorElement(_Combination):
 
 def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:
     """The polynomial ``c`` with ``term == c*factor``, or None if there is
-    none: the quotient of one coefficient, confirmed on each in turn."""
+    none: the quotient of one coefficient, confirmed on each in turn.
+
+    Where that coefficient is a single term on both sides, as every one is
+    at numeric parameters, ``c`` is the one monomial ``s*mu^e`` of their
+    quotient, and each coefficient ``p`` of ``factor`` is confirmed on base
+    numbers: ``c*p`` shifts each exponent of ``p`` by ``e`` and scales its
+    number by ``s``, distinct exponents staying distinct.  Otherwise ``c``
+    is the exact polynomial quotient, confirmed by products.
+    """
     if not term:
         return {}
     mono = next(iter(term))
     if len(term) != len(factor) or mono not in factor:
         return None
+    top, lead = term[mono], factor[mono]
+    if len(top) == len(lead) == 1:
+        ((et, ct),), ((el, cl),) = top.items(), lead.items()
+        e = tuple([a - b for a, b in zip(et, el)])
+        if any(x < 0 for x in e):
+            return None
+        s = bn_mul(ct, bn_inv(cl))
+        for m, p in factor.items():
+            q = term.get(m)
+            if q is None or len(q) != len(p):
+                return None
+            for ep, cp in p.items():
+                shifted = tuple([a + b for a, b in zip(ep, e)])
+                if q.get(shifted) != bn_mul(cp, s):
+                    return None
+        return {e: s}
     try:
-        c = Scalar(term[mono], nvars).exact_div(
-            Scalar(factor[mono], nvars)).kernel_poly
+        c = Scalar(top, nvars).exact_div(Scalar(lead, nvars)).kernel_poly
     except InexactDivisionError:
         return None
     for m, p in factor.items():

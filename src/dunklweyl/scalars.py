@@ -20,6 +20,7 @@ from dunklweyl._kernel import (
     BN_ZERO,
     bn_add,
     bn_conj,
+    bn_inv,
     bn_make,
     bn_mul,
     bn_neg,
@@ -112,23 +113,7 @@ class BaseNumber:
         return BaseNumber._from_tuple(bn_conj(self._data))
 
     def inverse(self) -> "BaseNumber":
-        # Write the numerator as A + B*sqrt2 with Gaussian integers
-        # A = p + q*i, B = r + s*i.  Then 1/(A + B*sqrt2) =
-        # (A - B*sqrt2) / (A^2 - 2*B^2), and the Gaussian denominator
-        # C = A^2 - 2*B^2 is cleared by its own conjugate.  C vanishes
-        # only when the number itself is zero, since sqrt2 is not in Q(i).
-        p, q, r, s, den = self._data
-        cp = p * p - q * q - 2 * (r * r - s * s)
-        cq = 2 * (p * q - 2 * r * s)
-        if cp == 0 and cq == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return BaseNumber._from_tuple(bn_make(
-            den * (p * cp + q * cq),
-            den * (q * cp - p * cq),
-            den * (-r * cp - s * cq),
-            den * (-s * cp + r * cq),
-            cp * cp + cq * cq,
-        ))
+        return BaseNumber._from_tuple(bn_inv(self._data))
 
     def _coerce(self, other: BaseLike) -> Optional[tuple]:
         if isinstance(other, (BaseNumber, int, Fraction)):
@@ -470,7 +455,7 @@ class Scalar:
         if not self._poly:
             return Scalar.zero(self._nvars)
         lead = max(o._poly)
-        lead_inv = BaseNumber._from_tuple(o._poly[lead]).inverse()._data
+        lead_inv = bn_inv(o._poly[lead])
         rem = dict(self._poly)
         quot: dict = {}
         while rem:

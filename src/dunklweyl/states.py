@@ -44,10 +44,11 @@ from .scalars import (
 )
 
 # Highest level spectrum_table lists.  A two-variable table to this level
-# at mu = (1/3, 1/2) takes 0.8-1.2 s (one `dunklweyl spectrum` process,
-# wall time with interpreter start, Python 3.11.7, 2-vCPU Xeon VM), and
-# doubling the level costs about 6x: level n holds n + 1 states of about
-# n^2/4 terms, each raised and eigenchecked once, one lowering per variable.
+# at mu = (1/3, 1/2) takes 0.6-1.1 s, median 0.7 s (one `dunklweyl
+# spectrum` process, wall time with interpreter start, Python 3.11.7,
+# 2-vCPU Xeon VM), and doubling the level costs about 6x: level n holds
+# n + 1 states of about n^2/4 terms, each lifted once, raised and
+# eigenchecked once, one lowering per variable.
 MAX_LEVEL = 32
 
 

@@ -16,7 +16,8 @@ from dunklweyl._kernel import (
     poly_scale_int,
 )
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
-from dunklweyl.scalars import BaseNumber, Scalar, _render_sum
+from dunklweyl.scalars import (
+    BaseNumber, InexactDivisionError, Scalar, _render_sum)
 
 
 def random_base(rng: random.Random) -> BaseNumber:
@@ -262,6 +263,29 @@ def reference_act(self, f):
                 else:
                     del out[key]
     return LaurentPolynomial(out, n)
+
+
+# opalg._ratio from before it confirmed single-term quotients on base
+# numbers, kept verbatim as the oracle for it.
+
+
+def reference_ratio(term, factor, nvars):
+    """The polynomial ``c`` with ``term == c*factor``, or None if there is
+    none: the quotient of one coefficient, confirmed on each in turn."""
+    if not term:
+        return {}
+    mono = next(iter(term))
+    if len(term) != len(factor) or mono not in factor:
+        return None
+    try:
+        c = Scalar(term[mono], nvars).exact_div(
+            Scalar(factor[mono], nvars)).kernel_poly
+    except InexactDivisionError:
+        return None
+    for m, p in factor.items():
+        if term.get(m) != poly_mul(p, c):
+            return None
+    return c
 
 
 # The adjoint's own reordering loop and the Laurent polynomial's own term

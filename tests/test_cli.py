@@ -18,6 +18,7 @@ from dunklweyl.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_cli.json"
 BRACKET_GOLDEN = Path(__file__).parent / "golden" / "bracket_nf.json"
+SPECTRUM_GOLDEN = Path(__file__).parent / "golden" / "spectrum_cli.json"
 
 
 def run(capsys, argv):
@@ -384,6 +385,19 @@ class TestBracketGolden:
     not vanish changes this output."""
 
     @pytest.mark.parametrize("case", json.loads(BRACKET_GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_stdout(self, capsys, case):
+        code, out, _ = run(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"])
+
+
+class TestSpectrumGolden:
+    """Spectra in one and two variables, text and JSON, byte for byte:
+    admissible tables to levels 16 and 12, an inadmissible value, a zero
+    energy (mu = -1/2, -1/2) and a zero ladder coefficient (mu = -1/2),
+    the last two exiting 0 with the warning."""
+
+    @pytest.mark.parametrize("case", json.loads(SPECTRUM_GOLDEN.read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_stdout(self, capsys, case):
         code, out, _ = run(capsys, case["argv"])

@@ -319,8 +319,9 @@ _FILLS = {"append", "extend", "insert", "update", "setdefault", "add",
 def test_prepared_action_lives_on_the_value():
     """``_kernel`` and ``opalg`` call no ``id()``, fill no dict, list or
     set of the module or of a class at run time, and cache nothing but
-    rows: an operator's prepared action is kept on the value and dies with
-    it, never in a process-wide table of operands, which is what raises
+    rows: the prepared operand of an action, on the operator side and on
+    the function side alike, is kept on its value and dies with it, never
+    in a process-wide table of operands, which is what raises
     ``peak_rss_mb``.  The ``@cache``d row functions of one ``key`` and the
     constant tables ``_UNIT_PRODUCTS`` and ``_BRACKET_ROWS`` (whose
     entries are such caches, per sign) are allowed."""

@@ -18,11 +18,12 @@ from helpers import (
     reference_laurent_mul,
     reference_laurent_str,
     reference_op_mul,
+    reference_ratio,
     reference_render,
 )
 
 from dunklweyl._kernel import (
-    BN_ZERO, bn_make, op_add, op_bracket, op_scale, op_sub)
+    BN_ZERO, bn_make, op_add, op_bracket, op_scale, op_sub, poly_add)
 
 from dunklweyl import opalg
 from dunklweyl.builders import build
@@ -848,6 +849,9 @@ class TestRatio:
         assert (2 * x + 3 * d).ratio(x + d) is None
         assert (mu * x + 1).ratio(x + 1) is None
         assert (mu * x).ratio((mu + 1) * x) is None
+        # Single-term coefficients: the quotient's exponent is below zero.
+        assert x.ratio(mu * x) is None
+        assert (x + mu * d).ratio(mu * x + mu * d) is None
 
     def test_factored_against_flat(self):
         mu1 = Scalar.parameter(0, 2)
@@ -862,6 +866,78 @@ class TestRatio:
             OperatorElement.x(0, 1).ratio(OperatorElement.x(0, 2))
         with pytest.raises(ArityMismatchError):
             LaurentPolynomial.one(1).ratio(LaurentPolynomial.one(2))
+
+
+_FAULTS = ("multiple", "coefficient", "missing", "below", "zero term",
+           "zero factor")
+
+
+@st.composite
+def ratio_cases(draw):
+    """``(term, factor, nvars, c, fault)``: operator or function dicts in
+    1-3 variables, ``term`` being ``c*factor`` changed by ``fault``, with
+    ``c`` a constant, one mu-monomial or a polynomial of several terms and
+    ``factor``'s coefficients single terms or several."""
+    n = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 3)] * n)
+    if draw(st.booleans()):
+        block = st.tuples(st.integers(-4, 4), st.integers(0, 4),
+                          st.integers(0, 1))
+        keys = st.tuples(*[block] * n).map(lambda bs: sum(bs, ()))
+    else:
+        keys = st.tuples(*[st.integers(-4, 4)] * n)
+    polys = st.dictionaries(expo, _coeffs, min_size=1,
+                            max_size=draw(st.sampled_from([1, 1, 1, 3])))
+    factor = draw(st.dictionaries(keys, polys, min_size=1, max_size=5))
+    shape = draw(st.sampled_from(["constant", "monomial", "polynomial"]))
+    c = draw(st.dictionaries(
+        st.just((0,) * n) if shape == "constant" else expo, _coeffs,
+        min_size=1 if shape != "polynomial" else 2,
+        max_size=1 if shape != "polynomial" else 3))
+    term = op_scale(factor, c)
+    fault = draw(st.sampled_from(_FAULTS))
+    mono = draw(st.sampled_from(sorted(term)))
+    if fault == "coefficient":
+        e = draw(st.one_of(st.sampled_from(sorted(term[mono])), expo))
+        poly = poly_add(term[mono], {e: draw(_coeffs)})
+        term = {**term, mono: poly} if poly else {
+            m: p for m, p in term.items() if m != mono}
+    elif fault == "missing":
+        # A monomial of one side only: dropped from term, added to it, or
+        # both, so that the lengths agree.
+        how = draw(st.sampled_from(["drop", "add", "swap"]))
+        if how != "add" and len(term) > 1:
+            term = {m: p for m, p in term.items() if m != mono}
+        if how != "drop":
+            extra = draw(keys.filter(lambda m: m not in factor))
+            term[extra] = draw(polys)
+    elif fault == "below":
+        # factor is c times term: no polynomial quotient unless c is a
+        # constant, and a monomial c leaves an exponent below zero.
+        term, factor = factor, term
+    elif fault == "zero term":
+        term = {}
+    elif fault == "zero factor":
+        # Only zero is a multiple of zero.
+        term, factor = ({} if draw(st.booleans()) else factor), {}
+    # The quotient is read off term's first monomial: any of them.
+    order = draw(st.permutations(sorted(term)))
+    return {m: term[m] for m in order}, factor, n, c, fault
+
+
+class TestRatioOracle:
+    """``_ratio`` against the division-based ``reference_ratio``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ratio_cases())
+    def test_against_reference(self, case):
+        term, factor, n, c, fault = case
+        got = opalg._ratio(term, factor, n)
+        assert got == reference_ratio(term, factor, n)
+        if fault == "multiple":
+            assert got == c
+        elif fault == "zero term":
+            assert got == {}
 
 
 class TestAsScalar:

@@ -393,24 +393,29 @@ class TestLadderNorms:
 
 
 class TestLiftOnce:
-    """An operator keeps its lift on the value: each operator of a spectrum
-    table or of a ladder walk is lifted once, however many states it acts
-    on."""
+    """A value keeps its lift: each operator of a spectrum table or of a
+    ladder walk is lifted once, however many states it acts on, and each
+    state once, however many operators act on it (its raise, its lowering
+    and its eigencheck share exponent ranges and lines)."""
 
     @staticmethod
     def count_lifts(monkeypatch):
-        """The operator dicts lifted from now on; function lifts (one int
-        per variable) are left out."""
-        calls = []
+        """The dicts lifted from now on, by width: operators (three ints
+        per variable) under 3, functions (one int) under 1."""
+        calls = {3: [], 1: []}
         lift = _kernel._lift
 
         def counting(X, den, lo, weights, nvars, axis, width):
-            if width == 3:
-                calls.append(X)
+            calls[width].append(X)
             return lift(X, den, lo, weights, nvars, axis, width)
 
         monkeypatch.setattr(_kernel, "_lift", counting)
         return calls
+
+    @staticmethod
+    def assert_each_once(lifted, want):
+        assert len(lifted) == len(want)
+        assert [sum(X == w for X in lifted) for w in want] == [1] * len(want)
 
     def test_spectrum_table(self, monkeypatch):
         operators = ("H", "A+1", "A-1", "A+2", "A-2")
@@ -418,14 +423,19 @@ class TestLiftOnce:
         for name in operators:
             # Gauge outside the count: the brackets of gauge lift too.
             _gauged(name, 2)
+        levels = 6
+        fock_states = [fock(ns, mu).polynomial.kernel_op
+                       for n in range(levels + 1)
+                       for ns in ((k, n - k) for k in range(n + 1))]
         calls = self.count_lifts(monkeypatch)
-        spectrum_table(2, mu, 6)
+        spectrum_table(2, mu, levels)
         want = [_gauged(name, 2).substitute_params(mu).kernel_op
                 for name in operators]
-        assert len(calls) == len(operators)
-        assert [sum(X == w for X in calls) for w in want] == [1] * len(want)
+        self.assert_each_once(calls[3], want)
+        self.assert_each_once(calls[1], fock_states)
 
     def test_parametric_ladder_norms(self, monkeypatch):
+        fock_states = [fock((k,)).polynomial.kernel_op for k in range(9)]
         # The parametric operators are the process-wide gauged ones, so a
         # fresh gauge cache keeps earlier acts out of the count.
         monkeypatch.setattr(states, "_gauged",
@@ -433,6 +443,7 @@ class TestLiftOnce:
         operators = [states._gauged(name, 1) for name in ("A+1", "A-1")]
         calls = self.count_lifts(monkeypatch)
         ladder_norm_coefficients(8)
-        assert len(calls) == len(operators)
-        assert [sum(X is op.kernel_op for X in calls)
+        assert len(calls[3]) == len(operators)
+        assert [sum(X is op.kernel_op for X in calls[3])
                 for op in operators] == [1] * len(operators)
+        self.assert_each_once(calls[1], fock_states)
