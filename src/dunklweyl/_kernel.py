@@ -44,26 +44,37 @@ and scalars are central, so a monomial pair's coefficient product serves
 both orders.  For each pair the kernel merges the integer multipliers of
 the ``A*B`` and ``B*A`` expansions per output monomial, as ``k_ab +
 sign*k_ba`` with the zeros dropped, and only then runs the coefficient loop,
-once per surviving monomial.  A pair whose blocks commute in every variable
-is skipped by the commutator (and doubled by the anticommutator); when the
-blocks commute in all variables but one, the merged multipliers are the
-other variables' rows times that variable's cached merged row.  ``op_mul``
-is the one-sided case of the same loop.
+once per surviving monomial.  ``op_mul`` is the one-sided case of the same
+loop.
+
+The pair loop, ``_product``, splits each monomial into its first
+variable's block and the rest.  The lift numbers each operand's distinct
+first blocks and rests, and the loop keeps two tables for the call, one
+entry per pair of first blocks and one per pair of rests, filled from the
+cached rows the first time a pair reaches them; each monomial pair then
+costs two table lookups and the product of two short rows.  A bracket
+entry holds both orders' rows, whether they differ and their merged row:
+where the first blocks commute, the pair's bracket is their row times the
+rests' merged row (empty for a commutator whose rests commute too); where
+only the rests commute, the first blocks' merged row times the rests' row;
+only where both differ are the two orders merged term by term.  The tables
+die with the call, so nothing but the one-key rows outlives it.
 
 ``op_act`` applies an operator to a Laurent polynomial lifted straight from
-its exponent tuples, ``x^g`` as the one-int block ``(g,)``: each pair gives
-at most one exponent tuple, through a cached row per variable, so the
-result comes out keyed as a function.  Each operand of the pair loop is an
+its exponent tuples, ``x^g`` as the one-int block ``(g,)``: a cached row
+per variable gives the image's exponent and integer, or nothing if a d^b
+kills the term, so each pair gives at most one term and the result comes
+out keyed as a function.  Each operand of the pair loop is an
 :class:`Operand` holding its own set-up (denominator, exponent range and
-line) and its last lift; an operator or function value keeps its
-``Operand``, so that repeated actions of one operator, and every action on
-one function, lift it once.
+line) and its last lift, with the numbered blocks; an operator or function
+value keeps its ``Operand``, so that repeated actions of one operator, and
+every action on one function, lift it once.
 ``op_adjoint`` multiplies the conjugated operator by the identity, each
 monomial ``x^a d^b R^e`` taken to the normal form of ``R^e (-d)^b x^a``
 through a cached row per variable.  Products, brackets, action and adjoint
-are one pair loop, ``_product``, that differs only in its rule for a
-monomial pair, and every row comes from the one reordering rule,
-``dx_rows`` through ``_block``.
+are one pair loop, ``_product``, that differs only in its rows and, for
+the bracket, in how a pair's two entries combine, and every row comes from
+the one reordering rule, ``dx_rows`` through ``_block``.
 """
 
 from functools import cache, partial
@@ -362,20 +373,27 @@ def _bounds(X):
 
 
 def _lift(X, den, lo, weights, nvars, axis, width):
-    """Terms as ``(blocks, [(packed_exponent, numerator)])``.
+    """Terms as ``(first, rest, [(packed_exponent, numerator)])``, with
+    the blocks the ids stand for.
 
-    ``blocks`` splits each key of ``X`` into one block of ``width`` ints
-    per variable: an ``(a, b, e)`` triple of a flat monomial, or the
-    one-int ``(g,)`` of an exponent tuple.  The exponent tuple of each
-    coefficient, shifted by ``lo``, is packed with the place values
-    ``weights``.  The numerator is over ``den``: with ``axis`` set, every
-    coefficient lies on that part's line and the numerator is the int on
-    it; with ``axis`` None, an int when the coefficient is rational and a
-    :class:`_Surd` otherwise.
+    Each key of ``X`` holds one block of ``width`` ints per variable: an
+    ``(a, b, e)`` triple of a flat monomial, or the one-int ``(g,)`` of an
+    exponent tuple.  ``first`` numbers the key's first block and ``rest``
+    its other blocks, each in order of first appearance, so that the pair
+    loop can keep its entries in tables indexed by the ids.  Returns
+    ``(terms, firsts, rests)``: ``firsts`` lists the distinct first blocks
+    (empty with no variables) and ``rests`` the distinct rests as split
+    monomials, tuples of blocks.  The exponent tuple of each coefficient,
+    shifted by ``lo``, is packed with the place values ``weights``.  The
+    numerator is over ``den``: with ``axis`` set, every coefficient lies on
+    that part's line and the numerator is the int on it; with ``axis``
+    None, an int when the coefficient is rational and a :class:`_Surd`
+    otherwise.
     """
     shift = sum(b * w for b, w in zip(lo, weights))
     packed = {}
-    starts = range(0, width * nvars, width)
+    firsts = {}
+    rests = {}
     out = []
     for m, p in X.items():
         nums = []
@@ -392,8 +410,11 @@ def _lift(X, den, lo, weights, nvars, axis, width):
                                         c[3] * k)))
             else:
                 nums.append((key, c[0] * k))
-        out.append((tuple([m[j:j + width] for j in starts]), nums))
-    return out
+        out.append((firsts.setdefault(m[:width], len(firsts)),
+                    rests.setdefault(m[width:], len(rests)), nums))
+    starts = range(0, width * (nvars - 1), width)
+    return out, list(firsts), [tuple([r[j:j + width] for j in starts])
+                               for r in rests]
 
 
 class Operand:
@@ -442,7 +463,7 @@ def _block(key):
     factor moves past the right factor's x- and d-powers picking up a sign,
     reflections compose mod 2, and d-powers move past x-powers by the
     falling-factorial rule.  Rows are cached for the life of the process,
-    as are :func:`_apart` and the merged rows of :data:`_BRACKET_ROWS`.
+    as are the bracket entries of :data:`_BRACKET_ROWS`.
     """
     a1, b1, e1, a2, b2, e2 = key
     sign = -1 if e1 and ((a2 + b2) & 1) else 1
@@ -460,22 +481,15 @@ def _merge(xy, yx, sign):
     return tuple([(m, k) for m, k in out.items() if k])
 
 
-@cache
-def _apart(key):
-    """Whether the blocks ``x`` and ``y`` of ``key = x + y`` fail to
-    commute, ``x*y != y*x``."""
-    return _block(key) != _block(key[3:] + key[:3])
-
-
 def _bracket_row(key, sign):
-    """One variable's row in a bracket, ``key`` being ``x + y``:
-    ``x*y + sign*y*x`` where the two orders differ, else ``x*y``."""
-    if _apart(key):
-        return _merge(_block(key), _block(key[3:] + key[:3]), sign)
-    return _block(key)
+    """One variable's entry in a bracket, ``key`` being ``x + y``:
+    ``(apart, xy, yx, merged)``, the rows of ``x*y`` and ``y*x``, whether
+    they differ, and the row of ``x*y + sign*y*x``."""
+    xy, yx = _block(key), _block(key[3:] + key[:3])
+    return xy != yx, xy, yx, _merge(xy, yx, sign)
 
 
-# One variable's merged row in a bracket, per sign.
+# One variable's entry in a bracket, per sign.
 _BRACKET_ROWS = {sign: cache(partial(_bracket_row, sign=sign))
                  for sign in (1, -1)}
 _UNIT = (((), 1),)
@@ -492,13 +506,16 @@ def _expand(ka, kb, rows=_block):
     for row in map(rows, map(add, ka, kb)):
         if terms is None:
             terms = row
-        elif len(row) == 1:
-            blk, c = row[0]
-            terms = [(mo + blk, k * c) for mo, k in terms]
         else:
-            terms = [(mo + blk, k * c) for mo, k in terms for blk, c in row]
+            terms = _cross(terms, row)
     # With no variables the only monomial is the empty one.
     return _UNIT if terms is None else terms
+
+
+def _cross(xs, ys):
+    """The product of two rows on disjoint variables: each pair of
+    entries, monomials joined and multipliers multiplied."""
+    return [(x + y, j * k) for x, j in xs for y, k in ys]
 
 
 # The product of the units of two lines of Q(i, sqrt2), per pair of parts
@@ -519,7 +536,8 @@ def _plan(a, b, nvars):
     unit, ta, tb)``: ``den`` is the denominator ``DA*DB`` of every product
     term, ``unpack`` the ``(weight, radix, offset)`` of each parameter for
     :func:`_reduce`, ``unit`` the ``(part, integer)`` an int sum of
-    products stands for, and ``ta``/``tb`` the lifted terms of ``a``/``b``.
+    products stands for, and ``ta``/``tb`` the lifts of ``a``/``b``, each
+    ``(terms, firsts, rests)`` as :func:`_lift` returns them.
     When each operand's coefficients lie on one line, ``Q`` times 1, i,
     sqrt2 or i*sqrt2, both lift to plain ints and ``unit`` is the product
     of the two lines' units; otherwise ints are rational and the rest
@@ -589,27 +607,54 @@ def _reduce(acc, den, unpack, unit):
     return {m: p for m, p in acc.items() if p}
 
 
-def _product(a, b, nvars, pair_terms):
+def _product(a, b, nvars, rows, rest=None, combine=None):
     """The sum over term pairs of the :class:`Operand` values ``a`` and
-    ``b`` of ``pair_terms(ka, kb)``, each output key's integer multiplier
-    times the pair's coefficient product.  The ``pa x pb`` coefficient loop
-    runs once per output key of each pair."""
+    ``b``, each output key's integer multiplier times the pair's
+    coefficient product.
+
+    A pair's output keys are the cross of two rows: its first variable's
+    entry, ``rows(x + y)`` of the two first blocks, and its rest's,
+    ``rest(xs, ys)`` of the two rests as split monomials (``_expand``
+    through ``rows`` if not given); ``combine``, if given, turns the two
+    entries into the two rows.  Every first block and rest is numbered by
+    the lift, so the entries sit in two tables indexed by the ids, each
+    filled the first time the loop reaches it and dropped with the call:
+    per pair the loop makes two lookups and crosses two short rows.  The
+    ``pa x pb`` coefficient loop runs once per output key of each pair."""
     if not a.terms or not b.terms:
         return {}
-    den, unpack, unit, ta, tb = _plan(a, b, nvars)
+    if rest is None:
+        rest = partial(_expand, rows=rows)
+    den, unpack, unit, (ta, xa, ya), (tb, xb, yb) = _plan(a, b, nvars)
+    firsts = [[None] * len(xb) for _ in xa]
+    rests = [[None] * len(yb) for _ in ya]
     acc = {}
-    for ka, pa in ta:
-        for kb, pb in tb:
-            for mono, k in pair_terms(ka, kb):
-                tgt = acc.get(mono)
-                if tgt is None:
-                    tgt = acc[mono] = {}
-                for ea, ca in pa:
-                    kc = k * ca
-                    for eb, cb in pb:
-                        e = ea + eb
-                        tgt[e] = tgt.get(e, 0) + kc * cb
-    del ta, tb
+    for i, j, pa in ta:
+        x, y, frow, rrow = xa[i], ya[j], firsts[i], rests[j]
+        for i2, j2, pb in tb:
+            f = frow[i2]
+            if f is None:
+                # With no variables there is no first block, and the
+                # entry is the rest's of two empty monomials.
+                f = frow[i2] = rows(x + xb[i2]) if x else rest((), ())
+            r = rrow[j2]
+            if r is None:
+                r = rrow[j2] = rest(y, yb[j2])
+            if combine is not None:
+                f, r = combine(f, r)
+            for m, u in f:
+                for n, k in r:
+                    mono = m + n
+                    tgt = acc.get(mono)
+                    if tgt is None:
+                        tgt = acc[mono] = {}
+                    k *= u
+                    for ea, ca in pa:
+                        kc = k * ca
+                        for eb, cb in pb:
+                            e = ea + eb
+                            tgt[e] = tgt.get(e, 0) + kc * cb
+    del ta, tb, firsts, rests
     return _reduce(acc, den, unpack, unit)
 
 
@@ -630,7 +675,7 @@ def op_mul(A, B, nvars):
     by ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the
     canonical form is unique the result equals term-by-term arithmetic.
     """
-    return _product(Operand(A), Operand(B), nvars, _expand)
+    return _product(Operand(A), Operand(B), nvars, _block)
 
 
 def op_bracket(A, B, nvars, sign):
@@ -640,48 +685,45 @@ def op_bracket(A, B, nvars, sign):
     commutator) and to the ``op_add`` form for ``sign=1`` (the
     anticommutator), from one plan and one accumulator: each monomial pair
     merges the multipliers of its two orders before any coefficient is
-    touched.
+    touched.  The entry of a pair of first blocks, and of a pair of rests,
+    is ``(apart, xy, yx, merged)``: the rows of both orders, whether they
+    differ, and ``xy + sign*yx``, cached per sign for one block and built
+    once per call for longer rests.  A pair then needs no merge unless
+    both its parts differ: with ``X``, ``Y`` the first blocks and ``Z``,
+    ``W`` the rests, ``XZ*YW + sign*YW*XZ`` is ``XY`` times the rests'
+    merged row where ``XY = YX``, and the first blocks' merged row times
+    ``ZW`` where ``ZW = WZ``.
     """
-    merged = _BRACKET_ROWS[sign]
+    rows = _BRACKET_ROWS[sign]
 
-    def pair_terms(ka, kb):
-        split = sum(map(_apart, map(add, ka, kb)))
-        if split == 1:
-            # The most common case.  The other variables' blocks commute,
-            # so the pair's bracket is their rows times the one variable's
-            # merged row.
-            return _expand(ka, kb, merged)
-        if split:
-            return _merge(_expand(ka, kb), _expand(kb, ka), sign)
-        # Every variable's blocks commute: the two orders agree.
-        if sign < 0:
-            return ()
-        return [(m, 2 * k) for m, k in _expand(ka, kb)]
+    def rest(x, y):
+        if len(x) == 1:
+            return rows(x[0] + y[0])
+        xy, yx = _expand(x, y), _expand(y, x)
+        return xy != yx, xy, yx, _merge(xy, yx, sign)
 
-    return _product(Operand(A), Operand(B), nvars, pair_terms)
+    def combine(f, r):
+        f_apart, xy, yx, f_merged = f
+        r_apart, ab, ba, r_merged = r
+        if not f_apart:
+            return xy, r_merged
+        if not r_apart:
+            return f_merged, ab
+        return _merge(_cross(xy, ab), _cross(yx, ba), sign), _UNIT
+
+    return _product(Operand(A), Operand(B), nvars, rows, rest, combine)
 
 
 @cache
 def _act_row(key):
-    """x^a d^b R^e on x^g, ``key = (a, b, e, g)``: the image's one-int
-    block ``(a + g - b,)`` and integer, (-1)^g if ``e`` times
-    g(g-1)...(g-b+1), 0 if d^b kills.  The falling factorial is the d-free
-    entry of ``dx_rows(b, g)``."""
+    """x^a d^b R^e on x^g, ``key = (a, b, e, g)``: the row of the image,
+    the one-int block ``(a + g - b,)`` with the integer (-1)^g if ``e``
+    times g(g-1)...(g-b+1), or empty if d^b kills.  The falling factorial
+    is the d-free entry of ``dx_rows(b, g)``."""
     a, b, e, g = key
     k, c = dx_rows(b, g)[-1]
     sign = -1 if e and g & 1 else 1
-    return (a + g - b,), sign * c if k == b else 0
-
-
-def _act(ka, kb):
-    """The pair rule of action: one exponent tuple, or none if a d^b kills
-    the term."""
-    mono, k = (), 1
-    for blk, c in map(_act_row, map(add, ka, kb)):
-        if not c:
-            return ()
-        mono, k = mono + blk, k * c
-    return ((mono, k),)
+    return (((a + g - b,), sign * c),) if k == b else ()
 
 
 def op_act(A, F, nvars):
@@ -692,12 +734,14 @@ def op_act(A, F, nvars):
     calls lifts its terms once, for as long as the packing weights and the
     line stay the same.  ``F`` is lifted straight from its exponent tuples,
     one-int blocks ``(g,)``, so the pair loop returns exponent-keyed terms.
+    Each entry of the loop's tables is a row of at most one term, through
+    :func:`_act_row`, so a pair costs two lookups and at most one term.
     """
     if isinstance(A, dict):
         A = Operand(A)
     if isinstance(F, dict):
         F = Operand(F, 1)
-    return _product(A, F, nvars, _act)
+    return _product(A, F, nvars, _act_row)
 
 
 @cache
@@ -718,5 +762,4 @@ def op_adjoint(A, nvars):
     rule of :func:`_adjoint_row`."""
     conj = {m: {e: bn_conj(c) for e, c in p.items()} for m, p in A.items()}
     one = {(0, 0, 0) * nvars: {(0,) * nvars: BN_ONE}}
-    return _product(Operand(conj), Operand(one), nvars,
-                    partial(_expand, rows=_adjoint_row))
+    return _product(Operand(conj), Operand(one), nvars, _adjoint_row)

@@ -517,8 +517,8 @@ class OperatorElement(_Combination):
         """Formal adjoint of the flat L^2 pairing.
 
         Reverses products, conjugates coefficients, and maps x -> x,
-        d -> -d, R -> R: ``op_adjoint``, one more pair rule of the kernel's
-        product loop; ``reference_adjoint`` is the independent oracle.
+        d -> -d, R -> R: ``op_adjoint``, the kernel's pair loop with one
+        more cached row; ``reference_adjoint`` is the independent oracle.
         """
         return OperatorElement(op_adjoint(self.kernel_op, self._nvars),
                                self._nvars)
@@ -551,8 +551,9 @@ class OperatorElement(_Combination):
 
         Normal form acts right to left per variable: reflections first
         (x -> -x), then derivatives, then coordinate powers.  ``op_act``
-        shares the kernel's lift and reduction with products and has its
-        own pair rule; the function is lifted from its exponent tuples.
+        shares the kernel's lift, pair loop and reduction with products
+        and has its own cached row; the function is lifted from its
+        exponent tuples.
         Each side's lift is made on its first action and kept with its
         value in ``_action``, and every later action reuses it while the
         packing and the line it was made for hold: an operator acting on

@@ -257,9 +257,12 @@ def _ladder(
         coefficients = []
         for j, lower in enumerate(lowerers):
             top = (0,) * j + (n,) + (0,) * (dims - j - 1)
-            c = GaussState(lower.act(level[top].polynomial)).polynomial.ratio(
-                below[top[:j] + (n - 1,) + top[j + 1:]].polynomial)
+            image = lower.act(level[top].polynomial)
+            c = image.ratio(below[top[:j] + (n - 1,) + top[j + 1:]].polynomial)
             if c is None:
+                # The states have no pole, so an image with one has no
+                # ratio: report the pole before the failed lowering.
+                _check_pole_free(image)
                 raise ArithmeticError(f"lowering state {top} left the ladder")
             coefficients.append(c)
         yield level, coefficients
@@ -301,9 +304,11 @@ def spectrum_table(
         energy: Optional[BaseNumber] = None
         leading: set = set()
         for ns, state in states.items():
-            lam = GaussState(hamiltonian.act(state.polynomial)).polynomial.ratio(
-                state.polynomial)
+            image = hamiltonian.act(state.polynomial)
+            lam = image.ratio(state.polynomial)
             if lam is None:
+                # As in _ladder: a pole, if any, is why there is no ratio.
+                _check_pole_free(image)
                 raise ArithmeticError(
                     f"state {ns} failed to be an eigenstate")
             value = lam.evaluate(values)

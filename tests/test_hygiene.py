@@ -140,9 +140,10 @@ def _reads_outside(tree, name, owner):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_one_pair_loop(path):
-    """Only ``_product`` lifts operands, so the pair rules of product,
-    bracket, action and adjoint all run its one pair loop and no second
-    loop can appear."""
+    """Only ``_product`` lifts operands, so product, bracket, action and
+    adjoint all run its one pair loop, with its per-call tables of first
+    and rest entries, and differ only in the rows that fill them; no
+    second loop can appear."""
     tree = ast.parse(path.read_text(), str(path))
     lines = _reads_outside(tree, "_plan", "_product")
     assert not lines, (f"{path.name} uses _plan outside _product on lines "

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_act, reference_bracket, reference_op_mul
+from helpers import (
+    reference_act,
+    reference_adjoint,
+    reference_bracket,
+    reference_op_mul,
+)
 
+from dunklweyl import _kernel
 from dunklweyl._kernel import (
     Operand,
     _Surd,
@@ -21,12 +27,15 @@ from dunklweyl._kernel import (
     dx_rows,
     op_act,
     op_add,
+    op_adjoint,
     op_bracket,
     op_mul,
     op_scale,
     op_sub,
 )
+from dunklweyl.builders import build
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
+from dunklweyl.states import _gauged, fock
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -222,8 +231,8 @@ _LINE_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
 
 def _lifted(A, B, nvars):
     """The lifted numerators of both operands of one product."""
-    *_, ta, tb = _plan(Operand(A), Operand(B), nvars)
-    return [c for _, nums in ta + tb for _, c in nums]
+    *_, (ta, _, _), (tb, _, _) = _plan(Operand(A), Operand(B), nvars)
+    return [c for *_, nums in ta + tb for _, c in nums]
 
 
 class TestUnitLift:
@@ -388,6 +397,121 @@ class TestActAgainstReference:
         A = data.draw(_ops(nvars, nvars))
         F = data.draw(_functions(nvars, nvars))
         assert op_act({}, F, nvars) == {} == op_act(A, {}, nvars)
+
+
+@st.composite
+def repeated_blocks(draw):
+    """Two operators and a function on 1 to 5 variables whose terms take
+    each variable's block from a pool of two or three, so that first
+    blocks and the rests of the terms repeat within an operand, as in the
+    model's operators.  As many parameters as variables; coefficients are
+    rational, on one line of ``Q(i, sqrt2)`` or mixed."""
+    nvars = draw(st.integers(1, 5))
+    block = st.tuples(st.integers(-4, 4), st.integers(0, 2),
+                      st.integers(0, 1))
+    coeffs = draw(st.one_of(st.just(_coeffs),
+                            st.integers(0, 3).map(_on_line)))
+
+    def terms(blocks, width):
+        pools = [draw(st.lists(blocks, min_size=2, max_size=3, unique=True))
+                 for _ in range(nvars)]
+        keys = st.tuples(*map(st.sampled_from, pools)).map(
+            lambda bs: sum(bs, ()) if width == 3 else bs)
+        return draw(st.dictionaries(keys, _polys(nvars, coeffs),
+                                    min_size=1, max_size=6))
+
+    A, B = terms(block, 3), terms(block, 3)
+    F = terms(st.integers(-4, 6), 1)
+    return A, B, F, nvars
+
+
+class TestRepeatedBlocks:
+    """Operands whose first blocks and rests repeat across terms, so that
+    the pair loop reuses its table entries, against the term-by-term
+    references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_blocks())
+    def test_equals_references(self, case):
+        A, B, F, nvars = case
+        before = copy.deepcopy((A, B, F))
+        got = op_mul(A, B, nvars)
+        assert got == reference_op_mul(A, B, nvars)
+        assert_canonical(got, nvars, nvars)
+        for sign in (1, -1):
+            got = op_bracket(A, B, nvars, sign)
+            assert got == reference_bracket(A, B, nvars, sign)
+            assert_canonical(got, nvars, nvars)
+        got = op_act(A, F, nvars)
+        assert got == reference_act(OperatorElement(A, nvars),
+                                    LaurentPolynomial(F, nvars))._data
+        assert_canonical(got, nvars, nvars, width=1)
+        got = op_adjoint(A, nvars)
+        assert got == reference_adjoint(OperatorElement(A, nvars)).kernel_op
+        assert_canonical(got, nvars, nvars)
+        assert (A, B, F) == before, "operands mutated"
+
+    def test_no_variables(self):
+        # With no variables an operator is a scalar, and the only monomial
+        # and exponent tuple are empty.
+        A = {(): {(): bn_make(2, 0, 0, 0, 3)}}
+        B = {(): {(): bn_make(1, 1, 0, 0, 1)}}
+        assert op_mul(A, B, 0) == {(): {(): (2, 2, 0, 0, 3)}}
+        assert op_bracket(A, B, 0, 1) == {(): {(): (4, 4, 0, 0, 3)}}
+        assert op_bracket(A, B, 0, -1) == {}
+        assert op_act(A, B, 0) == {(): {(): (2, 2, 0, 0, 3)}}
+        assert op_adjoint(B, 0) == {(): {(): (1, -1, 0, 0, 1)}}
+
+
+def _distinct_pairs(A, B, width_b):
+    """Distinct pairs of first blocks plus distinct pairs of rests of two
+    operands, ``A`` keyed by flat monomials and ``B`` by keys of
+    ``width_b`` ints per variable."""
+    def parts(X, width):
+        return {k[:width] for k in X}, {k[width:] for k in X}
+
+    (fa, ra), (fb, rb) = parts(A, 3), parts(B, width_b)
+    return len(fa) * len(fb) + len(ra) * len(rb)
+
+
+class TestRowsOncePerDistinctPair:
+    """The pair loop takes each row once per distinct pair of first blocks
+    and once per distinct pair of rests, not once per monomial pair and
+    variable."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+
+        def counting(row):
+            def wrapped(key):
+                calls.append(key)
+                return row(key)
+            return wrapped
+
+        for name in ("_block", "_act_row", "_adjoint_row"):
+            monkeypatch.setattr(_kernel, name,
+                                counting(getattr(_kernel, name)))
+        monkeypatch.setattr(_kernel, "_BRACKET_ROWS", {
+            sign: counting(row)
+            for sign, row in _kernel._BRACKET_ROWS.items()})
+        return calls
+
+    def test_bracket(self, monkeypatch):
+        C, E1 = build("C", 2).kernel_op, build("E1", 2).kernel_op
+        want = op_bracket(C, E1, 2, -1)
+        calls = self._count(monkeypatch)
+        assert op_bracket(C, E1, 2, -1) == want
+        assert 0 < len(calls) <= _distinct_pairs(C, E1, 3) < len(C) * len(E1)
+
+    def test_action(self, monkeypatch):
+        H = _gauged("H", 2).kernel_op
+        f = fock((3, 2)).polynomial.kernel_op
+        want = op_act(H, f, 2)
+        calls = self._count(monkeypatch)
+        assert op_act(H, f, 2) == want
+        assert 0 < len(calls) <= _distinct_pairs(H, f, 1) < len(H) * len(f)
+
 
 class TestLinear:
     @SETTINGS

@@ -321,6 +321,22 @@ class TestSpectrumTable:
                 table = spectrum_table(2, values, level)
                 assert table.admissible == positive
 
+    @pytest.mark.parametrize("name", ["H", "A-1"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_image_with_a_pole(self, monkeypatch, name, dims):
+        # An image that keeps x1^-2 has no ratio to a pole-free state, and
+        # the table reports the pole, not a failed eigencheck or lowering.
+        operator = states._operator
+
+        def with_pole(op_name, n, values):
+            if op_name == name:
+                return OperatorElement.x(0, n, -2)
+            return operator(op_name, n, values)
+
+        monkeypatch.setattr(states, "_operator", with_pole)
+        with pytest.raises(PoleError):
+            spectrum_table(dims, (Fraction(1, 3),) * dims, 2)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             spectrum_table(3, (1, 1, 1), 2)
