@@ -8,8 +8,11 @@ parts, never hand-expanded, so the registry itself exercises the algebra.
 Every name is declared once, as a key of one of three constructor tables:
 _GLOBAL (valid in any dimension), _TWO_VARIABLE (valid only when dims is
 2) and _PER_VARIABLE (a kind such as "A+", named "A+1" .. "A+{dims}").
-names(), the expression lexicon and build() all derive from these tables,
-so adding an operator is adding one entry.
+The tables hold the raw generators x, d and R of each variable and the
+scalars i, sqrt2 and mu<k> (times the identity) as well, so names() is
+the whole name surface of the expression language, which lexes from it
+and resolves every name through build().  Adding an operator is adding
+one entry.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dunklweyl.opalg import (
     commutator,
     from_laurent,
 )
-from dunklweyl.scalars import I, INV_SQRT2, Scalar
+from dunklweyl.scalars import I, INV_SQRT2, SQRT2, Scalar
 
 OperatorName = str
 
@@ -124,6 +127,8 @@ _GLOBAL: Dict[OperatorName, Callable[[int], OperatorElement]] = {
     "H": _sum_of("H"),
     "Q_susy": _q_susy,
     "H_susy": _sum_of("H_susy"),
+    "i": lambda n: I * OperatorElement.identity(n),
+    "sqrt2": lambda n: SQRT2 * OperatorElement.identity(n),
 }
 
 # Names valid in two dimensions only.
@@ -150,6 +155,10 @@ _TWO_VARIABLE: Dict[OperatorName, Callable[[int], OperatorElement]] = {
 
 # Kinds named {kind}{i} for each variable i = 1..dims.
 _PER_VARIABLE: Dict[str, Callable[[_Var], OperatorElement]] = {
+    "x": lambda v: v.x,
+    "d": lambda v: v.d,
+    "R": lambda v: v.r,
+    "mu": lambda v: v.mu * OperatorElement.identity(v.n),
     "D": lambda v: v.d + v.mu * v.xinv * (1 - v.r),
     "H": _hamiltonian,
     "A+": lambda v: INV_SQRT2 * (v.x - v.op("D")),
@@ -196,8 +205,8 @@ def build(name: OperatorName, dims: int) -> OperatorElement:
 
 
 def names(dims: int) -> Tuple[OperatorName, ...]:
-    """All registry names valid at this dimension, longest first (so the
-    list doubles as a greedy lexer table)."""
+    """All registry names valid at this dimension, longest first: the
+    whole name surface of the expression language."""
     if dims < 1:
         raise ValueError("dimension must be at least 1")
     out = list(_GLOBAL)

@@ -1,10 +1,12 @@
 """Operator-expression language: tokenizer, parser and evaluator.
 
-The surface consists of the registry names for the working dimension,
-raw generators x1/d1/R1 per variable, scalar literals (integers, i,
-sqrt2, mu1..mun), the binary operators + - * /, integer powers with ^,
-and the function forms comm(,), acomm(,) and adjoint().  Precedence is
-power, then unary minus, then * and /, then + and -.
+The surface consists of the registry names for the working dimension
+(``builders.names(dims)``, which include the raw generators x1/d1/R1 and
+the scalars i, sqrt2 and mu1..mun), non-negative integers, the binary
+operators + - * /, integer powers with ^, and the function forms
+comm(,), acomm(,) and adjoint().  A name evaluates to its registry
+operator, ``build(name, dims)``.  Precedence is power, then unary minus,
+then * and /, then + and -.
 
 Division accepts only constant invertible divisors, and a negative
 power accepts only reflection-free derivative-free monomials with
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple, Union
 
 from .builders import build, names
 from .opalg import OperatorElement, anticommutator, commutator
-from .scalars import SQRT2, I, Scalar
 
 
 class ParseError(ValueError):
@@ -79,7 +81,9 @@ class Call:
 Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 
 # Bounds on the work one input can ask for: the lexicon, and every
-# operator built, grow with the number of variables, a power is
+# operator built, grow with the number of variables (one compiled
+# lexicon is kept per dims, so at most MAX_DIMS of them, since parse
+# refuses a larger dims before lexing), a power is
 # evaluated by repeated multiplication, and every binary operator in an
 # expression is one more operation.  The token cap leaves room for the
 # rendered normal forms the tests parse back (under 900 tokens).  The
@@ -92,18 +96,16 @@ MAX_TOKENS = 4096
 MAX_NESTING = 64
 
 _FUNCTIONS = ("adjoint", "acomm", "comm")
-_RAW = re.compile(r"([xdR])([1-9]\d*)$")
-_MU = re.compile(r"mu([1-9]\d*)$")
 _PUNCT = "+-*/^(),"
 _WORD = re.compile(r"\w+")
 
 
-def _lexicon(dims: int) -> List[str]:
-    entries = list(names(dims)) + list(_FUNCTIONS) + ["sqrt2", "i"]
-    for k in range(1, dims + 1):
-        entries += [f"x{k}", f"d{k}", f"R{k}", f"mu{k}"]
-    entries.sort(key=lambda s: (-len(s), s))
-    return entries
+@lru_cache(maxsize=None)
+def _lexicon(dims: int) -> re.Pattern:
+    """The registry names and function names as one alternation, longest
+    first: the first alternative that matches is the longest name."""
+    entries = sorted((*names(dims), *_FUNCTIONS), key=lambda s: (-len(s), s))
+    return re.compile("|".join(map(re.escape, entries)))
 
 
 Token = Tuple[str, object, int]  # kind, value, position
@@ -121,17 +123,13 @@ def _tokenize(text: str, dims: int) -> List[Token]:
         if len(out) == MAX_TOKENS:
             raise ParseError(
                 f"expression has more than {MAX_TOKENS} tokens", pos)
-        matched = None
-        for entry in lexicon:
-            if text.startswith(entry, pos):
-                matched = entry
-                break
         # A name match wins over punctuation so that J+ and A-1 lex as
         # single tokens; no lexicon entry starts with a punctuation
         # character, so the converse cannot happen.
+        matched = lexicon.match(text, pos)
         if matched is not None:
-            out.append(("name", matched, pos))
-            pos += len(matched)
+            out.append(("name", matched.group(), pos))
+            pos = matched.end()
             continue
         if ch in _PUNCT:
             out.append(("punct", ch, pos))
@@ -303,26 +301,6 @@ def parse(text: str, dims: int) -> Expr:
 
 # Evaluation ----------------------------------------------------------------
 
-def _resolve_name(identifier: str, dims: int) -> OperatorElement:
-    if identifier == "i":
-        return I * OperatorElement.identity(dims)
-    if identifier == "sqrt2":
-        return SQRT2 * OperatorElement.identity(dims)
-    m = _MU.match(identifier)
-    if m:
-        index = int(m.group(1)) - 1
-        return Scalar.parameter(index, dims) * OperatorElement.identity(dims)
-    m = _RAW.match(identifier)
-    if m:
-        index = int(m.group(2)) - 1
-        if m.group(1) == "x":
-            return OperatorElement.x(index, dims)
-        if m.group(1) == "d":
-            return OperatorElement.d(index, dims)
-        return OperatorElement.r(index, dims)
-    return build(identifier, dims)
-
-
 def _invert(a: OperatorElement, dims: int) -> OperatorElement:
     if a.is_zero():
         raise ValueError("division by zero")
@@ -360,7 +338,7 @@ def _apply(node: Expr, args: List[OperatorElement],
     if isinstance(node, Num):
         return node.value * OperatorElement.identity(dims)
     if isinstance(node, Name):
-        return _resolve_name(node.identifier, dims)
+        return build(node.identifier, dims)
     if isinstance(node, Neg):
         return -args[0]
     if isinstance(node, Pow):

@@ -18,8 +18,8 @@ Families are declared once each, by the @_family decorator on the
 function that builds their identities; the decorators run in reporting
 order and fill REGISTRY (id, description, dimension, perturbability),
 from which FAMILIES, check() and the command-line listing all read.
-A family function takes a source s: s.op(name) gives a registry
-operator or a reflection R1, R2, ..., and a vanishing bracket is
+A family function takes a source s: s.op(name) gives the registry
+operator of that name (R1 as much as J+), and a vanishing bracket is
 declared by its pair of names, _zero(s, "[]", "H", "J+") for
 "[H, J+] = 0", which writes the label from the same two names.
 """
@@ -75,8 +75,8 @@ class RelationReport:
 class _Source:
     """Operator supplier for one check run.
 
-    op(name) gives the registry operator or the reflection R1, R2, ...
-    called name, each made once per source.  Numeric mode substitutes the
+    op(name) gives the registry operator called name, the reflection R1
+    as much as J+, made once per source.  Numeric mode substitutes the
     deformation values into every registry operator as it is first
     pulled, before any composition happens; products of substituted
     operators equal substituted products, so this is the cheap direction.
@@ -96,8 +96,7 @@ class _Source:
             values = tuple(values[k % len(values)] for k in range(dims))
         self.values = values
         self.perturb = perturb
-        self._ops: Dict[str, OperatorElement] = {
-            f"R{j + 1}": OperatorElement.r(j, dims) for j in range(dims or 0)}
+        self._ops: Dict[str, OperatorElement] = {}
 
     def op(self, name: str) -> OperatorElement:
         built = self._ops.get(name)

@@ -1,6 +1,7 @@
 """Shared random generators and reference implementations for tests."""
 
 import random
+import re
 from fractions import Fraction
 
 from dunklweyl._kernel import (
@@ -15,6 +16,8 @@ from dunklweyl._kernel import (
     poly_neg,
     poly_scale_int,
 )
+from dunklweyl.builders import names
+from dunklweyl.dsl import MAX_TOKENS, ParseError
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import (
     BaseNumber, InexactDivisionError, Scalar, _render_sum)
@@ -449,3 +452,61 @@ def reference_render(value):
     return _reference_render_sum((_reference_scalar_str(Scalar(data[m], n)),
                                   _reference_render_monomial(m, n))
                                  for m in flats)
+
+
+# The expression lexer as a scan: every name tried with str.startswith at
+# each token, longest first, over its own list of the raw generators,
+# scalars and function names beside the registry names.  Duplicates in
+# the list are harmless; only the first, longest match counts.
+_REFERENCE_FUNCTIONS = ("adjoint", "acomm", "comm")
+_REFERENCE_PUNCT = "+-*/^(),"
+_REFERENCE_WORD = re.compile(r"\w+")
+
+
+def _reference_lexicon(dims):
+    entries = list(names(dims)) + list(_REFERENCE_FUNCTIONS) + ["sqrt2", "i"]
+    for k in range(1, dims + 1):
+        entries += [f"x{k}", f"d{k}", f"R{k}", f"mu{k}"]
+    entries.sort(key=lambda s: (-len(s), s))
+    return entries
+
+
+def reference_tokenize(text, dims):
+    """The tokens of ``text`` as ``(kind, value, position)``, ending in an
+    ``end`` token, or ``ParseError`` at the first symbol no entry fits."""
+    lexicon = _reference_lexicon(dims)
+    out = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if len(out) == MAX_TOKENS:
+            raise ParseError(
+                f"expression has more than {MAX_TOKENS} tokens", pos)
+        matched = None
+        for entry in lexicon:
+            if text.startswith(entry, pos):
+                matched = entry
+                break
+        if matched is not None:
+            out.append(("name", matched, pos))
+            pos += len(matched)
+            continue
+        if ch in _REFERENCE_PUNCT:
+            out.append(("punct", ch, pos))
+            pos += 1
+            continue
+        if ch.isdigit():
+            end = pos
+            while end < len(text) and text[end].isdigit():
+                end += 1
+            out.append(("num", int(text[pos:end]), pos))
+            pos = end
+            continue
+        word = _REFERENCE_WORD.match(text, pos)
+        symbol = word.group() if word else ch
+        raise ParseError(f"unknown symbol {symbol!r}", pos)
+    out.append(("end", None, len(text)))
+    return out

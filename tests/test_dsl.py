@@ -3,13 +3,14 @@
 import contextlib
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_operator
+from helpers import random_operator, reference_tokenize
 
 from dunklweyl import cli, dsl, opalg
 from dunklweyl.builders import build, names
@@ -103,6 +104,62 @@ class TestParsing:
             parse("", 1)
         with pytest.raises(ValueError):
             parse("x1", 0)
+
+
+def _lexed(tokenize, text, dims):
+    """The tokens of text, or the ParseError's message and position."""
+    try:
+        return tokenize(text, dims)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def _fragments(dims):
+    """Pieces of input: every name, function and punctuation mark, digits,
+    spaces, and near misses of names (a zero index, an index past dims, a
+    prefix of a name followed by a letter)."""
+    return (list(names(dims)) + ["adjoint", "acomm", "comm"]
+            + list("+-*/^(),") + list("0123456789") + [" ", "  ", "\t"]
+            + ["x0", f"mu{dims + 1}", "sqrtx", "Jx", f"A+{dims + 1}"])
+
+
+class TestNameTable:
+    """The registry is the one name table: the lexer is one compiled
+    alternation over ``names(dims)`` and the function names, and every
+    name evaluates to its registry operator."""
+
+    def test_one_name_table(self):
+        functions = ["adjoint", "acomm", "comm"]
+        for dims in range(1, dsl.MAX_DIMS + 1):
+            alternatives = [re.sub(r"\\(.)", r"\1", alt)
+                            for alt in dsl._lexicon(dims).pattern.split("|")]
+            assert sorted(alternatives) == sorted([*names(dims), *functions])
+            lengths = [len(alt) for alt in alternatives]
+            assert lengths == sorted(lengths, reverse=True)
+        for dims in (1, 2, 3):
+            for name in names(dims):
+                assert parse_eval(name, dims) is build(name, dims), name
+
+    def test_lexicon_cache_is_bounded(self):
+        # parse refuses a dims past MAX_DIMS before it lexes, so at most
+        # MAX_DIMS compiled lexicons are ever kept.
+        for dims in range(1, dsl.MAX_DIMS + 1):
+            assert parse("x1", dims) == Name("x1")
+        with pytest.raises(ValueError):
+            parse("x1", dsl.MAX_DIMS + 1)
+        assert dsl._lexicon.cache_info().currsize <= dsl.MAX_DIMS
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_tokens_as_the_scan(self, data):
+        # The first alternative that matches must be the longest name,
+        # as the scan that tries every name longest first finds it.
+        dims = data.draw(st.integers(1, 4), label="dims")
+        text = "".join(data.draw(
+            st.lists(st.sampled_from(_fragments(dims)), max_size=12),
+            label="pieces"))
+        assert (_lexed(dsl._tokenize, text, dims)
+                == _lexed(reference_tokenize, text, dims))
 
 
 class TestEvaluation:
