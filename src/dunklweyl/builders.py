@@ -151,6 +151,21 @@ _TWO_VARIABLE: Dict[OperatorName, Callable[[int], OperatorElement]] = {
     "F+": lambda n: build("J+", n),
     "F-": lambda n: build("J-", n),
     "Htilde": _htilde,
+    # The central parts of the cubic and Hahn structure constants; H is
+    # central, so these are constants over the center.
+    "gamma1": lambda n: (3 - build("H", n) * build("H", n)
+                         - 2 * build("mu1", n) ** 2
+                         - 2 * build("mu2", n) ** 2),
+    "gamma2": lambda n: 2 * build("mu1", n) ** 2 - 2 * build("mu2", n) ** 2,
+    "omega1": lambda n: build("gamma1", n) / 2,
+    "omega2": lambda n: build("gamma2", n) / 2,
+    "delta": lambda n: (build("H", n) * build("H", n) - 1) / 2,
+    # The gauge-frame symmetry generators of the supersymmetric oscillator.
+    "Jtilde+": lambda n: build("Atilde+1", n) * build("Atilde-2", n),
+    "Jtilde-": lambda n: build("Atilde-1", n) * build("Atilde+2", n),
+    "Jtilde0": lambda n: build("Htilde1", n) - build("Htilde2", n),
+    "Ktilde+": lambda n: build("Jtilde+", n) * build("Jtilde+", n),
+    "Ktilde-": lambda n: build("Jtilde-", n) * build("Jtilde-", n),
 }
 
 # Kinds named {kind}{i} for each variable i = 1..dims.

@@ -3,20 +3,27 @@
 The surface consists of the registry names for the working dimension
 (``builders.names(dims)``, which include the raw generators x1/d1/R1 and
 the scalars i, sqrt2 and mu1..mun), non-negative integers, the binary
-operators + - * /, integer powers with ^, and the function forms
-comm(,), acomm(,) and adjoint().  A name evaluates to its registry
-operator, ``build(name, dims)``.  Precedence is power, then unary minus,
-then * and /, then + and -.
+operators + - * /, integer powers with ^, the function forms comm(,),
+acomm(,) and adjoint(), and the brackets [a, b] and {a, b}, which are
+comm(a, b) and acomm(a, b) written as the paper writes them.  A name
+evaluates to the operator its resolver gives; ``evaluate`` and
+``parse_eval`` resolve it to its registry operator ``build(name, dims)``.
+Precedence is power, then unary minus, then * and /, then + and -.
 
 Division accepts only constant invertible divisors, and a negative
 power accepts only reflection-free derivative-free monomials with
 constant coefficients; both restrictions keep every expression inside
 the algebra.
 
-The parser interns its nodes: equal subexpressions of one input are one
-object.  ``evaluate`` evaluates each distinct subexpression once per call
-and releases its value after the last use, so ``comm(J0, J+^5) -
-11*J+^5`` raises J+ to the fifth power once.  No value outlives the call.
+The parser interns its nodes: equal subexpressions of one input, or of
+the several texts one ``parse_all`` reads, are one object.  ``program``
+lists the distinct subexpressions of some trees in the order a recursive
+walk would first finish them, and ``run`` evaluates that list, each entry
+once per call, releasing each value after its last use, so ``comm(J0,
+J+^5) - 11*J+^5`` raises J+ to the fifth power once.  No value outlives
+the call; a program can be run again, with another resolver.  Numbers
+stay plain rationals until they meet an operator, so ``2*J+`` is a scalar
+multiple.
 
 The inverse direction is ``str``: the canonical normal-form string of
 an operator parses back to an equal operator (round trip at the value
@@ -27,8 +34,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .builders import build, names
 from .opalg import OperatorElement, anticommutator, commutator
@@ -89,14 +97,17 @@ Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 # rendered normal forms the tests parse back (under 900 tokens).  The
 # parser recurses once per parenthesis, function call and unary minus, so
 # nesting has its own, smaller bound that keeps it well inside the
-# interpreter's recursion limit.
+# interpreter's recursion limit; a bracket [a, b] or {a, b} nests like a
+# function call.
 MAX_DIMS = 16
 MAX_EXPONENT = 64
 MAX_TOKENS = 4096
 MAX_NESTING = 64
 
 _FUNCTIONS = ("adjoint", "acomm", "comm")
-_PUNCT = "+-*/^(),"
+_PUNCT = "+-*/^(),[]{}"
+# Each opening bracket: the function it stands for and its closing mark.
+_BRACKETS = {"[": ("comm", "]"), "{": ("acomm", "}")}
 _WORD = re.compile(r"\w+")
 
 
@@ -135,9 +146,11 @@ def _tokenize(text: str, dims: int) -> List[Token]:
             out.append(("punct", ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also holds for "²", which int()
+        # refuses, and for "٣", which int() reads as 3.
+        if "0" <= ch <= "9":
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and "0" <= text[end] <= "9":
                 end += 1
             out.append(("num", int(text[pos:end]), pos))
             pos = end
@@ -158,14 +171,12 @@ def _field_key(field: object) -> object:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
-        self.k = 0
-        self.depth = 0
-        # Interned nodes, keyed on (type, plain fields, child ids).  The
-        # children are interned first and kept alive here, so their ids
-        # are stable; the dataclasses themselves are never hashed, since
-        # hashing recurses and a long parenthesised sum would overflow.
+    def __init__(self) -> None:
+        # Interned nodes, keyed on (type, plain fields, child ids), shared
+        # by every text this parser reads.  The children are interned
+        # first and kept alive here, so their ids are stable; the
+        # dataclasses themselves are never hashed, since hashing recurses
+        # and a long parenthesised sum would overflow.
         self.nodes: dict = {}
 
     def node(self, cls: type, *fields: object) -> Expr:
@@ -195,7 +206,8 @@ class _Parser:
             raise ParseError(f"expected {value!r}", pos)
         return self.advance()
 
-    def parse(self) -> Expr:
+    def parse(self, tokens: List[Token]) -> Expr:
+        self.tokens, self.k, self.depth = tokens, 0, 0
         expr = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
@@ -266,6 +278,15 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return inner
+        if kind == "punct" and val in _BRACKETS:
+            function, close = _BRACKETS[val]
+            self.nest(pos)
+            left = self.expr()
+            self.expect(",")
+            right = self.expr()
+            self.expect(close)
+            self.depth -= 1
+            return self.node(Call, function, (left, right))
         if kind == "name":
             if val in _FUNCTIONS:
                 self.nest(pos)
@@ -292,31 +313,22 @@ class _Parser:
 
 def parse(text: str, dims: int) -> Expr:
     """Parse text into an AST; dims fixes the name lexicon."""
+    return parse_all([text], dims)[0]
+
+
+def parse_all(texts: Sequence[str], dims: int) -> List[Expr]:
+    """Parse several texts into ASTs that share their equal
+    subexpressions: a subexpression written in two texts is one node."""
     if dims < 1:
         raise ValueError("dims must be at least 1")
     if dims > MAX_DIMS:
         raise ValueError(f"dims must be at most {MAX_DIMS}")
-    return _Parser(_tokenize(text, dims)).parse()
+    tokens = [_tokenize(text, dims) for text in texts]
+    parser = _Parser()
+    return [parser.parse(t) for t in tokens]
 
 
 # Evaluation ----------------------------------------------------------------
-
-def _invert(a: OperatorElement, dims: int) -> OperatorElement:
-    if a.is_zero():
-        raise ValueError("division by zero")
-    # One term commuting with every x_j; neither test flattens a product.
-    if len(a) == 1 and all(commutator(a, OperatorElement.x(j, dims)).is_zero()
-                           for j in range(dims)):
-        ((blocks, coeff),) = a.terms()
-        if coeff.is_constant():
-            out = coeff.constant_value().inverse() * OperatorElement.identity(dims)
-            for j, (aexp, _, _) in enumerate(blocks):
-                if aexp:
-                    out = out * OperatorElement.x(j, dims, -aexp)
-            return out
-    raise ValueError(
-        "negative powers need a coordinate monomial with constant coefficient")
-
 
 def _children(node: Expr) -> Tuple[Expr, ...]:
     if isinstance(node, BinOp):
@@ -332,19 +344,29 @@ def _children(node: Expr) -> Tuple[Expr, ...]:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _apply(node: Expr, args: List[OperatorElement],
-           dims: int) -> OperatorElement:
+# The operator a name stands for, given the name and dims.
+Resolver = Callable[[str, int], OperatorElement]
+# A value during evaluation: an operator, or a number not yet met by one.
+Value = Union[OperatorElement, int, Fraction]
+# Each distinct node of some trees with the slots of its children's
+# values and the slots whose last use it is; then the slot of each tree.
+Program = Tuple[Tuple[Tuple[Expr, Tuple[int, ...], Tuple[int, ...]], ...],
+                Tuple[int, ...]]
+
+
+def _operator(value: Value, dims: int) -> OperatorElement:
+    if isinstance(value, OperatorElement):
+        return value
+    return value * OperatorElement.identity(dims)
+
+
+def _apply(node: Expr, args: List[Value], dims: int,
+           resolve: Resolver) -> Value:
     """The value of one node, given the values of its children."""
-    if isinstance(node, Num):
-        return node.value * OperatorElement.identity(dims)
     if isinstance(node, Name):
-        return build(node.identifier, dims)
-    if isinstance(node, Neg):
-        return -args[0]
-    if isinstance(node, Pow):
-        if node.exponent >= 0:
-            return args[0] ** node.exponent
-        return _invert(args[0], dims) ** (-node.exponent)
+        return resolve(node.identifier, dims)
+    if isinstance(node, Num):
+        return node.value
     if isinstance(node, BinOp):
         left, right = args
         if node.op == "+":
@@ -353,12 +375,33 @@ def _apply(node: Expr, args: List[OperatorElement],
             return left - right
         if node.op == "*":
             return left * right
+        if not isinstance(right, OperatorElement):
+            if not right:
+                raise ValueError("division by zero")
+            return (left / right if isinstance(left, OperatorElement)
+                    else Fraction(left, right))
         divisor = right.as_scalar()
         if divisor is None or not divisor.is_constant():
             raise ValueError("division needs a constant divisor")
         if not divisor:
             raise ValueError("division by zero")
-        return left / divisor
+        return _operator(left, dims) / divisor
+    if isinstance(node, Neg):
+        return -args[0]
+    if isinstance(node, Pow):
+        base, n = args[0], node.exponent
+        if n < 0 and not base:
+            raise ValueError("division by zero")
+        if not isinstance(base, OperatorElement):
+            return Fraction(base) ** n
+        power = base.coordinate_power(n)
+        if power is not None:
+            return power
+        if n < 0:
+            raise ValueError("negative powers need a coordinate monomial "
+                             "with constant coefficient")
+        return base ** n
+    args = [_operator(a, dims) for a in args]
     if node.function == "comm":
         return commutator(*args)
     if node.function == "acomm":
@@ -366,50 +409,56 @@ def _apply(node: Expr, args: List[OperatorElement],
     return args[0].adjoint()
 
 
-def evaluate(ast: Expr, dims: int) -> OperatorElement:
-    """Evaluate an AST to an operator on dims variables.
-
-    A node reached by several paths (the parser interns equal
-    subexpressions into one node) is evaluated once, and its value is
-    dropped after its last use.  Both walks use an explicit stack, so a
-    long chain like a + b + ... + z, which nests one level per operator,
-    needs no recursion.
-    """
-    # Uses left per node: one per edge into it.
-    uses = {id(ast): 1}
-    stack = [ast]
+def program(roots: Sequence[Expr]) -> Program:
+    """The distinct nodes of some trees in the order a recursive walk of
+    each in turn, left to right, first finishes them; a node reached by
+    several paths (the parser interns equal subexpressions into one node)
+    is listed once.  The walk keeps an explicit stack, so a long chain like
+    a + b + ... + z, which nests one level per operator, needs no
+    recursion."""
+    slots: dict = {}
+    order: list = []
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
-        for child in _children(stack.pop()):
-            key = id(child)
-            if key in uses:
-                uses[key] += 1
-            else:
-                uses[key] = 1
-                stack.append(child)
-    # Post-order, left to right, as a recursive walk would go; a node
-    # pushed twice is evaluated at its first visit and skipped after.
-    values: dict = {}
-    stack = [ast]
-    while stack:
-        node = stack[-1]
-        if id(node) in values:
-            stack.pop()
+        node, finished = stack.pop()
+        if id(node) in slots:
             continue
         children = _children(node)
-        pending = [c for c in children if id(c) not in values]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        args = []
-        for child in children:
-            key = id(child)
-            args.append(values[key])
-            uses[key] -= 1
-            if not uses[key]:
-                del values[key]
-        values[id(node)] = _apply(node, args, dims)
-    return values[id(ast)]
+        if finished:
+            slots[id(node)] = len(order)
+            order.append((node, tuple(slots[id(c)] for c in children)))
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(children))
+    # A tree's own value lives to the end.
+    kept = tuple(slots[id(root)] for root in roots)
+    last = {slot: k for k, (_, args) in enumerate(order) for slot in args}
+    dead: List[list] = [[] for _ in order]
+    for slot, k in last.items():
+        if slot not in kept:
+            dead[k].append(slot)
+    return tuple((node, args, tuple(dead[k]))
+                 for k, (node, args) in enumerate(order)), kept
+
+
+def run(prog: Program, dims: int,
+        resolve: Resolver) -> List[OperatorElement]:
+    """Evaluate a program to one operator on dims variables per tree,
+    each node once, dropping each value after its last use; resolve gives
+    the operator a name stands for."""
+    steps, kept = prog
+    values: List[Optional[Value]] = [None] * len(steps)
+    for k, (node, args, dead) in enumerate(steps):
+        values[k] = _apply(node, [values[a] for a in args], dims, resolve)
+        for a in dead:
+            values[a] = None
+    return [_operator(values[k], dims) for k in kept]
+
+
+def evaluate(ast: Expr, dims: int) -> OperatorElement:
+    """Evaluate an AST to an operator on dims variables, each name to its
+    registry operator."""
+    return run(program([ast]), dims, build)[0]
 
 
 def parse_eval(text: str, dims: int) -> OperatorElement:

@@ -46,8 +46,10 @@ multiples, equality and ``ratio``, the one test for an exact scalar multiple
 0)`` block per variable against a ``0`` exponent).  Each subclass adds its
 own constructors and products, and a Laurent polynomial renders as its
 multiplication operator.  ``OperatorElement.as_scalar`` is the one test
-for a constant operator.  Terms are read as ``(blocks, coefficient)``
-pairs, one ``(a, b, e)`` block per variable, from ``terms()``.
+for a constant operator, and ``coordinate_power`` raises a coordinate
+monomial such as ``2*x1`` to any integer power, negative too, as one term.
+Terms are read as ``(blocks, coefficient)`` pairs, one ``(a, b, e)`` block
+per variable, from ``terms()``.
 """
 
 from __future__ import annotations
@@ -382,6 +384,27 @@ class OperatorElement(_Combination):
         if self._factors is None and self._data.keys() <= {unit}:
             return self.coefficient(unit)
         return None
+
+    def coordinate_power(self, k: int) -> Optional["OperatorElement"]:
+        """The k-th power, for any integer k, of a coordinate monomial
+        ``c*x1^a1*...*xn^an`` with constant ``c``: the one term
+        ``c^k*x1^(k*a1)*...*xn^(k*an)``.  None for any other element; a
+        product kept factored is read factor by factor, never flattened."""
+        n, zero = self._nvars, (0,) * self._nvars
+        mono, coeff = (0,) * (3 * n), BN_ONE
+        for data in ((self._data,) if self._factors is None
+                     else self._factors.values()):
+            if len(data) != 1:
+                return None
+            ((m, poly),) = data.items()
+            if poly.keys() != {zero} or any(m[1::3]) or any(m[2::3]):
+                return None
+            mono = tuple(u + k * v for u, v in zip(mono, m))
+            coeff = bn_mul(coeff, poly[zero])
+        if k < 0:
+            coeff, k = bn_inv(coeff), -k
+        return OperatorElement(
+            {mono: {zero: reduce(bn_mul, [coeff] * k, BN_ONE)}}, n)
 
     def _combine(self, other, op: Callable[[dict, dict], dict]
                  ) -> Optional["OperatorElement"]:

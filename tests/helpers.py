@@ -457,9 +457,12 @@ def reference_render(value):
 # The expression lexer as a scan: every name tried with str.startswith at
 # each token, longest first, over its own list of the raw generators,
 # scalars and function names beside the registry names.  Duplicates in
-# the list are harmless; only the first, longest match counts.
+# the list are harmless; only the first, longest match counts.  Numbers
+# are ASCII digit runs: "²" and "٣" are digits to str.isdigit, but not
+# to the language.
 _REFERENCE_FUNCTIONS = ("adjoint", "acomm", "comm")
-_REFERENCE_PUNCT = "+-*/^(),"
+_REFERENCE_PUNCT = "+-*/^(),[]{}"
+_REFERENCE_DIGITS = "0123456789"
 _REFERENCE_WORD = re.compile(r"\w+")
 
 
@@ -498,9 +501,9 @@ def reference_tokenize(text, dims):
             out.append(("punct", ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _REFERENCE_DIGITS:
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end] in _REFERENCE_DIGITS:
                 end += 1
             out.append(("num", int(text[pos:end]), pos))
             pos = end

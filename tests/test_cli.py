@@ -61,6 +61,14 @@ class TestNf:
         code, _, err = run(capsys, ["nf", "x9", "--dims", "2"])
         assert code == 2 and "position" in err
 
+    @pytest.mark.parametrize("expr", ["x1^²", "x1*٣"])
+    def test_digits_are_ascii(self, capsys, expr):
+        # str.isdigit holds for both characters, but neither is a number
+        # of the language: an unknown symbol, not a failed int() or 3*x1.
+        code, out, err = run(capsys, ["nf", "--dims", "1", expr])
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown symbol {expr[3]!r} (at position 3)\n"
+
     def test_mu_arity_error(self, capsys):
         code, _, err = run(capsys, ["nf", "H1", "--dims", "2", "--mu", "1/3"])
         assert code == 2
@@ -246,6 +254,8 @@ class TestInputLimits:
           "--dims", "1"], f"{dsl.MAX_TOKENS // 2 - 3}*x1"),
         (["nf", "(" * dsl.MAX_NESTING + "x1" + ")" * dsl.MAX_NESTING,
           "--dims", "1"], "x1"),
+        (["nf", "[" * dsl.MAX_NESTING + "x1" + ", x1]" * dsl.MAX_NESTING,
+          "--dims", "1"], "0"),
     ])
     def test_at_the_limit(self, capsys, argv, expected):
         code, out, _ = run(capsys, argv)
@@ -280,6 +290,10 @@ class TestInputLimits:
           + ")" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
         (["nf", "--dims", "1", "--",
           "-" * (dsl.MAX_NESTING + 1) + "x1"], dsl, "evaluate"),
+        (["nf", "[" * (dsl.MAX_NESTING + 1) + "x1"
+          + ", x1]" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
+        (["nf", "{" * (dsl.MAX_NESTING + 1) + "x1"
+          + ", x1}" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
     ])
     def test_past_the_limit(self, capsys, monkeypatch, argv, owner, attr):
         monkeypatch.setattr(owner, attr, _refuse)

@@ -106,6 +106,49 @@ class TestParsing:
             parse("x1", 0)
 
 
+class TestBrackets:
+    """[a, b] is comm(a, b) and {a, b} is acomm(a, b), as the paper and the
+    identity labels write them."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_same_tree_as_the_function_form(self, dims):
+        for a in names(dims):
+            for b in names(dims):
+                assert parse(f"[{a}, {b}]", dims) == parse(f"comm({a}, {b})",
+                                                           dims)
+                assert parse(f"{{{a}, {b}}}", dims) == parse(
+                    f"acomm({a}, {b})", dims)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_same_value_as_the_function_form(self, dims):
+        # Each name with its neighbour in the name table.
+        table = names(dims)
+        for a, b in zip(table, table[1:] + table[:1]):
+            assert parse_eval(f"[{a}, {b}]", dims) == parse_eval(
+                f"comm({a}, {b})", dims), (a, b)
+            assert parse_eval(f"{{{a}, {b}}}", dims) == parse_eval(
+                f"acomm({a}, {b})", dims), (a, b)
+
+    def test_nested_and_mixed(self):
+        assert parse_eval("[[d1, x1], x1]", 1).is_zero()
+        assert parse_eval("{A+1, A-1} - 2*A01", 2).is_zero()
+        assert parse_eval("[J0, {J+, R1}] + comm(J0, acomm(J+, R1))",
+                          2).is_zero()
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("[J0, J+}", "expected ']'", 7),
+        ("[J0]", "expected ','", 3),
+        ("{J0, J+, H}", "expected '}'", 7),
+        ("[J0, J+", "expected ']'", 7),
+        ("J0]", "trailing input", 2),
+    ])
+    def test_malformed(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, 2)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
+
 def _lexed(tokenize, text, dims):
     """The tokens of text, or the ParseError's message and position."""
     try:
@@ -116,10 +159,12 @@ def _lexed(tokenize, text, dims):
 
 def _fragments(dims):
     """Pieces of input: every name, function and punctuation mark, digits,
-    spaces, and near misses of names (a zero index, an index past dims, a
-    prefix of a name followed by a letter)."""
+    spaces, two characters that str.isdigit takes for digits but the
+    language does not, and near misses of names (a zero index, an index
+    past dims, a prefix of a name followed by a letter)."""
     return (list(names(dims)) + ["adjoint", "acomm", "comm"]
-            + list("+-*/^(),") + list("0123456789") + [" ", "  ", "\t"]
+            + list("+-*/^(),[]{}") + list("0123456789") + [" ", "  ", "\t"]
+            + ["²", "٣"]
             + ["x0", f"mu{dims + 1}", "sqrtx", "Jx", f"A+{dims + 1}"])
 
 
@@ -427,17 +472,24 @@ def shared_trees(draw):
     return pool[-1][0]
 
 
-def _render(node):
-    """Fully parenthesised source text of a tree."""
-    if isinstance(node, Name):
-        return node.identifier
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Pow):
-        return f"({_render(node.base)})^{node.exponent}"
-    if isinstance(node, BinOp):
-        return f"({_render(node.left)} {node.op} {_render(node.right)})"
-    return f"{node.function}({', '.join(map(_render, node.arguments))})"
+def _render(node, brackets):
+    """Fully parenthesised source text of a tree; each comm or acomm is
+    written [a, b] or {a, b} where the next draw of brackets is true."""
+    def text(node):
+        if isinstance(node, Name):
+            return node.identifier
+        if isinstance(node, Num):
+            return str(node.value)
+        if isinstance(node, Pow):
+            return f"({text(node.base)})^{node.exponent}"
+        if isinstance(node, BinOp):
+            return f"({text(node.left)} {node.op} {text(node.right)})"
+        args = ", ".join(map(text, node.arguments))
+        if node.function != "adjoint" and next(brackets):
+            return "[" + args + "]" if node.function == "comm" else \
+                "{" + args + "}"
+        return f"{node.function}({args})"
+    return text(node)
 
 
 def _reference(node):
@@ -470,9 +522,9 @@ def _reference(node):
 
 class TestGrammarFuzz:
     @settings(max_examples=100, deadline=None)
-    @given(shared_trees())
-    def test_text_tree_and_cli_agree(self, tree):
-        text = _render(tree)
+    @given(shared_trees(), st.randoms(use_true_random=False))
+    def test_text_tree_and_cli_agree(self, tree, rng):
+        text = _render(tree, iter(lambda: rng.random() < 0.5, None))
         value = evaluate(tree, 1)
         assert parse_eval(text, 1) == value
         assert value == _reference(tree)

@@ -11,6 +11,7 @@ import pytest
 
 from dunklweyl import cli, opalg, states
 from dunklweyl.builders import build
+from dunklweyl.dsl import parse_eval
 from dunklweyl.opalg import OperatorElement, anticommutator, commutator
 from dunklweyl.relations import FAMILIES, REGISTRY, check, check_all
 from dunklweyl.scalars import Scalar
@@ -84,6 +85,53 @@ class TestNumeric:
                      Fraction(rng.randint(-24, 24), rng.randint(1, 9)))
             for family in ("sl12", "sd2", "susy-1d"):
                 assert check(family, mu_values=point).passed
+
+
+class TestLabelsAreIdentities:
+    """Every label is the identity it reports: read back through the
+    expression language, its two sides give exactly the residual.  Only
+    susy-generic's superpotential samples are identities in code, since
+    the text cannot name a sampled V and W."""
+
+    CODE_IDENTITIES = {
+        "Q^2 = (1/2)*(-d^2 + V^2 + W^2 + V' - W'*R) for V=0, W=x - mu*x^-1",
+        "Q^2 = (1/2)*(-d^2 + V^2 + W^2 + V' - W'*R) for V=0, W=0",
+        "Q^2 = (1/2)*(-d^2 + V^2 + W^2 + V' - W'*R) for V=x^2, W=x",
+        "Q^2 = (1/2)*(-d^2 + V^2 + W^2 + V' - W'*R) "
+        "for V=mu*x^-2 + x^4, W=x^3 - 2*mu*x^-1",
+        "Q(V=0, W=x - mu*x^-1) = Q1",
+    }
+    MU = (Fraction(4, 3), Fraction(5, 3))
+
+    @staticmethod
+    def label_residual(label, dims, mu):
+        """lhs - rhs of a label read by parse_eval, on the dims of its
+        n=k: prefix if it has one, at mu if given."""
+        prefix, _, statement = label.rpartition(": ")
+        if prefix:
+            dims = int(prefix[2:])
+        lhs, rhs = statement.split(" = ")
+        residual = parse_eval(lhs, dims) - parse_eval(rhs, dims)
+        if mu is not None:
+            residual = residual.substitute_params(
+                [mu[k % len(mu)] for k in range(dims)])
+        return residual
+
+    @pytest.mark.parametrize("mu", [None, MU], ids=["parametric", "numeric"])
+    def test_every_label_gives_its_residual(self, mu):
+        runs = [(fid, False) for fid in FAMILIES]
+        runs += [(fid, True) for fid, fam in REGISTRY.items()
+                 if fam.perturbable]
+        code = set()
+        for fid, perturb in runs:
+            for ir in check(fid, mu_values=mu, perturb=perturb).identities:
+                if fid == "susy-generic":
+                    code.add(ir.label)
+                    continue
+                want = self.label_residual(ir.label, REGISTRY[fid].dims, mu)
+                assert str(ir.residual) == str(want), (fid, ir.label)
+                assert ir.residual == want, (fid, ir.label)
+        assert code == self.CODE_IDENTITIES
 
 
 class TestPerturbedControls:
