@@ -4,15 +4,19 @@ import contextlib
 import io
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_operator, reference_tokenize
+from helpers import (
+    random_operator, reference_bracket, reference_op_mul, reference_tokenize)
 
 from dunklweyl import cli, dsl, opalg
+from dunklweyl._kernel import op_add, op_sub
 from dunklweyl.builders import build, names
 from dunklweyl.dsl import (
     BinOp,
@@ -24,6 +28,8 @@ from dunklweyl.dsl import (
     evaluate,
     parse,
     parse_eval,
+    program,
+    run,
 )
 from dunklweyl.opalg import OperatorElement, commutator
 from dunklweyl.scalars import SQRT2, I, Scalar
@@ -532,3 +538,134 @@ class TestGrammarFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["nf", "--dims", "1", text])
         assert (code, out.getvalue(), err.getvalue()) == (0, f"{value}\n", "")
+
+
+# Rule table twin --------------------------------------------------------------
+
+# A product or bracket whose operands' term counts multiply past this is
+# drawn as a sum instead, for time only.
+_RULE_PAIRS = 3000
+# Products and brackets drawn twice as often: the bracket rules decide only
+# where a product kept factored meets them.
+_RULE_KINDS = ("+", "-", "*", "*", "^", "comm", "acomm", "comm", "acomm",
+               "+*", "-*")
+
+
+def _rule_trees(rng, dims):
+    """Trees on dims variables whose nodes reuse earlier ones, as
+    ``shared_trees`` draws them, over the registry names of at most 16
+    terms and small integers; every node drawn is a root of its own.  A
+    ``+*`` or ``-*`` node is ``a*b + a*c`` or ``a*b - a*c`` with one node
+    ``a`` and fresh leaves ``b`` and ``c``, so that two products kept
+    factored that differ in one factor meet on purpose."""
+    leaves = [name for name in names(dims) if len(build(name, dims)) <= 16]
+
+    def leaf():
+        node = (Name(rng.choice(leaves)) if rng.random() < 0.8
+                else Num(rng.randint(0, 3)))
+        return node, evaluate(node, dims)
+
+    pool = [leaf() for _ in range(rng.randint(1, 4))]
+    first = len(pool)
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(_RULE_KINDS)
+        a, va = pool[-1 - rng.randint(0, min(2, len(pool) - 1))]
+        b, vb = rng.choice(pool)
+        if kind == "^":
+            k = rng.randint(0, 3)
+            node, pairs = Pow(a, k), len(va) ** k
+        elif kind in ("+*", "-*"):
+            (b, vb), (c, vc) = leaf(), leaf()
+            node = BinOp(kind[0], BinOp("*", a, b), BinOp("*", a, c))
+            pairs = len(va) * (len(vb) + len(vc))
+        elif kind in ("+", "-"):
+            node, pairs = BinOp(kind, a, b), 0
+        else:
+            node = BinOp("*", a, b) if kind == "*" else Call(kind, (a, b))
+            pairs = len(va) * len(vb)
+        if pairs > _RULE_PAIRS:
+            node = BinOp("+", a, b)
+        pool.append((node, evaluate(node, dims)))
+    return [node for node, _ in pool[first:]]
+
+
+def _flat_reference(roots, dims):
+    """The kernel dict of each tree from ``reference_op_mul`` and
+    ``reference_bracket`` on flat operands, each node once: no rule, no
+    product kept factored, no recorded power."""
+    memo = {}
+    one = OperatorElement.identity(dims)
+
+    def value(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Num):
+            out = (node.value * one).kernel_op
+        elif isinstance(node, Name):
+            out = build(node.identifier, dims).kernel_op
+        elif isinstance(node, Pow):
+            base, out = value(node.base), one.kernel_op
+            for _ in range(node.exponent):
+                out = reference_op_mul(base, out, dims)
+        elif isinstance(node, BinOp):
+            a, b = value(node.left), value(node.right)
+            out = (op_add(a, b) if node.op == "+" else op_sub(a, b)
+                   if node.op == "-" else reference_op_mul(a, b, dims))
+        else:
+            a, b = map(value, node.arguments)
+            out = reference_bracket(a, b, dims,
+                                    -1 if node.function == "comm" else 1)
+        memo[id(node)] = out
+        return out
+
+    return [value(root) for root in roots]
+
+
+class TestRuleTableTwin:
+    """Random trees in two and three variables, evaluated three ways: with
+    the rules of ``opalg._RULES``, with every row of the table emptied, and
+    by the flat reference.  ``TestGrammarFuzz`` draws one variable, where no
+    product is ever kept factored; here every rule of the table meets
+    random input."""
+
+    @staticmethod
+    def three_ways(roots, dims):
+        def values():
+            return [v.kernel_op for v in run(program(roots), dims, build)]
+
+        on = values()
+        with mock.patch.object(opalg, "_RULES",
+                               dict.fromkeys(opalg._RULES, ())):
+            off = values()
+        return on, off, _flat_reference(roots, dims)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((2, 3)), st.randoms(use_true_random=False))
+    def test_rules_on_off_and_reference_agree(self, dims, rng):
+        on, off, flat = self.three_ways(_rule_trees(rng, dims), dims)
+        assert on == off == flat
+
+    def test_every_rule_decides_a_tree(self):
+        # Seeded: each entry of the table is wrapped to note the trees
+        # where it decided, and every entry decides at least one.
+        def noting(rule, how, seen):
+            def wrapper(a, b, how_):
+                out = rule(a, b, how_)
+                if out is not None:
+                    seen.add((how, rule.__name__))
+                return out
+            return wrapper
+
+        rng, decided = random.Random(1), Counter()
+        for k in range(300):
+            dims, seen = 2 + k % 2, set()
+            roots = _rule_trees(rng, dims)
+            table = {how: tuple(noting(rule, how, seen) for rule in rules)
+                     for how, rules in opalg._RULES.items()}
+            with mock.patch.object(opalg, "_RULES", table):
+                on, off, flat = self.three_ways(roots, dims)
+            assert on == off == flat
+            decided.update(seen)
+        entries = {(how, rule.__name__)
+                   for how, rules in opalg._RULES.items() for rule in rules}
+        assert set(decided) == entries, decided

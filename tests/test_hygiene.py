@@ -150,6 +150,31 @@ def test_one_pair_loop(path):
                        f"{lines}; add a pair rule to _product instead")
 
 
+def test_shortcuts_only_in_the_rule_table():
+    """Every shortcut of the factored path is reached through
+    ``opalg._RULES`` alone: ``_decide`` is the one reader of the table, and
+    nothing but the table reads the name of a rule it lists.  A shortcut
+    added later then either sits in the table, where emptying it switches
+    the shortcut off, or fails here."""
+    path = Path(dunklweyl.__file__).parent / "opalg.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (table,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["_RULES"]]
+    rules = {n.id for n in ast.walk(table.value) if isinstance(n, ast.Name)}
+    assert len(rules) >= 5
+    lines = {line for name in rules
+             for line in _reads_outside(tree, name, None)}
+    lines |= {n.lineno for node in tree.body
+              if node is not table and not isinstance(node, ast.FunctionDef)
+              for n in ast.walk(node)
+              if isinstance(n, ast.Name) and n.id in rules}
+    assert not lines, (f"opalg.py reads a rule of _RULES outside the table "
+                       f"on lines {sorted(lines)}; reach it through _decide")
+    readers = _reads_outside(tree, "_RULES", "_decide")
+    assert not readers, f"opalg.py reads _RULES outside _decide on {readers}"
+
+
 def test_one_reordering_rule():
     """Every cached row of the kernel other than ``_block`` is built from
     ``dx_rows`` or ``_block``, so monomials are reordered by one rule."""

@@ -451,18 +451,21 @@ class TestPowerBracket:
     @staticmethod
     def outcomes(monkeypatch):
         """What the rule made of each bracket with a recorded power: zero,
-        a multiple, or None where it fell through."""
+        a multiple, or None where it fell through.  The rule is replaced
+        where the operations reach it, in its entry of ``_RULES``."""
         out = []
         rule = opalg._power_bracket
 
-        def recording(a, b):
-            value = rule(a, b)
+        def recording(a, b, how):
+            value = rule(a, b, how)
             if a._power or b._power:
                 out.append(value if value is None
                            else "zero" if value.is_zero() else "multiple")
             return value
 
-        monkeypatch.setattr(opalg, "_power_bracket", recording)
+        for how, rules in opalg._RULES.items():
+            monkeypatch.setitem(opalg._RULES, how, tuple(
+                recording if r is rule else r for r in rules))
         return out
 
     @settings(max_examples=80, deadline=None)

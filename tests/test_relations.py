@@ -213,44 +213,34 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestShortcutFreeTwin:
-    """With every rule of the factored path switched off, every identity
+    """With every row of ``opalg._RULES`` emptied, so that no shortcut of
+    the factored path decides a product, sum or bracket, every identity
     gives the same residual, and every golden ``nf`` and registry normal
     form the same output.
 
-    Three rules decide products and brackets without the flat kernel, and
-    each has property tests on random operators; this twin checks their
-    composition on the real families.  ``_products`` off removes the
-    factor-by-factor product and bracket, ``_power_bracket`` off the
-    commutator with a recorded power, and ``_combine`` off the sums of
-    products kept factored; the registry caches are cleared on both sides
-    of the run, so that no value built one way is read the other.
+    Each rule has property tests on random operators, and
+    ``test_dsl.TestRuleTableTwin`` meets all of them on random trees; this
+    twin checks their composition on the real families.  The registry
+    caches are cleared on both sides of the run, so that no value built
+    one way is read the other.
 
-    What each rule pays: the warm time of one pass of the ``perfbench``
-    workload at seed 1, in ms, with that rule off and a cold registry
-    (Python 3.11, 2 vCPU, single runs).  Before ``_products`` the
-    factor-by-factor product and the Leibniz bracket were two rules,
-    ``_split`` and ``_leibniz``:
+    What each entry of the table pays: one seed-1 cycle of the
+    ``perfbench`` workload (23 ``scaling`` and 180 ``verify`` requests),
+    each request's least warm time of five summed, in ms, the least of
+    five processes, with that entry removed from its row (Python 3.11.7,
+    2 vCPU; ``verify`` moves by up to 12% from process to process):
 
-    | rule off | ``scaling`` | ``verify`` |
+    | entry removed | ``scaling`` | ``verify`` |
     |---|---|---|
-    | none | 68 | 274 |
-    | ``_power_bracket`` | 151 | 276 |
-    | ``_leibniz`` | 278 | 405 |
-    | ``_combine`` | 83 | 352 |
-    | ``_split`` (factor-by-factor ``*``) | 394 | 388 |
-    | all four | 751 | 384 |
-
-    With ``_products``, summing over one cycle each request's least warm
-    time of five (``verify --mu`` now keeps the recorded powers, so
-    ``_power_bracket`` runs there too):
-
-    | rule off | ``scaling`` | ``verify`` |
-    |---|---|---|
-    | none | 58 | 199 |
-    | ``_products`` | 322 | 218 |
-    | ``_power_bracket`` | 137 | 205 |
-    | ``_combine`` | 144 | 211 |
-    | all three | 1,111 | 231 |
+    | none | 40 | 483 |
+    | ``*`` ``_constant_product`` | 40 | 489 |
+    | ``*`` ``_factor_product`` | 164 | 509 |
+    | ``+`` ``_combine`` | 41 | 489 |
+    | ``-`` ``_combine`` | 58 | 485 |
+    | ``[]`` ``_power_bracket`` | 81 | 476 |
+    | ``[]`` ``_product_bracket`` | 125 | 524 |
+    | ``{}`` ``_product_bracket`` | 41 | 491 |
+    | every row emptied | 318 | 517 |
     """
 
     MU = (Fraction(1, 3), Fraction(1, 2))
@@ -286,12 +276,7 @@ class TestShortcutFreeTwin:
         want = self.residuals()
         self.clear_registry()
 
-        def off(*args):
-            return None
-
-        monkeypatch.setattr(opalg, "_products", off)
-        monkeypatch.setattr(opalg, "_power_bracket", off)
-        monkeypatch.setattr(opalg.OperatorElement, "_combine", off)
+        monkeypatch.setattr(opalg, "_RULES", dict.fromkeys(opalg._RULES, ()))
         assert build("J+", 2)._factors is None
         assert self.residuals() == want
         for case in self.golden_nf():
