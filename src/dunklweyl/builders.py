@@ -18,43 +18,13 @@ one entry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
-from dunklweyl.opalg import (
-    LaurentPolynomial,
-    OperatorElement,
-    anticommutator,
-    commutator,
-    from_laurent,
-)
+from dunklweyl.opalg import OperatorElement, anticommutator, commutator
 from dunklweyl.scalars import I, INV_SQRT2, SQRT2, Scalar
 
 OperatorName = str
-
-
-class ParityError(ValueError):
-    """Raised when a superpotential violates its parity constraint."""
-
-
-@dataclass(frozen=True)
-class SuperpotentialPair:
-    """An even potential V and an odd potential W, both one-variable
-    Laurent polynomials (coefficients may depend on mu1)."""
-
-    V: LaurentPolynomial
-    W: LaurentPolynomial
-
-    def __post_init__(self) -> None:
-        for f, name, parity in ((self.V, "V", 0), (self.W, "W", 1)):
-            if f.nvars != 1:
-                raise ParityError(f"{name} must be a one-variable potential")
-            for exps, _ in f.terms():
-                if exps[0] % 2 != parity:
-                    kind = "even" if parity == 0 else "odd"
-                    raise ParityError(
-                        f"{name} must be {kind}: term x^{exps[0]} violates parity")
 
 
 class _Var:
@@ -230,12 +200,3 @@ def names(dims: int) -> Tuple[OperatorName, ...]:
     out += [f"{kind}{i}" for i in range(1, dims + 1) for kind in _PER_VARIABLE]
     return tuple(sorted(out, key=lambda s: (-len(s), s)))
 
-
-def build_generic_supercharge(vw: SuperpotentialPair) -> OperatorElement:
-    """The reflection supercharge Q = (1/sqrt2)((d + V)R + W) on one
-    variable."""
-    v_op = from_laurent(vw.V)
-    w_op = from_laurent(vw.W)
-    d = OperatorElement.d(0, 1)
-    r = OperatorElement.r(0, 1)
-    return INV_SQRT2 * ((d + v_op) * r + w_op)

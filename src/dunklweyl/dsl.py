@@ -33,6 +33,7 @@ level, not the token level).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,6 +153,12 @@ def _tokenize(text: str, dims: int) -> List[Token]:
             end = pos
             while end < len(text) and "0" <= text[end] <= "9":
                 end += 1
+            # int() refuses more digits than the interpreter's limit
+            # (0 when there is none).
+            limit = sys.get_int_max_str_digits()
+            if limit and end - pos > limit:
+                raise ParseError(
+                    f"number has more than {limit} digits", pos)
             out.append(("num", int(text[pos:end]), pos))
             pos = end
             continue

@@ -21,9 +21,9 @@ function that lists their statements; the decorators run in reporting
 order and fill REGISTRY (id, description, dimension, perturbability),
 from which FAMILIES, check() and the command-line listing all read.  A
 family that picks its own dimensions prefixes each statement with
-``n=k: ``, and the statement is checked on k variables.  Only the
-sampled superpotentials of ``susy-generic`` are identities the text
-cannot say; that family builds them in code, as (label, residual) pairs.
+``n=k: ``, and the statement is checked on k variables.  A family of
+sampled cases, as ``susy-generic``'s superpotentials, fills one statement
+template per case from a table of texts.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .builders import SuperpotentialPair, build, build_generic_supercharge
+from .builders import build
 from .dsl import Program, parse_all, program, run
-from .opalg import LaurentPolynomial, OperatorElement, from_laurent
-from .scalars import BaseLike, BaseNumber, Scalar
+from .opalg import OperatorElement
+from .scalars import BaseLike, BaseNumber
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,6 @@ class RelationReport:
     @property
     def passed(self) -> bool:
         return all(ir.passed for ir in self.identities)
-
-
-Identity = Tuple[str, OperatorElement]
 
 
 @lru_cache(maxsize=None)
@@ -117,29 +114,25 @@ class _Source:
             self._ops[name, dims] = built
         return built
 
-    def identities(self, items: List[Union[str, Identity]]
-                   ) -> List[Identity]:
-        """Each item of a family as (label, residual).  A statement is its
-        own label, and the statements on one number of variables are
+    def identities(self, statements: List[str]) -> List[IdentityResult]:
+        """Each statement of a family with its residual; a statement is its
+        own label.  The statements on one number of variables are
         evaluated together, as one program, so a subexpression written in
         several of them is evaluated once per check.  An ``n=k: `` prefix,
         taken only by a family that picks its own dimensions, puts a
         statement on k variables."""
-        residuals: Dict[str, OperatorElement] = {}
+        out: List[IdentityResult] = []
         for dims, group in groupby(
-                (item for item in items if isinstance(item, str)),
+                statements,
                 key=lambda text: self.dims or int(text[2:text.index(":")])):
             texts = tuple(group)
             bodies = tuple(text.split(": ")[-1] for text in texts)
-            residuals.update(zip(texts, run(_residuals(bodies, dims), dims,
-                                            self.op)))
-        return [(item, residuals[item]) if isinstance(item, str) else item
-                for item in items]
+            out += map(IdentityResult, texts,
+                       run(_residuals(bodies, dims), dims, self.op))
+        return out
 
 
-# A family lists statements, or (label, residual) pairs where the text
-# cannot say the identity.
-_FamilyFunc = Callable[[_Source], List[Union[str, Identity]]]
+_FamilyFunc = Callable[[_Source], List[str]]
 
 
 @dataclass(frozen=True)
@@ -360,49 +353,32 @@ def _fam_susy_1d(s: _Source) -> List[str]:
     ]
 
 
-def _generic_samples() -> List[Tuple[str, SuperpotentialPair]]:
-    mu = Scalar.parameter(0, 1)
-    zero = LaurentPolynomial.zero(1)
-    x = LaurentPolynomial.monomial((1,))
-    return [
-        ("V=0, W=x - mu*x^-1",
-         SuperpotentialPair(zero, x - mu * LaurentPolynomial.monomial((-1,)))),
-        ("V=0, W=0", SuperpotentialPair(zero, zero)),
-        ("V=x^2, W=x",
-         SuperpotentialPair(LaurentPolynomial.monomial((2,)), x)),
-        ("V=mu*x^-2 + x^4, W=x^3 - 2*mu*x^-1",
-         SuperpotentialPair(
-             mu * LaurentPolynomial.monomial((-2,))
-             + LaurentPolynomial.monomial((4,)),
-             LaurentPolynomial.monomial((3,))
-             - (2 * mu) * LaurentPolynomial.monomial((-1,)))),
-    ]
+# The reflection supercharge Q = (1/sqrt2)((d + V)R + W), for an even V
+# and an odd W, and its square.  V' and W' are typed beside V and W, not
+# written as [d1, V], which would put a fault of the reordering rule on
+# both sides, where it could cancel.
+_Q = "(1/sqrt2)*((d1 + ({V}))*R1 + ({W}))"
+_Q_SQUARED = ("(" + _Q + ")^2"
+              " = (1/2)*(-d1^2 + ({V})^2 + ({W})^2 + ({dV}) - ({dW})*R1)")
+# Sampled superpotentials (V, W, V', W'); the first is the model's own.
+_SUPERPOTENTIALS = (
+    ("0", "x1 - mu1*x1^-1", "0", "1 + mu1*x1^-2"),
+    ("0", "0", "0", "0"),
+    ("x1^2", "x1", "2*x1", "1"),
+    ("mu1*x1^-2 + x1^4", "x1^3 - 2*mu1*x1^-1",
+     "-2*mu1*x1^-3 + 4*x1^3", "3*x1^2 + 2*mu1*x1^-2"),
+)
 
 
 @_family("susy-generic",
          "factorization for sampled superpotentials (V, W)", dims=1)
-def _fam_susy_generic(s: _Source) -> List[Identity]:
-    # The one family in code: V and W are sampled functions, not names.
-    half = Fraction(1, 2)
-    d, r = s.op("d1", 1), s.op("R1", 1)
-
-    def sub(a: OperatorElement) -> OperatorElement:
-        return a if s.values is None else a.substitute_params(s.values[:1])
-
-    out: List[Identity] = []
-    for tag, vw in _generic_samples():
-        q = sub(build_generic_supercharge(vw))
-        ov = sub(from_laurent(vw.V))
-        ow = sub(from_laurent(vw.W))
-        ovp = sub(from_laurent(vw.V.diff(0)))
-        owp = sub(from_laurent(vw.W.diff(0)))
-        rhs = half * (-d * d + ov * ov + ow * ow + ovp - owp * r)
-        out.append((f"Q^2 = (1/2)*(-d^2 + V^2 + W^2 + V' - W'*R) for {tag}",
-                    q * q - rhs))
-    model = _generic_samples()[0][1]
-    out.append(("Q(V=0, W=x - mu*x^-1) = Q1",
-                sub(build_generic_supercharge(model)) - s.op("Q1", 1)))
-    return out
+def _fam_susy_generic(s: _Source) -> List[str]:
+    model = _SUPERPOTENTIALS[0]
+    return [
+        *(_Q_SQUARED.format(V=v, W=w, dV=dv, dW=dw)
+          for v, w, dv, dw in _SUPERPOTENTIALS),
+        f"{_Q.format(V=model[0], W=model[1])} = Q1",
+    ]
 
 
 @_family("susy-nd",
@@ -462,8 +438,7 @@ def check(
         values = tuple(BaseNumber(v) for v in mu_values)
     start = time.perf_counter()
     source = _Source(fam.dims, values, perturb)
-    identities = tuple(IdentityResult(label, residual) for label, residual
-                       in source.identities(fam.identities(source)))
+    identities = tuple(source.identities(fam.identities(source)))
     return RelationReport(
         family=family,
         mode="parametric" if values is None else "numeric",

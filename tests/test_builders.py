@@ -8,14 +8,8 @@ from pathlib import Path
 import pytest
 
 from dunklweyl import builders
-from dunklweyl.builders import (
-    ParityError,
-    SuperpotentialPair,
-    build,
-    build_generic_supercharge,
-    names,
-)
-from dunklweyl.opalg import LaurentPolynomial, OperatorElement, commutator
+from dunklweyl.builders import build, names
+from dunklweyl.opalg import OperatorElement, commutator
 from dunklweyl.scalars import INV_SQRT2, Scalar
 
 # str(build(name, dims)) for every registry name at dims 1-3, keyed
@@ -200,23 +194,3 @@ class TestParityGrading:
                 a = build(name, 2)
                 assert rr * a * rr == -a
 
-
-class TestSuperpotentialPair:
-    def test_model_pair_matches_registry(self):
-        mu = Scalar.parameter(0, 1)
-        w = LaurentPolynomial.monomial((1,)) - mu * LaurentPolynomial.monomial((-1,))
-        vw = SuperpotentialPair(LaurentPolynomial.zero(1), w)
-        assert build_generic_supercharge(vw) == build("Q1", 1)
-
-    def test_parity_validation(self):
-        odd = LaurentPolynomial.monomial((1,))
-        even = LaurentPolynomial.monomial((2,))
-        with pytest.raises(ParityError):
-            SuperpotentialPair(odd, odd)
-        with pytest.raises(ParityError):
-            SuperpotentialPair(even, even)
-
-    def test_arity_validation(self):
-        two = LaurentPolynomial.monomial((1, 1))
-        with pytest.raises(ParityError):
-            SuperpotentialPair(two, two)

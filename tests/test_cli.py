@@ -335,6 +335,30 @@ class TestInputLimits:
                        f"to print\n")
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
+    # A literal of as many digits as the interpreter reads into an int is
+    # read, as a number or as an exponent (which is then out of range);
+    # one digit more is a parse error at the literal.
+    _DIGITS = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("prefix,code,out,err", [
+        ("", 0, "9" * _DIGITS + "\n", ""),
+        ("x1^", 2, "", f"error: exponent {'9' * _DIGITS} is outside "
+                       f"-{dsl.MAX_EXPONENT}..{dsl.MAX_EXPONENT} "
+                       f"(at position 3)\n"),
+    ], ids=("number", "exponent"))
+    def test_literal_digits_at_the_limit(self, capsys, prefix, code, out,
+                                         err):
+        assert run(capsys, ["nf", "--dims", "1", prefix + "9" * self._DIGITS]
+                   ) == (code, out, err)
+
+    @pytest.mark.parametrize("prefix", ["", "x1^"], ids=("number", "exponent"))
+    def test_literal_past_the_digit_limit(self, capsys, prefix):
+        code, out, err = run(capsys, ["nf", "--dims", "1",
+                                      prefix + "9" * (self._DIGITS + 1)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: number has more than {self._DIGITS} digits "
+                       f"(at position {len(prefix)})\n")
+
     # Parsing a value past the limit is the work the limit guards, so
     # Fraction itself is poisoned.
     @pytest.mark.parametrize("mu", _PAST_MU, ids=(

@@ -399,3 +399,12 @@ def test_prepared_action_lives_on_the_value():
                 faults.append(f"{name}:{node.lineno} caches something "
                               f"other than a row of one key")
     assert not faults, "; ".join(faults)
+
+
+def test_tracer_resolves_every_target(monkeypatch):
+    """The benchmark's tracer finds every layer it wraps.  A target it
+    cannot resolve drops that layer's metrics from a traced run without
+    an error, so a renamed or deleted name must fail here instead."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracing
+    assert tracing.Tracer().absent == []
