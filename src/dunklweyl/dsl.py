@@ -110,6 +110,9 @@ _PUNCT = "+-*/^(),[]{}"
 # Each opening bracket: the function it stands for and its closing mark.
 _BRACKETS = {"[": ("comm", "]"), "{": ("acomm", "}")}
 _WORD = re.compile(r"\w+")
+# An exponent out of range is echoed in full up to this many digits, and
+# a longer one (a literal may have thousands) by a prefix and its count.
+_ECHOED_DIGITS = 20
 
 
 @lru_cache(maxsize=None)
@@ -269,11 +272,14 @@ class _Parser:
         if kind != "num":
             raise ParseError("expected an integer exponent", pos)
         self.advance()
-        value = -val if negative else val
         if val > MAX_EXPONENT:
-            raise ParseError(f"exponent {value} is outside "
-                             f"-{MAX_EXPONENT}..{MAX_EXPONENT}", pos)
-        return value
+            digits = str(val)
+            if len(digits) > _ECHOED_DIGITS:
+                digits = f"{digits[:8]}... ({len(digits)} digits)"
+            raise ParseError(f"exponent {'-' if negative else ''}{digits} "
+                             f"is outside -{MAX_EXPONENT}..{MAX_EXPONENT}",
+                             pos)
+        return -val if negative else val
 
     def atom(self) -> Expr:
         kind, val, pos = self.advance()

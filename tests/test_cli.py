@@ -336,20 +336,38 @@ class TestInputLimits:
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
     # A literal of as many digits as the interpreter reads into an int is
-    # read, as a number or as an exponent (which is then out of range);
-    # one digit more is a parse error at the literal.
+    # read, as a number or as an exponent (which is then out of range, and
+    # named by a prefix and its digit count); one digit more is a parse
+    # error at the literal.
     _DIGITS = sys.get_int_max_str_digits()
 
     @pytest.mark.parametrize("prefix,code,out,err", [
         ("", 0, "9" * _DIGITS + "\n", ""),
-        ("x1^", 2, "", f"error: exponent {'9' * _DIGITS} is outside "
-                       f"-{dsl.MAX_EXPONENT}..{dsl.MAX_EXPONENT} "
+        ("x1^", 2, "", f"error: exponent 99999999... ({_DIGITS} digits) is "
+                       f"outside -{dsl.MAX_EXPONENT}..{dsl.MAX_EXPONENT} "
                        f"(at position 3)\n"),
     ], ids=("number", "exponent"))
     def test_literal_digits_at_the_limit(self, capsys, prefix, code, out,
                                          err):
         assert run(capsys, ["nf", "--dims", "1", prefix + "9" * self._DIGITS]
                    ) == (code, out, err)
+        assert len(err) < 100
+
+    # An exponent out of range is echoed whole up to 20 digits, with its
+    # sign; past that, by its sign, a prefix and its digit count.
+    @pytest.mark.parametrize("exponent,echo", [
+        ("9" * 20, "9" * 20),
+        ("-" + "9" * 20, "-" + "9" * 20),
+        ("1" + "0" * 20, "10000000... (21 digits)"),
+        ("-" + "1" * 21, "-11111111... (21 digits)"),
+    ], ids=("20-digits", "20-digits-negative", "21-digits",
+            "21-digits-negative"))
+    def test_exponent_echo(self, capsys, exponent, echo):
+        code, out, err = run(capsys, ["nf", "--dims", "1", "x1^" + exponent])
+        assert (code, out) == (2, "")
+        assert err == (f"error: exponent {echo} is outside "
+                       f"-{dsl.MAX_EXPONENT}..{dsl.MAX_EXPONENT} "
+                       f"(at position {3 + exponent.startswith('-')})\n")
 
     @pytest.mark.parametrize("prefix", ["", "x1^"], ids=("number", "exponent"))
     def test_literal_past_the_digit_limit(self, capsys, prefix):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dunklweyl
+from dunklweyl import relations
 
 SOURCES = sorted(Path(dunklweyl.__file__).parent.glob("*.py"))
 
@@ -408,3 +409,14 @@ def test_tracer_resolves_every_target(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import tracing
     assert tracing.Tracer().absent == []
+
+
+def test_benchmark_families_match_the_registry(monkeypatch):
+    """The benchmark keeps its own copy of the family ids, so that a
+    family the program drops fails a request; a family dropped, added or
+    reordered on purpose must be copied there too, or fail here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    assert workloads.FAMILIES == relations.FAMILIES
+    assert set(workloads.PERTURBED) == {
+        fid for fid, fam in relations.REGISTRY.items() if fam.perturbable}

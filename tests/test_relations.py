@@ -1,6 +1,7 @@
 """Tests for the verified identity registry."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -133,6 +134,22 @@ class TestPerturbedControls:
         assert "1/3" in broken[0].label
         assert broken[0].residual_terms > 0
 
+    # A control whose statement is not one of its family's would leave
+    # every statement as it is, and the perturbed check would pass.
+    @pytest.mark.parametrize("fid", [fid for fid, fam in REGISTRY.items()
+                                     if fam.perturbable])
+    @pytest.mark.parametrize("mu", [None, (Fraction(1, 3), Fraction(1, 2))],
+                             ids=["parametric", "numeric"])
+    def test_control_breaks_exactly_its_statement(self, fid, mu):
+        statement, broken = REGISTRY[fid].control
+        statements = REGISTRY[fid].statements
+        assert statements.count(statement) == 1
+        report = check(fid, mu_values=mu, perturb=True)
+        assert [ir.label for ir in report.identities] == [
+            broken if text == statement else text for text in statements]
+        assert [ir.label for ir in report.identities if not ir.passed] == [
+            broken]
+
     def test_sd2_control_fails_even_undeformed(self):
         assert not check("sd2", perturb=True).passed
         assert not check("sd2", mu_values=(0, 0), perturb=True).passed
@@ -163,8 +180,9 @@ class TestTypedDerivatives:
         samples[row][col] = re.sub(
             r"\d", lambda m: str(int(m.group()) + 1), typed, count=1)
         assert samples[row][col] != typed
-        monkeypatch.setattr(relations, "_SUPERPOTENTIALS",
-                            tuple(map(tuple, samples)))
+        monkeypatch.setitem(REGISTRY, "susy-generic", dataclasses.replace(
+            REGISTRY["susy-generic"],
+            statements=relations._susy_generic(samples)))
         report = check("susy-generic", mu_values=mu)
         assert [ir.passed for ir in report.identities] == [
             k != row for k in range(len(samples) + 1)]
