@@ -9,6 +9,11 @@ comm(a, b) and acomm(a, b) written as the paper writes them.  A name
 evaluates to the operator its resolver gives; ``evaluate`` and
 ``parse_eval`` resolve it to its registry operator ``build(name, dims)``.
 Precedence is power, then unary minus, then * and /, then + and -.
+The registry's own composite operators are defined in this language too:
+``build`` evaluates each definition with ``parse_eval``, so the two
+modules call each other, and ``builders`` imports this one at its first
+definition, which lets either be imported first.  The dims bound,
+``MAX_DIMS``, is the registry's, checked by ``builders.check_dims``.
 
 Division accepts only constant invertible divisors, and a negative
 power accepts only reflection-free derivative-free monomials with
@@ -39,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .builders import build, names
+from .builders import MAX_DIMS, build, check_dims, names
 from .opalg import OperatorElement, anticommutator, commutator
 
 
@@ -89,18 +94,14 @@ class Call:
 
 Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 
-# Bounds on the work one input can ask for: the lexicon, and every
-# operator built, grow with the number of variables (one compiled
-# lexicon is kept per dims, so at most MAX_DIMS of them, since parse
-# refuses a larger dims before lexing), a power is
-# evaluated by repeated multiplication, and every binary operator in an
-# expression is one more operation.  The token cap leaves room for the
-# rendered normal forms the tests parse back (under 900 tokens).  The
-# parser recurses once per parenthesis, function call and unary minus, so
-# nesting has its own, smaller bound that keeps it well inside the
-# interpreter's recursion limit; a bracket [a, b] or {a, b} nests like a
-# function call.
-MAX_DIMS = 16
+# Bounds on the work one input can ask for, beside the registry's
+# MAX_DIMS: a power is evaluated by repeated multiplication, and every
+# binary operator in an expression is one more operation.  The token cap
+# leaves room for the rendered normal forms the tests parse back (under
+# 900 tokens).  The parser recurses once per parenthesis, function call
+# and unary minus, so nesting has its own, smaller bound that keeps it
+# well inside the interpreter's recursion limit; a bracket [a, b] or
+# {a, b} nests like a function call.
 MAX_EXPONENT = 64
 MAX_TOKENS = 4096
 MAX_NESTING = 64
@@ -115,7 +116,9 @@ _WORD = re.compile(r"\w+")
 _ECHOED_DIGITS = 20
 
 
-@lru_cache(maxsize=None)
+# One compiled lexicon per dims; parse refuses a dims past MAX_DIMS before
+# lexing, so none is ever evicted.
+@lru_cache(maxsize=MAX_DIMS)
 def _lexicon(dims: int) -> re.Pattern:
     """The registry names and function names as one alternation, longest
     first: the first alternative that matches is the longest name."""
@@ -332,10 +335,7 @@ def parse(text: str, dims: int) -> Expr:
 def parse_all(texts: Sequence[str], dims: int) -> List[Expr]:
     """Parse several texts into ASTs that share their equal
     subexpressions: a subexpression written in two texts is one node."""
-    if dims < 1:
-        raise ValueError("dims must be at least 1")
-    if dims > MAX_DIMS:
-        raise ValueError(f"dims must be at most {MAX_DIMS}")
+    check_dims(dims)
     tokens = [_tokenize(text, dims) for text in texts]
     parser = _Parser()
     return [parser.parse(t) for t in tokens]

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from dunklweyl import builders
-from dunklweyl.builders import build, names
-from dunklweyl.opalg import OperatorElement, commutator
-from dunklweyl.scalars import INV_SQRT2, Scalar
+from dunklweyl import builders, dsl
+from dunklweyl.builders import MAX_DIMS, build, names
+from dunklweyl.opalg import OperatorElement, anticommutator, commutator
+from dunklweyl.scalars import I, INV_SQRT2, Scalar
 
 # str(build(name, dims)) for every registry name at dims 1-3, keyed
 # "dims:name": how the registry composes an operator may change, its
@@ -57,6 +57,20 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build("H", 0)
 
+    def test_one_dims_bound(self):
+        # A generator, a composite and the name table refuse the same
+        # dims, with the message the expression language gives.
+        assert dsl.MAX_DIMS == MAX_DIMS
+        for refused in (lambda: build("x1", MAX_DIMS + 1),
+                        lambda: build("H", MAX_DIMS + 1),
+                        lambda: names(MAX_DIMS + 1),
+                        lambda: dsl.parse("x1", MAX_DIMS + 1)):
+            with pytest.raises(ValueError,
+                               match=f"^dims must be at most {MAX_DIMS}$"):
+                refused()
+        # At the bound itself a composite still builds.
+        assert not build("H", MAX_DIMS).is_zero()
+
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_pinned_normal_forms(self, dims):
         pinned = {key.split(":", 1)[1]: nf
@@ -65,6 +79,33 @@ class TestRegistry:
         assert set(names(dims)) == set(pinned)
         for name, nf in pinned.items():
             assert str(build(name, dims)) == nf, name
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_shapes(self, dims):
+        # The shape each value is built in decides which rules of
+        # opalg._RULES meet it: the two-variable products stay factored
+        # on variables 1 and 2, and the squares record their base.
+        factored = ({"J+", "J-", "F+", "F-", "P", "Jtilde+", "Jtilde-",
+                     "Ktilde+", "Ktilde-", "K+", "K-"} if dims == 2 else set())
+        powers = {f"{square}{i}": f"{base}{i}"
+                  for i in range(1, dims + 1)
+                  for square, base in (("Hc", "Qc"), ("Kc", "Sc"),
+                                       ("H_susy", "Q"))}
+        if dims == 1:
+            powers["H_susy"] = "Q1"
+        if dims == 2:
+            powers.update({"K+": "J+", "K-": "J-"})
+        for name in names(dims):
+            value = build(name, dims)
+            keys = None if value._factors is None else set(value._factors)
+            assert keys == ({0, 1} if name in factored else None), name
+            record = value._power
+            if name in powers:
+                assert record is not None, name
+                assert record[0] is build(powers[name], dims), name
+                assert record[1] == 2, name
+            else:
+                assert record is None, name
 
     def test_build_is_cached(self):
         assert build("H", 2) is build("H", 2)
@@ -149,6 +190,60 @@ class TestDefinitions:
     def test_susy_hamiltonian_is_square(self):
         q = build("Q1", 1)
         assert build("H_susy1", 1) == q * q
+
+    def test_casimir_display(self):
+        mu1, mu2 = Scalar.parameter(0, 2), Scalar.parameter(1, 2)
+        jp, jm, j0 = build("J+", 2), build("J-", 2), build("J0", 2)
+        expected = (j0 * j0 + 2 * anticommutator(jp, jm)
+                    + 2 * (mu1 * r(0, 2) + mu2 * r(1, 2))
+                    + 4 * mu1 * mu2 * r(0, 2) * r(1, 2))
+        assert build("C", 2) == expected
+
+    def test_structure_constant_parts(self):
+        h = build("H", 2)
+        mu1, mu2 = Scalar.parameter(0, 2), Scalar.parameter(1, 2)
+        gamma1 = 3 - h * h - 2 * mu1 * mu1 - 2 * mu2 * mu2
+        gamma2 = 2 * mu1 * mu1 - 2 * mu2 * mu2
+        assert build("gamma1", 2) == gamma1
+        assert build("gamma2", 2) == gamma2
+        assert build("omega1", 2) == gamma1 / 2
+        assert build("omega2", 2) == gamma2 / 2
+        assert build("delta", 2) == (h * h - 1) / 2
+
+    def test_gauged_displays(self):
+        mu = Scalar.parameter(0, 1)
+        half = Scalar.constant(1, 1) / 2
+        xm1 = x(0, 1, -1)
+        assert build("Htilde1", 1) == half * (
+            -d(0, 1, 2) + x(0, 1, 2) + mu * mu * x(0, 1, -2)
+            - mu * x(0, 1, -2) * r(0, 1))
+        assert build("Atilde+1", 1) == INV_SQRT2 * (
+            x(0, 1) - d(0, 1) + mu * xm1 * r(0, 1))
+        assert build("Atilde-1", 1) == INV_SQRT2 * (
+            x(0, 1) + d(0, 1) - mu * xm1 * r(0, 1))
+        mu1, mu2 = Scalar.parameter(0, 2), Scalar.parameter(1, 2)
+        assert build("Htilde", 2) == (
+            -(d(0, 2, 2) + d(1, 2, 2)) / 2
+            + (x(0, 2, 2) + x(1, 2, 2) + mu1 * mu1 * x(0, 2, -2)
+               + mu2 * mu2 * x(1, 2, -2)) / 2
+            - mu1 * x(0, 2, -2) * r(0, 2) / 2
+            - mu2 * x(1, 2, -2) * r(1, 2) / 2)
+
+    def test_gauge_frame_generators(self):
+        qc = (build("Atilde-1", 1) - build("Atilde+1", 1)) * r(0, 1) / 2
+        sc = r(0, 1) * (build("Atilde+1", 1) + build("Atilde-1", 1)) / (2 * I)
+        assert build("Qc1", 1) == qc
+        assert build("Sc1", 1) == sc
+        assert build("Hc1", 1) == qc * qc
+        assert build("Kc1", 1) == sc * sc
+        assert build("Dc1", 1) == -anticommutator(qc, sc) / 2
+        jp = build("Atilde+1", 2) * build("Atilde-2", 2)
+        jm = build("Atilde-1", 2) * build("Atilde+2", 2)
+        assert build("Jtilde+", 2) == jp
+        assert build("Jtilde-", 2) == jm
+        assert build("Jtilde0", 2) == build("Htilde1", 2) - build("Htilde2", 2)
+        assert build("Ktilde+", 2) == jp * jp
+        assert build("Ktilde-", 2) == jm * jm
 
     def test_nd_supercharge_coproduct(self):
         q3 = build("Q_susy", 3)

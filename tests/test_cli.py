@@ -273,6 +273,14 @@ class TestInputLimits:
                                     "--levels", str(states.MAX_LEVEL)])
         assert code == 0 and len(out.splitlines()) == states.MAX_LEVEL + 2
 
+    def test_dims_past_the_registry_bound(self, capsys):
+        # The bound is the registry's; the expression language refuses a
+        # larger dims with the registry's message.
+        code, out, err = run(capsys, ["nf", "--dims",
+                                      str(dsl.MAX_DIMS + 1), "x1"])
+        assert (code, out, err) == (
+            2, "", f"error: dims must be at most {dsl.MAX_DIMS}\n")
+
     # Each case poisons the first step of the work it asks for, so an
     # input past its limit must be refused before that step.
     @pytest.mark.parametrize("argv,owner,attr", [

@@ -669,3 +669,30 @@ class TestRuleTableTwin:
         entries = {(how, rule.__name__)
                    for how, rules in opalg._RULES.items() for rule in rules}
         assert set(decided) == entries, decided
+
+    # The drawn trees meet the power rule only where the bases' bracket is
+    # zero.  Here it is a nonzero multiple of a base: [H1, A+1] = A+1,
+    # [J0, J+] = 2*J+ and, mirrored, [A+1, H1] = -A+1; each template is
+    # raised to seeded exponents.
+    @pytest.mark.parametrize("template", [
+        "comm(H1, A+1^{k})", "comm(J0, J+^{k})", "comm(A+1^{k}, H1)"])
+    def test_power_rule_from_a_nonzero_bracket(self, template):
+        rng = random.Random(template)
+        outcomes = []
+
+        def noting(a, b, how):
+            out = opalg._power_bracket(a, b, how)
+            if out is not None:
+                outcomes.append(out)
+            return out
+
+        table = {**opalg._RULES,
+                 "[]": (noting, *opalg._RULES["[]"][1:])}
+        assert opalg._RULES["[]"][0] is opalg._power_bracket
+        for k in rng.sample(range(2, 5), 2):
+            (root,) = dsl.parse_all([template.format(k=k)], 2)
+            outcomes.clear()
+            with mock.patch.object(opalg, "_RULES", table):
+                on, off, flat = self.three_ways([root], 2)
+            assert on == off == flat
+            assert len(outcomes) == 1 and not outcomes[0].is_zero(), k

@@ -2,12 +2,16 @@
 and so is every private name it defines."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import dunklweyl
-from dunklweyl import relations
+from dunklweyl import builders, relations
+from dunklweyl.builders import build, names
 
 SOURCES = sorted(Path(dunklweyl.__file__).parent.glob("*.py"))
 
@@ -336,6 +340,74 @@ def test_one_renderer():
             if lines:
                 faults.append(f"{path_.name} writes a mu power on {lines}")
     assert not faults, "; ".join(faults)
+
+
+# The module-level tables of ``builders`` that build operators in code.
+_GENERATOR_TABLES = ("_GENERATORS", "_VARIABLE_GENERATORS")
+# Names through which code could build or combine operators.
+_OPERATOR_CODE = {"commutator", "anticommutator", "Scalar", "I", "SQRT2",
+                  "INV_SQRT2", "OperatorElement"}
+
+
+def test_registry_builds_only_the_generators_in_code():
+    """``builders`` builds the six generators x<k>, d<k>, R<k>, mu<k>, i
+    and sqrt2 in code and nothing else: outside their two tables it
+    names no bracket function, scalar or operator constructor, and does
+    no arithmetic on what ``build`` or ``parse_eval`` returns.  Every
+    other name at dims 1-3 is defined by a text."""
+    path = Path(builders.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = {id(n) for node in tree.body
+               if isinstance(node, ast.AnnAssign)
+               and getattr(node.target, "id", None) in _GENERATOR_TABLES
+               for n in ast.walk(node.value)}
+    assert allowed, "no generator table found"
+    # An annotation names a type without building anything.
+    allowed |= {id(n) for annotation in _annotations(tree) if annotation
+                for n in ast.walk(annotation)}
+    faults = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        line = f"builders.py:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Name) and node.id in _OPERATOR_CODE:
+            faults.append(f"{line} uses {node.id}")
+        elif (isinstance(node, (ast.BinOp, ast.UnaryOp))
+              and any(isinstance(n, ast.Call)
+                      and getattr(n.func, "id", None) in ("build",
+                                                          "parse_eval")
+                      for n in ast.walk(node))):
+            faults.append(f"{line} does arithmetic on an operator")
+    assert not faults, "; ".join(faults)
+    for dims in (1, 2, 3):
+        generators = {*builders._GENERATORS} | {
+            f"{kind}{k}" for kind in builders._VARIABLE_GENERATORS
+            for k in range(1, dims + 1)}
+        texts = {name: write(dims) for name, write in builders._GLOBAL.items()}
+        if dims == 2:
+            texts.update(builders._TWO_VARIABLE)
+        texts.update({f"{kind}{k}": text.format(k=k)
+                      for kind, text in builders._PER_VARIABLE.items()
+                      for k in range(1, dims + 1)})
+        assert len(generators) == 2 + 4 * dims
+        assert all(isinstance(text, str) for text in texts.values())
+        assert not generators & texts.keys()
+        assert set(names(dims)) == generators | texts.keys()
+
+
+@pytest.mark.parametrize("module", ["dunklweyl.builders", "dunklweyl.dsl"])
+def test_either_module_imports_first(module):
+    """``builders`` and ``dsl`` call each other; each imported alone, in
+    a fresh interpreter, builds a composite through the other."""
+    src = str(Path(dunklweyl.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = f"import {module} as m; print(m.build('C', 2))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{build('C', 2)}\n"
 
 
 # Methods that fill a dict, list or set in place.

@@ -187,6 +187,21 @@ class TestTypedDerivatives:
         assert [ir.passed for ir in report.identities] == [
             k != row for k in range(len(samples) + 1)]
 
+    @pytest.mark.parametrize("mu", [None, (Fraction(4, 3),)],
+                             ids=["parametric", "numeric"])
+    def test_a_wrong_model_supercharge_fails(self, monkeypatch, mu):
+        # Q = Q1 ties the templates to the registry's Q1.  One constant of
+        # the model's W raised in that statement only must fail it alone.
+        family = REGISTRY["susy-generic"]
+        *squares, model = family.statements
+        broken = model.replace("mu1*x1^-1", "2*mu1*x1^-1")
+        assert broken.count("2*mu1*x1^-1") == 1
+        monkeypatch.setitem(REGISTRY, "susy-generic", dataclasses.replace(
+            family, statements=(*squares, broken)))
+        report = check("susy-generic", mu_values=mu)
+        assert [ir.passed for ir in report.identities] == [
+            True] * len(squares) + [False]
+
 
 class TestErrors:
     def test_unknown_family(self):
