@@ -41,8 +41,6 @@ own constructors and products, and a Laurent polynomial renders as its
 multiplication operator.  ``OperatorElement.as_scalar`` is the one test
 for a constant operator, and ``coordinate_power`` raises a coordinate
 monomial such as ``2*x1`` to any integer power, negative too, as one term.
-Terms are read as ``(blocks, coefficient)`` pairs, one ``(a, b, e)`` block
-per variable, from ``terms()``.
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ from fractions import Fraction
 from functools import reduce
 from math import prod
 from typing import (
-    Callable, Dict, Iterator, KeysView, List, Optional, Sequence, Tuple, Type,
-    TypeVar)
+    Callable, Dict, KeysView, List, Optional, Sequence, Tuple, Type, TypeVar)
 
 from dunklweyl._kernel import (
     BN_ONE,
@@ -175,10 +172,7 @@ class _Combination:
         """The Scalar coefficient of a term, zero if absent.  The key is an
         exponent tuple for functions and a flat monomial, ``(a, b, e)`` per
         variable in a row, for operators."""
-        poly = self.kernel_op.get(tuple(key))
-        if poly is None:
-            return Scalar.zero(self._nvars)
-        return Scalar(dict(poly), self._nvars)
+        return Scalar(dict(self.kernel_op.get(tuple(key), {})), self._nvars)
 
     def ratio(self: _C, other: _C) -> Optional[Scalar]:
         """The Scalar ``c`` with ``self == c*other``, or None if there is
@@ -435,14 +429,6 @@ class OperatorElement(_Combination):
     def r(cls, index: int, nvars: int) -> "OperatorElement":
         """The reflection R_{index+1}."""
         return cls._single(index, nvars, (0, 0, 1))
-
-    def terms(self) -> Iterator[Tuple[Tuple[Block, ...], Scalar]]:
-        """Deterministic ``(blocks, coefficient)`` pairs, ``blocks`` holding
-        one ``(x_power, d_power, reflection)`` triple per variable."""
-        n, data = self._nvars, self.kernel_op
-        for flat in sorted(data, key=lambda m: _mono_sort_key(m, n)):
-            yield (tuple(flat[j:j + 3] for j in range(0, 3 * n, 3)),
-                   Scalar(dict(data[flat]), n))
 
     def __mul__(self, other) -> "OperatorElement":
         if isinstance(other, OperatorElement):
@@ -808,10 +794,6 @@ class LaurentPolynomial(_Combination):
     _NOUN = "functions"
 
     @classmethod
-    def one(cls, nvars: int) -> "LaurentPolynomial":
-        return cls({(0,) * nvars: {(0,) * nvars: BN_ONE}}, nvars)
-
-    @classmethod
     def monomial(cls, exponents: Sequence[int], coeff: ScalarLike = 1
                  ) -> "LaurentPolynomial":
         n = len(exponents)
@@ -824,38 +806,8 @@ class LaurentPolynomial(_Combination):
         """The exponent tuples of the nonzero terms, in no set order."""
         return self._data.keys()
 
-    def terms(self) -> Iterator[Tuple[tuple, Scalar]]:
-        for e in sorted(self._data):
-            yield e, Scalar(dict(self._data[e]), self._nvars)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, LaurentPolynomial):
-            return from_laurent(self).act(other)
-        return super().__mul__(other)
-
-    def diff(self, index: int) -> "LaurentPolynomial":
-        """Partial derivative in x_{index+1}."""
-        if not 0 <= index < self._nvars:
-            raise IndexError(f"variable index {index} out of range for "
-                             f"{self._nvars} variables")
-        # Distinct exponents stay distinct after lowering one of them, so
-        # no two terms meet and nothing can cancel.
-        return LaurentPolynomial(
-            {e[:index] + (e[index] - 1,) + e[index + 1:]:
-             poly_scale_int(p, e[index])
-             for e, p in self._data.items() if e[index]}, self._nvars)
-
     def __str__(self) -> str:
-        return str(from_laurent(self))
-
-
-def from_laurent(f: LaurentPolynomial) -> OperatorElement:
-    """The multiplication operator by a Laurent polynomial."""
-    out: dict = {}
-    n = f.nvars
-    for exps, poly in f._data.items():
-        flat: tuple = ()
-        for g in exps:
-            flat += (g, 0, 0)
-        out[flat] = dict(poly)
-    return OperatorElement(out, n)
+        # Written as its multiplication operator, each x^a as x^a*d^0*R^0.
+        return str(OperatorElement(
+            {sum(((g, 0, 0) for g in exps), ()): poly
+             for exps, poly in self._data.items()}, self._nvars))

@@ -86,10 +86,6 @@ class Family:
     dims: Optional[int] = 2
     control: Optional[Tuple[str, str]] = None
 
-    @property
-    def perturbable(self) -> bool:
-        return self.control is not None
-
 
 @lru_cache(maxsize=None)
 def _residuals(statements: Tuple[str, ...], dims: int) -> Program:
@@ -344,11 +340,3 @@ def check(
         identities=tuple(identities),
         wall_time=time.perf_counter() - start,
     )
-
-
-def check_all(
-    *,
-    mu_values: Optional[Sequence[BaseLike]] = None,
-) -> List[RelationReport]:
-    """Check every family in registry order."""
-    return [check(fid, mu_values=mu_values) for fid in FAMILIES]

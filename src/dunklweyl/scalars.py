@@ -1,10 +1,14 @@
-"""Exact scalars: the field Q(i, sqrt2) and polynomials in deformation
-parameters over it.
+"""Read-only views of the exact kernel's numbers and mu-polynomials, and
+the one renderer of both.
 
-``BaseNumber`` is an element of Q(i, sqrt2) stored as a single reduced
-5-tuple of integers; all arithmetic is exact.  ``Scalar`` is a polynomial in
-the deformation parameters mu1..muN with ``BaseNumber`` coefficients.  The
-parameters are real, so conjugation only touches the coefficients.
+``BaseNumber`` is an element of Q(i, sqrt2) and ``Scalar`` a polynomial in
+the deformation parameters mu1..muN with such coefficients.  Each holds
+the kernel's data (a reduced 5-tuple of integers, a dict of them keyed by
+exponent tuples) and only compares, hashes, evaluates and writes it;
+``BaseNumber`` also inverts and ``Scalar`` divides exactly.  All other
+arithmetic is in ``_kernel``: the ``bn_*`` and ``poly_*`` functions,
+reached through the operators of ``opalg``.  A plain number or scalar times an operator is the operator's
+scalar multiple.
 """
 
 from __future__ import annotations
@@ -12,22 +16,15 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import (
-    Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union)
+from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 from dunklweyl._kernel import (
     BN_ONE,
     BN_ZERO,
     bn_add,
-    bn_conj,
     bn_inv,
     bn_make,
     bn_mul,
-    bn_neg,
-    bn_sub,
-    poly_add,
-    poly_mul,
-    poly_neg,
     poly_scale,
     poly_sub,
 )
@@ -46,54 +43,21 @@ class InexactDivisionError(ArithmeticError):
 
 
 class BaseNumber:
-    """An exact element of Q(i, sqrt2).
-
-    Stored as ``(p + q*i + r*sqrt2 + s*i*sqrt2) / den`` with integer
-    components, ``den > 0`` and ``gcd(p, q, r, s, den) == 1``.
+    """An exact element of Q(i, sqrt2): a read-only view of the kernel's
+    ``(p, q, r, s, den)``, the number ``(p + q*i + r*sqrt2 +
+    s*i*sqrt2) / den`` with ``den > 0`` and ``gcd(p, q, r, s, den) == 1``.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, p: BaseLike = 0, q: BaseLike = 0,
-                 r: BaseLike = 0, s: BaseLike = 0) -> None:
-        if isinstance(p, BaseNumber):
-            if q or r or s:
-                raise TypeError("cannot add components to a BaseNumber")
-            self._data = p._data
-            return
-        fp, fq, fr, fs = Fraction(p), Fraction(q), Fraction(r), Fraction(s)
-        den = fp.denominator
-        for f in (fq, fr, fs):
-            den = den * f.denominator // gcd(den, f.denominator)
-        self._data = bn_make(
-            fp.numerator * (den // fp.denominator),
-            fq.numerator * (den // fq.denominator),
-            fr.numerator * (den // fr.denominator),
-            fs.numerator * (den // fs.denominator),
-            den,
-        )
+    def __init__(self, value: BaseLike) -> None:
+        self._data = base_tuple(value)
 
     @classmethod
     def _from_tuple(cls, data: tuple) -> "BaseNumber":
         out = object.__new__(cls)
         out._data = data
         return out
-
-    @property
-    def p(self) -> Fraction:
-        return Fraction(self._data[0], self._data[4])
-
-    @property
-    def q(self) -> Fraction:
-        return Fraction(self._data[1], self._data[4])
-
-    @property
-    def r(self) -> Fraction:
-        return Fraction(self._data[2], self._data[4])
-
-    @property
-    def s(self) -> Fraction:
-        return Fraction(self._data[3], self._data[4])
 
     def __bool__(self) -> bool:
         d = self._data
@@ -109,78 +73,12 @@ class BaseNumber:
             raise ValueError(f"not a rational number: {self}")
         return Fraction(self._data[0], self._data[4])
 
-    def conjugate(self) -> "BaseNumber":
-        return BaseNumber._from_tuple(bn_conj(self._data))
-
     def inverse(self) -> "BaseNumber":
         return BaseNumber._from_tuple(bn_inv(self._data))
 
-    def _coerce(self, other: BaseLike) -> Optional[tuple]:
-        if isinstance(other, (BaseNumber, int, Fraction)):
-            return base_tuple(other)
-        return None
-
-    def __add__(self, other: BaseLike) -> "BaseNumber":
-        data = self._coerce(other)
-        if data is None:
-            return NotImplemented
-        return BaseNumber._from_tuple(bn_add(self._data, data))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: BaseLike) -> "BaseNumber":
-        data = self._coerce(other)
-        if data is None:
-            return NotImplemented
-        return BaseNumber._from_tuple(bn_sub(self._data, data))
-
-    def __rsub__(self, other: BaseLike) -> "BaseNumber":
-        data = self._coerce(other)
-        if data is None:
-            return NotImplemented
-        return BaseNumber._from_tuple(bn_sub(data, self._data))
-
-    def __mul__(self, other: BaseLike) -> "BaseNumber":
-        data = self._coerce(other)
-        if data is None:
-            return NotImplemented
-        return BaseNumber._from_tuple(bn_mul(self._data, data))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: BaseLike) -> "BaseNumber":
-        data = self._coerce(other)
-        if data is None:
-            return NotImplemented
-        return self * BaseNumber._from_tuple(data).inverse()
-
-    def __rtruediv__(self, other: BaseLike) -> "BaseNumber":
-        data = self._coerce(other)
-        if data is None:
-            return NotImplemented
-        return BaseNumber._from_tuple(data) * self.inverse()
-
-    def __neg__(self) -> "BaseNumber":
-        return BaseNumber._from_tuple(bn_neg(self._data))
-
-    def __pow__(self, n: int) -> "BaseNumber":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = BN_ONE
-        base = self._data
-        while n:
-            if n & 1:
-                out = bn_mul(out, base)
-            base = bn_mul(base, base)
-            n >>= 1
-        return BaseNumber._from_tuple(out)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (BaseNumber, int, Fraction)):
-            data = self._coerce(other)  # type: ignore[arg-type]
-            return self._data == data
+            return self._data == base_tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -282,17 +180,17 @@ def base_tuple(value: BaseLike) -> tuple:
 
 
 ZERO = BaseNumber._from_tuple(BN_ZERO)
-ONE = BaseNumber._from_tuple(BN_ONE)
 I = BaseNumber._from_tuple((0, 1, 0, 0, 1))
 SQRT2 = BaseNumber._from_tuple((0, 0, 1, 0, 1))
-INV_SQRT2 = BaseNumber._from_tuple((0, 0, 1, 0, 2))
 
 
 class Scalar:
-    """A polynomial in the deformation parameters mu1..muN over Q(i, sqrt2).
+    """A polynomial in the deformation parameters mu1..muN over Q(i, sqrt2):
+    a read-only view of the kernel's dict ``{exponents: base number}``.
 
-    Instances are immutable.  All binary operations require equal ``nvars``;
-    plain numbers are promoted to constants of the right arity.
+    Instances are immutable.  A scalar compares, hashes, evaluates, divides
+    exactly and writes itself; arithmetic goes through the kernel's
+    ``poly_*`` functions, or through an operator it multiplies.
     """
 
     __slots__ = ("_poly", "_nvars")
@@ -300,21 +198,6 @@ class Scalar:
     def __init__(self, poly: dict, nvars: int) -> None:
         self._poly = poly
         self._nvars = nvars
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Scalar":
-        return cls({}, nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "Scalar":
-        return cls({(0,) * nvars: BN_ONE}, nvars)
-
-    @classmethod
-    def constant(cls, value: BaseLike, nvars: int) -> "Scalar":
-        data = base_tuple(value)
-        if data == BN_ZERO:
-            return cls({}, nvars)
-        return cls({(0,) * nvars: data}, nvars)
 
     @classmethod
     def parameter(cls, index: int, nvars: int) -> "Scalar":
@@ -342,78 +225,17 @@ class Scalar:
             raise ValueError(f"not a constant: {self}")
         return BaseNumber._from_tuple(next(iter(self._poly.values())))
 
-    def _coerce(self, other: ScalarLike) -> Optional["Scalar"]:
-        if isinstance(other, Scalar):
-            if other._nvars != self._nvars:
-                raise ArityMismatchError(
-                    f"scalars on {self._nvars} and {other._nvars} variables")
-            return other
-        if isinstance(other, (BaseNumber, int, Fraction)):
-            return Scalar.constant(other, self._nvars)
-        return None
-
-    def __add__(self, other: ScalarLike) -> "Scalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(poly_add(self._poly, o._poly), self._nvars)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(poly_sub(self._poly, o._poly), self._nvars)
-
-    def __rsub__(self, other: ScalarLike) -> "Scalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(poly_sub(o._poly, self._poly), self._nvars)
-
-    def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(poly_mul(self._poly, o._poly), self._nvars)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.is_constant():
-                other = other.constant_value()
-            else:
-                return self.exact_div(other)
-        if isinstance(other, (BaseNumber, int, Fraction)):
-            inv = BaseNumber._from_tuple(base_tuple(other)).inverse()
-            return Scalar(poly_scale(self._poly, inv._data), self._nvars)
-        return NotImplemented
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(poly_neg(self._poly), self._nvars)
-
-    def __pow__(self, n: int) -> "Scalar":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            return Scalar.one(self._nvars)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Scalar) and other._nvars != self._nvars:
+        if isinstance(other, Scalar):
+            if other._nvars == self._nvars:
+                return self._poly == other._poly
             # Across arities only constants can be equal, by value, as
             # their hashes are; a parameter ties a scalar to its arity.
-            return (self.is_constant() and other.is_constant()
-                    and self._poly.get((0,) * self._nvars)
-                    == other._poly.get((0,) * other._nvars))
-        if isinstance(other, (Scalar, BaseNumber, int, Fraction)):
-            o = self._coerce(other)  # type: ignore[arg-type]
-            return self._poly == o._poly
+            if not other.is_constant():
+                return False
+            other = other.constant_value()
+        if isinstance(other, (BaseNumber, int, Fraction)):
+            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -421,10 +243,6 @@ class Scalar:
         if self.is_constant():
             return hash(self.constant_value())
         return hash((self._nvars, frozenset(self._poly.items())))
-
-    def conjugate(self) -> "Scalar":
-        """Complex conjugation; the parameters themselves are real."""
-        return Scalar({e: bn_conj(c) for e, c in self._poly.items()}, self._nvars)
 
     def evaluate(self, values: Sequence[BaseLike]) -> BaseNumber:
         """Evaluate at the given parameter values."""
@@ -441,32 +259,31 @@ class Scalar:
             acc = bn_add(acc, term)
         return BaseNumber._from_tuple(acc)
 
-    def exact_div(self, other: ScalarLike) -> "Scalar":
+    def exact_div(self, other: "Scalar") -> "Scalar":
         """Exact polynomial quotient self / other.
 
         Divides by the lex-leading term of the divisor; raises
         InexactDivisionError when a remainder survives.
         """
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot divide by {other!r}")
-        if not o._poly:
+        if other._nvars != self._nvars:
+            raise ArityMismatchError(
+                f"scalars on {self._nvars} and {other._nvars} variables")
+        if not other._poly:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self._poly:
-            return Scalar.zero(self._nvars)
-        lead = max(o._poly)
-        lead_inv = bn_inv(o._poly[lead])
+        lead = max(other._poly)
+        lead_inv = bn_inv(other._poly[lead])
         rem = dict(self._poly)
         quot: dict = {}
         while rem:
             top = max(rem)
             qe = tuple(a - b for a, b in zip(top, lead))
             if any(e < 0 for e in qe):
-                raise InexactDivisionError(f"({self}) is not divisible by ({o})")
+                raise InexactDivisionError(
+                    f"({self}) is not divisible by ({other})")
             qc = bn_mul(rem[top], lead_inv)
             quot[qe] = qc
             rem = poly_sub(rem, poly_scale({tuple(a + b for a, b in zip(qe, e)): c
-                                            for e, c in o._poly.items()}, qc))
+                                            for e, c in other._poly.items()}, qc))
         return Scalar(quot, self._nvars)
 
     def terms(self) -> Iterator[tuple]:

@@ -1,7 +1,8 @@
 """Exact function space of Gaussian-envelope states.
 
 A state is p(x1..xn) * exp(-(x1^2 + ... + xn^2)/2) with p a polynomial
-whose coefficients may depend on the deformation parameters.  Every
+whose coefficients may depend on the deformation parameters; the state is
+held as p, a LaurentPolynomial with no negative exponent.  Every
 operator acts through OperatorElement.act on the polynomial part, after
 gauge() has conjugated it by the envelope e^{-X}, X = (x1^2 + ... +
 xn^2)/2, through Hadamard's series e^X A e^{-X} = sum_k ad_X^k(A)/k!: x
@@ -9,10 +10,11 @@ and R commute with X, and [X, d_j] = -x_j, so d_j(p * e) = ((d_j - x_j)
 p) * e.  The registry operators the spectra use are gauged once per
 process and only then substituted.
 All computation stays in the Laurent ring; a state is only required to
-be pole free at the boundaries, i.e. at construction and in the final
-result of an operator application.  Inverse powers inside an operator
-are fine as long as they cancel by the end, which is exactly what the
-reflection terms of the deformed Hamiltonians do.
+be pole free at the boundaries: _check_pole_free checks every state that
+fock, ground and apply return, each one the walk builds, and the state
+apply is given.  Inverse powers inside an operator are fine as long as
+they cancel by the end, which is exactly what the reflection terms of
+the deformed Hamiltonians do.
 
 Energies, degeneracies, parities and ladder-norm coefficients of the
 model all come out of this module as exact scalars; no floating point,
@@ -35,13 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement, commutator
-from .scalars import (
-    ArityMismatchError,
-    BaseLike,
-    BaseNumber,
-    Scalar,
-    ScalarLike,
-)
+from .scalars import ArityMismatchError, BaseLike, BaseNumber, Scalar
 
 # Highest level spectrum_table lists.  A two-variable table to this level
 # at mu = (1/3, 1/2) takes 0.6-1.1 s, median 0.7 s (one `dunklweyl
@@ -61,63 +57,6 @@ def _check_pole_free(p: LaurentPolynomial) -> LaurentPolynomial:
         first = min(exps for exps in p.exponents() if min(exps) < 0)
         raise PoleError(f"state has a pole: residual exponents {first}")
     return p
-
-
-class GaussState:
-    """Polynomial part of a Gaussian-envelope state; value semantics."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p: LaurentPolynomial):
-        self._p = _check_pole_free(p)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "GaussState":
-        return cls(LaurentPolynomial.zero(nvars))
-
-    @property
-    def polynomial(self) -> LaurentPolynomial:
-        return self._p
-
-    @property
-    def nvars(self) -> int:
-        return self._p.nvars
-
-    def is_zero(self) -> bool:
-        return self._p.is_zero()
-
-    def __add__(self, other: "GaussState") -> "GaussState":
-        if not isinstance(other, GaussState):
-            return NotImplemented
-        return GaussState(self._p + other._p)
-
-    def __sub__(self, other: "GaussState") -> "GaussState":
-        if not isinstance(other, GaussState):
-            return NotImplemented
-        return GaussState(self._p - other._p)
-
-    def __neg__(self) -> "GaussState":
-        return GaussState(-self._p)
-
-    def __mul__(self, other: ScalarLike) -> "GaussState":
-        if isinstance(other, GaussState):
-            return NotImplemented
-        return GaussState(self._p * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GaussState):
-            return self._p == other._p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("GaussState", frozenset(self._p.terms())))
-
-    def __str__(self) -> str:
-        return f"({self._p}) * exp(-|x|^2/2)"
-
-    __repr__ = __str__
 
 
 def gauge(A: OperatorElement) -> OperatorElement:
@@ -158,17 +97,17 @@ def _operator(
     return op if values is None else op.substitute_params(values)
 
 
-def apply(A: OperatorElement, s: GaussState) -> GaussState:
-    """Act with A on s, exactly.
+def apply(A: OperatorElement, s: LaurentPolynomial) -> LaurentPolynomial:
+    """Act with A on the state with polynomial part s, exactly.
 
-    Raises PoleError if the accumulated result keeps a negative
+    Raises PoleError if s or the accumulated result keeps a negative
     exponent; individual terms of A may produce intermediate poles as
     long as they cancel in the sum.
     """
-    return GaussState(gauge(A).act(s.polynomial))
+    return _check_pole_free(gauge(A).act(_check_pole_free(s)))
 
 
-def ground(nvars: int) -> GaussState:
+def ground(nvars: int) -> LaurentPolynomial:
     """Lowest state: p = 1."""
     return fock((0,) * nvars)
 
@@ -176,7 +115,7 @@ def ground(nvars: int) -> GaussState:
 def fock(
     ns: Sequence[int],
     mu_values: Optional[Sequence[BaseLike]] = None,
-) -> GaussState:
+) -> LaurentPolynomial:
     """Unnormalized ladder state: raise the ground state n_j times in
     each variable.  Parametric unless mu_values is given."""
     ns = tuple(ns)
@@ -185,21 +124,22 @@ def fock(
     if any(n < 0 for n in ns):
         raise ValueError(f"occupation numbers must be nonnegative: {ns}")
     nvars = len(ns)
-    state = GaussState(LaurentPolynomial.monomial((0,) * nvars))
+    state = LaurentPolynomial.monomial((0,) * nvars)
     for j, n in enumerate(ns):
         if not n:
             continue
         raiser = _operator(f"A+{j + 1}", nvars, mu_values)
         for _ in range(n):
-            state = GaussState(raiser.act(state.polynomial))
+            state = _check_pole_free(raiser.act(state))
     return state
 
 
-def eigencheck(A: OperatorElement, s: GaussState) -> Optional[Scalar]:
-    """Exact eigenvalue of A on s, or None if s is not an eigenstate."""
+def eigencheck(A: OperatorElement, s: LaurentPolynomial) -> Optional[Scalar]:
+    """Exact eigenvalue of A on the state s, or None if s is not an
+    eigenstate."""
     if s.is_zero():
         raise ValueError("eigencheck needs a nonzero state")
-    return apply(A, s).polynomial.ratio(s.polynomial)
+    return apply(A, s).ratio(s)
 
 
 @dataclass(frozen=True)
@@ -229,7 +169,7 @@ def _ladder(
     dims: int,
     values: Optional[Tuple[BaseNumber, ...]],
     max_level: int,
-) -> Iterator[Tuple[Dict[Tuple[int, ...], GaussState], List[Scalar]]]:
+) -> Iterator[Tuple[Dict[Tuple[int, ...], LaurentPolynomial], List[Scalar]]]:
     """The states of levels 0..max_level, one level at a time, keyed by
     occupation numbers in _level_states order, each with the ladder
     coefficients of that level.
@@ -252,13 +192,12 @@ def _ladder(
         for ns in _level_states(dims, n):
             j = max(i for i, k in enumerate(ns) if k)
             lowered = ns[:j] + (ns[j] - 1,) + ns[j + 1:]
-            level[ns] = GaussState(
-                raisers[j].act(below[lowered].polynomial))
+            level[ns] = _check_pole_free(raisers[j].act(below[lowered]))
         coefficients = []
         for j, lower in enumerate(lowerers):
             top = (0,) * j + (n,) + (0,) * (dims - j - 1)
-            image = lower.act(level[top].polynomial)
-            c = image.ratio(below[top[:j] + (n - 1,) + top[j + 1:]].polynomial)
+            image = lower.act(level[top])
+            c = image.ratio(below[top[:j] + (n - 1,) + top[j + 1:]])
             if c is None:
                 # The states have no pole, so an image with one has no
                 # ratio: report the pole before the failed lowering.
@@ -304,8 +243,8 @@ def spectrum_table(
         energy: Optional[BaseNumber] = None
         leading: set = set()
         for ns, state in states.items():
-            image = hamiltonian.act(state.polynomial)
-            lam = image.ratio(state.polynomial)
+            image = hamiltonian.act(state)
+            lam = image.ratio(state)
             if lam is None:
                 # As in _ladder: a pole, if any, is why there is no ratio.
                 _check_pole_free(image)
@@ -317,7 +256,7 @@ def spectrum_table(
             elif value != energy:
                 raise ArithmeticError(
                     f"level {level} eigenvalues disagree: {value} != {energy}")
-            leading.add(max(state.polynomial.exponents()))
+            leading.add(max(state.exponents()))
         if len(leading) != len(states):
             raise ArithmeticError(
                 f"level {level} states are not independent")

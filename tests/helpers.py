@@ -3,10 +3,12 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 from dunklweyl._kernel import (
     bn_add,
     bn_conj,
+    bn_make,
     bn_scale_int,
     dx_rows,
     op_add,
@@ -17,26 +19,45 @@ from dunklweyl._kernel import (
     poly_scale_int,
 )
 from dunklweyl.builders import names
-from dunklweyl.dsl import MAX_TOKENS, ParseError
+from dunklweyl.dsl import MAX_TOKENS, ParseError, parse_eval
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import (
     BaseNumber, InexactDivisionError, Scalar, _render_sum)
 
 
+def number(p=0, q=0, r=0, s=0) -> BaseNumber:
+    """``p + q*i + r*sqrt2 + s*i*sqrt2`` as a BaseNumber, each part an int
+    or a Fraction."""
+    parts = [Fraction(x) for x in (p, q, r, s)]
+    den = lcm(*(f.denominator for f in parts))
+    return BaseNumber._from_tuple(bn_make(
+        *(f.numerator * (den // f.denominator) for f in parts), den))
+
+
+def scalar(text: str, nvars: int) -> Scalar:
+    """The Scalar that ``text``, an expression in numbers, i, sqrt2 and
+    mu1..mun, evaluates to on ``nvars`` variables."""
+    out = parse_eval(text, nvars).as_scalar()
+    assert out is not None, f"{text!r} is not a scalar"
+    return out
+
+
 def random_base(rng: random.Random) -> BaseNumber:
     def frac() -> Fraction:
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    return BaseNumber(frac(), frac(), frac(), frac())
+    return number(frac(), frac(), frac(), frac())
 
 
 def random_scalar(rng: random.Random, nvars: int, max_deg: int = 2) -> Scalar:
-    out = Scalar.zero(nvars)
+    """A sum of up to three terms ``c*mu^e``, each built with ``poly_add``
+    from a random coefficient and exponents up to ``max_deg``."""
+    poly: dict = {}
     for _ in range(rng.randint(0, 3)):
-        term = Scalar.constant(random_base(rng), nvars)
-        for i in range(nvars):
-            term = term * Scalar.parameter(i, nvars) ** rng.randint(0, max_deg)
-        out = out + term
-    return out
+        coef = random_base(rng)
+        expo = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        if coef:
+            poly = poly_add(poly, {expo: coef._data})
+    return Scalar(poly, nvars)
 
 
 def random_operator(rng: random.Random, nvars: int, max_terms: int = 4,
@@ -71,12 +92,11 @@ def random_laurent(rng: random.Random, nvars: int, max_terms: int = 4,
 
 
 def random_state(rng: random.Random, nvars: int, min_pow: int = 12,
-                 max_pow: int = 20):
+                 max_pow: int = 20) -> LaurentPolynomial:
     # min_pow >= 12 keeps two successive applications of bounded random
     # operators (x-powers and derivative orders up to 3) pole free.
-    from dunklweyl.states import GaussState
-    return GaussState(random_laurent(rng, nvars, max_terms=4,
-                                     max_pow=max_pow, min_pow=min_pow))
+    return random_laurent(rng, nvars, max_terms=4, max_pow=max_pow,
+                          min_pow=min_pow)
 
 
 # The term-by-term op_mul that the common-denominator kernel replaced, kept
@@ -195,19 +215,30 @@ def reference_laurent_mul(f, g):
     return LaurentPolynomial(out, f.nvars)
 
 
+def _diff(f, index):
+    """Partial derivative in x_{index+1}, read off the exponent tuples:
+    distinct exponents stay distinct after lowering one of them, so no two
+    terms meet and nothing cancels."""
+    return LaurentPolynomial(
+        {e[:index] + (e[index] - 1,) + e[index + 1:]:
+         poly_scale_int(p, e[index])
+         for e, p in f._data.items() if e[index]}, f.nvars)
+
+
 def reference_apply(A, s):
     """A acting on a Gaussian-envelope state s, with the envelope's
-    derivative rule d_j(p * e) = (d_j p - x_j p) * e written out."""
-    from dunklweyl.states import GaussState
+    derivative rule d_j(p * e) = (d_j p - x_j p) * e written out; raises
+    PoleError if s or the result has a negative exponent."""
+    from dunklweyl.states import PoleError
     acc = {}
     for mono, coeff in A.kernel_op.items():
-        f = s.polynomial
+        f = s
         for j in range(s.nvars):
             a, b, e = mono[3 * j:3 * j + 3]
             if e:
                 f = _reflect(f, j)
             for _ in range(b):
-                f = f.diff(j) - _mul_xpow(f, j, 1)
+                f = _diff(f, j) - _mul_xpow(f, j, 1)
             if a:
                 f = _mul_xpow(f, j, a)
         for exps, p in f._data.items():
@@ -221,7 +252,10 @@ def reference_apply(A, s):
                     acc[exps] = v
                 else:
                     del acc[exps]
-    return GaussState(LaurentPolynomial(acc, s.nvars))
+    for exps in (*s._data, *acc):
+        if min(exps) < 0:
+            raise PoleError(f"pole at exponents {exps}")
+    return LaurentPolynomial(acc, s.nvars)
 
 
 # OperatorElement.act's own pair loop, from before action went through
@@ -348,9 +382,10 @@ def reference_gauge(A):
     """
     n = A.nvars
     out = OperatorElement.zero(n)
-    for blocks, coeff in A.terms():
-        piece = coeff * OperatorElement.identity(n)
-        for j, (a, b, e) in enumerate(blocks):
+    for flat, poly in A.kernel_op.items():
+        piece = Scalar(poly, n) * OperatorElement.identity(n)
+        for j in range(n):
+            a, b, e = flat[3 * j:3 * j + 3]
             if a:
                 piece = piece * OperatorElement.x(j, n, a)
             if b:
@@ -364,7 +399,8 @@ def reference_gauge(A):
 
 def reference_laurent_str(self):
     terms = []
-    for exps, coeff in self.terms():
+    for exps in sorted(self._data):
+        coeff = Scalar(self._data[exps], self.nvars)
         factors = [f"x{j + 1}" if g == 1 else f"x{j + 1}^{g}"
                    for j, g in enumerate(exps) if g]
         terms.append((str(coeff), "*".join(factors) or "1"))

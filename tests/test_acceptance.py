@@ -14,14 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_operator, random_state
+from helpers import random_operator, random_state, scalar
 
 from dunklweyl import relations, states
 from dunklweyl.builders import build
 from dunklweyl.cli import main
 from dunklweyl.dsl import parse_eval
 from dunklweyl.opalg import commutator
-from dunklweyl.scalars import Scalar
 
 
 @contextmanager
@@ -42,7 +41,7 @@ def test_criterion_1_full_parametric_verification(capsys):
     with scorecard(capsys, 1, "all identity families, parametric,"
                               " exactly-zero residuals"):
         start = time.perf_counter()
-        reports = relations.check_all()
+        reports = list(map(relations.check, relations.FAMILIES))
         total = time.perf_counter() - start
         assert [r.family for r in reports] == list(relations.FAMILIES)
         for report in reports:
@@ -64,10 +63,9 @@ def test_criterion_2_spectrum_reproduction(capsys):
             assert row.energy.as_fraction() == row.level + Fraction(11, 6)
             assert row.degeneracy == row.level + 1
         h1 = build("H1", 1)
-        mu = Scalar.parameter(0, 1)
         for n in range(13):
             lam = states.eigencheck(h1, states.fock((n,)))
-            assert lam == mu + Fraction(2 * n + 1, 2)
+            assert lam == scalar(f"mu1 + {2 * n + 1}/2", 1)
         assert time.perf_counter() - start < 10.0
 
 

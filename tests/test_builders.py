@@ -10,7 +10,7 @@ import pytest
 from dunklweyl import builders, dsl
 from dunklweyl.builders import MAX_DIMS, build, names
 from dunklweyl.opalg import OperatorElement, anticommutator, commutator
-from dunklweyl.scalars import I, INV_SQRT2, Scalar
+from dunklweyl.scalars import I, SQRT2
 
 # str(build(name, dims)) for every registry name at dims 1-3, keyed
 # "dims:name": how the registry composes an operator may change, its
@@ -134,14 +134,14 @@ class TestRegistry:
 
 class TestDefinitions:
     def test_dunkl_operator_display(self):
-        mu = Scalar.parameter(0, 1)
+        mu = build("mu1", 1)
         expected = d(0, 1) + mu * x(0, 1, -1) * (OperatorElement.identity(1) - r(0, 1))
         assert build("D1", 1) == expected
 
     def test_undeformed_limit(self):
         assert build("D1", 1).substitute_params([0]) == d(0, 1)
         aplus = build("A+1", 1).substitute_params([0])
-        assert aplus == INV_SQRT2 * (x(0, 1) - d(0, 1))
+        assert aplus == (x(0, 1) - d(0, 1)) / SQRT2
 
     def test_hamiltonian_from_dunkl(self):
         D = build("D1", 2)
@@ -183,8 +183,8 @@ class TestDefinitions:
         assert build("F-", 2) == jm
 
     def test_supercharge_display(self):
-        mu = Scalar.parameter(0, 1)
-        expected = INV_SQRT2 * (d(0, 1) * r(0, 1) + x(0, 1) - mu * x(0, 1, -1))
+        mu = build("mu1", 1)
+        expected = (d(0, 1) * r(0, 1) + x(0, 1) - mu * x(0, 1, -1)) / SQRT2
         assert build("Q1", 1) == expected
 
     def test_susy_hamiltonian_is_square(self):
@@ -192,7 +192,7 @@ class TestDefinitions:
         assert build("H_susy1", 1) == q * q
 
     def test_casimir_display(self):
-        mu1, mu2 = Scalar.parameter(0, 2), Scalar.parameter(1, 2)
+        mu1, mu2 = build("mu1", 2), build("mu2", 2)
         jp, jm, j0 = build("J+", 2), build("J-", 2), build("J0", 2)
         expected = (j0 * j0 + 2 * anticommutator(jp, jm)
                     + 2 * (mu1 * r(0, 2) + mu2 * r(1, 2))
@@ -201,7 +201,7 @@ class TestDefinitions:
 
     def test_structure_constant_parts(self):
         h = build("H", 2)
-        mu1, mu2 = Scalar.parameter(0, 2), Scalar.parameter(1, 2)
+        mu1, mu2 = build("mu1", 2), build("mu2", 2)
         gamma1 = 3 - h * h - 2 * mu1 * mu1 - 2 * mu2 * mu2
         gamma2 = 2 * mu1 * mu1 - 2 * mu2 * mu2
         assert build("gamma1", 2) == gamma1
@@ -211,17 +211,17 @@ class TestDefinitions:
         assert build("delta", 2) == (h * h - 1) / 2
 
     def test_gauged_displays(self):
-        mu = Scalar.parameter(0, 1)
-        half = Scalar.constant(1, 1) / 2
+        mu = build("mu1", 1)
+        half = Fraction(1, 2)
         xm1 = x(0, 1, -1)
         assert build("Htilde1", 1) == half * (
             -d(0, 1, 2) + x(0, 1, 2) + mu * mu * x(0, 1, -2)
             - mu * x(0, 1, -2) * r(0, 1))
-        assert build("Atilde+1", 1) == INV_SQRT2 * (
-            x(0, 1) - d(0, 1) + mu * xm1 * r(0, 1))
-        assert build("Atilde-1", 1) == INV_SQRT2 * (
-            x(0, 1) + d(0, 1) - mu * xm1 * r(0, 1))
-        mu1, mu2 = Scalar.parameter(0, 2), Scalar.parameter(1, 2)
+        assert build("Atilde+1", 1) == (
+            x(0, 1) - d(0, 1) + mu * xm1 * r(0, 1)) / SQRT2
+        assert build("Atilde-1", 1) == (
+            x(0, 1) + d(0, 1) - mu * xm1 * r(0, 1)) / SQRT2
+        mu1, mu2 = build("mu1", 2), build("mu2", 2)
         assert build("Htilde", 2) == (
             -(d(0, 2, 2) + d(1, 2, 2)) / 2
             + (x(0, 2, 2) + x(1, 2, 2) + mu1 * mu1 * x(0, 2, -2)
@@ -231,7 +231,7 @@ class TestDefinitions:
 
     def test_gauge_frame_generators(self):
         qc = (build("Atilde-1", 1) - build("Atilde+1", 1)) * r(0, 1) / 2
-        sc = r(0, 1) * (build("Atilde+1", 1) + build("Atilde-1", 1)) / (2 * I)
+        sc = r(0, 1) * (build("Atilde+1", 1) + build("Atilde-1", 1)) / 2 / I
         assert build("Qc1", 1) == qc
         assert build("Sc1", 1) == sc
         assert build("Hc1", 1) == qc * qc
@@ -269,7 +269,7 @@ class TestHermiticity:
         # symmetric; the defect is the weight's logarithmic derivative
         # acting through the first-order part.
         h1 = build("H1", 1)
-        mu = Scalar.parameter(0, 1)
+        mu = build("mu1", 1)
         defect = 2 * mu * x(0, 1, -1) * d(0, 1) - mu * x(0, 1, -2)
         assert h1.adjoint() - h1 == defect
 

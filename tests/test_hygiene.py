@@ -474,6 +474,32 @@ def test_prepared_action_lives_on_the_value():
     assert not faults, "; ".join(faults)
 
 
+# The arithmetic a number type could carry beside the kernel's.
+_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+               "__neg__"}
+
+
+def test_arithmetic_only_in_the_kernel():
+    """``BaseNumber`` and ``Scalar`` view the kernel's data and define no
+    arithmetic of their own: numbers and mu-polynomials are added and
+    multiplied by the ``bn_*`` and ``poly_*`` functions of ``_kernel``
+    alone.  A state is a ``LaurentPolynomial``: ``states`` defines no
+    value type, only its exception and its result records, none with a
+    method."""
+    from dunklweyl import scalars
+    faults = [f"{cls.__name__} defines {name}"
+              for cls in (scalars.BaseNumber, scalars.Scalar)
+              for name in sorted(_ARITHMETIC & set(vars(cls)))]
+    path = Path(dunklweyl.__file__).parent / "states.py"
+    faults += [f"states.py:{node.lineno} defines class {node.name} with "
+               f"methods" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(item, ast.FunctionDef)
+                       for item in node.body)]
+    assert not faults, "; ".join(faults)
+
+
 def test_tracer_resolves_every_target(monkeypatch):
     """The benchmark's tracer finds every layer it wraps.  A target it
     cannot resolve drops that layer's metrics from a traced run without
@@ -491,4 +517,5 @@ def test_benchmark_families_match_the_registry(monkeypatch):
     import workloads
     assert workloads.FAMILIES == relations.FAMILIES
     assert set(workloads.PERTURBED) == {
-        fid for fid, fam in relations.REGISTRY.items() if fam.perturbable}
+        fid for fid, fam in relations.REGISTRY.items()
+        if fam.control is not None}

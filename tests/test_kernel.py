@@ -1,21 +1,31 @@
 """The exact kernel's base numbers and mu-polynomials, checked directly:
-every result is canonical, and its value agrees with an oracle that keeps
-a number as four Fractions, the parts along 1, i, sqrt2 and i*sqrt2."""
+every result is canonical, its value agrees with an oracle that keeps a
+number as four Fractions, the parts along 1, i, sqrt2 and i*sqrt2, and
+the operations obey the field and ring axioms.  All arithmetic on numbers
+and mu-polynomials is here; ``scalars`` only views its results."""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklweyl._kernel import (
+    BN_ONE,
+    BN_ZERO,
     bn_add,
+    bn_conj,
+    bn_inv,
     bn_make,
     bn_mul,
+    bn_neg,
     bn_scale_int,
     bn_sub,
     poly_add,
     poly_mul,
+    poly_neg,
+    poly_scale,
     poly_sub,
 )
 
@@ -86,12 +96,12 @@ nonzero = any_numbers.filter(lambda c: c[0] or c[1] or c[2] or c[3])
 
 
 @st.composite
-def poly_pairs(draw):
+def poly_tuples(draw, count=2):
     nparams = draw(st.integers(1, 3))
     expo = st.tuples(*[st.integers(0, 3)] * nparams)
     # Few exponents per parameter, so that terms meet and cancel.
     polys = st.dictionaries(expo, nonzero, max_size=5)
-    return draw(polys), draw(polys)
+    return tuple(draw(polys) for _ in range(count))
 
 
 class TestBaseNumbers:
@@ -118,10 +128,55 @@ class TestBaseNumbers:
     def test_self_cancels(self, a):
         assert bn_sub(a, a) == (0, 0, 0, 0, 1)
 
+    @SETTINGS
+    @given(any_numbers)
+    def test_neg(self, a):
+        got = bn_neg(a)
+        assert_canonical_number(got)
+        assert _value(got) == tuple(-x for x in _value(a))
+
+    @SETTINGS
+    @given(nonzero)
+    def test_inverse(self, a):
+        got = bn_inv(a)
+        assert_canonical_number(got)
+        assert _oracle_mul(_value(a), _value(got)) == (1, 0, 0, 0)
+
+    def test_inverse_of_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            bn_inv(BN_ZERO)
+
+    @SETTINGS
+    @given(any_numbers, any_numbers)
+    def test_conjugation(self, a, b):
+        # i -> -i: an involution and a ring homomorphism, and a*conj(a)
+        # is real.
+        got = bn_conj(a)
+        assert_canonical_number(got)
+        p, q, r, s = _value(a)
+        assert _value(got) == (p, -q, r, -s)
+        assert bn_conj(got) == a
+        assert bn_conj(bn_add(a, b)) == bn_add(got, bn_conj(b))
+        assert bn_conj(bn_mul(a, b)) == bn_mul(got, bn_conj(b))
+        _, q, _, s = _value(bn_mul(a, got))
+        assert q == s == 0
+
+    @SETTINGS
+    @given(any_numbers, any_numbers, any_numbers)
+    def test_field_axioms(self, a, b, c):
+        assert bn_add(bn_add(a, b), c) == bn_add(a, bn_add(b, c))
+        assert bn_mul(bn_mul(a, b), c) == bn_mul(a, bn_mul(b, c))
+        assert bn_mul(a, bn_add(b, c)) == bn_add(bn_mul(a, b), bn_mul(a, c))
+        assert bn_add(a, b) == bn_add(b, a)
+        assert bn_mul(a, b) == bn_mul(b, a)
+        assert bn_add(a, bn_neg(a)) == BN_ZERO
+        if a != BN_ZERO:
+            assert bn_mul(a, bn_inv(a)) == BN_ONE
+
 
 class TestPolynomials:
     @SETTINGS
-    @given(poly_pairs())
+    @given(poly_tuples())
     def test_add_sub_mul(self, pair):
         p, q = pair
         vp, vq = _oracle_poly_value(p), _oracle_poly_value(q)
@@ -133,9 +188,32 @@ class TestPolynomials:
             assert _oracle_poly_value(got) == want
 
     @SETTINGS
-    @given(poly_pairs())
+    @given(poly_tuples())
     def test_self_cancels(self, pair):
         p, _ = pair
         assert poly_sub(p, p) == {}
         assert poly_add(p, {e: (-c[0], -c[1], -c[2], -c[3], c[4])
                             for e, c in p.items()}) == {}
+
+    @SETTINGS
+    @given(poly_tuples(), any_numbers)
+    def test_neg_scale(self, pair, c):
+        p, _ = pair
+        vp, vc = _oracle_poly_value(p), _value(c)
+        for got, want in (
+                (poly_neg(p), {e: tuple(-x for x in v) for e, v in vp.items()}),
+                (poly_scale(p, c), {e: _oracle_mul(v, vc) for e, v in vp.items()
+                                    if any(vc)})):
+            assert_canonical_poly(got)
+            assert _oracle_poly_value(got) == want
+
+    @SETTINGS
+    @given(poly_tuples(3))
+    def test_ring_axioms(self, triple):
+        a, b, c = triple
+        assert poly_mul(poly_add(a, b), c) == poly_add(
+            poly_mul(a, c), poly_mul(b, c))
+        assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
+        assert poly_mul(a, b) == poly_mul(b, a)
+        assert poly_add(a, b) == poly_add(b, a)
+        assert poly_add(a, poly_neg(a)) == {}

@@ -506,7 +506,7 @@ class TestRowsOncePerDistinctPair:
 
     def test_action(self, monkeypatch):
         H = _gauged("H", 2).kernel_op
-        f = fock((3, 2)).polynomial.kernel_op
+        f = fock((3, 2)).kernel_op
         want = op_act(H, f, 2)
         calls = self._count(monkeypatch)
         assert op_act(H, f, 2) == want

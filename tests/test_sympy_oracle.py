@@ -26,22 +26,23 @@ from dunklweyl.scalars import I, SQRT2, Scalar  # noqa: E402
 from dunklweyl.states import fock  # noqa: E402
 
 
-def _number(b):
-    p, q, r, s = (sympy.Rational(v) for v in (b.p, b.q, b.r, b.s))
-    return p + sympy.I * q + sympy.sqrt(2) * (r + sympy.I * s)
+def _number(c):
+    """The kernel's ``(p, q, r, s, den)`` as a sympy number."""
+    p, q, r, s, den = map(sympy.Integer, c)
+    return (p + sympy.I * q + sympy.sqrt(2) * (r + sympy.I * s)) / den
 
 
 def _function(f, xs, mus):
     out = 0
-    for exps, coeff in f.terms():
+    for exps, poly in f.kernel_op.items():
         c = sum(_number(b) * sympy.Mul(*(m ** e for m, e in zip(mus, expo)))
-                for expo, b in coeff.terms())
+                for expo, b in poly.items())
         out += c * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
     return out
 
 
 def _wavefunction(ns, xs, mus):
-    return (_function(fock(ns).polynomial, xs, mus)
+    return (_function(fock(ns), xs, mus)
             * sympy.exp(-sum(x ** 2 for x in xs) / 2))
 
 
@@ -109,10 +110,10 @@ def _test_functions(d):
     mu = [Scalar.parameter(j, d) for j in range(d)]
     if d == 1:
         return [m(3) - 2 * m(-1) + Fraction(1, 2),
-                mu[0] * m(2) - 3 * m(-4) + I * SQRT2 * m(1)]
+                mu[0] * m(2) - 3 * m(-4) + I * (SQRT2 * m(1))]
     if d == 2:
         return [m(2, -1) + mu[1] * m(-3, 2) - I * m(1, 1),
-                m(0, 5) + SQRT2 * mu[0] * m(-2, -1) + 7]
+                m(0, 5) + SQRT2 * (mu[0] * m(-2, -1)) + 7]
     return [m(1, -2, 3) - mu[2] * m(2, 1, -1) + I * m(-1, 0, 4) + 1]
 
 
