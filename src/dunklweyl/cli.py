@@ -1,7 +1,8 @@
 """Command-line front end: normal forms, verification, spectra, listings.
 
-Exit codes: 0 all requested checks pass, 1 a verification failed,
-2 usage, parse or evaluation error.  Output is deterministic: repeated
+Exit codes: 0 all requested checks pass, 1 a verification failed (an
+ArithmeticError: for spectrum, a state that fails its certificate), 2
+usage, parse or evaluation error.  Output is deterministic: repeated
 identical invocations emit byte-identical text, and JSON reports use the
 fixed key set {command, dims, mu_mode, results, status}, key-sorted.
 Timings are kept out of reports for exactly that reason.
@@ -18,7 +19,7 @@ from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import relations, states
-from .dsl import ParseError, parse_eval
+from .dsl import parse_eval
 from .scalars import ArityMismatchError
 
 
@@ -204,10 +205,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         code, status, results, lines = _DISPATCH[args.command](args)
-    except (ParseError, ArityMismatchError, KeyError, ValueError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
     try:
         if args.format == "json":
             # verify and list-relations take no --dims; list-relations

@@ -23,28 +23,27 @@ Gamma values), but norm ratios are polynomial in mu, so positivity of
 the ladder coefficients is decidable exactly and decides admissibility
 of a numeric deformation value.
 
-One walk up the Fock ladder, _ladder, builds the states of a spectrum
-table and, by lowering its own axis states, each variable's ladder
-coefficients; ladder_norm_coefficients reads the same walk in one
-variable.
+One walk per variable, _walk, raises its axis states, lowers each to
+its ladder coefficient and eigenchecks it against H's part in that
+variable.  A spectrum table reads each level off these walks and builds
+no state of two variables; ladder_norm_coefficients reads one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from ._kernel import poly_add
 from .builders import build
-from .opalg import LaurentPolynomial, OperatorElement, commutator
+from .opalg import LaurentPolynomial, OperatorElement, _products, commutator
 from .scalars import ArityMismatchError, BaseLike, BaseNumber, Scalar
 
 # Highest level spectrum_table lists.  A two-variable table to this level
-# at mu = (1/3, 1/2) takes 0.6-1.1 s, median 0.7 s (one `dunklweyl
-# spectrum` process, wall time with interpreter start, Python 3.11.7,
-# 2-vCPU Xeon VM), and doubling the level costs about 6x: level n holds
-# n + 1 states of about n^2/4 terms, each lifted once, raised and
-# eigenchecked once, one lowering per variable.
+# at mu = (1/3, 1/2) takes 0.15-0.19 s per `dunklweyl spectrum` process
+# (Python 3.11.7, 2-vCPU Xeon VM), nearly all start-up; warm, 21 ms, and
+# about 3x per doubling: 2(3n + 1) actions on one-variable states.
 MAX_LEVEL = 32
 
 
@@ -165,46 +164,50 @@ def _level_states(dims: int, level: int) -> Iterator[Tuple[int, ...]]:
             yield (k, level - k)
 
 
-def _ladder(
-    dims: int,
-    values: Optional[Tuple[BaseNumber, ...]],
-    max_level: int,
-) -> Iterator[Tuple[Dict[Tuple[int, ...], LaurentPolynomial], List[Scalar]]]:
-    """The states of levels 0..max_level, one level at a time, keyed by
-    occupation numbers in _level_states order, each with the ladder
-    coefficients of that level.
+def _parts(hamiltonian: OperatorElement) -> List[OperatorElement]:
+    """H's parts H_j in x_j alone (a constant in the lowest one's), from its
+    normal form; ArithmeticError if a term couples variables or H is one
+    product kept factored."""
+    products = _products(hamiltonian)
+    if products is None or any(len(p) > 1 for p in products):
+        raise ArithmeticError("H does not separate into one-variable parts")
+    n = hamiltonian.nvars
+    parts = {j: data for p in products for j, data in p.items()}
+    return [OperatorElement(parts.get(j, {}), n) for j in range(n)]
 
-    Each state is one raiser step from a state of the level below: the
-    step undoes the last raise fock makes, in the last variable with a
-    nonzero occupation number.  So every state is exactly fock(ns,
-    values), while each raiser is built once and only the previous
-    level is held.  From level n = 1 on, coefficients[j] is c_n of
-    variable j, which depends on mu_j alone: A-{j+1} lowers the axis
-    state n e_j to c_n times the axis state (n - 1) e_j.  Parametric
-    when values is None.
-    """
-    raisers = [_operator(f"A+{j + 1}", dims, values) for j in range(dims)]
-    lowerers = [_operator(f"A-{j + 1}", dims, values) for j in range(dims)]
-    level = {(0,) * dims: ground(dims)}
-    yield level, []
-    for n in range(1, max_level + 1):
-        below, level = level, {}
-        for ns in _level_states(dims, n):
-            j = max(i for i, k in enumerate(ns) if k)
-            lowered = ns[:j] + (ns[j] - 1,) + ns[j + 1:]
-            level[ns] = _check_pole_free(raisers[j].act(below[lowered]))
-        coefficients = []
-        for j, lower in enumerate(lowerers):
-            top = (0,) * j + (n,) + (0,) * (dims - j - 1)
-            image = lower.act(level[top])
-            c = image.ratio(below[top[:j] + (n - 1,) + top[j + 1:]])
-            if c is None:
-                # The states have no pole, so an image with one has no
-                # ratio: report the pole before the failed lowering.
-                _check_pole_free(image)
-                raise ArithmeticError(f"lowering state {top} left the ladder")
-            coefficients.append(c)
-        yield level, coefficients
+
+def _quotient(image: LaurentPolynomial, state: LaurentPolynomial,
+              failure: str) -> Scalar:
+    """c with image == c*state; else a pole of image, which has no ratio
+    to a pole-free state, is reported before failure."""
+    c = image.ratio(state)
+    if c is None:
+        _check_pole_free(image)
+        raise ArithmeticError(failure)
+    return c
+
+
+def _walk(j: int, ground: LaurentPolynomial,
+          values: Optional[Tuple[BaseNumber, ...]], max_level: int,
+          part: Optional[OperatorElement] = None) -> Iterator[tuple]:
+    """Variable j's walk up its axis from ground: (state, c_n, lam_n) for
+    n = 0..max_level, state = fock(n e_j, values), one raise of the last.
+    From n = 1, A-{j+1} lowers state to c_n (which depends on mu_j alone)
+    times the last; c_0 is None.  lam_n is part's eigenvalue on state, or
+    None without a part.  Parametric when values is None."""
+    dims = ground.nvars
+    raiser, lowerer = (_operator(f"A{s}{j + 1}", dims, values) for s in "+-")
+    state, c = ground, None
+    for n in range(max_level + 1):
+        axis = (0,) * j + (n,) + (0,) * (dims - j - 1)
+        if n:
+            below, state = state, _check_pole_free(raiser.act(state))
+            c = _quotient(lowerer.act(state), below,
+                          f"lowering axis state {axis} left the ladder")
+        lam = None if part is None else _quotient(
+            part.act(state), state,
+            f"axis state {axis} failed to be an eigenstate")
+        yield state, c, lam
 
 
 def spectrum_table(
@@ -215,12 +218,16 @@ def spectrum_table(
     """Exact (level, energy, degeneracy) rows for levels 0..max_level,
     with max_level at most MAX_LEVEL.
 
-    Every listed state is eigenchecked against the total Hamiltonian and
-    the common eigenvalue is verified across the level; degeneracy is
-    certified by pairwise distinct leading monomials.  admissible is
-    False when some ladder-norm coefficient c_k, k <= max_level, of some
-    variable is not positive at the given deformation values; the
-    coefficients come from the same walk as the states.
+    fock(ns) is the product of the axis states f_j = fock(ns_j e_j), and
+    _parts splits H into parts H_j in x_j alone.  Over a field, as at
+    numeric mu, for nonzero f_j each in x_j alone, H * prod f_j = lam *
+    prod f_j iff every H_j f_j = lam_j f_j with sum lam_j = lam.  So one
+    eigencheck per axis state certifies each state of a level as one
+    against H would: its energy, the sum of its axis states' eigenvalues,
+    is verified equal across the level, and its leading exponent, the sum
+    of theirs, distinct from the others', certifies the degeneracy.
+    admissible is False when some ladder coefficient c_k, k <= max_level,
+    of some variable is not positive at the given deformation values.
     """
     if dims not in (1, 2):
         raise ValueError("spectrum_table supports one or two variables")
@@ -232,36 +239,29 @@ def spectrum_table(
     if len(values) != dims:
         raise ArityMismatchError(
             f"need {dims} deformation values, got {len(values)}")
-    hamiltonian = _operator("H", dims, values)
+    parts = _parts(_operator("H", dims, values))
+    start = ground(dims)
+    walks = [list(_walk(j, start, values, max_level, part))
+             for j, part in enumerate(parts)]
+    admissible = all(c.evaluate(values).as_fraction() > 0
+                     for walk in walks for _, c, _ in walk[1:])
 
     rows: List[SpectrumRow] = []
-    admissible = True
-    for level, (states, coefficients) in enumerate(
-            _ladder(dims, values, max_level)):
-        if any(c.evaluate(values).as_fraction() <= 0 for c in coefficients):
-            admissible = False
-        energy: Optional[BaseNumber] = None
-        leading: set = set()
-        for ns, state in states.items():
-            image = hamiltonian.act(state)
-            lam = image.ratio(state)
-            if lam is None:
-                # As in _ladder: a pole, if any, is why there is no ratio.
-                _check_pole_free(image)
-                raise ArithmeticError(
-                    f"state {ns} failed to be an eigenstate")
-            value = lam.evaluate(values)
-            if energy is None:
-                energy = value
-            elif value != energy:
+    for level in range(max_level + 1):
+        axes = [[walk[k] for walk, k in zip(walks, ns)]
+                for ns in _level_states(dims, level)]
+        energy, *others = [
+            Scalar(reduce(poly_add, (lam.kernel_poly for _, _, lam in a)),
+                   dims) for a in axes]
+        for value in others:
+            if value != energy:
                 raise ArithmeticError(
                     f"level {level} eigenvalues disagree: {value} != {energy}")
-            leading.add(max(state.exponents()))
-        if len(leading) != len(states):
+        if len({tuple(map(sum, zip(*(max(s.exponents()) for s, _, _ in a))))
+                for a in axes}) != len(axes):
             raise ArithmeticError(
                 f"level {level} states are not independent")
-        assert energy is not None
-        rows.append(SpectrumRow(level, energy, len(states)))
+        rows.append(SpectrumRow(level, energy.evaluate(values), len(axes)))
     return SpectrumTable(dims, values, tuple(rows), admissible)
 
 
@@ -279,5 +279,4 @@ def ladder_norm_coefficients(
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     values = None if mu is None else (BaseNumber(mu),)
-    return [c for _, coefficients in _ladder(1, values, max_n)
-            for c in coefficients]
+    return [c for _, c, _ in _walk(0, ground(1), values, max_n)][1:]

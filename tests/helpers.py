@@ -18,11 +18,13 @@ from dunklweyl._kernel import (
     poly_neg,
     poly_scale_int,
 )
+from dunklweyl import states
 from dunklweyl.builders import names
 from dunklweyl.dsl import MAX_TOKENS, ParseError, parse_eval
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import (
-    BaseNumber, InexactDivisionError, Scalar, _render_sum)
+    ArityMismatchError, BaseNumber, InexactDivisionError, Scalar,
+    _render_sum)
 
 
 def number(p=0, q=0, r=0, s=0) -> BaseNumber:
@@ -549,3 +551,103 @@ def reference_tokenize(text, dims):
         raise ParseError(f"unknown symbol {symbol!r}", pos)
     out.append(("end", None, len(text)))
     return out
+
+
+# The planar walk up the Fock ladder and the eigencheck of every state of
+# each level against the total Hamiltonian, from before spectra went by one
+# walk per variable, kept verbatim as the oracle for spectrum_table.
+
+
+def reference_ladder(dims, values, max_level):
+    """The states of levels 0..max_level, one level at a time, keyed by
+    occupation numbers in _level_states order, each with the ladder
+    coefficients of that level.
+
+    Each state is one raiser step from a state of the level below: the
+    step undoes the last raise fock makes, in the last variable with a
+    nonzero occupation number.  So every state is exactly fock(ns,
+    values), while each raiser is built once and only the previous
+    level is held.  From level n = 1 on, coefficients[j] is c_n of
+    variable j, which depends on mu_j alone: A-{j+1} lowers the axis
+    state n e_j to c_n times the axis state (n - 1) e_j.  Parametric
+    when values is None.
+    """
+    raisers = [states._operator(f"A+{j + 1}", dims, values)
+               for j in range(dims)]
+    lowerers = [states._operator(f"A-{j + 1}", dims, values)
+                for j in range(dims)]
+    level = {(0,) * dims: states.ground(dims)}
+    yield level, []
+    for n in range(1, max_level + 1):
+        below, level = level, {}
+        for ns in states._level_states(dims, n):
+            j = max(i for i, k in enumerate(ns) if k)
+            lowered = ns[:j] + (ns[j] - 1,) + ns[j + 1:]
+            level[ns] = states._check_pole_free(raisers[j].act(below[lowered]))
+        coefficients = []
+        for j, lower in enumerate(lowerers):
+            top = (0,) * j + (n,) + (0,) * (dims - j - 1)
+            image = lower.act(level[top])
+            c = image.ratio(below[top[:j] + (n - 1,) + top[j + 1:]])
+            if c is None:
+                # The states have no pole, so an image with one has no
+                # ratio: report the pole before the failed lowering.
+                states._check_pole_free(image)
+                raise ArithmeticError(f"lowering state {top} left the ladder")
+            coefficients.append(c)
+        yield level, coefficients
+
+
+def reference_spectrum_table(dims, mu_values, max_level):
+    """Exact (level, energy, degeneracy) rows for levels 0..max_level,
+    with max_level at most MAX_LEVEL.
+
+    Every listed state is eigenchecked against the total Hamiltonian and
+    the common eigenvalue is verified across the level; degeneracy is
+    certified by pairwise distinct leading monomials.  admissible is
+    False when some ladder-norm coefficient c_k, k <= max_level, of some
+    variable is not positive at the given deformation values; the
+    coefficients come from the same walk as the states.
+    """
+    if dims not in (1, 2):
+        raise ValueError("spectrum_table supports one or two variables")
+    if max_level < 0:
+        raise ValueError("max_level must be nonnegative")
+    if max_level > states.MAX_LEVEL:
+        raise ValueError(f"max_level must be at most {states.MAX_LEVEL}")
+    values = tuple(BaseNumber(v) for v in mu_values)
+    if len(values) != dims:
+        raise ArityMismatchError(
+            f"need {dims} deformation values, got {len(values)}")
+    hamiltonian = states._operator("H", dims, values)
+
+    rows = []
+    admissible = True
+    for level, (level_states, coefficients) in enumerate(
+            reference_ladder(dims, values, max_level)):
+        if any(c.evaluate(values).as_fraction() <= 0 for c in coefficients):
+            admissible = False
+        energy = None
+        leading = set()
+        for ns, state in level_states.items():
+            image = hamiltonian.act(state)
+            lam = image.ratio(state)
+            if lam is None:
+                # As in reference_ladder: a pole, if any, is why there is no
+                # ratio.
+                states._check_pole_free(image)
+                raise ArithmeticError(
+                    f"state {ns} failed to be an eigenstate")
+            value = lam.evaluate(values)
+            if energy is None:
+                energy = value
+            elif value != energy:
+                raise ArithmeticError(
+                    f"level {level} eigenvalues disagree: {value} != {energy}")
+            leading.add(max(state.exponents()))
+        if len(leading) != len(level_states):
+            raise ArithmeticError(
+                f"level {level} states are not independent")
+        assert energy is not None
+        rows.append(states.SpectrumRow(level, energy, len(level_states)))
+    return states.SpectrumTable(dims, values, tuple(rows), admissible)

@@ -177,6 +177,32 @@ class TestSpectrum:
         assert code == 0
         assert out.splitlines()[1:] == [f"0      {energy:<7} 1"]
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda H, n: H + opalg.OperatorElement.x(0, n)
+         * opalg.OperatorElement.x(1, n),
+         "H does not separate into one-variable parts"),
+        (lambda H, n: H + opalg.OperatorElement.x(0, n),
+         "axis state (0, 0) failed to be an eigenstate"),
+        (lambda H, n: opalg.OperatorElement.x(0, n, -2),
+         "state has a pole: residual exponents (-2, 0)"),
+    ], ids=("coupled", "not-diagonal", "pole"))
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_certificate_exits_1(self, capsys, monkeypatch, change,
+                                        message, fmt):
+        # States that fail their certificate are a failed verification:
+        # one error line, nothing on stdout, no traceback.
+        operator = states._operator
+
+        def changed(name, n, values):
+            op = operator(name, n, values)
+            return change(op, n) if name == "H" else op
+
+        monkeypatch.setattr(states, "_operator", changed)
+        code, out, err = run(capsys, ["spectrum", "--dims", "2",
+                                      "--mu=1/3,1/2", "--levels", "3",
+                                      "--format", fmt])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_usage_errors(self, capsys):
         code, _, _ = run(capsys, ["spectrum", "--dims", "3", "--mu", "1,1,1"])
         assert code == 2

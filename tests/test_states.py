@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    random_operator, random_state, reference_apply, reference_gauge, scalar)
+    random_operator, random_state, reference_apply, reference_gauge,
+    reference_spectrum_table, scalar)
 
 from dunklweyl import _kernel, states
 from dunklweyl.builders import build, names
@@ -19,8 +20,8 @@ from dunklweyl.scalars import ArityMismatchError, SQRT2
 from dunklweyl.states import (
     PoleError,
     _gauged,
-    _ladder,
-    _level_states,
+    _parts,
+    _walk,
     apply,
     eigencheck,
     fock,
@@ -277,9 +278,10 @@ class TestSpectrumTable:
         assert len(calls) == 49
 
     def test_two_dim_walks_its_ladder_once(self, monkeypatch):
-        # 44 raises, 45 eigenchecks and 2 * 8 lowerings of axis states:
-        # each variable's ladder norms come from the table's own walk,
-        # not from a separate one-variable walk.
+        # Per variable, 8 raises, 9 eigenchecks of H's part in that
+        # variable and 8 lowerings of its axis states: 2 * (3*8 + 1)
+        # actions, against 105 for eigenchecking every planar state.  No
+        # state of two variables is built or acted on.
         calls = []
         act = OperatorElement.act
 
@@ -290,7 +292,10 @@ class TestSpectrumTable:
         monkeypatch.setattr(OperatorElement, "act", counting)
         assert spectrum_table(2, (Fraction(1, 3), Fraction(1, 2)),
                               8).admissible
-        assert len(calls) == 105
+        assert len(calls) == 50
+        for f in calls:
+            assert sum(any(exps[j] for exps in f.exponents())
+                       for j in range(2)) <= 1, f
 
     @pytest.mark.parametrize("mu", [Fraction(-3, 4), Fraction(-1, 2),
                                     Fraction(-1, 4), Fraction(1, 3)])
@@ -332,6 +337,55 @@ class TestSpectrumTable:
         with pytest.raises(PoleError):
             spectrum_table(dims, (Fraction(1, 3),) * dims, 2)
 
+    @staticmethod
+    def hamiltonian_as(monkeypatch, change):
+        """Have the table read change(H, n) for H, counting every action."""
+        operator, calls, act = states._operator, [], OperatorElement.act
+
+        def changed(op_name, n, values):
+            op = operator(op_name, n, values)
+            return change(op, n) if op_name == "H" else op
+
+        def counting(self, f):
+            calls.append(f)
+            return act(self, f)
+
+        monkeypatch.setattr(states, "_operator", changed)
+        monkeypatch.setattr(OperatorElement, "act", counting)
+        return calls
+
+    @pytest.mark.parametrize("change", [
+        lambda H, n: H + OperatorElement.x(0, n) * OperatorElement.x(1, n),
+        lambda H, n: OperatorElement.x(0, n) * OperatorElement.x(1, n),
+    ], ids=("coupled", "factored"))
+    def test_hamiltonian_that_does_not_separate(self, monkeypatch, change):
+        # H plus a term in x1*x2 couples the variables, and x1*x2 alone is
+        # a product kept factored: either is refused before any state is
+        # acted on.
+        calls = self.hamiltonian_as(monkeypatch, change)
+        with pytest.raises(ArithmeticError,
+                           match="^H does not separate into one-variable "
+                                 "parts$"):
+            spectrum_table(2, (Fraction(1, 3), Fraction(1, 2)), 4)
+        assert calls == []
+
+    @pytest.mark.parametrize("dims,term,axis", [
+        (1, lambda n: OperatorElement.x(0, n), "(0,)"),
+        (2, lambda n: OperatorElement.x(0, n), "(0, 0)"),
+        (2, lambda n: OperatorElement.x(1, n) * OperatorElement.d(1, n),
+         "(0, 2)"),
+    ], ids=("x1-1d", "x1", "x2*d2"))
+    def test_part_that_is_not_diagonal(self, monkeypatch, dims, term, axis):
+        # x1 moves the ground state off itself; x2*d2 keeps each x2^k but
+        # mixes the degrees of fock((0, 2)), so the second walk fails
+        # there.  The error names the axis state.
+        self.hamiltonian_as(monkeypatch, lambda H, n: H + term(n))
+        with pytest.raises(ArithmeticError) as info:
+            spectrum_table(dims, (Fraction(1, 3),) * dims, 4)
+        assert not isinstance(info.value, PoleError)
+        assert str(info.value) == (f"axis state {axis} failed to be an "
+                                   "eigenstate")
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             spectrum_table(3, (1, 1, 1), 2)
@@ -349,18 +403,41 @@ class TestSpectrumTable:
             spectrum_table(2, [Fraction(1, 3), 0.5], 2)
 
 
+class TestSpectrumOracle:
+    """spectrum_table against the planar walk it replaced, which built and
+    eigenchecked every state of each level against the whole H."""
+
+    @pytest.mark.parametrize("mu", [
+        (Fraction(1, 3), Fraction(1, 2)), (Fraction(0), Fraction(0)),
+        (Fraction(-1, 2), Fraction(1, 3)), (Fraction(-3, 4), Fraction(7, 5)),
+        (Fraction(4, 3), Fraction(-5, 4)),
+    ], ids=str)
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_matches_planar_walk(self, dims, mu):
+        values = mu[:dims]
+        # Equal tables: every row (level, energy, degeneracy), the values
+        # and admissible.
+        for level in range(9):
+            assert (spectrum_table(dims, values, level)
+                    == reference_spectrum_table(dims, values, level))
+
+
+def _axis(j, dims, n):
+    return (0,) * j + (n,) + (0,) * (dims - j - 1)
+
+
 class TestLadderWalk:
     @pytest.mark.parametrize("dims,values", [
         (1, None), (1, (Fraction(-4, 3),)),
         (2, None), (2, (Fraction(7, 5), Fraction(-5, 4))),
     ])
     def test_walk_equals_fock(self, dims, values):
-        levels = list(_ladder(dims, values, 8))
-        assert len(levels) == 9
-        for level, (states, _) in enumerate(levels):
-            assert list(states) == list(_level_states(dims, level))
-            for ns, state in states.items():
-                assert state == fock(ns, values)
+        for j in range(dims):
+            walk = list(_walk(j, ground(dims), values, 8))
+            assert len(walk) == 9
+            for n, (state, _, lam) in enumerate(walk):
+                assert state == fock(_axis(j, dims, n), values)
+                assert lam is None
 
     @pytest.mark.parametrize("dims,values", [
         (1, None), (1, (Fraction(-4, 3),)),
@@ -369,12 +446,45 @@ class TestLadderWalk:
     def test_axis_coefficients(self, dims, values):
         # c_k = k + mu_j (1 - (-1)^k) for variable j, from lowering the
         # walk's own axis states.
-        for k, (_, coefficients) in enumerate(_ladder(dims, values, 8)):
-            assert len(coefficients) == (dims if k else 0)
-            twice = 1 - (-1) ** k
-            for j, c in enumerate(coefficients):
-                assert c == (scalar(f"{k} + {twice}*mu{j + 1}", dims)
+        for j in range(dims):
+            for k, (_, c, _) in enumerate(_walk(j, ground(dims), values, 8)):
+                twice = 1 - (-1) ** k
+                assert c == (None if not k
+                             else scalar(f"{k} + {twice}*mu{j + 1}", dims)
                              if values is None else k + values[j] * twice)
+
+    @pytest.mark.parametrize("dims,values", [
+        (1, None), (1, (Fraction(-4, 3),)),
+        (2, None), (2, (Fraction(7, 5), Fraction(-5, 4))),
+    ])
+    def test_axis_eigenvalues(self, dims, values):
+        # H_j climbs by one per raise, and the ground eigenvalues of the
+        # parts add up to dims/2 + sum mu_j, whichever part holds H's
+        # constant.
+        parts = _parts(states._operator("H", dims, values))
+        ground_sum = " + ".join(f"mu{j + 1}" for j in range(dims))
+        bottom = []
+        for j, part in enumerate(parts):
+            lams = [lam for _, _, lam in _walk(j, ground(dims), values, 8,
+                                               part)]
+            bottom.append(lams[0])
+            for n, lam in enumerate(lams):
+                assert lam == scalar(f"({lams[0]}) + {n}", dims)
+        total = scalar(" + ".join(f"({lam})" for lam in bottom), dims)
+        want = scalar(f"{dims}/2 + {ground_sum}", dims)
+        assert total == (want if values is None else want.evaluate(values))
+
+    def test_parts_of_h(self):
+        # One part per variable, each touching that variable alone.
+        for dims in (1, 2):
+            parts = _parts(states._operator("H", dims, None))
+            assert len(parts) == dims
+            assert sum(parts[1:], parts[0]) == states._operator(
+                "H", dims, None)
+            for j, part in enumerate(parts):
+                assert all(not any(mono[3 * i:3 * i + 3])
+                           for mono in part.kernel_op
+                           for i in range(dims) if i != j)
 
 
 class TestLadderNorms:
@@ -441,21 +551,24 @@ class TestLiftOnce:
         assert [sum(X == w for X in lifted) for w in want] == [1] * len(want)
 
     def test_spectrum_table(self, monkeypatch):
-        operators = ("H", "A+1", "A-1", "A+2", "A-2")
+        # H's parts and the ladders, once each; each axis state once,
+        # the ground one for both walks.
+        ladders = ("A+1", "A-1", "A+2", "A-2")
         mu = (Fraction(1, 3), Fraction(1, 2))
-        for name in operators:
+        for name in ("H",) + ladders:
             # Gauge outside the count: the brackets of gauge lift too.
             _gauged(name, 2)
         levels = 6
-        fock_states = [fock(ns, mu).kernel_op
-                       for n in range(levels + 1)
-                       for ns in ((k, n - k) for k in range(n + 1))]
+        axis_states = [fock(ns, mu).kernel_op for ns in [(0, 0)] + [
+            _axis(j, 2, n) for j in range(2) for n in range(1, levels + 1)]]
+        parts = _parts(_gauged("H", 2).substitute_params(mu))
         calls = self.count_lifts(monkeypatch)
         spectrum_table(2, mu, levels)
-        want = [_gauged(name, 2).substitute_params(mu).kernel_op
-                for name in operators]
+        want = [op.kernel_op for op in parts] + [
+            _gauged(name, 2).substitute_params(mu).kernel_op
+            for name in ladders]
         self.assert_each_once(calls[3], want)
-        self.assert_each_once(calls[1], fock_states)
+        self.assert_each_once(calls[1], axis_states)
 
     def test_parametric_ladder_norms(self, monkeypatch):
         fock_states = [fock((k,)).kernel_op for k in range(9)]
