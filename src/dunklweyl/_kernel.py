@@ -11,17 +11,21 @@
   ``(a1, b1, e1, a2, b2, e2, ...)``.  x-powers may be negative.  Zero is the
   empty dict.
 
-``op_add``, ``op_sub`` and ``op_scale`` never look inside the keys, so they
-serve every dict of polynomials: they are the linear-space arithmetic of
+All arithmetic on numbers and polynomials is here, each operation once:
+a difference is a sum with the negation, an integer multiple a scale by
+``(k, 0, 0, 0, 1)``, and ``poly_eval`` and ``poly_div`` evaluate and
+divide exactly on top of the same sums and products.  ``op_add``,
+``op_neg`` and ``op_scale`` never look inside the keys, so they serve
+every dict of polynomials: they are the linear-space arithmetic of
 ``opalg._Combination``, the base that operators and the exponent-keyed
 Laurent polynomials share.
 
 No kernel function mutates its arguments.  The outermost dict a function
 returns is always new, but the inner polynomial dicts of an operator (or
 Laurent polynomial) result may be the very dicts of an input: ``op_add``
-and ``op_sub`` pass an unmatched term's polynomial through.  Copying them
-would cost time on every call, so the rule is instead that nobody mutates
-a polynomial dict, inner or not, once it is stored in a value.
+passes an unmatched term's polynomial through.  Copying them would cost
+time on every call, so the rule is instead that nobody mutates a
+polynomial dict, inner or not, once it is stored in a value.
 
 ``op_mul``, where nearly all of a verification's time goes, does not
 normalise term by term.  It lifts each operand to integer numerators over
@@ -122,10 +126,6 @@ def bn_neg(a):
     return (-p, -q, -r, -s, d)
 
 
-def bn_sub(a, b):
-    return bn_add(a, bn_neg(b))
-
-
 def bn_mul(a, b):
     # i*i = -1, sqrt2*sqrt2 = 2, and i commutes with sqrt2.
     p1, q1, r1, s1, d1 = a
@@ -139,17 +139,6 @@ def bn_mul(a, b):
     if g > 1:
         return (p // g, q // g, r // g, s // g, d // g)
     return (p, q, r, s, d)
-
-
-def bn_scale_int(a, k):
-    if k == 0:
-        return BN_ZERO
-    p, q, r, s, d = a
-    g = gcd(k, d)
-    if g > 1:
-        k //= g
-        d //= g
-    return (p * k, q * k, r * k, s * k, d)
 
 
 def bn_conj(a):
@@ -200,36 +189,11 @@ def poly_neg(a):
     return {e: bn_neg(c) for e, c in a.items()}
 
 
-def poly_sub(a, b):
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        x = out.get(e)
-        if x is None:
-            out[e] = bn_neg(c)
-        else:
-            v = bn_sub(x, c)
-            if v[0] or v[1] or v[2] or v[3]:
-                out[e] = v
-            else:
-                del out[e]
-    return out
-
-
 def poly_scale(a, c):
     """Multiply every coefficient by the base number ``c``."""
     if not (c[0] or c[1] or c[2] or c[3]):
         return {}
     return {e: bn_mul(v, c) for e, v in a.items()}
-
-
-def poly_scale_int(a, k):
-    if k == 0:
-        return {}
-    if k == 1:
-        return dict(a)
-    return {e: bn_scale_int(v, k) for e, v in a.items()}
 
 
 def poly_mul(a, b):
@@ -254,6 +218,42 @@ def poly_mul(a, b):
     return out
 
 
+def poly_eval(poly, values):
+    """The base number ``poly`` takes at ``values``, one base number per
+    deformation parameter."""
+    acc = BN_ZERO
+    for expo, coef in poly.items():
+        term = coef
+        for v, e in zip(values, expo):
+            for _ in range(e):
+                term = bn_mul(term, v)
+        acc = bn_add(acc, term)
+    return acc
+
+
+def poly_div(a, b):
+    """The exact quotient ``a / b``, or None where a remainder survives.
+
+    Divides by the lex-leading term of ``b``, which must be nonzero.
+    """
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead = max(b)
+    lead_inv = bn_inv(b[lead])
+    rem, quot = a, {}
+    while rem:
+        top = max(rem)
+        qe = tuple(x - y for x, y in zip(top, lead))
+        if any(e < 0 for e in qe):
+            return None
+        qc = bn_mul(rem[top], lead_inv)
+        quot[qe] = qc
+        shifted = {tuple(x + y for x, y in zip(qe, e)): c
+                   for e, c in b.items()}
+        rem = poly_add(rem, poly_scale(shifted, bn_neg(qc)))
+    return quot
+
+
 def op_add(A, B):
     if not A:
         return dict(B)
@@ -273,21 +273,8 @@ def op_add(A, B):
     return out
 
 
-def op_sub(A, B):
-    if not B:
-        return dict(A)
-    out = dict(A)
-    for m, p in B.items():
-        x = out.get(m)
-        if x is None:
-            out[m] = poly_neg(p)
-        else:
-            v = poly_sub(x, p)
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return out
+def op_neg(A):
+    return {m: poly_neg(p) for m, p in A.items()}
 
 
 def op_scale(A, poly):
@@ -681,18 +668,18 @@ def op_mul(A, B, nvars):
 def op_bracket(A, B, nvars, sign):
     """``A*B + sign*B*A`` for ``sign`` 1 or -1, in one pass over the pairs.
 
-    Equal to ``op_sub(op_mul(A, B), op_mul(B, A))`` for ``sign=-1`` (the
-    commutator) and to the ``op_add`` form for ``sign=1`` (the
-    anticommutator), from one plan and one accumulator: each monomial pair
-    merges the multipliers of its two orders before any coefficient is
-    touched.  The entry of a pair of first blocks, and of a pair of rests,
-    is ``(apart, xy, yx, merged)``: the rows of both orders, whether they
-    differ, and ``xy + sign*yx``, cached per sign for one block and built
-    once per call for longer rests.  A pair then needs no merge unless
-    both its parts differ: with ``X``, ``Y`` the first blocks and ``Z``,
-    ``W`` the rests, ``XZ*YW + sign*YW*XZ`` is ``XY`` times the rests'
-    merged row where ``XY = YX``, and the first blocks' merged row times
-    ``ZW`` where ``ZW = WZ``.
+    Equal to ``op_add(op_mul(A, B), op_neg(op_mul(B, A)))`` for
+    ``sign=-1`` (the commutator) and to ``op_add`` of the two products for
+    ``sign=1`` (the anticommutator), from one plan and one accumulator:
+    each monomial pair merges the multipliers of its two orders before any
+    coefficient is touched.  The entry of a pair of first blocks, and of a
+    pair of rests, is ``(apart, xy, yx, merged)``: the rows of both orders,
+    whether they differ, and ``xy + sign*yx``, cached per sign for one
+    block and built once per call for longer rests.  A pair then needs no
+    merge unless both its parts differ: with ``X``, ``Y`` the first blocks
+    and ``Z``, ``W`` the rests, ``XZ*YW + sign*YW*XZ`` is ``XY`` times the
+    rests' merged row where ``XY = YX``, and the first blocks' merged row
+    times ``ZW`` where ``ZW = WZ``.
     """
     rows = _BRACKET_ROWS[sign]
 

@@ -53,6 +53,7 @@ from typing import (
 
 from dunklweyl._kernel import (
     BN_ONE,
+    BN_ZERO,
     Operand,
     bn_inv,
     bn_mul,
@@ -61,18 +62,18 @@ from dunklweyl._kernel import (
     op_adjoint,
     op_bracket,
     op_mul,
+    op_neg,
     op_scale,
-    op_sub,
     poly_add,
+    poly_div,
+    poly_eval,
     poly_mul,
-    poly_neg,
-    poly_scale_int,
+    poly_scale,
 )
 from dunklweyl.scalars import (
     ArityMismatchError,
     BaseLike,
     BaseNumber,
-    InexactDivisionError,
     Scalar,
     ScalarLike,
     _render_sum,
@@ -182,7 +183,7 @@ class _Combination:
         parameters, ``c`` is confirmed on base numbers (see ``_ratio``).
         """
         self._check_arity(other)
-        c = _ratio(self.kernel_op, other.kernel_op, self._nvars)
+        c = _ratio(self.kernel_op, other.kernel_op)
         return None if c is None else Scalar(c, self._nvars)
 
     def _operand(self) -> Operand:
@@ -220,13 +221,13 @@ class _Combination:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(op_sub(self.kernel_op, o), self._nvars)
+        return type(self)(op_add(self.kernel_op, op_neg(o)), self._nvars)
 
     def __rsub__(self: _C, other) -> _C:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(op_sub(o, self.kernel_op), self._nvars)
+        return type(self)(op_add(o, op_neg(self.kernel_op)), self._nvars)
 
     def __mul__(self: _C, other) -> _C:
         if isinstance(other, _SCALARS):
@@ -239,7 +240,7 @@ class _Combination:
     __rmul__ = __mul__
 
     def __neg__(self: _C) -> _C:
-        return type(self)(_op_neg(self.kernel_op), self._nvars)
+        return type(self)(op_neg(self.kernel_op), self._nvars)
 
     def __eq__(self, other: object) -> bool:
         if (isinstance(other, (type(self), Scalar))
@@ -254,10 +255,6 @@ class _Combination:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self}, nvars={self._nvars})"
-
-
-def _op_neg(data: dict) -> dict:
-    return {k: poly_neg(p) for k, p in data.items()}
 
 
 def _products(x: OperatorElement) -> Optional[List[Dict[int, dict]]]:
@@ -396,7 +393,7 @@ class OperatorElement(_Combination):
         return super().__sub__(other) if out is None else out
 
     def __neg__(self) -> "OperatorElement":
-        return self._scaled(_op_neg)
+        return self._scaled(op_neg)
 
     @classmethod
     def identity(cls, nvars: int) -> "OperatorElement":
@@ -497,11 +494,11 @@ class OperatorElement(_Combination):
         if len(values) != n:
             raise ArityMismatchError(
                 f"expected {n} parameter values, got {len(values)}")
-        zero = (0,) * n
+        zero, vals = (0,) * n, [base_tuple(v) for v in values]
 
         def substitute(data: dict) -> dict:
-            return {mono: {zero: base_tuple(val)} for mono, poly in data.items()
-                    if (val := Scalar(poly, n).evaluate(values))}
+            return {mono: {zero: val} for mono, poly in data.items()
+                    if (val := poly_eval(poly, vals)) != BN_ZERO}
 
         out = (OperatorElement(substitute(self._data), n)
                if self._factors is None else OperatorElement._product_of(
@@ -541,7 +538,7 @@ class OperatorElement(_Combination):
                            for m in flats)
 
 
-def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:
+def _ratio(term: dict, factor: dict) -> Optional[dict]:
     """The polynomial ``c`` with ``term == c*factor``, or None if there is
     none: the quotient of one coefficient, confirmed on each in turn.
 
@@ -573,9 +570,8 @@ def _ratio(term: dict, factor: dict, nvars: int) -> Optional[dict]:
                 if q.get(shifted) != bn_mul(cp, s):
                     return None
         return {e: s}
-    try:
-        c = Scalar(top, nvars).exact_div(Scalar(lead, nvars)).kernel_poly
-    except InexactDivisionError:
+    c = poly_div(top, lead)
+    if c is None:
         return None
     for m, p in factor.items():
         if term.get(m) != poly_mul(p, c):
@@ -619,8 +615,8 @@ def _combine(a: OperatorElement, b: OperatorElement,
     if len(differ) > 1:
         return None
     j = differ[0] if differ else min(f)
-    op = op_add if how == "+" else op_sub
-    return OperatorElement._product_of({**f, j: op(f[j], g[j])}, a._nvars)
+    h = g[j] if how == "+" else op_neg(g[j])
+    return OperatorElement._product_of({**f, j: op_add(f[j], h)}, a._nvars)
 
 
 def _product_bracket(a: OperatorElement, b: OperatorElement,
@@ -657,7 +653,7 @@ def _product_bracket(a: OperatorElement, b: OperatorElement,
             continue
         for j in shared if sign < 0 else shared or [min(s)]:
             bracket = op_bracket(x.get(j, one), y.get(j, one), n, sign)
-            c = _ratio(bracket, t.get(j, one), n) if len(s) == 1 else None
+            c = _ratio(bracket, t.get(j, one)) if len(s) == 1 else None
             if c is not None:
                 scalar = poly_add(scalar, c)
             elif bracket:
@@ -685,13 +681,13 @@ def _factor_ratio(a: OperatorElement, b: OperatorElement
     factors' ratios are not all polynomials."""
     f, g = a._factors, b._factors
     if f is None and g is None:
-        return _ratio(a._data, b._data, a._nvars)
+        return _ratio(a._data, b._data)
     if f is None or g is None or f.keys() != g.keys():
         return None
     c = {(0,) * a._nvars: BN_ONE}
     for j in f:
         if f[j] is not g[j]:
-            r = _ratio(f[j], g[j], a._nvars)
+            r = _ratio(f[j], g[j])
             if r is None:
                 return None
             c = poly_mul(c, r)
@@ -722,7 +718,7 @@ def _power_bracket(a: OperatorElement, b: OperatorElement,
     lam = _factor_ratio(c, base)
     if lam is None:
         return None
-    scale = poly_scale_int(lam, n)
+    scale = poly_scale(lam, (n, 0, 0, 0, 1))
     return power._scaled(lambda data: op_scale(data, scale))
 
 

@@ -4,10 +4,10 @@ the one renderer of both.
 ``BaseNumber`` is an element of Q(i, sqrt2) and ``Scalar`` a polynomial in
 the deformation parameters mu1..muN with such coefficients.  Each holds
 the kernel's data (a reduced 5-tuple of integers, a dict of them keyed by
-exponent tuples) and only compares, hashes, evaluates and writes it;
-``BaseNumber`` also inverts and ``Scalar`` divides exactly.  All other
-arithmetic is in ``_kernel``: the ``bn_*`` and ``poly_*`` functions,
-reached through the operators of ``opalg``.  A plain number or scalar times an operator is the operator's
+exponent tuples) and only compares, hashes and writes it, and hands it to
+the kernel to invert or evaluate.  All arithmetic is in ``_kernel``: the
+``bn_*`` and ``poly_*`` functions, reached through the operators of
+``opalg``.  A plain number or scalar times an operator is the operator's
 scalar multiple.
 """
 
@@ -18,16 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
-from dunklweyl._kernel import (
-    BN_ONE,
-    BN_ZERO,
-    bn_add,
-    bn_inv,
-    bn_make,
-    bn_mul,
-    poly_scale,
-    poly_sub,
-)
+from dunklweyl._kernel import BN_ONE, BN_ZERO, bn_inv, bn_make, poly_eval
 
 BaseLike = Union["BaseNumber", int, Fraction]
 ScalarLike = Union["Scalar", "BaseNumber", int, Fraction]
@@ -36,10 +27,6 @@ ScalarLike = Union["Scalar", "BaseNumber", int, Fraction]
 class ArityMismatchError(ValueError):
     """Raised when combining scalars or operators built for different
     numbers of variables."""
-
-
-class InexactDivisionError(ArithmeticError):
-    """Raised when a polynomial quotient does not divide exactly."""
 
 
 class BaseNumber:
@@ -188,9 +175,9 @@ class Scalar:
     """A polynomial in the deformation parameters mu1..muN over Q(i, sqrt2):
     a read-only view of the kernel's dict ``{exponents: base number}``.
 
-    Instances are immutable.  A scalar compares, hashes, evaluates, divides
-    exactly and writes itself; arithmetic goes through the kernel's
-    ``poly_*`` functions, or through an operator it multiplies.
+    Instances are immutable.  A scalar compares, hashes, evaluates and
+    writes itself; arithmetic goes through the kernel's ``poly_*``
+    functions, or through an operator it multiplies.
     """
 
     __slots__ = ("_poly", "_nvars")
@@ -249,47 +236,13 @@ class Scalar:
         if len(values) != self._nvars:
             raise ArityMismatchError(
                 f"expected {self._nvars} parameter values, got {len(values)}")
-        vals = [base_tuple(v) for v in values]
-        acc = BN_ZERO
-        for expo, coef in self._poly.items():
-            term = coef
-            for v, e in zip(vals, expo):
-                for _ in range(e):
-                    term = bn_mul(term, v)
-            acc = bn_add(acc, term)
-        return BaseNumber._from_tuple(acc)
-
-    def exact_div(self, other: "Scalar") -> "Scalar":
-        """Exact polynomial quotient self / other.
-
-        Divides by the lex-leading term of the divisor; raises
-        InexactDivisionError when a remainder survives.
-        """
-        if other._nvars != self._nvars:
-            raise ArityMismatchError(
-                f"scalars on {self._nvars} and {other._nvars} variables")
-        if not other._poly:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lead = max(other._poly)
-        lead_inv = bn_inv(other._poly[lead])
-        rem = dict(self._poly)
-        quot: dict = {}
-        while rem:
-            top = max(rem)
-            qe = tuple(a - b for a, b in zip(top, lead))
-            if any(e < 0 for e in qe):
-                raise InexactDivisionError(
-                    f"({self}) is not divisible by ({other})")
-            qc = bn_mul(rem[top], lead_inv)
-            quot[qe] = qc
-            rem = poly_sub(rem, poly_scale({tuple(a + b for a, b in zip(qe, e)): c
-                                            for e, c in other._poly.items()}, qc))
-        return Scalar(quot, self._nvars)
+        return BaseNumber._from_tuple(
+            poly_eval(self._poly, [base_tuple(v) for v in values]))
 
     def terms(self) -> Iterator[tuple]:
         """Deterministic (exponents, BaseNumber) pairs, lex-descending."""
-        for e in sorted(self._poly, reverse=True):
-            yield e, BaseNumber._from_tuple(self._poly[e])
+        return ((e, BaseNumber._from_tuple(self._poly[e]))
+                for e in sorted(self._poly, reverse=True))
 
     def __str__(self) -> str:
         return poly_renderer()(self._poly)

@@ -191,10 +191,11 @@ def _walk(j: int, ground: LaurentPolynomial,
           values: Optional[Tuple[BaseNumber, ...]], max_level: int,
           part: Optional[OperatorElement] = None) -> Iterator[tuple]:
     """Variable j's walk up its axis from ground: (state, c_n, lam_n) for
-    n = 0..max_level, state = fock(n e_j, values), one raise of the last.
-    From n = 1, A-{j+1} lowers state to c_n (which depends on mu_j alone)
-    times the last; c_0 is None.  lam_n is part's eigenvalue on state, or
-    None without a part.  Parametric when values is None."""
+    n = 0..max_level, state = fock(n e_j, values), one raise of the last,
+    checked to lead with the axis exponent n e_j.  From n = 1, A-{j+1}
+    lowers state to c_n (which depends on mu_j alone) times the last; c_0
+    is None.  lam_n is part's eigenvalue on state, or None without a part.
+    Parametric when values is None."""
     dims = ground.nvars
     raiser, lowerer = (_operator(f"A{s}{j + 1}", dims, values) for s in "+-")
     state, c = ground, None
@@ -202,6 +203,9 @@ def _walk(j: int, ground: LaurentPolynomial,
         axis = (0,) * j + (n,) + (0,) * (dims - j - 1)
         if n:
             below, state = state, _check_pole_free(raiser.act(state))
+            lead = max(state.exponents(), default=None)
+            if lead != axis:
+                raise ArithmeticError(f"axis state {axis} leads with {lead}")
             c = _quotient(lowerer.act(state), below,
                           f"lowering axis state {axis} left the ladder")
         lam = None if part is None else _quotient(
@@ -224,8 +228,10 @@ def spectrum_table(
     prod f_j iff every H_j f_j = lam_j f_j with sum lam_j = lam.  So one
     eigencheck per axis state certifies each state of a level as one
     against H would: its energy, the sum of its axis states' eigenvalues,
-    is verified equal across the level, and its leading exponent, the sum
-    of theirs, distinct from the others', certifies the degeneracy.
+    is verified equal across the level.  The walk checks that each f_j
+    leads with its axis exponent ns_j e_j, so fock(ns), their product,
+    leads with ns: the states of a level lead with distinct exponents,
+    are independent, and their number is the degeneracy.
     admissible is False when some ladder coefficient c_k, k <= max_level,
     of some variable is not positive at the given deformation values.
     """
@@ -257,10 +263,6 @@ def spectrum_table(
             if value != energy:
                 raise ArithmeticError(
                     f"level {level} eigenvalues disagree: {value} != {energy}")
-        if len({tuple(map(sum, zip(*(max(s.exponents()) for s, _, _ in a))))
-                for a in axes}) != len(axes):
-            raise ArithmeticError(
-                f"level {level} states are not independent")
         rows.append(SpectrumRow(level, energy.evaluate(values), len(axes)))
     return SpectrumTable(dims, values, tuple(rows), admissible)
 

@@ -9,22 +9,22 @@ from dunklweyl._kernel import (
     bn_add,
     bn_conj,
     bn_make,
-    bn_scale_int,
+    bn_mul,
     dx_rows,
     op_add,
-    op_sub,
+    op_neg,
     poly_add,
+    poly_div,
     poly_mul,
     poly_neg,
-    poly_scale_int,
+    poly_scale,
 )
 from dunklweyl import states
 from dunklweyl.builders import names
 from dunklweyl.dsl import MAX_TOKENS, ParseError, parse_eval
 from dunklweyl.opalg import LaurentPolynomial, OperatorElement
 from dunklweyl.scalars import (
-    ArityMismatchError, BaseNumber, InexactDivisionError, Scalar,
-    _render_sum)
+    ArityMismatchError, BaseNumber, Scalar, _render_sum)
 
 
 def number(p=0, q=0, r=0, s=0) -> BaseNumber:
@@ -152,11 +152,12 @@ def reference_op_mul(A, B, nvars):
             for mono, k in _mono_mul(m1, m2, nvars):
                 tgt = acc.get(mono)
                 if tgt is None:
-                    acc[mono] = dict(base) if k == 1 else poly_scale_int(base, k)
+                    acc[mono] = (dict(base) if k == 1
+                                 else poly_scale(base, (k, 0, 0, 0, 1)))
                 else:
                     for e, c in base.items():
                         if k != 1:
-                            c = bn_scale_int(c, k)
+                            c = bn_mul(c, (k, 0, 0, 0, 1))
                         x = tgt.get(e)
                         if x is None:
                             tgt[e] = c
@@ -172,8 +173,8 @@ def reference_op_mul(A, B, nvars):
 def reference_bracket(A, B, nvars, sign):
     """``A*B + sign*B*A`` as two reference products and one linear step:
     the form the fused bracket kernel replaced."""
-    join = op_sub if sign < 0 else op_add
-    return join(reference_op_mul(A, B, nvars), reference_op_mul(B, A, nvars))
+    BA = reference_op_mul(B, A, nvars)
+    return op_add(reference_op_mul(A, B, nvars), op_neg(BA) if sign < 0 else BA)
 
 
 # The state layer's own action loop and the Laurent product loop, from
@@ -223,7 +224,7 @@ def _diff(f, index):
     terms meet and nothing cancels."""
     return LaurentPolynomial(
         {e[:index] + (e[index] - 1,) + e[index + 1:]:
-         poly_scale_int(p, e[index])
+         poly_scale(p, (e[index], 0, 0, 0, 1))
          for e, p in f._data.items() if e[index]}, f.nvars)
 
 
@@ -290,7 +291,7 @@ def reference_act(self, f):
                 continue
             piece = poly_mul(opoly, fpoly)
             if factor != 1:
-                piece = poly_scale_int(piece, factor)
+                piece = poly_scale(piece, (factor, 0, 0, 0, 1))
             key = tuple(new_exp)
             cur = out.get(key)
             if cur is None:
@@ -305,10 +306,10 @@ def reference_act(self, f):
 
 
 # opalg._ratio from before it confirmed single-term quotients on base
-# numbers, kept verbatim as the oracle for it.
+# numbers, kept as the oracle for it; its division is the kernel's.
 
 
-def reference_ratio(term, factor, nvars):
+def reference_ratio(term, factor):
     """The polynomial ``c`` with ``term == c*factor``, or None if there is
     none: the quotient of one coefficient, confirmed on each in turn."""
     if not term:
@@ -316,10 +317,8 @@ def reference_ratio(term, factor, nvars):
     mono = next(iter(term))
     if len(term) != len(factor) or mono not in factor:
         return None
-    try:
-        c = Scalar(term[mono], nvars).exact_div(
-            Scalar(factor[mono], nvars)).kernel_poly
-    except InexactDivisionError:
+    c = poly_div(term[mono], factor[mono])
+    if c is None:
         return None
     for m, p in factor.items():
         if term.get(m) != poly_mul(p, c):
@@ -358,7 +357,7 @@ def reference_adjoint(self):
         for row in rows:
             stack = [(m + blk, kc * c) for m, kc in stack for blk, c in row]
         for m, kc in stack:
-            piece = poly_scale_int(conj, sign * kc)
+            piece = poly_scale(conj, (sign * kc, 0, 0, 0, 1))
             cur = out.get(m)
             if cur is None:
                 out[m] = piece
@@ -651,3 +650,14 @@ def reference_spectrum_table(dims, mu_values, max_level):
         assert energy is not None
         rows.append(states.SpectrumRow(level, energy, len(level_states)))
     return states.SpectrumTable(dims, values, tuple(rows), admissible)
+
+
+def raising_off_axis(operator):
+    """``states._operator`` with variable 2's ladder read as variable 1's
+    at dims 2, ``A+2`` as ``A+1`` and ``A-2`` as ``A-1``: variable 2's walk
+    then raises along x1, off its own axis."""
+    def changed(name, n, values):
+        if n == 2 and name in ("A+2", "A-2"):
+            name = name[:2] + "1"
+        return operator(name, n, values)
+    return changed

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_operator
+from helpers import raising_off_axis, random_operator
 
 import dunklweyl
 from dunklweyl import cli, dsl, opalg, states
@@ -202,6 +202,17 @@ class TestSpectrum:
                                       "--mu=1/3,1/2", "--levels", "3",
                                       "--format", fmt])
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_raise_off_its_axis_exits_1(self, capsys, monkeypatch, fmt):
+        # A raise that leaves its axis fails the table's certificate.
+        monkeypatch.setattr(states, "_operator",
+                            raising_off_axis(states._operator))
+        code, out, err = run(capsys, ["spectrum", "--dims", "2",
+                                      "--mu=1/3,1/2", "--levels", "3",
+                                      "--format", fmt])
+        assert (code, out, err) == (
+            1, "", "error: axis state (0, 1) leads with (1, 0)\n")
 
     def test_usage_errors(self, capsys):
         code, _, _ = run(capsys, ["spectrum", "--dims", "3", "--mu", "1,1,1"])

@@ -16,7 +16,7 @@ from helpers import (
     random_operator, reference_bracket, reference_op_mul, reference_tokenize)
 
 from dunklweyl import cli, dsl, opalg
-from dunklweyl._kernel import op_add, op_sub
+from dunklweyl._kernel import op_add, op_neg
 from dunklweyl.builders import build, names
 from dunklweyl.dsl import (
     BinOp,
@@ -609,7 +609,7 @@ def _flat_reference(roots, dims):
                 out = reference_op_mul(base, out, dims)
         elif isinstance(node, BinOp):
             a, b = value(node.left), value(node.right)
-            out = (op_add(a, b) if node.op == "+" else op_sub(a, b)
+            out = (op_add(a, b) if node.op == "+" else op_add(a, op_neg(b))
                    if node.op == "-" else reference_op_mul(a, b, dims))
         else:
             a, b = map(value, node.arguments)

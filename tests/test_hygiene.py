@@ -199,17 +199,39 @@ def test_one_reordering_rule():
 
 def test_ratios_in_one_place():
     """Exact quotients are taken by ``ratio`` on the value types of
-    ``opalg``; ``scalars`` defines ``exact_div`` and nothing else reads it."""
+    ``opalg``; ``_kernel`` defines ``poly_div`` and, outside it, only
+    ``opalg`` reads it."""
     readers = {}
     for path in SOURCES:
-        if path.name in ("opalg.py", "scalars.py"):
+        if path.name in ("_kernel.py", "opalg.py"):
             continue
         lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Attribute) and node.attr == "exact_div"]
+                 if "poly_div" in (getattr(node, "id", None),
+                                   getattr(node, "attr", None),
+                                   getattr(node, "name", None))]
         if lines:
             readers[path.name] = lines
-    assert not readers, (f"exact_div read outside opalg on lines {readers}; "
+    assert not readers, (f"poly_div read outside opalg on lines {readers}; "
                          f"call ratio on the value types instead")
+
+
+def test_every_kernel_function_has_a_reader():
+    """Every public function of ``_kernel`` is read somewhere in the
+    package outside its own body, so that no entry point that only tests
+    call, a second way to do what the kernel does once, can creep back."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    public = [node.name for node in trees["_kernel.py"].body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    assert len(public) >= 15
+    unread = [name for name in public
+              if not _reads_outside(trees["_kernel.py"], name, name)
+              and not any(isinstance(node, ast.Name) and node.id == name
+                          for path, tree in trees.items()
+                          if path != "_kernel.py" for node in ast.walk(tree))]
+    assert not unread, (f"_kernel.py defines functions nothing in the "
+                        f"package reads: {unread}")
 
 
 def test_one_place_flattens():
@@ -482,15 +504,24 @@ _ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 def test_arithmetic_only_in_the_kernel():
     """``BaseNumber`` and ``Scalar`` view the kernel's data and define no
-    arithmetic of their own: numbers and mu-polynomials are added and
-    multiplied by the ``bn_*`` and ``poly_*`` functions of ``_kernel``
-    alone.  A state is a ``LaurentPolynomial``: ``states`` defines no
-    value type, only its exception and its result records, none with a
-    method."""
+    arithmetic of their own: numbers and mu-polynomials are added,
+    multiplied, evaluated and divided by the ``bn_*`` and ``poly_*``
+    functions of ``_kernel`` alone, and no method of either runs a
+    ``for`` or ``while`` loop of its own.  A state is a
+    ``LaurentPolynomial``: ``states`` defines no value type, only its
+    exception and its result records, none with a method."""
     from dunklweyl import scalars
     faults = [f"{cls.__name__} defines {name}"
               for cls in (scalars.BaseNumber, scalars.Scalar)
               for name in sorted(_ARITHMETIC & set(vars(cls)))]
+    path = Path(scalars.__file__)
+    faults += [f"scalars.py:{node.lineno} loops in {cls.name}.{fn.name}"
+               for cls in ast.parse(path.read_text()).body
+               if isinstance(cls, ast.ClassDef)
+               and cls.name in ("BaseNumber", "Scalar")
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, (ast.For, ast.While))]
     path = Path(dunklweyl.__file__).parent / "states.py"
     faults += [f"states.py:{node.lineno} defines class {node.name} with "
                f"methods" for node in ast.walk(ast.parse(path.read_text()))

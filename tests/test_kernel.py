@@ -2,13 +2,15 @@
 every result is canonical, its value agrees with an oracle that keeps a
 number as four Fractions, the parts along 1, i, sqrt2 and i*sqrt2, and
 the operations obey the field and ring axioms.  All arithmetic on numbers
-and mu-polynomials is here; ``scalars`` only views its results."""
+and mu-polynomials is here, evaluation and exact division included;
+``scalars`` only views its results.  A difference is a sum with the
+negation, so subtraction is checked as that composition."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dunklweyl._kernel import (
@@ -20,13 +22,14 @@ from dunklweyl._kernel import (
     bn_make,
     bn_mul,
     bn_neg,
-    bn_scale_int,
-    bn_sub,
+    op_add,
+    op_neg,
     poly_add,
+    poly_div,
+    poly_eval,
     poly_mul,
     poly_neg,
     poly_scale,
-    poly_sub,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -111,22 +114,15 @@ class TestBaseNumbers:
         va, vb = _value(a), _value(b)
         for got, want in (
                 (bn_add(a, b), tuple(x + y for x, y in zip(va, vb))),
-                (bn_sub(a, b), tuple(x - y for x, y in zip(va, vb))),
+                (bn_add(a, bn_neg(b)), tuple(x - y for x, y in zip(va, vb))),
                 (bn_mul(a, b), _oracle_mul(va, vb))):
             assert_canonical_number(got)
             assert _value(got) == want
 
     @SETTINGS
-    @given(any_numbers, st.integers(-50, 50))
-    def test_scale_int(self, a, k):
-        got = bn_scale_int(a, k)
-        assert_canonical_number(got)
-        assert _value(got) == tuple(k * x for x in _value(a))
-
-    @SETTINGS
     @given(any_numbers)
     def test_self_cancels(self, a):
-        assert bn_sub(a, a) == (0, 0, 0, 0, 1)
+        assert bn_add(a, bn_neg(a)) == (0, 0, 0, 0, 1)
 
     @SETTINGS
     @given(any_numbers)
@@ -182,7 +178,7 @@ class TestPolynomials:
         vp, vq = _oracle_poly_value(p), _oracle_poly_value(q)
         for got, want in (
                 (poly_add(p, q), _oracle_poly_combine(vp, vq, 1)),
-                (poly_sub(p, q), _oracle_poly_combine(vp, vq, -1)),
+                (poly_add(p, poly_neg(q)), _oracle_poly_combine(vp, vq, -1)),
                 (poly_mul(p, q), _oracle_poly_mul(vp, vq))):
             assert_canonical_poly(got)
             assert _oracle_poly_value(got) == want
@@ -191,7 +187,7 @@ class TestPolynomials:
     @given(poly_tuples())
     def test_self_cancels(self, pair):
         p, _ = pair
-        assert poly_sub(p, p) == {}
+        assert poly_add(p, poly_neg(p)) == {}
         assert poly_add(p, {e: (-c[0], -c[1], -c[2], -c[3], c[4])
                             for e, c in p.items()}) == {}
 
@@ -217,3 +213,74 @@ class TestPolynomials:
         assert poly_mul(a, b) == poly_mul(b, a)
         assert poly_add(a, b) == poly_add(b, a)
         assert poly_add(a, poly_neg(a)) == {}
+
+    @SETTINGS
+    @given(poly_tuples(1), st.lists(any_numbers, min_size=3, max_size=3))
+    def test_eval(self, single, values):
+        # Against the oracle: each term's number times its powers of the
+        # values, summed part by part.  Values past the polynomial's
+        # parameters are not read.
+        (p,) = single
+        vals = [_value(v) for v in values]
+        want = (Fraction(0),) * 4
+        for e, c in p.items():
+            term = _value(c)
+            for v, k in zip(vals, e):
+                for _ in range(k):
+                    term = _oracle_mul(term, v)
+            want = tuple(x + y for x, y in zip(want, term))
+        got = poly_eval(p, values)
+        assert_canonical_number(got)
+        assert _value(got) == want
+
+    @SETTINGS
+    @given(poly_tuples())
+    def test_div_roundtrip(self, pair):
+        a, b = pair
+        assume(b)
+        assert poly_div(poly_mul(a, b), b) == a
+
+    @SETTINGS
+    @given(poly_tuples(), nonzero)
+    def test_div_inexact(self, pair, r):
+        # A nonconstant divisor leaves a nonzero constant as remainder;
+        # a quotient found is exact.
+        a, b = pair
+        assume(b and any(max(b)))
+        f = poly_add(poly_mul(a, b), {(0,) * len(max(b)): r})
+        assert poly_div(f, b) is None
+        c = poly_div(a, b)
+        assert c is None or poly_mul(c, b) == a
+
+    def test_div_failure(self):
+        mu1, mu2 = {(1, 0): BN_ONE}, {(0, 1): BN_ONE}
+        assert poly_div(poly_add(poly_mul(mu1, mu2), {(0, 0): BN_ONE}),
+                        mu1) is None
+        assert poly_div(mu2, mu1) is None
+        with pytest.raises(ZeroDivisionError):
+            poly_div(mu1, {})
+        assert poly_div({}, mu1) == {}
+
+    def test_division_by_constant(self):
+        mu = {(1,): BN_ONE}
+        assert poly_div({(1,): (4, 0, 0, 0, 1)}, {(0,): (2, 0, 0, 0, 1)}) == {
+            (1,): (2, 0, 0, 0, 1)}
+        # mu/sqrt2 = (sqrt2/2)*mu.
+        assert poly_div(mu, {(0,): (0, 0, 1, 0, 1)}) == {(1,): (0, 0, 1, 0, 2)}
+        assert poly_div({(2,): BN_ONE}, mu) == mu
+
+
+class TestOperators:
+    @SETTINGS
+    @given(poly_tuples(3))
+    def test_neg(self, triple):
+        # Polynomials keyed by monomials: op_neg negates each, and adding
+        # the negation cancels every term.
+        A = {(k, 0, 0): p for k, p in enumerate(triple) if p}
+        got = op_neg(A)
+        assert got.keys() == A.keys()
+        for m, p in got.items():
+            assert_canonical_poly(p)
+            assert p == poly_neg(A[m])
+        assert op_add(A, op_neg(A)) == {}
+        assert op_neg(got) == A

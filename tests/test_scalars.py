@@ -1,7 +1,8 @@
 """Tests for the exact scalar layer: read-only views of Q(i, sqrt2) numbers
 and parameter polynomials.  Their arithmetic is the kernel's, tested in
-``test_kernel``; here the views compare, hash, evaluate, divide and write
-what the kernel computed, and a number or scalar meets an operator."""
+``test_kernel``, exact division included; here the views compare, hash,
+evaluate and write what the kernel computed, and a number or scalar meets
+an operator."""
 
 import random
 from fractions import Fraction
@@ -18,7 +19,6 @@ from dunklweyl.scalars import (
     ZERO,
     ArityMismatchError,
     BaseNumber,
-    InexactDivisionError,
     Scalar,
     base_tuple,
 )
@@ -138,34 +138,6 @@ class TestScalar:
     def test_evaluate_arity(self):
         with pytest.raises(ArityMismatchError):
             Scalar({(0, 0): BN_ONE}, 2).evaluate([1])
-
-    def test_exact_div_roundtrip(self):
-        rng = random.Random(105)
-        checked = 0
-        while checked < 40:
-            a = random_scalar(rng, 2)
-            b = random_scalar(rng, 2)
-            if not b:
-                continue
-            ab = Scalar(poly_mul(a.kernel_poly, b.kernel_poly), 2)
-            assert ab.exact_div(b) == a
-            checked += 1
-
-    def test_exact_div_failure(self):
-        mu1 = Scalar.parameter(0, 2)
-        with pytest.raises(InexactDivisionError):
-            scalar("mu1*mu2 + 1", 2).exact_div(mu1)
-        with pytest.raises(ZeroDivisionError):
-            mu1.exact_div(Scalar({}, 2))
-        with pytest.raises(ArityMismatchError):
-            mu1.exact_div(Scalar.parameter(0, 1))
-
-    def test_division_by_constant(self):
-        mu = Scalar.parameter(0, 1)
-        assert scalar("mu1*4", 1).exact_div(scalar("2", 1)) == scalar(
-            "mu1*2", 1)
-        assert mu.exact_div(scalar("sqrt2", 1)) == scalar("mu1/sqrt2", 1)
-        assert scalar("mu1*mu1", 1).exact_div(mu) == mu
 
     def test_conjugate(self):
         # The adjoint conjugates coefficients; the parameters are real.

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    random_operator, random_state, reference_apply, reference_gauge,
-    reference_spectrum_table, scalar)
+    raising_off_axis, random_operator, random_state, reference_apply,
+    reference_gauge, reference_spectrum_table, scalar)
 
 from dunklweyl import _kernel, states
 from dunklweyl.builders import build, names
@@ -115,7 +115,7 @@ class TestApply:
 
     def test_inputs_left_untouched(self):
         # Kernel sums share inner polynomial dicts with their inputs
-        # (op_add and op_sub pass unmatched terms through), so neither
+        # (op_add passes unmatched terms through), so neither
         # gauge nor act may write into a dict it did not create.
         rng = random.Random(404)
         cases = [(build("A+1", 1), fock((3,))), (build("H", 2), fock((2, 1))),
@@ -336,6 +336,17 @@ class TestSpectrumTable:
         monkeypatch.setattr(states, "_operator", with_pole)
         with pytest.raises(PoleError):
             spectrum_table(dims, (Fraction(1, 3),) * dims, 2)
+
+    def test_raise_off_its_axis(self, monkeypatch):
+        # Variable 2's ladder replaced by variable 1's: its first raise
+        # leads with x1, and the walk refuses it there, before any
+        # eigenvalue is read.
+        monkeypatch.setattr(states, "_operator",
+                            raising_off_axis(states._operator))
+        with pytest.raises(ArithmeticError) as info:
+            spectrum_table(2, (Fraction(1, 3), Fraction(1, 2)), 3)
+        assert not isinstance(info.value, PoleError)
+        assert str(info.value) == "axis state (0, 1) leads with (1, 0)"
 
     @staticmethod
     def hamiltonian_as(monkeypatch, change):
