@@ -31,6 +31,12 @@ and the normal forms are the same either way.  ``kernel_op`` alone builds
 the flat normal form, once, and keeps it; ``len()`` counts terms without
 it.
 
+A power ``B^k`` with ``k >= 2`` is built on its first read: ``**`` keeps
+only its operand and exponent, and ``_parts``, the one reader of an
+element's terms, multiplies it out there, once, and keeps the result.  A
+commutator that the power rule decides from the bases never reads it, so
+``[H, J+^30]`` costs the one bracket ``[H, J+]``.
+
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
 multiples, equality and ``ratio``, the one test for an exact scalar multiple
@@ -48,6 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import prod
+from operator import itemgetter
 from typing import (
     Callable, Dict, KeysView, List, Optional, Sequence, Tuple, Type, TypeVar)
 
@@ -76,7 +83,6 @@ from dunklweyl.scalars import (
     BaseNumber,
     Scalar,
     ScalarLike,
-    _render_sum,
     base_tuple,
     poly_renderer,
 )
@@ -97,31 +103,6 @@ def _scalar_poly(value: ScalarLike, nvars: int) -> dict:
     if data == (0, 0, 0, 0, 1):
         return {}
     return {(0,) * nvars: data}
-
-
-def _render_monomial(flat: tuple, blocks: List[dict]) -> str:
-    """``flat`` written as ``x^a*d^b*R`` per variable; ``blocks[j]`` keeps
-    the text of each block of variable j already written."""
-    factors = []
-    for j, texts in enumerate(blocks):
-        block = flat[3 * j:3 * j + 3]
-        text = texts.get(block)
-        if text is None:
-            a, b, e = block
-            v = j + 1
-            text = texts[block] = "*".join(part for part in (
-                (f"x{v}" if a == 1 else f"x{v}^{a}") if a else "",
-                (f"d{v}" if b == 1 else f"d{v}^{b}") if b else "",
-                f"R{v}" if e else "") if part)
-        if text:
-            factors.append(text)
-    return "*".join(factors) or "1"
-
-
-def _mono_sort_key(flat: tuple, nvars: int) -> tuple:
-    # Reflection-free, low-order terms first; deterministic everywhere.
-    return tuple((flat[3 * j + 2], flat[3 * j + 1], flat[3 * j])
-                 for j in range(nvars))
 
 
 class _Combination:
@@ -262,11 +243,12 @@ def _products(x: OperatorElement) -> Optional[List[Dict[int, dict]]]:
     variable: the one product kept factored, or one one-factor product per
     variable of a sum of one-variable terms, its constant joining the
     lowest variable's factor (variable 0's if alone); else None."""
-    if x._factors is not None:
-        return [x._factors]
+    data, factors = x._parts()
+    if factors is not None:
+        return [factors]
     parts: Dict[int, dict] = {}
     const: dict = {}
-    for mono, poly in x._data.items():
+    for mono, poly in data.items():
         touched = [j // 3 for j in range(0, len(mono), 3)
                    if mono[j] or mono[j + 1] or mono[j + 2]]
         if len(touched) > 1:
@@ -305,9 +287,13 @@ class OperatorElement(_Combination):
     2`` (the base of a power of a power is the innermost one), and None on
     any other value, products made by ``*`` included: a commutator with it
     may be decided from the one bracket of the bases (``_power_bracket``).
+    Such a value is made with ``_pending``, ``(operand, n)`` of the call
+    ``operand**n``, and no terms: ``_data`` and ``_factors`` are both None
+    until ``_parts`` multiplies it out.  Every read of either slot goes
+    through ``_parts``.
     """
 
-    __slots__ = ("_factors", "_power")
+    __slots__ = ("_factors", "_power", "_pending")
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
 
@@ -315,6 +301,7 @@ class OperatorElement(_Combination):
         super().__init__(data, nvars)
         self._factors: Optional[Dict[int, dict]] = None
         self._power: Optional[Tuple[OperatorElement, int]] = None
+        self._pending: Optional[Tuple[OperatorElement, int]] = None
 
     @classmethod
     def _product_of(cls, factors: Dict[int, dict],
@@ -330,26 +317,42 @@ class OperatorElement(_Combination):
         out._factors = factors
         return out
 
+    def _parts(self) -> Tuple[Optional[dict], Optional[Dict[int, dict]]]:
+        """``(_data, _factors)``, the one read of either.  A pending power
+        ``x**n`` is multiplied out here, on the first call, as ``x * (x *
+        ...)``, and stays multiplied out."""
+        if self._pending is not None:
+            x, n = self._pending
+            out = x
+            for _ in range(n - 1):
+                out = x * out
+            self._data, self._factors = out._parts()
+            self._pending = None
+        return self._data, self._factors
+
     @property
     def kernel_op(self) -> dict:
         """The flat kernel dict; treat as read-only.  A product kept
         factored is flattened here, on the first read, and only here."""
-        if self._data is None:
-            self._data = _flatten(self._factors, self._nvars)
-        return self._data
+        data, factors = self._parts()
+        if data is None:
+            data = self._data = _flatten(factors, self._nvars)
+        return data
 
     def __len__(self) -> int:
         """The number of terms, counted without flattening a product: the
         terms of its factors multiply to distinct monomials, none zero."""
-        f = self._factors
-        return len(self._data) if f is None else prod(map(len, f.values()))
+        data, factors = self._parts()
+        if factors is None:
+            return len(data)
+        return prod(map(len, factors.values()))
 
     def _scaled(self, scale: Callable[[dict], dict]) -> "OperatorElement":
         """``scale``, a scalar multiple of kernel dicts, applied to this
         element: to the lowest variable's factor only, if kept factored."""
-        factors = self._factors
+        data, factors = self._parts()
         if factors is None:
-            return OperatorElement(scale(self._data), self._nvars)
+            return OperatorElement(scale(data), self._nvars)
         low = min(factors)
         return OperatorElement._product_of(
             {**factors, low: scale(factors[low])}, self._nvars)
@@ -359,7 +362,8 @@ class OperatorElement(_Combination):
         None.  A product kept factored is not constant and stays factored.
         """
         unit = self._UNIT * self._nvars
-        if self._factors is None and self._data.keys() <= {unit}:
+        data, factors = self._parts()
+        if factors is None and data.keys() <= {unit}:
             return self.coefficient(unit)
         return None
 
@@ -370,8 +374,8 @@ class OperatorElement(_Combination):
         product kept factored is read factor by factor, never flattened."""
         n, zero = self._nvars, (0,) * self._nvars
         mono, coeff = (0,) * (3 * n), BN_ONE
-        for data in ((self._data,) if self._factors is None
-                     else self._factors.values()):
+        flat, factors = self._parts()
+        for data in (flat,) if factors is None else factors.values():
             if len(data) != 1:
                 return None
             ((m, poly),) = data.items()
@@ -449,7 +453,8 @@ class OperatorElement(_Combination):
         return NotImplemented
 
     def __pow__(self, n: int) -> "OperatorElement":
-        """Repeated multiplication from the left, ``self * (self * ...)``.
+        """Repeated multiplication from the left, ``self * (self * ...)``,
+        done on the first read of the result (``_parts``), not here.
 
         Normal ordering moves each ``d^b`` of the left factor past the
         x-power of the right one, which gives up to ``b + 1`` terms
@@ -462,17 +467,20 @@ class OperatorElement(_Combination):
 
         For ``n >= 2`` the result records its base and exponent in
         ``_power``: ``(B, n)``, or ``(B, j*n)`` when ``self`` is ``B^j``.
+        A commutator that ``_power_bracket`` decides from that record never
+        multiplies the power out: ``[H, J+^30]`` is the one bracket ``[H,
+        J+]``.
         """
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         if n == 0:
             return OperatorElement.identity(self._nvars)
-        out = self
-        for _ in range(n - 1):
-            out = self * out
-        if n >= 2:
-            base, j = self._power or (self, 1)
-            out._power = (base, j * n)
+        if n == 1:
+            return self
+        out = OperatorElement(None, self._nvars)
+        out._pending = (self, n)
+        base, j = self._power or (self, 1)
+        out._power = (base, j * n)
         return out
 
     def adjoint(self) -> "OperatorElement":
@@ -500,9 +508,10 @@ class OperatorElement(_Combination):
             return {mono: {zero: val} for mono, poly in data.items()
                     if (val := poly_eval(poly, vals)) != BN_ZERO}
 
-        out = (OperatorElement(substitute(self._data), n)
-               if self._factors is None else OperatorElement._product_of(
-                   {j: substitute(f) for j, f in self._factors.items()}, n))
+        data, factors = self._parts()
+        out = (OperatorElement(substitute(data), n)
+               if factors is None else OperatorElement._product_of(
+                   {j: substitute(f) for j, f in factors.items()}, n))
         if self._power is not None:
             base, k = self._power
             out._power = (base.substitute_params(values), k)
@@ -530,12 +539,47 @@ class OperatorElement(_Combination):
         return LaurentPolynomial(op_act(self._operand(), f._operand(), n), n)
 
     def __str__(self) -> str:
-        # One memo of number, mu-monomial and block texts for the output.
+        """The normal form as text, in one pass: reflection-free, low-order
+        terms first (``(e, b, a)`` of each variable in turn), each written
+        as ``scalars._render_sum`` writes a term.  The coefficient texts
+        come from one ``poly_renderer`` and the ``x^a*d^b*R`` text of each
+        block from a memo per variable, both kept for this call only."""
         n, data = self._nvars, self.kernel_op
-        flats = sorted(data, key=lambda m: _mono_sort_key(m, n))
+        order = [i for j in range(0, 3 * n, 3) for i in (j + 2, j + 1, j)]
         coefficient, blocks = poly_renderer(), [{} for _ in range(n)]
-        return _render_sum((coefficient(data[m]), _render_monomial(m, blocks))
-                           for m in flats)
+        out = ""
+        for mono in sorted(data, key=itemgetter(*order)) if n else data:
+            ms = ""
+            for j, texts in enumerate(blocks):
+                block = mono[3 * j:3 * j + 3]
+                text = texts.get(block)
+                if text is None:
+                    a, b, e = block
+                    v = j + 1
+                    text = texts[block] = "*".join(part for part in (
+                        (f"x{v}" if a == 1 else f"x{v}^{a}") if a else "",
+                        (f"d{v}" if b == 1 else f"d{v}^{b}") if b else "",
+                        f"R{v}" if e else "") if part)
+                if text:
+                    ms = f"{ms}*{text}" if ms else text
+            cs = coefficient(data[mono])
+            if not ms:
+                body = cs
+            elif cs == "1":
+                body = ms
+            elif cs == "-1":
+                body = "-" + ms
+            elif " " in cs:
+                body = f"({cs})*{ms}"
+            else:
+                body = f"{cs}*{ms}"
+            if not out:
+                out = body
+            elif body.startswith("-"):
+                out += " - " + body[1:]
+            else:
+                out += " + " + body
+        return out or "0"
 
 
 def _ratio(term: dict, factor: dict) -> Optional[dict]:
@@ -608,7 +652,7 @@ def _combine(a: OperatorElement, b: OperatorElement,
     variables that agree in every factor but at most one (the same dict
     object, or an equal one), applied to that factor (to the lowest
     variable's if all agree); None for any other pair of operands."""
-    f, g = a._factors, b._factors
+    f, g = a._parts()[1], b._parts()[1]
     if f is None or g is None or f.keys() != g.keys():
         return None
     differ = [j for j in f if f[j] is not g[j] and f[j] != g[j]]
@@ -635,12 +679,13 @@ def _product_bracket(a: OperatorElement, b: OperatorElement,
     ``c``, and ``c*T`` stays factored or joins the first other term.  Only
     a sum of two or more products is flattened.
     """
-    T = b if b._factors is not None else a
-    others = None if T._factors is None else _products(a if T is b else b)
+    T = b if b._parts()[1] is not None else a
+    t = T._parts()[1]
+    others = None if t is None else _products(a if T is b else b)
     if others is None:
         return None
-    n, t, sign = a._nvars, T._factors, -1 if how == "[]" else 1
-    one = OperatorElement.identity(n)._data
+    n, sign = a._nvars, -1 if how == "[]" else 1
+    one = OperatorElement.identity(n).kernel_op
     scalar: dict = {}
     rest: List[Tuple[Optional[int], Dict[int, dict]]] = []
     for s in others:
@@ -679,9 +724,9 @@ def _factor_ratio(a: OperatorElement, b: OperatorElement
     elements go by ``_ratio``.  None may miss a ratio that exists: where
     one operand is kept factored and the other is not, or where the
     factors' ratios are not all polynomials."""
-    f, g = a._factors, b._factors
+    (x, f), (y, g) = a._parts(), b._parts()
     if f is None and g is None:
-        return _ratio(a._data, b._data)
+        return _ratio(x, y)
     if f is None or g is None or f.keys() != g.keys():
         return None
     c = {(0,) * a._nvars: BN_ONE}

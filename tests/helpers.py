@@ -2,8 +2,9 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from dunklweyl._kernel import (
     bn_add,
@@ -69,7 +70,8 @@ def random_operator(rng: random.Random, nvars: int, max_terms: int = 4,
         if parametric:
             coeff = random_scalar(rng, nvars)
         else:
-            coeff = Scalar.constant(random_base(rng), nvars)
+            c = random_base(rng)
+            coeff = Scalar({(0,) * nvars: c._data} if c else {}, nvars)
         term = coeff * OperatorElement.identity(nvars)
         for i in range(nvars):
             a = rng.randint(-max_pow, max_pow)
@@ -408,11 +410,11 @@ def reference_laurent_str(self):
     return _render_sum(terms)
 
 
-# The Fraction-based term renderer that the memoised one in ``scalars``
-# replaced, kept verbatim (its ``_render_sum``, ``render_base``,
-# ``Scalar.__str__``, ``_render_monomial``, ``_mono_sort_key`` and
-# ``OperatorElement.__str__``) as the oracle for the renderer's property
-# tests.
+# The renderer as it stood before an operator was written in one pass,
+# kept verbatim (``_render_sum``, ``_quotient``, ``render_base``,
+# ``poly_renderer``, ``_render_monomial``, ``_mono_sort_key`` and the
+# ``__str__`` of each value type) as the oracle for the renderer's
+# property tests.
 
 
 def _reference_render_sum(terms):
@@ -437,39 +439,61 @@ def _reference_render_sum(terms):
     return out or "0"
 
 
+def _reference_quotient(num, den):
+    g = gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:
+        # str() of an int with more digits than the interpreter allows.
+        raise ValueError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} "
+            f"digits, too large to print") from None
+
+
 def _reference_render_base(data):
-    p, q, r, s, den = data
+    den = data[4]
     return _reference_render_sum(
-        (str(Fraction(num, den)), unit)
-        for num, unit in ((p, "1"), (q, "i"), (r, "sqrt2"), (s, "i*sqrt2"))
-        if num)
+        (_reference_quotient(num, den), unit) for num, unit
+        in zip(data, ("1", "i", "sqrt2", "i*sqrt2")) if num)
 
 
-def _reference_scalar_str(self):
-    terms = []
-    for expo, coef in self.terms():
-        factors = [f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
-                   for i, e in enumerate(expo) if e]
-        terms.append((_reference_render_base(coef._data),
-                      "*".join(factors) or "1"))
-    return _reference_render_sum(terms)
+def _reference_poly_renderer():
+    numbers = {}
+    monomials = {}
+
+    def render(poly):
+        terms = []
+        for expo in sorted(poly, reverse=True):
+            coef = poly[expo]
+            cs = numbers.get(coef)
+            if cs is None:
+                cs = numbers[coef] = _reference_render_base(coef)
+            ms = monomials.get(expo)
+            if ms is None:
+                ms = monomials[expo] = "*".join(
+                    f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
+                    for i, e in enumerate(expo) if e) or "1"
+            terms.append((cs, ms))
+        return _reference_render_sum(terms)
+
+    return render
 
 
-def _reference_render_monomial(flat, nvars):
+def _reference_render_monomial(flat, blocks):
     factors = []
-    for j in range(nvars):
-        a, b, e = flat[3 * j], flat[3 * j + 1], flat[3 * j + 2]
-        if a == 1:
-            factors.append(f"x{j + 1}")
-        elif a:
-            factors.append(f"x{j + 1}^{a}")
-        if b == 1:
-            factors.append(f"d{j + 1}")
-        elif b:
-            factors.append(f"d{j + 1}^{b}")
-        if e:
-            factors.append(f"R{j + 1}")
-    return "*".join(factors) if factors else "1"
+    for j, texts in enumerate(blocks):
+        block = flat[3 * j:3 * j + 3]
+        text = texts.get(block)
+        if text is None:
+            a, b, e = block
+            v = j + 1
+            text = texts[block] = "*".join(part for part in (
+                (f"x{v}" if a == 1 else f"x{v}^{a}") if a else "",
+                (f"d{v}" if b == 1 else f"d{v}^{b}") if b else "",
+                f"R{v}" if e else "") if part)
+        if text:
+            factors.append(text)
+    return "*".join(factors) or "1"
 
 
 def _reference_mono_sort_key(flat, nvars):
@@ -478,17 +502,26 @@ def _reference_mono_sort_key(flat, nvars):
                  for j in range(nvars))
 
 
+def _reference_operator_str(n, data):
+    flats = sorted(data, key=lambda m: _reference_mono_sort_key(m, n))
+    coefficient, blocks = _reference_poly_renderer(), [{} for _ in range(n)]
+    return _reference_render_sum(
+        (coefficient(data[m]), _reference_render_monomial(m, blocks))
+        for m in flats)
+
+
 def reference_render(value):
-    """Text of a ``BaseNumber``, ``Scalar`` or ``OperatorElement``."""
+    """Text of a ``BaseNumber``, ``Scalar``, ``OperatorElement`` or
+    ``LaurentPolynomial``."""
     if isinstance(value, BaseNumber):
         return _reference_render_base(value._data)
     if isinstance(value, Scalar):
-        return _reference_scalar_str(value)
-    n, data = value.nvars, value.kernel_op
-    flats = sorted(data, key=lambda m: _reference_mono_sort_key(m, n))
-    return _reference_render_sum((_reference_scalar_str(Scalar(data[m], n)),
-                                  _reference_render_monomial(m, n))
-                                 for m in flats)
+        return _reference_poly_renderer()(value.kernel_poly)
+    data = value.kernel_op
+    if isinstance(value, LaurentPolynomial):
+        data = {sum(((g, 0, 0) for g in exps), ()): poly
+                for exps, poly in data.items()}
+    return _reference_operator_str(value.nvars, data)
 
 
 # The expression lexer as a scan: every name tried with str.startswith at

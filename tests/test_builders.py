@@ -97,7 +97,8 @@ class TestRegistry:
             powers.update({"K+": "J+", "K-": "J-"})
         for name in names(dims):
             value = build(name, dims)
-            keys = None if value._factors is None else set(value._factors)
+            factors = value._parts()[1]
+            keys = None if factors is None else set(factors)
             assert keys == ({0, 1} if name in factored else None), name
             record = value._power
             if name in powers:

@@ -260,6 +260,34 @@ def test_one_place_flattens():
                          f"lines {readers}; read kernel_op or len() instead")
 
 
+def test_one_reader_of_the_terms():
+    """An operator's terms are read only through ``_parts``, which
+    multiplies a pending power out first: outside it, no code of
+    ``opalg`` but the linear-space base and the Laurent polynomials reads
+    the slot ``_data`` or ``_factors``."""
+    path = Path(dunklweyl.__file__).parent / "opalg.py"
+    tree = ast.parse(path.read_text(), str(path))
+    own = {"_Combination", "LaurentPolynomial"}
+    lines = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name if child.name in own else owner)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, owner or (child.name == "_parts" or None))
+            else:
+                if (isinstance(child, ast.Attribute)
+                        and child.attr in ("_data", "_factors")
+                        and isinstance(child.ctx, ast.Load) and not owner):
+                    lines.append(child.lineno)
+                visit(child, owner)
+
+    visit(tree, None)
+    assert not lines, (f"opalg.py reads _data or _factors outside _parts on "
+                       f"lines {lines}")
+
+
 def _render_path():
     """``(path, trees)``: ``path`` lists ``(module file, function node)``
     for the functions that write values as text, every ``__str__`` of

@@ -1,7 +1,10 @@
 """Tests for normal forms, products, adjoints and the function-space action."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 from unittest import mock
 
 import pytest
@@ -27,7 +30,7 @@ from helpers import (
 from dunklweyl._kernel import (
     BN_ZERO, bn_make, op_add, op_bracket, op_neg, op_scale, poly_add)
 
-from dunklweyl import opalg
+from dunklweyl import _kernel, cli, opalg
 from dunklweyl.builders import build
 from dunklweyl.opalg import (
     LaurentPolynomial,
@@ -565,8 +568,8 @@ class TestPowerBracket:
         km, kp = build("K-", n), build("K+", n)
         flat = op_bracket(_reference_power(build("J-", n), 2, n),
                           _reference_power(build("J+", n), 2, n), n, -1)
-        largest = max(map(len, [*km._factors.values(),
-                                *kp._factors.values()]))
+        largest = max(map(len, [*km._parts()[1].values(),
+                                *kp._parts()[1].values()]))
         calls = []
 
         def counting(A, B, nvars, sign):
@@ -587,6 +590,118 @@ class TestPowerBracket:
         assert anticommutator(jp ** k, j0).kernel_op == op_bracket(
             _reference_power(jp, k, n), j0.kernel_op, n, 1)
         assert outcomes == []
+
+
+@st.composite
+def deferred_cases(draw):
+    """``(nvars, A, k, B, f, values)``: a small operator ``A`` on one or
+    two variables and another one ``B``, both parametric or both numeric,
+    an exponent ``k`` of 2-4, a Laurent polynomial ``f`` and numeric
+    parameter values."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 2))
+    parametric = draw(st.booleans())
+    A, B = (random_operator(rng, n, max_terms=2, max_pow=1,
+                            parametric=parametric) for _ in range(2))
+    values = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(n)]
+    return n, A, draw(st.integers(2, 4)), B, random_laurent(rng, n), values
+
+
+def _print_nf(expr, dims=2):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["nf", "--dims", str(dims), expr])
+    return code, stdout.getvalue()
+
+
+class TestDeferredPower:
+    """``A**k`` with ``k >= 2`` keeps its operand and exponent, and is
+    multiplied out on the first read of its terms (``_parts``), once; a
+    commutator that the power rule decides never reads them."""
+
+    @staticmethod
+    def products(monkeypatch):
+        """The calls of the kernel's one pair loop, from here on."""
+        calls = []
+        product = _kernel._product
+
+        def counting(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(_kernel, "_product", counting)
+        return calls
+
+    @pytest.mark.parametrize("power, base", [
+        ("comm(H, J+^30)", "comm(H, J+)"),
+        ("comm(H, J-^5)", "comm(H, J-)"),
+        ("comm(C, J-^12)", "comm(C, J-)"),
+        ("comm(P, K+^2)", "comm(P, J+)"),
+    ])
+    def test_decided_power_is_never_multiplied_out(self, monkeypatch, power,
+                                                   base):
+        # One run of each first, so that the registry values they read
+        # are built and their kept forms made (K+ is multiplied out once,
+        # by the parser's test for a coordinate monomial in K+^2).
+        for expr in (base, power):
+            _print_nf(expr)
+        calls = self.products(monkeypatch)
+        assert _print_nf(base) == (0, "0\n")
+        want = len(calls)
+        calls.clear()
+        assert _print_nf(power) == (0, "0\n")
+        assert len(calls) == want
+
+    def test_shared_power_is_multiplied_out_once(self, monkeypatch):
+        # The parser shares the node J+^4, which the power rule scales.
+        jp = build("J+", 2)
+        _print_nf("comm(J0, J+) - 2*J+")
+        calls = self.products(monkeypatch)
+        assert _print_nf("comm(J0, J+) - 2*J+") == (0, "0\n")
+        base = len(calls)
+        calls.clear()
+        fresh = jp ** 4
+        assert not calls and fresh._pending == (jp, 4)
+        fresh._parts()
+        once = len(calls)
+        calls.clear()
+        assert _print_nf("comm(J0, J+^4) - 8*J+^4") == (0, "0\n")
+        assert len(calls) == base + once
+
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("rules", ["table", "emptied"])
+    @given(case=deferred_cases())
+    def test_twin_of_an_eager_power(self, rules, case):
+        # Each operation is the first read of a fresh deferred power, and
+        # gives what it gives on the power multiplied out by reference
+        # products.  With the rule table emptied, every operation, the
+        # power's own products included, takes the flat kernel.
+        n, A, k, B, f, values = case
+        empty = dict.fromkeys(opalg._RULES, ())
+        with (mock.patch.object(opalg, "_RULES", empty) if rules == "emptied"
+              else contextlib.nullcontext()):
+            E = OperatorElement(_reference_power(A, k, n), n)
+
+            def fresh():
+                out = A ** k
+                assert out._data is None and out._factors is None
+                return out
+
+            for other in (B, A):
+                for op in (mul, add, sub, commutator, anticommutator):
+                    want = op(E, other).kernel_op
+                    assert op(fresh(), other).kernel_op == want
+                    want = op(other, E).kernel_op
+                    assert op(other, fresh()).kernel_op == want
+            assert fresh().adjoint().kernel_op == E.adjoint().kernel_op
+            assert (fresh().substitute_params(values).kernel_op
+                    == E.substitute_params(values).kernel_op)
+            assert len(fresh()) == len(E)
+            assert fresh() == E and E == fresh()
+            assert fresh().act(f) == E.act(f)
+            assert str(fresh()) == str(E)
+            assert (fresh() ** 2).kernel_op == (E * E).kernel_op
 
 
 class TestActOracle:
@@ -862,7 +977,7 @@ class TestRatio:
     def test_factored_against_flat(self):
         mu1 = Scalar.parameter(0, 2)
         T = build("J+", 2) ** 3
-        assert T._factors is not None
+        assert T._parts()[1] is not None
         flat = OperatorElement(dict(T.kernel_op), 2)
         assert (mu1 * T).ratio(flat) == mu1
         assert flat.ratio(-T) == -1
@@ -1028,44 +1143,63 @@ class TestLaurentPolynomial:
             OperatorElement.x(0, 1).act(LaurentPolynomial.monomial((0, 0)))
 
 
-# Coefficients as the renderer meets them: each of the four units alone or
-# mixed with the others, negative numerators, denominators up to a million.
+# Coefficients as the renderer meets them: each of the four lines 1, i,
+# sqrt2 and i*sqrt2 of Q(i, sqrt2) alone or several mixed, negative
+# numerators, denominators up to a million.
 _parts = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
-_wide_coeffs = st.builds(
-    bn_make, _parts, _parts, _parts, _parts,
-    st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+_dens = st.one_of(st.integers(1, 12), st.integers(1, 10**6))
+_wide_coeffs = st.one_of(
+    st.builds(lambda line, num, den: bn_make(
+        *(num if j == line else 0 for j in range(4)), den),
+        st.integers(0, 3), _parts.filter(bool), _dens),
+    st.builds(bn_make, _parts, _parts, _parts, _parts, _dens),
 ).filter(lambda c: c[0] or c[1] or c[2] or c[3])
 
 
 def _wide_polys(nvars, min_size=1):
+    """Parametric coefficients, or with ``nvars`` 0 constant ones."""
     return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
                            _wide_coeffs, min_size=min_size, max_size=4)
 
 
+_wide_arity = st.integers(0, 4)
+
+
 @st.composite
 def wide_scalars(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(_wide_arity)
     return Scalar(draw(_wide_polys(n, min_size=0)), n)
 
 
 @st.composite
 def wide_operators(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(_wide_arity)
     block = st.tuples(st.integers(-4, 4), st.integers(0, 4), st.integers(0, 1))
     monos = st.tuples(*[block] * n).map(lambda bs: sum(bs, ()))
     return OperatorElement(
         draw(st.dictionaries(monos, _wide_polys(n), max_size=8)), n)
 
 
+@st.composite
+def wide_laurents(draw):
+    n = draw(_wide_arity)
+    exps = st.tuples(*[st.integers(-4, 4)] * n)
+    return LaurentPolynomial(
+        draw(st.dictionaries(exps, _wide_polys(n), max_size=8)), n)
+
+
 class TestRenderer:
-    """Numbers, scalars and operators render as the Fraction-based
-    renderer that the memoised one replaced did, byte for byte."""
+    """Numbers, scalars, operators and functions on 0-4 variables render
+    as the renderer that the one-pass operator text replaced did, byte for
+    byte (``reference_render``)."""
 
     @SETTINGS
     @given(st.one_of(st.just(BN_ZERO), _wide_coeffs))
     def test_base_numbers(self, data):
         value = BaseNumber._from_tuple(data)
         assert str(value) == reference_render(value)
+        if value.is_rational():
+            assert str(value) == str(value.as_fraction())
 
     @SETTINGS
     @given(wide_scalars())
@@ -1076,6 +1210,11 @@ class TestRenderer:
     @given(wide_operators())
     def test_operators(self, op):
         assert str(op) == reference_render(op)
+
+    @SETTINGS
+    @given(wide_laurents())
+    def test_laurent_polynomials(self, f):
+        assert str(f) == reference_render(f)
 
     @settings(max_examples=60, deadline=None)
     @given(factored(), _wide_coeffs)
