@@ -6,8 +6,8 @@ the scalars i, sqrt2 and mu1..mun), non-negative integers, the binary
 operators + - * /, integer powers with ^, the function forms comm(,),
 acomm(,) and adjoint(), and the brackets [a, b] and {a, b}, which are
 comm(a, b) and acomm(a, b) written as the paper writes them.  A name
-evaluates to the operator its resolver gives; ``evaluate`` and
-``parse_eval`` resolve it to its registry operator ``build(name, dims)``.
+evaluates to the operator its resolver gives; ``parse_eval`` resolves
+it to its registry operator ``build(name, dims)``.
 Precedence is power, then unary minus, then * and /, then + and -.
 The registry's own composite operators are defined in this language too:
 ``build`` evaluates each definition with ``parse_eval``, so the two
@@ -20,14 +20,14 @@ power accepts only reflection-free derivative-free monomials with
 constant coefficients; both restrictions keep every expression inside
 the algebra.
 
-The parser interns its nodes: equal subexpressions of one input, or of
-the several texts one ``parse_all`` reads, are one object.  ``program``
-lists the distinct subexpressions of some trees in the order a recursive
-walk would first finish them, and ``run`` evaluates that list, each entry
-once per call, releasing each value after its last use, so ``comm(J0,
-J+^5) - 11*J+^5`` raises J+ to the fifth power once.  No value outlives
-the call; a program can be run again, with another resolver.  Numbers
-stay plain rationals until they meet an operator, so ``2*J+`` is a scalar
+The parser writes the evaluation program as it reads: each distinct
+subexpression of one input, or of the several texts one ``parse_all``
+reads, is one step ``(op, value, operand slots)``, listed after its
+operands.  ``run`` evaluates the steps in order, each once per call,
+releasing each value after its last use, so ``comm(J0, J+^5) -
+11*J+^5`` raises J+ to the fifth power once.  No value outlives the
+call; a program can be run again, with another resolver.  Numbers stay
+plain rationals until they meet an operator, so ``2*J+`` is a scalar
 multiple.
 
 The inverse direction is ``str``: the canonical normal-form string of
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, neg, sub
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .builders import MAX_DIMS, build, check_dims, names
@@ -55,44 +55,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
-
-# AST ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Name:
-    identifier: str
-
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    function: str
-    arguments: Tuple["Expr", ...]
-
-
-Expr = Union[Name, Num, BinOp, Neg, Pow, Call]
 
 # Bounds on the work one input can ask for, beside the registry's
 # MAX_DIMS: a power is evaluated by repeated multiplication, and every
@@ -175,29 +137,22 @@ def _tokenize(text: str, dims: int) -> List[Token]:
     return out
 
 
-def _field_key(field: object) -> object:
-    if isinstance(field, (str, int)):
-        return field
-    if isinstance(field, tuple):
-        return tuple(map(id, field))
-    return id(field)
-
-
 class _Parser:
     def __init__(self) -> None:
-        # Interned nodes, keyed on (type, plain fields, child ids), shared
-        # by every text this parser reads.  The children are interned
-        # first and kept alive here, so their ids are stable; the
-        # dataclasses themselves are never hashed, since hashing recurses
-        # and a long parenthesised sum would overflow.
-        self.nodes: dict = {}
+        # The steps of every text this parser reads, each distinct
+        # (op, value, operand slots) once and after its operands, and the
+        # slot of each step, keyed on the step itself.
+        self.steps: List[Tuple[str, object, Tuple[int, ...]]] = []
+        self.slots: dict = {}
 
-    def node(self, cls: type, *fields: object) -> Expr:
-        key = (cls, *map(_field_key, fields))
-        found = self.nodes.get(key)
-        if found is None:
-            found = self.nodes[key] = cls(*fields)
-        return found
+    def node(self, op: str, value: object, *args: int) -> int:
+        """The slot of the step (op, value, args), appended if new."""
+        key = (op, value, *args)
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.steps)
+            self.steps.append((op, value, args))
+        return slot
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -219,7 +174,7 @@ class _Parser:
             raise ParseError(f"expected {value!r}", pos)
         return self.advance()
 
-    def parse(self, tokens: List[Token]) -> Expr:
+    def parse(self, tokens: List[Token]) -> int:
         self.tokens, self.k, self.depth = tokens, 0, 0
         expr = self.expr()
         kind, _, pos = self.peek()
@@ -227,42 +182,42 @@ class _Parser:
             raise ParseError("trailing input", pos)
         return expr
 
-    def expr(self) -> Expr:
+    def expr(self) -> int:
         node = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "punct" and val in "+-":
                 self.advance()
-                node = self.node(BinOp, val, node, self.term())
+                node = self.node(val, None, node, self.term())
             else:
                 return node
 
-    def term(self) -> Expr:
+    def term(self) -> int:
         node = self.unary()
         while True:
             kind, val, _ = self.peek()
             if kind == "punct" and val in "*/":
                 self.advance()
-                node = self.node(BinOp, val, node, self.unary())
+                node = self.node(val, None, node, self.unary())
             else:
                 return node
 
-    def unary(self) -> Expr:
+    def unary(self) -> int:
         kind, val, pos = self.peek()
         if kind == "punct" and val == "-":
             self.advance()
             self.nest(pos)
-            node = self.node(Neg, self.unary())
+            node = self.node("neg", None, self.unary())
             self.depth -= 1
             return node
         return self.power()
 
-    def power(self) -> Expr:
+    def power(self) -> int:
         node = self.atom()
         kind, val, _ = self.peek()
         if kind == "punct" and val == "^":
             self.advance()
-            node = self.node(Pow, node, self.exponent())
+            node = self.node("^", self.exponent(), node)
         return node
 
     def exponent(self) -> int:
@@ -284,10 +239,10 @@ class _Parser:
                              pos)
         return -val if negative else val
 
-    def atom(self) -> Expr:
+    def atom(self) -> int:
         kind, val, pos = self.advance()
         if kind == "num":
-            return self.node(Num, val)
+            return self.node("num", val)
         if kind == "punct" and val == "(":
             self.nest(pos)
             inner = self.expr()
@@ -302,7 +257,7 @@ class _Parser:
             right = self.expr()
             self.expect(close)
             self.depth -= 1
-            return self.node(Call, function, (left, right))
+            return self.node(function, None, left, right)
         if kind == "name":
             if val in _FUNCTIONS:
                 self.nest(pos)
@@ -322,49 +277,50 @@ class _Parser:
                     raise ParseError(
                         f"{val} takes {arity} argument(s), got {len(args)}",
                         pos)
-                return self.node(Call, val, tuple(args))
-            return self.node(Name, val)
+                return self.node(val, None, *args)
+            return self.node("name", val)
         raise ParseError("expected an expression", pos)
 
 
-def parse(text: str, dims: int) -> Expr:
-    """Parse text into an AST; dims fixes the name lexicon."""
-    return parse_all([text], dims)[0]
+# Each step (op, value, operand slots, slots whose last use it is), then
+# the slot of each text.  op is + - * / or ^ (value the exponent), neg,
+# comm, acomm, adjoint, name (value the name) or num (value the number).
+Program = Tuple[Tuple[Tuple[str, object, Tuple[int, ...], Tuple[int, ...]],
+                      ...],
+                Tuple[int, ...]]
 
 
-def parse_all(texts: Sequence[str], dims: int) -> List[Expr]:
-    """Parse several texts into ASTs that share their equal
-    subexpressions: a subexpression written in two texts is one node."""
+def parse(text: str, dims: int) -> Program:
+    """Parse text into its program; dims fixes the name lexicon."""
+    return parse_all([text], dims)
+
+
+def parse_all(texts: Sequence[str], dims: int) -> Program:
+    """Parse several texts into one program with a value per text; a
+    subexpression written in two texts is one step."""
     check_dims(dims)
     tokens = [_tokenize(text, dims) for text in texts]
     parser = _Parser()
-    return [parser.parse(t) for t in tokens]
+    # A text's own value lives to the end.
+    kept = tuple(parser.parse(t) for t in tokens)
+    steps = parser.steps
+    last = {slot: k for k, (_, _, args) in enumerate(steps) for slot in args}
+    dead: List[list] = [[] for _ in steps]
+    for slot, k in last.items():
+        if slot not in kept:
+            dead[k].append(slot)
+    return tuple((op, value, args, tuple(d))
+                 for (op, value, args), d in zip(steps, dead)), kept
 
 
 # Evaluation ----------------------------------------------------------------
-
-def _children(node: Expr) -> Tuple[Expr, ...]:
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Call):
-        return node.arguments
-    if isinstance(node, (Name, Num)):
-        return ()
-    raise TypeError(f"not an AST node: {node!r}")
-
 
 # The operator a name stands for, given the name and dims.
 Resolver = Callable[[str, int], OperatorElement]
 # A value during evaluation: an operator, or a number not yet met by one.
 Value = Union[OperatorElement, int, Fraction]
-# Each distinct node of some trees with the slots of its children's
-# values and the slots whose last use it is; then the slot of each tree.
-Program = Tuple[Tuple[Tuple[Expr, Tuple[int, ...], Tuple[int, ...]], ...],
-                Tuple[int, ...]]
+# The steps that are one operator of Python's on their operand values.
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "neg": neg}
 
 
 def _operator(value: Value, dims: int) -> OperatorElement:
@@ -373,21 +329,17 @@ def _operator(value: Value, dims: int) -> OperatorElement:
     return value * OperatorElement.identity(dims)
 
 
-def _apply(node: Expr, args: List[Value], dims: int,
+def _apply(op: str, value: object, args: List[Value], dims: int,
            resolve: Resolver) -> Value:
-    """The value of one node, given the values of its children."""
-    if isinstance(node, Name):
-        return resolve(node.identifier, dims)
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, BinOp):
+    """The value of one step, given the values of its operands."""
+    if op == "name":
+        return resolve(value, dims)
+    if op == "num":
+        return value
+    if op in _ARITHMETIC:
+        return _ARITHMETIC[op](*args)
+    if op == "/":
         left, right = args
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
         if not isinstance(right, OperatorElement):
             if not right:
                 raise ValueError("division by zero")
@@ -399,10 +351,8 @@ def _apply(node: Expr, args: List[Value], dims: int,
         if not divisor:
             raise ValueError("division by zero")
         return _operator(left, dims) / divisor
-    if isinstance(node, Neg):
-        return -args[0]
-    if isinstance(node, Pow):
-        base, n = args[0], node.exponent
+    if op == "^":
+        base, n = args[0], value
         if n < 0 and not base:
             raise ValueError("division by zero")
         if not isinstance(base, OperatorElement):
@@ -415,65 +365,29 @@ def _apply(node: Expr, args: List[Value], dims: int,
                              "with constant coefficient")
         return base ** n
     args = [_operator(a, dims) for a in args]
-    if node.function == "comm":
+    if op == "comm":
         return commutator(*args)
-    if node.function == "acomm":
+    if op == "acomm":
         return anticommutator(*args)
     return args[0].adjoint()
 
 
-def program(roots: Sequence[Expr]) -> Program:
-    """The distinct nodes of some trees in the order a recursive walk of
-    each in turn, left to right, first finishes them; a node reached by
-    several paths (the parser interns equal subexpressions into one node)
-    is listed once.  The walk keeps an explicit stack, so a long chain like
-    a + b + ... + z, which nests one level per operator, needs no
-    recursion."""
-    slots: dict = {}
-    order: list = []
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, finished = stack.pop()
-        if id(node) in slots:
-            continue
-        children = _children(node)
-        if finished:
-            slots[id(node)] = len(order)
-            order.append((node, tuple(slots[id(c)] for c in children)))
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(children))
-    # A tree's own value lives to the end.
-    kept = tuple(slots[id(root)] for root in roots)
-    last = {slot: k for k, (_, args) in enumerate(order) for slot in args}
-    dead: List[list] = [[] for _ in order]
-    for slot, k in last.items():
-        if slot not in kept:
-            dead[k].append(slot)
-    return tuple((node, args, tuple(dead[k]))
-                 for k, (node, args) in enumerate(order)), kept
-
-
 def run(prog: Program, dims: int,
         resolve: Resolver) -> List[OperatorElement]:
-    """Evaluate a program to one operator on dims variables per tree,
-    each node once, dropping each value after its last use; resolve gives
+    """Evaluate a program to one operator on dims variables per text,
+    each step once, dropping each value after its last use; resolve gives
     the operator a name stands for."""
     steps, kept = prog
     values: List[Optional[Value]] = [None] * len(steps)
-    for k, (node, args, dead) in enumerate(steps):
-        values[k] = _apply(node, [values[a] for a in args], dims, resolve)
+    for k, (op, value, args, dead) in enumerate(steps):
+        values[k] = _apply(op, value, [values[a] for a in args], dims,
+                           resolve)
         for a in dead:
             values[a] = None
     return [_operator(values[k], dims) for k in kept]
 
 
-def evaluate(ast: Expr, dims: int) -> OperatorElement:
-    """Evaluate an AST to an operator on dims variables, each name to its
-    registry operator."""
-    return run(program([ast]), dims, build)[0]
-
-
 def parse_eval(text: str, dims: int) -> OperatorElement:
-    """Parse and evaluate in one step."""
-    return evaluate(parse(text, dims), dims)
+    """Parse and evaluate in one step, each name to its registry
+    operator."""
+    return run(parse(text, dims), dims, build)[0]

@@ -371,7 +371,16 @@ class OperatorElement(_Combination):
         """The k-th power, for any integer k, of a coordinate monomial
         ``c*x1^a1*...*xn^an`` with constant ``c``: the one term
         ``c^k*x1^(k*a1)*...*xn^(k*an)``.  None for any other element; a
-        product kept factored is read factor by factor, never flattened."""
+        product kept factored is read factor by factor, never flattened.
+        A pending power ``x**m`` answers from ``x``, as ``x**(m*k)``.
+        Where ``x`` is no such monomial, the answer for ``k >= 0`` is None,
+        unread, since ``self**k`` serves as well; for a negative k the
+        power is multiplied out and tested, so ``(R1^2)^-1`` is ``1``."""
+        if self._pending is not None:
+            x, m = self._pending
+            power = x.coordinate_power(m * k)
+            if power is not None or k >= 0:
+                return power
         n, zero = self._nvars, (0,) * self._nvars
         mono, coeff = (0,) * (3 * n), BN_ONE
         flat, factors = self._parts()

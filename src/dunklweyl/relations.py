@@ -35,7 +35,7 @@ from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .builders import build
-from .dsl import Program, parse_all, program, run
+from .dsl import Program, parse_all, run
 from .opalg import OperatorElement
 from .scalars import BaseLike, BaseNumber
 
@@ -91,10 +91,10 @@ class Family:
 def _residuals(statements: Tuple[str, ...], dims: int) -> Program:
     """``lhs - rhs`` of each statement ``lhs = rhs`` on dims variables,
     parsed together, so that a subexpression written in several
-    statements is one node, and compiled once."""
-    return program(parse_all(
+    statements is one step, and parsed once."""
+    return parse_all(
         [f"({lhs}) - ({rhs})" for lhs, rhs in
-         (statement.split(" = ") for statement in statements)], dims))
+         (statement.split(" = ") for statement in statements)], dims)
 
 
 def _per_variable(statements: Callable[[int], Sequence[str]]
@@ -313,7 +313,7 @@ def check(
         values = tuple(BaseNumber(v) for v in mu_values)
 
     def resolve(name: str, dims: int) -> OperatorElement:
-        # A name is one node of its group's program, so it is resolved
+        # A name is one step of its group's program, so it is resolved
         # once per group.  Numeric mode substitutes before any product:
         # products of substituted operators equal substituted products.
         built = build(name, dims)

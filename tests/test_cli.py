@@ -299,8 +299,8 @@ class TestInputLimits:
         assert code == 0 and out == expected + "\n"
 
     def test_long_parenthesised_sum(self, capsys):
-        # 2,000 terms nest 2,000 deep as a left chain; hashing that tree
-        # would overflow the interpreter stack.
+        # 2,000 terms are a left chain 2,000 steps long; nothing walks
+        # or hashes it recursively, which would overflow the stack.
         text = "(" + "+".join(["x1"] * 2000) + ")*x1"
         code, out, err = run(capsys, ["nf", "--dims", "1", text])
         assert (code, out, err) == (0, "2000*x1^2\n", "")
@@ -323,22 +323,22 @@ class TestInputLimits:
     @pytest.mark.parametrize("argv,owner,attr", [
         (["nf", "x1", "--dims", str(dsl.MAX_DIMS + 1)], dsl, "_lexicon"),
         (["nf", f"x1^{dsl.MAX_EXPONENT + 1}", "--dims", "1"],
-         dsl, "evaluate"),
+         dsl, "run"),
         (["nf", f"J+^-{dsl.MAX_EXPONENT + 1}", "--dims", "2"],
-         dsl, "evaluate"),
+         dsl, "run"),
         (["spectrum", "--dims", "2", "--mu", "1/3,1/2",
           "--levels", str(states.MAX_LEVEL + 1)], states, "build"),
         # x1 then "+x1" repeated: one token more than the cap.
         (["nf", "x1" + "+x1" * (dsl.MAX_TOKENS // 2), "--dims", "1"],
          dsl, "_Parser"),
         (["nf", "(" * (dsl.MAX_NESTING + 1) + "x1"
-          + ")" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
+          + ")" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "run"),
         (["nf", "--dims", "1", "--",
-          "-" * (dsl.MAX_NESTING + 1) + "x1"], dsl, "evaluate"),
+          "-" * (dsl.MAX_NESTING + 1) + "x1"], dsl, "run"),
         (["nf", "[" * (dsl.MAX_NESTING + 1) + "x1"
-          + ", x1]" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
+          + ", x1]" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "run"),
         (["nf", "{" * (dsl.MAX_NESTING + 1) + "x1"
-          + ", x1}" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "evaluate"),
+          + ", x1}" * (dsl.MAX_NESTING + 1), "--dims", "1"], dsl, "run"),
     ])
     def test_past_the_limit(self, capsys, monkeypatch, argv, owner, attr):
         monkeypatch.setattr(owner, attr, _refuse)

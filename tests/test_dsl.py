@@ -1,10 +1,12 @@
-"""Tests for the expression language: lexing, precedence, evaluation."""
+"""Tests for the expression language: lexing, precedence, the program
+the parser writes, evaluation."""
 
 import contextlib
 import io
 import random
 import re
 from collections import Counter
+from itertools import groupby, repeat
 from fractions import Fraction
 from unittest import mock
 
@@ -15,22 +17,10 @@ from hypothesis import strategies as st
 from helpers import (
     random_operator, reference_bracket, reference_op_mul, reference_tokenize)
 
-from dunklweyl import cli, dsl, opalg
+from dunklweyl import cli, dsl, opalg, relations
 from dunklweyl._kernel import op_add, op_neg
 from dunklweyl.builders import build, names
-from dunklweyl.dsl import (
-    BinOp,
-    Call,
-    Name,
-    Num,
-    ParseError,
-    Pow,
-    evaluate,
-    parse,
-    parse_eval,
-    program,
-    run,
-)
+from dunklweyl.dsl import ParseError, parse, parse_all, parse_eval, run
 from dunklweyl.opalg import OperatorElement, commutator
 from dunklweyl.scalars import SQRT2, I, Scalar
 
@@ -39,18 +29,30 @@ def x(i, n, p=1):
     return OperatorElement.x(i, n, p)
 
 
+def _steps(text, dims):
+    """The steps of text's program without their dead lists."""
+    steps, _ = parse(text, dims)
+    return [(op, value, args) for op, value, args, _ in steps]
+
+
 class TestParsing:
     def test_ast_shape(self):
-        assert parse("x1", 1) == Name("x1")
-        assert parse("3", 1) == Num(3)
-        assert parse("x1^2", 1) == Pow(Name("x1"), 2)
-        assert parse("comm(d1, x1)", 1) == Call("comm", (Name("d1"), Name("x1")))
+        assert parse("x1", 1) == ((("name", "x1", (), ()),), (0,))
+        assert _steps("3", 1) == [("num", 3, ())]
+        assert _steps("x1^2", 1) == [("name", "x1", ()), ("^", 2, (0,))]
+        assert _steps("-x1", 1) == [("name", "x1", ()), ("neg", None, (0,))]
+        assert _steps("comm(d1, x1)", 1) == [
+            ("name", "d1", ()), ("name", "x1", ()), ("comm", None, (0, 1))]
 
     def test_precedence(self):
-        # power binds tighter than *, which binds tighter than +.
-        ast = parse("x1 + d1*x1^2", 1)
-        assert ast == BinOp("+", Name("x1"),
-                            BinOp("*", Name("d1"), Pow(Name("x1"), 2)))
+        # power binds tighter than *, which binds tighter than +; the
+        # operands of a step come before it, left before right.
+        assert _steps("x1 + d1*x1^2", 1) == [
+            ("name", "x1", ()), ("name", "d1", ()), ("^", 2, (0,)),
+            ("*", None, (1, 2)), ("+", None, (0, 3))]
+        assert _steps("x1/2 - x1", 1) == [
+            ("name", "x1", ()), ("num", 2, ()), ("/", None, (0, 1)),
+            ("-", None, (2, 0))]
 
     def test_unary_minus_below_power(self):
         assert parse_eval("-x1^2", 1) == -(x(0, 1) ** 2)
@@ -195,7 +197,7 @@ class TestNameTable:
         # parse refuses a dims past MAX_DIMS before it lexes, so at most
         # MAX_DIMS compiled lexicons are ever kept.
         for dims in range(1, dsl.MAX_DIMS + 1):
-            assert parse("x1", dims) == Name("x1")
+            assert _steps("x1", dims) == [("name", "x1", ())]
         with pytest.raises(ValueError):
             parse("x1", dsl.MAX_DIMS + 1)
         assert dsl._lexicon.cache_info().currsize <= dsl.MAX_DIMS
@@ -238,6 +240,14 @@ class TestEvaluation:
         # Single terms that are products kept factored.
         assert str(parse_eval("(x1*x2)^-1", 2)) == "x1^-1*x2^-1"
         assert str(parse_eval("(2*x1*x2^2)^-2", 2)) == "1/4*x1^-2*x2^-4"
+        # Powers of powers: a power of a coordinate monomial is read from
+        # its operand; a negative power of any other power multiplies that
+        # power out first, and R1^2 and P^2 are 1.
+        assert parse_eval("((2*x1)^2)^-1", 1) == x(0, 1, -2) / 4
+        one = OperatorElement.identity(2)
+        assert parse_eval("(R1^2)^-1", 2) == one
+        assert parse_eval("(P^2)^-1", 2) == one
+        assert parse_eval("(R1^2)^3", 2) == one
         for bad in ("d1^-1", "R1^-1", "(x1 + x2)^-1", "(mu1*x1)^-1",
                     "(x1*R2)^-1", "(x1*d2)^-1"):
             with pytest.raises(ValueError):
@@ -248,7 +258,8 @@ class TestEvaluation:
         q = build("Q1", 1)
         assert parse_eval("adjoint(Q1) - Q1", 1).is_zero()
         assert parse_eval("acomm(A+1, A-1) - 2*A01", 2).is_zero()
-        assert evaluate(parse("adjoint(i*x1)", 1), 1) == -parse_eval("i*x1", 1)
+        assert (run(parse("adjoint(i*x1)", 1), 1, build)
+                == [-parse_eval("i*x1", 1)])
 
     def test_registry_identity_expression(self):
         # One full structure relation straight through the parser.
@@ -279,7 +290,7 @@ class TestRoundTrip:
 
 
 class TestSharing:
-    """Equal subexpressions are one node, evaluated once per call."""
+    """Equal subexpressions are one step, evaluated once per call."""
 
     @staticmethod
     def count_powers(monkeypatch):
@@ -294,12 +305,17 @@ class TestSharing:
         return calls
 
     def test_parser_interns_equal_subexpressions(self):
-        ast = parse("comm(J0, J+^3) - 6*J+^3", 2)
-        assert ast.left.arguments[1] is ast.right.right
-        assert ast == BinOp("-", Call("comm", (Name("J0"), Pow(Name("J+"), 3))),
-                            BinOp("*", Num(6), Pow(Name("J+"), 3)))
-        ast = parse("x1*x1 + x1*x1", 1)
-        assert ast.left is ast.right and ast.left.left is ast.left.right
+        assert _steps("comm(J0, J+^3) - 6*J+^3", 2) == [
+            ("name", "J0", ()), ("name", "J+", ()), ("^", 3, (1,)),
+            ("comm", None, (0, 2)), ("num", 6, ()), ("*", None, (4, 2)),
+            ("-", None, (3, 5))]
+        assert _steps("x1*x1 + x1*x1", 1) == [
+            ("name", "x1", ()), ("*", None, (0, 0)), ("+", None, (1, 1))]
+        # Across the texts of one parse_all, and each text's value kept.
+        steps, kept = parse_all(["J+^3", "2*J+^3", "J+^3"], 2)
+        assert steps == (("name", "J+", (), ()), ("^", 3, (0,), (0,)),
+                         ("num", 2, (), ()), ("*", None, (2, 1), (2,)))
+        assert kept == (1, 3, 1)
 
     def test_shared_power_evaluates_once(self, monkeypatch):
         calls = self.count_powers(monkeypatch)
@@ -312,28 +328,22 @@ class TestSharing:
         assert parse_eval("J+^3 + J+^2", 2) == jp * jp * jp + jp * jp
         assert sorted(calls) == [2, 3]
 
-    def test_unshared_ast_evaluates(self, monkeypatch):
-        # Built by hand, so the two equal powers are distinct objects.
-        ast = BinOp("-", Call("comm", (Name("J0"), Pow(Name("J+"), 3))),
-                    BinOp("*", Num(6), Pow(Name("J+"), 3)))
-        assert ast.left.arguments[1] is not ast.right.right
-        calls = self.count_powers(monkeypatch)
-        assert evaluate(ast, 2).is_zero()
-        assert calls == [3, 3]
-
     def test_shared_operands_of_one_node(self):
-        x1 = Name("x1")
-        square = BinOp("*", x1, x1)
-        ast = Call("comm", (square, BinOp("+", square, Call("adjoint", (square,)))))
-        assert evaluate(ast, 1).is_zero()
+        # One step x1*x1 read by three steps, twice by one of them.
+        text = "comm(x1*x1, x1*x1 + adjoint(x1*x1))"
+        assert [op for op, *_ in _steps(text, 1)] == [
+            "name", "*", "adjoint", "+", "comm"]
+        assert parse_eval(text, 1).is_zero()
         assert parse_eval("acomm(x1*x1, x1*x1)", 1) == 2 * x(0, 1, 4)
 
-    def test_parse_eval_goes_through_evaluate(self, monkeypatch):
+    def test_parse_eval_goes_through_run(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(dsl, "evaluate",
-                            lambda ast, dims: seen.append((ast, dims)) or 7)
+        monkeypatch.setattr(
+            dsl, "run",
+            lambda prog, dims, resolve: seen.append((prog, dims, resolve))
+            or [7])
         assert dsl.parse_eval("x1", 1) == 7
-        assert seen == [(Name("x1"), 1)]
+        assert seen == [(parse("x1", 1), 1, build)]
 
 
 class TestFactoredPath:
@@ -443,17 +453,21 @@ _NAMES = {"x1": 1, "d1": 1, "R1": 0, "mu1": 0, "i": 0, "sqrt2": 0}
 _MAX_DEGREE = 6
 
 
+# A test tree is a name (str), a number (int), ("^", base, exponent),
+# ("adjoint", a), or (op, a, b) for op one of + - * comm acomm.  It is
+# rendered to text, which is all the language reads.
+
+
 @st.composite
 def shared_trees(draw):
-    """A small AST over one variable whose nodes reuse earlier subtrees.
+    """A small tree over one variable whose nodes reuse earlier subtrees.
 
     Each step combines nodes drawn from the pool of all nodes made so far,
     so subtrees recur on purpose (the same object, by several paths).  A
     step whose degree would pass the cap becomes a sum.
     """
-    leaf = st.one_of(st.sampled_from(sorted(_NAMES)).map(Name),
-                     st.integers(0, 4).map(Num))
-    pool = [(node, _NAMES.get(getattr(node, "identifier", None), 0))
+    leaf = st.one_of(st.sampled_from(sorted(_NAMES)), st.integers(0, 4))
+    pool = [(node, _NAMES.get(node, 0))
             for node in draw(st.lists(leaf, min_size=1, max_size=4))]
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(
@@ -463,38 +477,34 @@ def shared_trees(draw):
         b, db = pool[draw(st.integers(0, len(pool) - 1))]
         if kind == "^":
             n = draw(st.integers(0, 3))
-            node, degree = Pow(a, n), da * n
+            node, degree = ("^", a, n), da * n
         elif kind == "adjoint":
-            node, degree = Call("adjoint", (a,)), da
-        elif kind in ("comm", "acomm"):
-            node, degree = Call(kind, (a, b)), da + db
-        elif kind == "*":
-            node, degree = BinOp("*", a, b), da + db
+            node, degree = ("adjoint", a), da
+        elif kind in ("comm", "acomm", "*"):
+            node, degree = (kind, a, b), da + db
         else:
-            node, degree = BinOp(kind, a, b), max(da, db)
+            node, degree = (kind, a, b), max(da, db)
         if degree > _MAX_DEGREE:
-            node, degree = BinOp("+", a, b), max(da, db)
+            node, degree = ("+", a, b), max(da, db)
         pool.append((node, degree))
     return pool[-1][0]
 
 
-def _render(node, brackets):
+def _render(node, brackets=repeat(False)):
     """Fully parenthesised source text of a tree; each comm or acomm is
     written [a, b] or {a, b} where the next draw of brackets is true."""
     def text(node):
-        if isinstance(node, Name):
-            return node.identifier
-        if isinstance(node, Num):
-            return str(node.value)
-        if isinstance(node, Pow):
-            return f"({text(node.base)})^{node.exponent}"
-        if isinstance(node, BinOp):
-            return f"({text(node.left)} {node.op} {text(node.right)})"
-        args = ", ".join(map(text, node.arguments))
-        if node.function != "adjoint" and next(brackets):
-            return "[" + args + "]" if node.function == "comm" else \
-                "{" + args + "}"
-        return f"{node.function}({args})"
+        if isinstance(node, (str, int)):
+            return str(node)
+        op, *args = node
+        if op == "^":
+            return f"({text(args[0])})^{args[1]}"
+        if op in ("+", "-", "*"):
+            return f"({text(args[0])} {op} {text(args[1])})"
+        inner = ", ".join(map(text, args))
+        if op != "adjoint" and next(brackets):
+            return "[" + inner + "]" if op == "comm" else "{" + inner + "}"
+        return f"{op}({inner})"
     return text(node)
 
 
@@ -502,28 +512,28 @@ def _reference(node):
     """Plain recursive evaluation: powers multiplied from the right and
     brackets as two products, one subtree at a time."""
     one = OperatorElement.identity(1)
-    if isinstance(node, Num):
-        return node.value * one
-    if isinstance(node, Name):
+    if isinstance(node, int):
+        return node * one
+    if isinstance(node, str):
         return {"x1": OperatorElement.x(0, 1), "d1": OperatorElement.d(0, 1),
                 "R1": OperatorElement.r(0, 1),
                 "mu1": Scalar.parameter(0, 1) * one,
-                "i": I * one, "sqrt2": SQRT2 * one}[node.identifier]
-    if isinstance(node, Pow):
-        base, out = _reference(node.base), one
-        for _ in range(node.exponent):
+                "i": I * one, "sqrt2": SQRT2 * one}[node]
+    op, *args = node
+    if op == "^":
+        base, out = _reference(args[0]), one
+        for _ in range(args[1]):
             out = out * base
         return out
-    if isinstance(node, BinOp):
-        a, b = _reference(node.left), _reference(node.right)
-        return {"+": a + b, "-": a - b, "*": a * b}[node.op]
-    args = [_reference(arg) for arg in node.arguments]
-    if node.function == "adjoint":
+    args = [_reference(arg) for arg in args]
+    if op == "adjoint":
         return args[0].adjoint()
     a, b = args
-    if node.function == "comm":
-        return a * b - b * a
-    return a * b + b * a
+    if op in ("+", "-"):
+        return a + b if op == "+" else a - b
+    if op == "*":
+        return a * b
+    return a * b - b * a if op == "comm" else a * b + b * a
 
 
 class TestGrammarFuzz:
@@ -531,13 +541,75 @@ class TestGrammarFuzz:
     @given(shared_trees(), st.randoms(use_true_random=False))
     def test_text_tree_and_cli_agree(self, tree, rng):
         text = _render(tree, iter(lambda: rng.random() < 0.5, None))
-        value = evaluate(tree, 1)
-        assert parse_eval(text, 1) == value
+        value = parse_eval(text, 1)
         assert value == _reference(tree)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["nf", "--dims", "1", text])
         assert (code, out.getvalue(), err.getvalue()) == (0, f"{value}\n", "")
+
+
+def _check_program(prog):
+    """What ``run`` relies on: each operand slot is below its step's, no
+    two steps are equal, every slot but a text's own is dead exactly once,
+    at its last reader, and a text's own slot is never dead."""
+    steps, kept = prog
+    assert len({step[:3] for step in steps}) == len(steps)
+    dead_at = {}
+    for k, (_, _, args, dead) in enumerate(steps):
+        assert all(a < k for a in args), k
+        for slot in dead:
+            assert slot not in dead_at, slot
+            dead_at[slot] = k
+    for slot in range(len(steps)):
+        readers = [k for k, step in enumerate(steps) if slot in step[2]]
+        if slot in kept:
+            assert slot not in dead_at, slot
+        else:
+            assert readers and dead_at.get(slot) == readers[-1], slot
+
+
+class TestProgram:
+    """The invariants of the program, on drawn texts and on every text
+    the package parses: the family statements and the registry
+    definitions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(shared_trees(), min_size=1, max_size=3),
+           st.randoms(use_true_random=False))
+    def test_drawn_texts(self, trees, rng):
+        # One more text is a subtree of the first, so that a text's own
+        # value is read by a step of another text.
+        node = trees[0]
+        while isinstance(node, tuple) and rng.random() < 0.7:
+            node = node[1] if node[0] == "^" else rng.choice(node[1:])
+        brackets = iter(lambda: rng.random() < 0.5, None)
+        _check_program(parse_all(
+            [_render(t, brackets) for t in (*trees, node)], 1))
+
+    def test_family_groups(self):
+        for fam in relations._TABLE:
+            for dims, group in groupby(
+                    fam.statements,
+                    key=lambda t: fam.dims or int(t[2:t.index(":")])):
+                bodies = tuple(text.split(": ")[-1] for text in group)
+                _check_program(relations._residuals(bodies, dims))
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_registry_definitions(self, monkeypatch, dims):
+        programs = []
+
+        def parsing(text, dims):
+            programs.append(parse(text, dims))
+            return programs[-1]
+
+        monkeypatch.setattr(dsl, "parse", parsing)
+        build.cache_clear()
+        for name in names(dims):
+            build(name, dims)
+        assert len(programs) > len(names(dims)) // 2
+        for prog in programs:
+            _check_program(prog)
 
 
 # Rule table twin --------------------------------------------------------------
@@ -561,9 +633,9 @@ def _rule_trees(rng, dims):
     leaves = [name for name in names(dims) if len(build(name, dims)) <= 16]
 
     def leaf():
-        node = (Name(rng.choice(leaves)) if rng.random() < 0.8
-                else Num(rng.randint(0, 3)))
-        return node, evaluate(node, dims)
+        node = (rng.choice(leaves) if rng.random() < 0.8
+                else rng.randint(0, 3))
+        return node, parse_eval(_render(node), dims)
 
     pool = [leaf() for _ in range(rng.randint(1, 4))]
     first = len(pool)
@@ -573,19 +645,18 @@ def _rule_trees(rng, dims):
         b, vb = rng.choice(pool)
         if kind == "^":
             k = rng.randint(0, 3)
-            node, pairs = Pow(a, k), len(va) ** k
+            node, pairs = ("^", a, k), len(va) ** k
         elif kind in ("+*", "-*"):
             (b, vb), (c, vc) = leaf(), leaf()
-            node = BinOp(kind[0], BinOp("*", a, b), BinOp("*", a, c))
+            node = (kind[0], ("*", a, b), ("*", a, c))
             pairs = len(va) * (len(vb) + len(vc))
         elif kind in ("+", "-"):
-            node, pairs = BinOp(kind, a, b), 0
+            node, pairs = (kind, a, b), 0
         else:
-            node = BinOp("*", a, b) if kind == "*" else Call(kind, (a, b))
-            pairs = len(va) * len(vb)
+            node, pairs = (kind, a, b), len(va) * len(vb)
         if pairs > _RULE_PAIRS:
-            node = BinOp("+", a, b)
-        pool.append((node, evaluate(node, dims)))
+            node = ("+", a, b)
+        pool.append((node, parse_eval(_render(node), dims)))
     return [node for node, _ in pool[first:]]
 
 
@@ -599,22 +670,20 @@ def _flat_reference(roots, dims):
     def value(node):
         if id(node) in memo:
             return memo[id(node)]
-        if isinstance(node, Num):
-            out = (node.value * one).kernel_op
-        elif isinstance(node, Name):
-            out = build(node.identifier, dims).kernel_op
-        elif isinstance(node, Pow):
-            base, out = value(node.base), one.kernel_op
-            for _ in range(node.exponent):
+        if isinstance(node, int):
+            out = (node * one).kernel_op
+        elif isinstance(node, str):
+            out = build(node, dims).kernel_op
+        elif node[0] == "^":
+            base, out = value(node[1]), one.kernel_op
+            for _ in range(node[2]):
                 out = reference_op_mul(base, out, dims)
-        elif isinstance(node, BinOp):
-            a, b = value(node.left), value(node.right)
-            out = (op_add(a, b) if node.op == "+" else op_add(a, op_neg(b))
-                   if node.op == "-" else reference_op_mul(a, b, dims))
         else:
-            a, b = map(value, node.arguments)
-            out = reference_bracket(a, b, dims,
-                                    -1 if node.function == "comm" else 1)
+            op, a, b = node[0], value(node[1]), value(node[2])
+            out = (op_add(a, b) if op == "+" else op_add(a, op_neg(b))
+                   if op == "-" else reference_op_mul(a, b, dims)
+                   if op == "*" else
+                   reference_bracket(a, b, dims, -1 if op == "comm" else 1))
         memo[id(node)] = out
         return out
 
@@ -630,8 +699,10 @@ class TestRuleTableTwin:
 
     @staticmethod
     def three_ways(roots, dims):
+        prog = parse_all(list(map(_render, roots)), dims)
+
         def values():
-            return [v.kernel_op for v in run(program(roots), dims, build)]
+            return [v.kernel_op for v in run(prog, dims, build)]
 
         on = values()
         with mock.patch.object(opalg, "_RULES",
@@ -674,8 +745,13 @@ class TestRuleTableTwin:
     # zero.  Here it is a nonzero multiple of a base: [H1, A+1] = A+1,
     # [J0, J+] = 2*J+ and, mirrored, [A+1, H1] = -A+1; each template is
     # raised to seeded exponents.
-    @pytest.mark.parametrize("template", [
-        "comm(H1, A+1^{k})", "comm(J0, J+^{k})", "comm(A+1^{k}, H1)"])
+    _POWER_TREES = {
+        "comm(H1, A+1^{k})": lambda k: ("comm", "H1", ("^", "A+1", k)),
+        "comm(J0, J+^{k})": lambda k: ("comm", "J0", ("^", "J+", k)),
+        "comm(A+1^{k}, H1)": lambda k: ("comm", ("^", "A+1", k), "H1"),
+    }
+
+    @pytest.mark.parametrize("template", list(_POWER_TREES))
     def test_power_rule_from_a_nonzero_bracket(self, template):
         rng = random.Random(template)
         outcomes = []
@@ -690,7 +766,7 @@ class TestRuleTableTwin:
                  "[]": (noting, *opalg._RULES["[]"][1:])}
         assert opalg._RULES["[]"][0] is opalg._power_bracket
         for k in rng.sample(range(2, 5), 2):
-            (root,) = dsl.parse_all([template.format(k=k)], 2)
+            root = self._POWER_TREES[template](k)
             outcomes.clear()
             with mock.patch.object(opalg, "_RULES", table):
                 on, off, flat = self.three_ways([root], 2)

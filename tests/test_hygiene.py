@@ -559,6 +559,24 @@ def test_arithmetic_only_in_the_kernel():
     assert not faults, "; ".join(faults)
 
 
+
+def test_one_parsed_form():
+    """The parser writes the evaluation program itself: ``dsl`` defines
+    no class but its error and its parser, and no dataclass, so no tree
+    of the parsed text is kept beside the program's steps."""
+    path = Path(dunklweyl.__file__).parent / "dsl.py"
+    tree = ast.parse(path.read_text())
+    faults = [f"dsl.py:{node.lineno} defines class {node.name}"
+              for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              and node.name not in ("ParseError", "_Parser")]
+    faults += [f"dsl.py:{node.lineno} uses dataclass"
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+               and "dataclass" in (getattr(node, "id", None)
+                                   or getattr(node, "attr", None)
+                                   or getattr(node, "name", ""))]
+    assert not faults, "; ".join(faults)
+
 def test_tracer_resolves_every_target(monkeypatch):
     """The benchmark's tracer finds every layer it wraps.  A target it
     cannot resolve drops that layer's metrics from a traced run without

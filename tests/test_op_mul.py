@@ -4,6 +4,7 @@ term-by-term references, the linear operations against them and each
 other, and the reordering rows against their closed form."""
 
 import copy
+from collections import Counter
 from math import comb, gcd, prod
 
 import pytest
@@ -90,12 +91,34 @@ def operand_pairs(draw):
     return A, B, nvars, nparams
 
 
+# The derivative orders of one monomial of a squared operand sum to at
+# most this.  A product or bracket costs about the product of (order + 1)
+# over the variables per pair of terms: 125 for d^4 in each of three
+# variables against at most 12 under this bound, and the square's orders
+# double again before its bracket with the operand.
+_SQUARED_ORDER = 4
+
+
+@st.composite
+def _low_order_monos(draw, nvars):
+    """A monomial as ``_monos`` draws it, its derivative orders summing to
+    at most ``_SQUARED_ORDER``: up to d^4 in one variable, or less in
+    several."""
+    orders = Counter(draw(st.lists(st.integers(0, nvars - 1),
+                                   max_size=_SQUARED_ORDER)))
+    mono = draw(_monos(nvars))
+    return tuple(orders[k // 3] if k % 3 == 1 else e
+                 for k, e in enumerate(mono))
+
+
 @st.composite
 def small_operands(draw):
     """One operator of at most three terms, small enough to square."""
     nvars = draw(st.integers(1, 3))
     nparams = draw(st.integers(1, 3))
-    return draw(_ops(nvars, nparams, max_size=3)), nvars, nparams
+    A = draw(st.dictionaries(_low_order_monos(nvars), _polys(nparams),
+                             max_size=3))
+    return A, nvars, nparams
 
 
 @st.composite

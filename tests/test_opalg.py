@@ -642,8 +642,7 @@ class TestDeferredPower:
     def test_decided_power_is_never_multiplied_out(self, monkeypatch, power,
                                                    base):
         # One run of each first, so that the registry values they read
-        # are built and their kept forms made (K+ is multiplied out once,
-        # by the parser's test for a coordinate monomial in K+^2).
+        # are built and their kept forms made.
         for expr in (base, power):
             _print_nf(expr)
         calls = self.products(monkeypatch)
@@ -652,6 +651,34 @@ class TestDeferredPower:
         calls.clear()
         assert _print_nf(power) == (0, "0\n")
         assert len(calls) == want
+
+    @pytest.mark.parametrize("power, base", [
+        ("comm(H, (J+^15)^2)", "comm(H, J+)"),
+        ("comm(P, K+^2)", "comm(P, J+)"),
+    ])
+    def test_power_of_a_pending_power_reads_its_operand(self, monkeypatch,
+                                                        power, base):
+        # Cold, with every registry value built afresh: the parser's test
+        # for a coordinate monomial in J+^15 and in K+ = J+^2 reads J+,
+        # and neither power is multiplied out.
+        calls, counts = self.products(monkeypatch), []
+        for expr in (base, power):
+            build.cache_clear()
+            calls.clear()
+            assert _print_nf(expr) == (0, "0\n")
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_coordinate_power_of_a_pending_power(self):
+        # Read from the operand where it is a coordinate monomial; else
+        # unread for k >= 0, and multiplied out for a negative k.
+        x1, r1 = build("x1", 2), build("R1", 2)
+        assert (x1 ** 2).coordinate_power(-3) == x1.coordinate_power(-6)
+        square = r1 ** 2
+        assert square.coordinate_power(3) is None
+        assert square._pending == (r1, 2)
+        assert square.coordinate_power(-1) == OperatorElement.identity(2)
+        assert square._pending is None
 
     def test_shared_power_is_multiplied_out_once(self, monkeypatch):
         # The parser shares the node J+^4, which the power rule scales.
