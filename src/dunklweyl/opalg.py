@@ -29,7 +29,8 @@ with a power from the bases' bracket) is listed once, per operation and in
 the order tried, in ``_RULES``; where none decides, the flat kernel runs,
 and the normal forms are the same either way.  ``kernel_op`` alone builds
 the flat normal form, once, and keeps it; ``len()`` counts terms without
-it.
+it, and ``str()`` writes a product whose factors' mu-supports lie apart,
+as every ladder product's do, factor by factor without it.
 
 A power ``B^k`` with ``k >= 2`` is built on its first read: ``**`` keeps
 only its operand and exponent, and ``_parts``, the one reader of an
@@ -550,28 +551,52 @@ class OperatorElement(_Combination):
     def __str__(self) -> str:
         """The normal form as text, in one pass: reflection-free, low-order
         terms first (``(e, b, a)`` of each variable in turn), each written
-        as ``scalars._render_sum`` writes a term.  The coefficient texts
-        come from one ``poly_renderer`` and the ``x^a*d^b*R`` text of each
-        block from a memo per variable, both kept for this call only."""
-        n, data = self._nvars, self.kernel_op
+        as ``scalars._render_sum`` writes a term.
+
+        The terms are walked in groups.  A flat element is one group.  A
+        product kept factored whose factors' mu-supports lie apart and in
+        variable order (``_separate_supports``), as those of every ladder
+        product and of ``-J+^k`` do, is one group per factor, in variable
+        order: each group is sorted by the same key, so the nested walk
+        gives the flat order, and ``poly_renderer`` writes each coefficient
+        from the factors' coefficients, so the product is never flattened.
+        Any other product, such as ``mu2*J+^3``, is flattened by
+        ``kernel_op`` and walked as one group.  The ``x^a*d^b*R`` text of
+        each block comes from a memo per variable, written once per factor
+        term; it and the renderer's memo are kept for this call only."""
+        n, factors = self._nvars, self._parts()[1]
+        groups = ([factors[j] for j in sorted(factors)]
+                  if factors is not None and _separate_supports(factors, n)
+                  else [self.kernel_op])
         order = [i for j in range(0, 3 * n, 3) for i in (j + 2, j + 1, j)]
-        coefficient, blocks = poly_renderer(), [{} for _ in range(n)]
+        blocks = [{} for _ in range(n)]
+        walks, coefs = [], []
+        for group in groups:
+            monos = sorted(group, key=itemgetter(*order)) if n else group
+            walk = []
+            for mono in monos:
+                ms = ""
+                for j, memo in enumerate(blocks):
+                    block = mono[3 * j:3 * j + 3]
+                    text = memo.get(block)
+                    if text is None:
+                        a, b, e = block
+                        v = j + 1
+                        text = memo[block] = "*".join(part for part in (
+                            (f"x{v}" if a == 1 else f"x{v}^{a}") if a else "",
+                            (f"d{v}" if b == 1 else f"d{v}^{b}") if b else "",
+                            f"R{v}" if e else "") if part)
+                    if text:
+                        ms = f"{ms}*{text}" if ms else text
+                walk.append(ms)
+            walks.append(walk)
+            coefs.append([group[mono] for mono in monos])
+        texts, *rest = walks
+        for walk in rest:
+            texts = [f"{left}*{right}" if left and right else left or right
+                     for left in texts for right in walk]
         out = ""
-        for mono in sorted(data, key=itemgetter(*order)) if n else data:
-            ms = ""
-            for j, texts in enumerate(blocks):
-                block = mono[3 * j:3 * j + 3]
-                text = texts.get(block)
-                if text is None:
-                    a, b, e = block
-                    v = j + 1
-                    text = texts[block] = "*".join(part for part in (
-                        (f"x{v}" if a == 1 else f"x{v}^{a}") if a else "",
-                        (f"d{v}" if b == 1 else f"d{v}^{b}") if b else "",
-                        f"R{v}" if e else "") if part)
-                if text:
-                    ms = f"{ms}*{text}" if ms else text
-            cs = coefficient(data[mono])
+        for ms, cs in zip(texts, poly_renderer()(coefs)):
             if not ms:
                 body = cs
             elif cs == "1":
@@ -589,6 +614,22 @@ class OperatorElement(_Combination):
             else:
                 out += " + " + body
         return out or "0"
+
+
+def _separate_supports(factors: Dict[int, dict], nvars: int) -> bool:
+    """Whether the factors' mu-supports, the parameters with a nonzero
+    exponent in any of a factor's coefficients, are disjoint and increase
+    with the variable order, so that the factors' coefficients multiply
+    without merging a term or reordering one."""
+    last = -1
+    for j in sorted(factors):
+        expos = {expo for poly in factors[j].values() for expo in poly}
+        support = [i for i in range(nvars) if any(e[i] for e in expos)]
+        if support:
+            if support[0] <= last:
+                return False
+            last = support[-1]
+    return True
 
 
 def _ratio(term: dict, factor: dict) -> Optional[dict]:

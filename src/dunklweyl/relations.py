@@ -91,10 +91,14 @@ class Family:
 def _residuals(statements: Tuple[str, ...], dims: int) -> Program:
     """``lhs - rhs`` of each statement ``lhs = rhs`` on dims variables,
     parsed together, so that a subexpression written in several
-    statements is one step, and parsed once."""
-    return parse_all(
-        [f"({lhs}) - ({rhs})" for lhs, rhs in
-         (statement.split(" = ") for statement in statements)], dims)
+    statements is one step, and parsed once.  A statement without exactly
+    one ``" = "`` raises ``ValueError``, naming it."""
+    sides = [statement.split(" = ") for statement in statements]
+    for statement, parts in zip(statements, sides):
+        if len(parts) != 2:
+            raise ValueError(f"statement {statement!r} needs exactly one "
+                             f"' = ', found {len(parts) - 1}")
+    return parse_all([f"({lhs}) - ({rhs})" for lhs, rhs in sides], dims)
 
 
 def _per_variable(statements: Callable[[int], Sequence[str]]

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
-from dunklweyl._kernel import BN_ONE, BN_ZERO, bn_inv, bn_make, poly_eval
+from dunklweyl._kernel import (
+    BN_ONE, BN_ZERO, bn_inv, bn_make, bn_mul, poly_eval)
 
 BaseLike = Union["BaseNumber", int, Fraction]
 ScalarLike = Union["Scalar", "BaseNumber", int, Fraction]
@@ -130,27 +133,81 @@ def render_base(data: tuple) -> str:
                        in zip(data, ("1", "i", "sqrt2", "i*sqrt2")) if num)
 
 
-def poly_renderer() -> Callable[[dict], str]:
-    """A renderer of kernel mu-polynomials, terms lex-descending in mu,
-    that formats each distinct base number and mu-monomial once in its
-    life: a caller keeps it for one output, and the memo dies with it."""
+def poly_renderer() -> Callable[[Sequence[Sequence[dict]]], Iterator[str]]:
+    """A writer of kernel mu-polynomials, terms lex-descending in mu, that
+    formats each distinct base number and mu-monomial once in its life: a
+    caller keeps it for one output, and the memo dies with it.
+
+    ``render(groups)`` yields, in nested order (the first group outermost),
+    the text of the product of each combination of one polynomial from
+    each group; one group yields its polynomials' own texts.  The groups'
+    mu-supports (the parameters with a nonzero exponent in any of a
+    group's polynomials) must be disjoint and increase in the order given,
+    so that a product is written without multiplying it out: its terms are
+    the nested combinations of its factors' terms, none merging and
+    already lex-descending; each number is ``bn_mul`` of theirs, one
+    multiplication per distinct pair; and each mu-monomial is the
+    ``*``-join of theirs.
+    """
     numbers: dict = {}
     monomials: dict = {}
+    # The number each text writes, and the text of each product of two
+    # numbers, keyed by the factors' texts, left then right.
+    values: dict = {}
+    products: dict = {}
 
-    def render(poly: dict) -> str:
-        terms = []
+    def number(coef: tuple) -> str:
+        cs = numbers.get(coef)
+        if cs is None:
+            cs = numbers[coef] = render_base(coef)
+            values[cs] = coef
+        return cs
+
+    def monomial(expo: tuple) -> str:
+        ms = monomials[expo] = "*".join(
+            f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
+            for i, e in enumerate(expo) if e) or "1"
+        return ms
+
+    def terms(poly: dict) -> list:
+        """The ``(number, mu-monomial)`` texts of each term,
+        lex-descending."""
+        out = []
         for expo in sorted(poly, reverse=True):
             coef = poly[expo]
             cs = numbers.get(coef)
             if cs is None:
-                cs = numbers[coef] = render_base(coef)
+                cs = number(coef)
             ms = monomials.get(expo)
             if ms is None:
-                ms = monomials[expo] = "*".join(
-                    f"mu{i + 1}" if e == 1 else f"mu{i + 1}^{e}"
-                    for i, e in enumerate(expo) if e) or "1"
-            terms.append((cs, ms))
-        return _render_sum(terms)
+                ms = monomial(expo)
+            out.append((cs, ms))
+        return out
+
+    def times(left_terms: list, right_terms: list) -> list:
+        """The terms of the product of two polynomials' terms."""
+        out = []
+        for left_cs, left in left_terms:
+            row = products.get(left_cs)
+            if row is None:
+                row = products[left_cs] = {}
+            for right_cs, right in right_terms:
+                cs = row.get(right_cs)
+                if cs is None:
+                    cs = row[right_cs] = number(
+                        bn_mul(values[left_cs], values[right_cs]))
+                out.append((cs, right if left == "1" else left
+                            if right == "1" else f"{left}*{right}"))
+        return out
+
+    def render(groups: Sequence[Sequence[dict]]) -> Iterator[str]:
+        # One group is written as it is walked: a flat output never holds
+        # the terms of all its coefficients at once.
+        if len(groups) == 1:
+            return map(_render_sum, map(terms, groups[0]))
+        walks = [list(map(terms, group)) for group in groups]
+        return (_render_sum(reduce(times, combination))
+                for combination in product(*walks))
 
     return render
 
@@ -245,7 +302,7 @@ class Scalar:
                 for e in sorted(self._poly, reverse=True))
 
     def __str__(self) -> str:
-        return poly_renderer()(self._poly)
+        return next(poly_renderer()([[self._poly]]))
 
     def __repr__(self) -> str:
         return f"Scalar({self}, nvars={self._nvars})"

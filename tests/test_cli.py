@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output, schema, exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -503,6 +504,43 @@ class TestSpectrumGolden:
     def test_stdout(self, capsys, case):
         code, out, _ = run(capsys, case["argv"])
         assert (code, out) == (case["exit"], case["stdout"])
+
+
+class TestFactoredOutputDigests:
+    """stdout of ladder products, pinned by its sha256 as the flat writer
+    wrote it: the controls ``comm(J0, J+^k) - (2k+1)*J+^k``, ``K+^2``,
+    ``mu1*J-^4`` and a product on three variables, kept factored and
+    written factor by factor; ``mu2*J+^3``, whose mu2 joins the factor of
+    variable 1 and so is flattened to be written; and ``0 - J+^k``, flat."""
+
+    @pytest.mark.parametrize("expr, dims, size, digest", [
+        ("comm(J0, J+^3) - 7*J+^3", 2, 10652,
+         "f3f23a304cb77d0cc3ebf820ba9163c6cb3e5592ade5162b9199fba52f817cab"),
+        ("0 - J+^3", 2, 10637,
+         "35f27880f60014b3d24f7414856ae6580f117a4bb3904960077ad4b898f003da"),
+        ("comm(J0, J+^4) - 9*J+^4", 2, 20925,
+         "fc517411fe72f641f2599a163a766c8c06a0d0e2f124e272ec0717987b379578"),
+        ("0 - J+^4", 2, 20910,
+         "426884e5143b82459c0e2b191d597e40d8a87296c6361a48f2faa1c4aa932176"),
+        ("comm(J0, J+^5) - 11*J+^5", 2, 97539,
+         "fb199554a67cc8a742e66159b04e6547ff9da8ea15510af62c97fe9cd893edc9"),
+        ("0 - J+^5", 2, 97523,
+         "fae7068f0b7155e9fa69d40a2b324e5e953028cd51f4b32bea3b1cf75bfcde05"),
+        ("mu2*J+^3", 2, 11605,
+         "c587f0141ee58493664e3d05352ff8d45858821af02a06a87a15272a3c1d8bb5"),
+        ("K+^2", 2, 20882,
+         "0dd4c22c57362f8b4056f8e231800197b39d50ff04aa5d9cd259beff8f22f393"),
+        ("mu1*J-^4", 2, 23064,
+         "fa8a53584e4f2552dd2b3a5b70d202d6374b5dc80cf3695220937da0ab0636c1"),
+        ("A+1*A-2*A+3", 3, 2158,
+         "d43cc69447866505e84afe96bebe9f13689ac61c40bbac447690d8a3a972d641"),
+    ])
+    def test_stdout(self, capsys, expr, dims, size, digest):
+        # JSON on two variables, text on three.
+        fmt = ["--format", "json"] if dims == 2 else []
+        code, out, _ = run(capsys, ["nf", "--dims", str(dims), *fmt, expr])
+        assert (code, len(out)) == (0, size)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

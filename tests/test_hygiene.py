@@ -292,8 +292,11 @@ def _render_path():
     """``(path, trees)``: ``path`` lists ``(module file, function node)``
     for the functions that write values as text, every ``__str__`` of
     ``scalars`` and ``opalg`` and the module-level functions of either
-    that they call by name, transitively (a name ``opalg`` imports from
-    ``scalars`` resolves there); ``trees`` maps each file to its AST."""
+    that they name, transitively, whether they call one or hand it on, as
+    to ``map`` or ``reduce`` (a name ``opalg`` imports from ``scalars``
+    resolves there); ``trees`` maps each file to its AST.  A function's
+    node holds its closures, such as the writers ``poly_renderer``
+    returns."""
     trees = {name: ast.parse((Path(dunklweyl.__file__).parent / name)
                              .read_text(), name)
              for name in ("scalars.py", "opalg.py")}
@@ -310,9 +313,9 @@ def _render_path():
             continue
         seen[name, fn.name, fn.lineno] = (name, fn)
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 for owner in (name, "scalars.py"):
-                    callee = functions[owner].get(node.func.id)
+                    callee = functions[owner].get(node.id)
                     if callee is not None:
                         todo.append((owner, callee))
                         break
@@ -358,19 +361,26 @@ def _tables(body, displays=(ast.Dict, ast.DictComp),
 def test_one_renderer():
     """Numbers and mu-monomials are written only in ``scalars``, without
     building a Fraction, and the memo that writes each distinct one once
-    per output lives in the call, not in the module."""
+    per output lives in the call, not in the module.  The path reaches
+    the writer of a product kept factored, the one that multiplies the
+    factors' numbers with ``bn_mul``."""
     path, trees = _render_path()
     names = {name for name, _ in path}
     assert {"scalars.py", "opalg.py"} <= names
+    assert any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "bn_mul"
+               for _, fn in path for node in ast.walk(fn)), (
+        "no function on the render path multiplies with bn_mul")
     module_dicts = {name: _tables(tree.body)
                     for name, tree in trees.items()}
     faults = []
     for name, fn in path:
         where = f"{name} {fn.name} (line {fn.lineno})"
-        if fn.decorator_list:
-            faults.append(f"{where} is decorated, so it may cache")
         for node in ast.walk(fn):
-            if isinstance(node, ast.Global):
+            if isinstance(node, ast.FunctionDef) and node.decorator_list:
+                faults.append(f"{where}: {node.name} is decorated, so it "
+                              f"may cache")
+            elif isinstance(node, ast.Global):
                 faults.append(f"{where} writes a global")
             elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                   and node.id in module_dicts[name]):

@@ -32,6 +32,7 @@ from dunklweyl._kernel import (
 
 from dunklweyl import _kernel, cli, opalg
 from dunklweyl.builders import build
+from dunklweyl.dsl import parse_eval
 from dunklweyl.opalg import (
     LaurentPolynomial,
     OperatorElement,
@@ -1215,6 +1216,40 @@ def wide_laurents(draw):
         draw(st.dictionaries(exps, _wide_polys(n), max_size=8)), n)
 
 
+@st.composite
+def separated(draw):
+    """``(nvars, factors, flattens)``: one-variable operators on 2-4
+    distinct variables of 2-4, with negative x-powers and reflections, each
+    coefficient a polynomial in its own variable's mu alone or, numeric, a
+    constant, on all four lines of Q(i, sqrt2).  Their mu-supports are then
+    disjoint and in variable order, so their product is written factor by
+    factor.  With ``flattens`` the factors of the lowest and the highest
+    variable both carry the highest one's mu as well: the supports meet,
+    and the product is flattened to be written."""
+    n = draw(st.integers(2, 4))
+    variables = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                              unique=True))
+    parametric, flattens = draw(st.booleans()), draw(st.booleans())
+    block = st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 1))
+    factors = []
+    for j in variables:
+        own = (st.integers(0, 3) if parametric else st.just(0)).map(
+            lambda e, j=j: tuple(e if i == j else 0 for i in range(n)))
+        monos = block.map(
+            lambda b, j=j: (0, 0, 0) * j + b + (0, 0, 0) * (n - j - 1))
+        # A factor with only a constant term would be a scalar multiple.
+        terms = st.dictionaries(
+            monos, st.dictionaries(own, _wide_coeffs, min_size=1, max_size=3),
+            min_size=1, max_size=3).filter(lambda d: any(map(any, d)))
+        factors.append(OperatorElement(draw(terms), n))
+    if flattens:
+        mu = Scalar.parameter(max(variables), n)
+        for k in {variables.index(min(variables)),
+                  variables.index(max(variables))}:
+            factors[k] = mu * factors[k]
+    return n, factors, flattens
+
+
 class TestRenderer:
     """Numbers, scalars, operators and functions on 0-4 variables render
     as the renderer that the one-pass operator text replaced did, byte for
@@ -1252,3 +1287,40 @@ class TestRenderer:
         twin = OperatorElement(
             op_scale(_reference_product(fs, n), {(0,) * n: coef}), n)
         assert str(T) == reference_render(twin) == str(twin)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(separated(), factored().map(lambda case: (*case, None))),
+           _wide_coeffs)
+    def test_factored_walk_renders_as_its_flat_twin(self, case, coef):
+        # Factor by factor where the mu-supports are apart, flattened where
+        # they meet; ``factored`` draws either, its first factor carrying
+        # another variable's mu.
+        n, fs, flattens = case
+        T = BaseNumber._from_tuple(coef) * _times(fs)
+        assert T._factors is not None and T._data is None
+        twin = OperatorElement(
+            op_scale(_reference_product(fs, n), {(0,) * n: coef}), n)
+        assert str(T) == reference_render(twin) == str(twin)
+        if flattens is not None:
+            assert (T._data is not None) == flattens
+
+    def test_ladder_products_print_unflattened(self, monkeypatch):
+        # Warm first, so that the registry values are built; the power is
+        # multiplied out before counting, as reading its factors does.
+        for expr in ("J+^5", "comm(J0, J+^5) - 11*J+^5"):
+            str(parse_eval(expr, 2))
+            value = parse_eval(expr, 2)
+            assert value._parts()[1] is not None
+            calls = TestDeferredPower.products(monkeypatch)
+            text = str(value)
+            assert calls == [] and value._parts()[0] is None
+            monkeypatch.undo()
+            assert text == str(OperatorElement(value.kernel_op, 2))
+        # mu2 joins the factor of variable 1, whose support then meets
+        # variable 2's: flattened, and written as its flat twin.
+        value = parse_eval("mu2*J+^3", 2)
+        assert value._parts()[1] is not None
+        text = str(value)
+        assert value._parts()[0] is not None
+        twin = OperatorElement(value.kernel_op, 2)
+        assert text == str(twin) == reference_render(twin)

@@ -225,6 +225,17 @@ class TestErrors:
         with pytest.raises(TypeError):
             check("sl12", (1,))
 
+    @pytest.mark.parametrize("statement, found", [
+        ("[J0,J+]=2*J+", 0),
+        ("J+ = J+ = J+", 2),
+    ])
+    def test_statement_needs_one_equals_sign(self, statement, found):
+        # Named in the error, not the interpreter's unpacking message.
+        with pytest.raises(ValueError, match=(
+                rf"statement {re.escape(repr(statement))} needs exactly "
+                rf"one ' = ', found {found}")):
+            relations._residuals((statement,), 2)
+
 
 class TestNegativeDemonstrations:
     # These pin down readings that look plausible but are false, so a
