@@ -15,10 +15,10 @@ modules call each other, and ``builders`` imports this one at its first
 definition, which lets either be imported first.  The dims bound,
 ``MAX_DIMS``, is the registry's, checked by ``builders.check_dims``.
 
-Division accepts only constant invertible divisors, and a negative
-power accepts only reflection-free derivative-free monomials with
-constant coefficients; both restrictions keep every expression inside
-the algebra.
+Every value is an operator: a number is the constant operator, its value
+times the identity, and a product with a constant operator is a scalar
+multiple, so ``2*J+`` is one.  Which divisions and powers stay inside
+the algebra is ``OperatorElement``'s to decide (``/`` and ``**``).
 
 The parser writes the evaluation program as it reads: each distinct
 subexpression of one input, or of the several texts one ``parse_all``
@@ -26,9 +26,7 @@ reads, is one step ``(op, value, operand slots)``, listed after its
 operands.  ``run`` evaluates the steps in order, each once per call,
 releasing each value after its last use, so ``comm(J0, J+^5) -
 11*J+^5`` raises J+ to the fifth power once.  No value outlives the
-call; a program can be run again, with another resolver.  Numbers stay
-plain rationals until they meet an operator, so ``2*J+`` is a scalar
-multiple.
+call; a program can be run again, with another resolver.
 
 The inverse direction is ``str``: the canonical normal-form string of
 an operator parses back to an equal operator (round trip at the value
@@ -39,10 +37,9 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, neg, sub
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from operator import add, methodcaller, mul, neg, sub, truediv
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .builders import MAX_DIMS, build, check_dims, names
 from .opalg import OperatorElement, anticommutator, commutator
@@ -317,59 +314,22 @@ def parse_all(texts: Sequence[str], dims: int) -> Program:
 
 # The operator a name stands for, given the name and dims.
 Resolver = Callable[[str, int], OperatorElement]
-# A value during evaluation: an operator, or a number not yet met by one.
-Value = Union[OperatorElement, int, Fraction]
-# The steps that are one operator of Python's on their operand values.
-_ARITHMETIC = {"+": add, "-": sub, "*": mul, "neg": neg}
+# The steps that are one operation on their operand operators.
+_OPERATIONS = {"+": add, "-": sub, "*": mul, "/": truediv, "neg": neg,
+               "comm": commutator, "acomm": anticommutator,
+               "adjoint": methodcaller("adjoint")}
 
 
-def _operator(value: Value, dims: int) -> OperatorElement:
-    if isinstance(value, OperatorElement):
-        return value
-    return value * OperatorElement.identity(dims)
-
-
-def _apply(op: str, value: object, args: List[Value], dims: int,
-           resolve: Resolver) -> Value:
+def _apply(op: str, value: object, args: List[OperatorElement], dims: int,
+           resolve: Resolver) -> OperatorElement:
     """The value of one step, given the values of its operands."""
     if op == "name":
         return resolve(value, dims)
     if op == "num":
-        return value
-    if op in _ARITHMETIC:
-        return _ARITHMETIC[op](*args)
-    if op == "/":
-        left, right = args
-        if not isinstance(right, OperatorElement):
-            if not right:
-                raise ValueError("division by zero")
-            return (left / right if isinstance(left, OperatorElement)
-                    else Fraction(left, right))
-        divisor = right.as_scalar()
-        if divisor is None or not divisor.is_constant():
-            raise ValueError("division needs a constant divisor")
-        if not divisor:
-            raise ValueError("division by zero")
-        return _operator(left, dims) / divisor
+        return value * OperatorElement.identity(dims)
     if op == "^":
-        base, n = args[0], value
-        if n < 0 and not base:
-            raise ValueError("division by zero")
-        if not isinstance(base, OperatorElement):
-            return Fraction(base) ** n
-        power = base.coordinate_power(n)
-        if power is not None:
-            return power
-        if n < 0:
-            raise ValueError("negative powers need a coordinate monomial "
-                             "with constant coefficient")
-        return base ** n
-    args = [_operator(a, dims) for a in args]
-    if op == "comm":
-        return commutator(*args)
-    if op == "acomm":
-        return anticommutator(*args)
-    return args[0].adjoint()
+        return args[0] ** value
+    return _OPERATIONS[op](*args)
 
 
 def run(prog: Program, dims: int,
@@ -378,13 +338,13 @@ def run(prog: Program, dims: int,
     each step once, dropping each value after its last use; resolve gives
     the operator a name stands for."""
     steps, kept = prog
-    values: List[Optional[Value]] = [None] * len(steps)
+    values: List[Optional[OperatorElement]] = [None] * len(steps)
     for k, (op, value, args, dead) in enumerate(steps):
         values[k] = _apply(op, value, [values[a] for a in args], dims,
                            resolve)
         for a in dead:
             values[a] = None
-    return [_operator(values[k], dims) for k in kept]
+    return [values[k] for k in kept]
 
 
 def parse_eval(text: str, dims: int) -> OperatorElement:

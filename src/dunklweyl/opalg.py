@@ -34,9 +34,11 @@ as every ladder product's do, factor by factor without it.
 
 A power ``B^k`` with ``k >= 2`` is built on its first read: ``**`` keeps
 only its operand and exponent, and ``_parts``, the one reader of an
-element's terms, multiplies it out there, once, and keeps the result.  A
-commutator that the power rule decides from the bases never reads it, so
-``[H, J+^30]`` costs the one bracket ``[H, J+]``.
+element's terms, builds it there, once, and keeps the result: one term
+where ``B`` is a coordinate monomial such as ``2*x1`` or a number, else
+by multiplying ``B`` out.  A commutator that the power rule decides from
+the bases never reads it, so ``[H, J+^30]`` costs the one bracket ``[H,
+J+]``.
 
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
@@ -46,8 +48,9 @@ multiples, equality and ``ratio``, the one test for an exact scalar multiple
 0)`` block per variable against a ``0`` exponent).  Each subclass adds its
 own constructors and products, and a Laurent polynomial renders as its
 multiplication operator.  ``OperatorElement.as_scalar`` is the one test
-for a constant operator, and ``coordinate_power`` raises a coordinate
-monomial such as ``2*x1`` to any integer power, negative too, as one term.
+for a constant operator.  ``OperatorElement`` alone decides which
+quotients and powers stay inside the algebra: ``/`` takes only a constant
+divisor, and a negative power only a coordinate monomial.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from dunklweyl.scalars import (
     BaseNumber,
     Scalar,
     ScalarLike,
+    _render_sum,
     base_tuple,
     poly_renderer,
 )
@@ -290,7 +294,7 @@ class OperatorElement(_Combination):
     may be decided from the one bracket of the bases (``_power_bracket``).
     Such a value is made with ``_pending``, ``(operand, n)`` of the call
     ``operand**n``, and no terms: ``_data`` and ``_factors`` are both None
-    until ``_parts`` multiplies it out.  Every read of either slot goes
+    until ``_parts`` builds them.  Every read of either slot goes
     through ``_parts``.
     """
 
@@ -320,13 +324,16 @@ class OperatorElement(_Combination):
 
     def _parts(self) -> Tuple[Optional[dict], Optional[Dict[int, dict]]]:
         """``(_data, _factors)``, the one read of either.  A pending power
-        ``x**n`` is multiplied out here, on the first call, as ``x * (x *
-        ...)``, and stays multiplied out."""
+        ``x**n`` is built here, on the first call, and kept: as one term
+        where ``x`` is a coordinate monomial (``_monomial_power``), else
+        multiplied out as ``x * (x * ...)``."""
         if self._pending is not None:
             x, n = self._pending
-            out = x
-            for _ in range(n - 1):
-                out = x * out
+            out = x._monomial_power(n)
+            if out is None:
+                out = x
+                for _ in range(n - 1):
+                    out = x * out
             self._data, self._factors = out._parts()
             self._pending = None
         return self._data, self._factors
@@ -368,20 +375,11 @@ class OperatorElement(_Combination):
             return self.coefficient(unit)
         return None
 
-    def coordinate_power(self, k: int) -> Optional["OperatorElement"]:
+    def _monomial_power(self, k: int) -> Optional["OperatorElement"]:
         """The k-th power, for any integer k, of a coordinate monomial
-        ``c*x1^a1*...*xn^an`` with constant ``c``: the one term
+        ``c*x1^a1*...*xn^an`` with constant nonzero ``c``: the one term
         ``c^k*x1^(k*a1)*...*xn^(k*an)``.  None for any other element; a
-        product kept factored is read factor by factor, never flattened.
-        A pending power ``x**m`` answers from ``x``, as ``x**(m*k)``.
-        Where ``x`` is no such monomial, the answer for ``k >= 0`` is None,
-        unread, since ``self**k`` serves as well; for a negative k the
-        power is multiplied out and tested, so ``(R1^2)^-1`` is ``1``."""
-        if self._pending is not None:
-            x, m = self._pending
-            power = x.coordinate_power(m * k)
-            if power is not None or k >= 0:
-                return power
+        product kept factored is read factor by factor, never flattened."""
         n, zero = self._nvars, (0,) * self._nvars
         mono, coeff = (0,) * (3 * n), BN_ONE
         flat, factors = self._parts()
@@ -456,6 +454,19 @@ class OperatorElement(_Combination):
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "OperatorElement":
+        """The product with the inverse of a constant divisor: a number, a
+        constant Scalar, or a constant operator, as the expression
+        language makes for ``J+/2``.  Only a constant divisor keeps the
+        quotient inside the algebra, so any other operator raises
+        ``ValueError("division needs a constant divisor")``, and a zero
+        one ``ValueError("division by zero")``."""
+        if isinstance(other, OperatorElement):
+            c = other.as_scalar()
+            if c is None or not c.is_constant():
+                raise ValueError("division needs a constant divisor")
+            if not c:
+                raise ValueError("division by zero")
+            other = c
         if isinstance(other, Scalar):
             other = other.constant_value()
         if isinstance(other, (BaseNumber, int, Fraction)):
@@ -480,9 +491,25 @@ class OperatorElement(_Combination):
         A commutator that ``_power_bracket`` decides from that record never
         multiplies the power out: ``[H, J+^30]`` is the one bracket ``[H,
         J+]``.
+
+        A negative power is made at once, and only of a coordinate
+        monomial with a constant coefficient, such as ``2*x1`` or a
+        nonzero number, as its one term: ``(2*x1)**-2`` is
+        ``1/4*x1^-2``.  Any other element has no inverse in the algebra:
+        zero raises ``ValueError("division by zero")``, and the rest a
+        ``ValueError`` that names the restriction.  Its terms are read to
+        decide, so ``(R1**2)**-1`` is ``1``.
         """
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int):
             return NotImplemented
+        if n < 0:
+            if not self:
+                raise ValueError("division by zero")
+            power = self._monomial_power(n)
+            if power is None:
+                raise ValueError("negative powers need a coordinate "
+                                 "monomial with constant coefficient")
+            return power
         if n == 0:
             return OperatorElement.identity(self._nvars)
         if n == 1:
@@ -550,8 +577,8 @@ class OperatorElement(_Combination):
 
     def __str__(self) -> str:
         """The normal form as text, in one pass: reflection-free, low-order
-        terms first (``(e, b, a)`` of each variable in turn), each written
-        as ``scalars._render_sum`` writes a term.
+        terms first (``(e, b, a)`` of each variable in turn), joined by
+        ``scalars._render_sum``, the unit monomial written ``"1"``.
 
         The terms are walked in groups.  A flat element is one group.  A
         product kept factored whose factors' mu-supports lie apart and in
@@ -595,25 +622,8 @@ class OperatorElement(_Combination):
         for walk in rest:
             texts = [f"{left}*{right}" if left and right else left or right
                      for left in texts for right in walk]
-        out = ""
-        for ms, cs in zip(texts, poly_renderer()(coefs)):
-            if not ms:
-                body = cs
-            elif cs == "1":
-                body = ms
-            elif cs == "-1":
-                body = "-" + ms
-            elif " " in cs:
-                body = f"({cs})*{ms}"
-            else:
-                body = f"{cs}*{ms}"
-            if not out:
-                out = body
-            elif body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out or "0"
+        return _render_sum(zip(poly_renderer()(coefs),
+                               (ms or "1" for ms in texts)))
 
 
 def _separate_supports(factors: Dict[int, dict], nvars: int) -> bool:

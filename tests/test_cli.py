@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_cli.json"
 BRACKET_GOLDEN = Path(__file__).parent / "golden" / "bracket_nf.json"
 SPECTRUM_GOLDEN = Path(__file__).parent / "golden" / "spectrum_cli.json"
+EVALUATOR_GOLDEN = Path(__file__).parent / "golden" / "evaluator_cli.json"
 
 
 def run(capsys, argv):
@@ -504,6 +505,20 @@ class TestSpectrumGolden:
     def test_stdout(self, capsys, case):
         code, out, _ = run(capsys, case["argv"])
         assert (code, out) == (case["exit"], case["stdout"])
+
+
+class TestEvaluatorGolden:
+    """Numbers, quotients and powers, exit code, stdout and stderr byte for
+    byte: sums and powers of numbers, a number past the digits a
+    coefficient may print, every refused division and negative power, and
+    negative powers that are one term, of a number, of a coordinate
+    monomial and of a power that multiplies out to one."""
+
+    @pytest.mark.parametrize("case", json.loads(EVALUATOR_GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_output(self, capsys, case):
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"],
+                                             case["stderr"])
 
 
 class TestFactoredOutputDigests:

@@ -262,7 +262,7 @@ def test_one_place_flattens():
 
 def test_one_reader_of_the_terms():
     """An operator's terms are read only through ``_parts``, which
-    multiplies a pending power out first: outside it, no code of
+    builds a pending power first: outside it, no code of
     ``opalg`` but the linear-space base and the Laurent polynomials reads
     the slot ``_data`` or ``_factors``."""
     path = Path(dunklweyl.__file__).parent / "opalg.py"
@@ -586,6 +586,30 @@ def test_one_parsed_form():
                                    or getattr(node, "attr", None)
                                    or getattr(node, "name", ""))]
     assert not faults, "; ".join(faults)
+
+
+def test_evaluator_holds_no_algebra():
+    """``dsl`` evaluates operators only: it imports no ``Fraction``, and
+    ``_apply`` and ``run`` neither test a value's type nor raise, nor read
+    ``as_scalar`` or ``coordinate_power``, so which quotients and powers
+    exist is decided by ``OperatorElement`` alone."""
+    path = Path(dunklweyl.__file__).parent / "dsl.py"
+    tree = ast.parse(path.read_text())
+    faults = [f"dsl.py:{line} imports Fraction"
+              for name, line in _imported(tree).items() if name == "Fraction"]
+    evaluator = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name in ("_apply", "run")]
+    assert len(evaluator) == 2
+    for fn in evaluator:
+        for node in ast.walk(fn):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.Raise):
+                faults.append(f"dsl.py:{node.lineno} raises in {fn.name}")
+            elif name in ("isinstance", "as_scalar", "coordinate_power"):
+                faults.append(f"dsl.py:{node.lineno} reads {name} in "
+                              f"{fn.name}")
+    assert not faults, "; ".join(faults)
+
 
 def test_tracer_resolves_every_target(monkeypatch):
     """The benchmark's tracer finds every layer it wraps.  A target it

@@ -659,9 +659,8 @@ class TestDeferredPower:
     ])
     def test_power_of_a_pending_power_reads_its_operand(self, monkeypatch,
                                                         power, base):
-        # Cold, with every registry value built afresh: the parser's test
-        # for a coordinate monomial in J+^15 and in K+ = J+^2 reads J+,
-        # and neither power is multiplied out.
+        # Cold, with every registry value built afresh: neither J+^15 nor
+        # K+ = J+^2 is multiplied out, so both cost what J+ costs.
         calls, counts = self.products(monkeypatch), []
         for expr in (base, power):
             build.cache_clear()
@@ -671,14 +670,17 @@ class TestDeferredPower:
         assert counts[0] == counts[1]
 
     def test_coordinate_power_of_a_pending_power(self):
-        # Read from the operand where it is a coordinate monomial; else
-        # unread for k >= 0, and multiplied out for a negative k.
+        # A negative power reads a pending power, by its closed form where
+        # the operand is a coordinate monomial, else multiplied out; a
+        # positive power of it reads nothing.
         x1, r1 = build("x1", 2), build("R1", 2)
-        assert (x1 ** 2).coordinate_power(-3) == x1.coordinate_power(-6)
+        assert (x1 ** 2) ** -3 == x1 ** -6
         square = r1 ** 2
-        assert square.coordinate_power(3) is None
+        cube = square ** 3
+        assert cube._data is None and cube._factors is None
+        assert square._data is None and square._factors is None
         assert square._pending == (r1, 2)
-        assert square.coordinate_power(-1) == OperatorElement.identity(2)
+        assert square ** -1 == OperatorElement.identity(2)
         assert square._pending is None
 
     def test_shared_power_is_multiplied_out_once(self, monkeypatch):
@@ -877,6 +879,25 @@ class TestElementApi:
         assert x ** 3 == x * x * x
         assert (4 * x) / 2 == 2 * x
         assert (x / Fraction(1, 2)) == 2 * x
+
+    def test_division_by_a_constant_operator(self):
+        jp, one = build("J+", 2), OperatorElement.identity(2)
+        assert jp / (2 * one) == jp * Fraction(1, 2)
+        with pytest.raises(ValueError,
+                           match="^division needs a constant divisor$"):
+            jp / jp
+        with pytest.raises(ValueError, match="^division by zero$"):
+            jp / (0 * one)
+
+    def test_negative_power(self):
+        # One term for a coordinate monomial; no inverse for anything else.
+        x1 = OperatorElement.x(0, 2)
+        assert len(x1 ** -2) == 1 and x1 ** -2 == OperatorElement.x(0, 2, -2)
+        with pytest.raises(ValueError, match="^negative powers need a "
+                           "coordinate monomial with constant coefficient$"):
+            build("J+", 2) ** -1
+        with pytest.raises(ValueError, match="^division by zero$"):
+            (0 * x1) ** -1
 
     def test_power_starts_from_base(self, monkeypatch):
         # A ** 3 is A * A * A: two products, none with the identity.

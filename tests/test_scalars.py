@@ -90,7 +90,7 @@ class TestBaseNumber:
         z = parse_eval("1 + i", 1)
         assert (z ** 4).as_scalar() == -4
         assert (z ** 0).as_scalar() == 1
-        assert (z.coordinate_power(-2).as_scalar().constant_value()
+        assert ((z ** -2).as_scalar().constant_value()
                 == (z ** 2).as_scalar().constant_value().inverse())
 
     def test_hash_eq(self):
