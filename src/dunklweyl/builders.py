@@ -19,17 +19,18 @@ generators _GENERATORS (valid in any dimension) and _VARIABLE_GENERATORS
 (a kind such as "x", named "x1" .. "x{dims}"), and the definitions
 _GLOBAL (valid in any dimension, written for the dimension),
 _TWO_VARIABLE (valid only when dims is 2) and _PER_VARIABLE (a kind such
-as "A+", whose text names its own variable as {k}).  names() is the whole
-name surface of the expression language, which lexes from it and
-resolves every name through build().  Adding an operator is adding one
-entry.
+as "A+", whose text names its own variable as {k}).  One table per
+dimension, written from those five, maps every valid name to its
+generator or its definition text: names() lists it, longest first, as
+the name surface the expression language lexes from, and build() looks
+every name up in it, so a name builds exactly when it is listed.  Adding
+an operator is adding one entry.
 """
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Tuple, Union
 
 from dunklweyl.opalg import OperatorElement
 from dunklweyl.scalars import I, SQRT2, Scalar
@@ -132,30 +133,6 @@ _PER_VARIABLE: Dict[str, str] = {
 }
 
 
-def _build(name: OperatorName, dims: int) -> OperatorElement:
-    if name in _GENERATORS:
-        return _GENERATORS[name](dims)
-    if name in _GLOBAL:
-        text = _GLOBAL[name](dims)
-    elif dims == 2 and name in _TWO_VARIABLE:
-        text = _TWO_VARIABLE[name]
-    else:
-        m = re.fullmatch(r"(\D.*?)([1-9]\d*)", name)
-        kind = m and m.group(1)
-        if kind not in _VARIABLE_GENERATORS and kind not in _PER_VARIABLE:
-            raise KeyError(f"unknown operator name: {name!r}")
-        k = int(m.group(2))
-        if k > dims:
-            raise IndexError(
-                f"variable index {k} out of range for {dims} dimensions")
-        if kind in _VARIABLE_GENERATORS:
-            return _VARIABLE_GENERATORS[kind](k - 1, dims)
-        text = _PER_VARIABLE[kind].format(k=k)
-    # Imported here: dsl lexes from names() and resolves through build.
-    from dunklweyl.dsl import parse_eval
-    return parse_eval(text, dims)
-
-
 def check_dims(dims: int) -> None:
     """Refuse a dimension outside 1..MAX_DIMS."""
     if dims < 1:
@@ -164,20 +141,45 @@ def check_dims(dims: int) -> None:
         raise ValueError(f"dims must be at most {MAX_DIMS}")
 
 
+# One table per dims; it refuses a dims past MAX_DIMS before it is
+# cached, so none is ever evicted.
+@lru_cache(maxsize=MAX_DIMS)
+def _table(dims: int) -> Dict[OperatorName,
+                              Union[Callable[[], OperatorElement], str]]:
+    """Every name valid at this dimension, longest first, to its generator
+    bound to its variable and dims, or to its definition text."""
+    check_dims(dims)
+    table = {name: partial(make, dims) for name, make in _GENERATORS.items()}
+    table.update((name, text(dims)) for name, text in _GLOBAL.items())
+    if dims == 2:
+        table.update(_TWO_VARIABLE)
+    for k in range(1, dims + 1):
+        table.update((f"{kind}{k}", partial(make, k - 1, dims))
+                     for kind, make in _VARIABLE_GENERATORS.items())
+        table.update((f"{kind}{k}", text.format(k=k))
+                     for kind, text in _PER_VARIABLE.items())
+    return {name: table[name]
+            for name in sorted(table, key=lambda s: (-len(s), s))}
+
+
+def _build(name: OperatorName, dims: int) -> OperatorElement:
+    entry = _table(dims).get(name)
+    if entry is None:
+        raise KeyError(f"unknown operator name: {name!r}")
+    if isinstance(entry, str):
+        # Imported here: dsl lexes from names() and resolves through build.
+        from dunklweyl.dsl import parse_eval
+        return parse_eval(entry, dims)
+    return entry()
+
+
 @lru_cache(maxsize=None)
 def build(name: OperatorName, dims: int) -> OperatorElement:
     """Construct a registry operator for the given dimension."""
-    check_dims(dims)
     return _build(name, dims)
 
 
 def names(dims: int) -> Tuple[OperatorName, ...]:
     """All registry names valid at this dimension, longest first: the
     whole name surface of the expression language."""
-    check_dims(dims)
-    out = [*_GENERATORS, *_GLOBAL]
-    if dims == 2:
-        out += list(_TWO_VARIABLE)
-    out += [f"{kind}{k}" for k in range(1, dims + 1)
-            for kind in (*_VARIABLE_GENERATORS, *_PER_VARIABLE)]
-    return tuple(sorted(out, key=lambda s: (-len(s), s)))
+    return tuple(_table(dims))

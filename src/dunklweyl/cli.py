@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import relations, states
 from .dsl import parse_eval
-from .scalars import ArityMismatchError
 
 
 # Longest a --mu value may be, in characters with any exponent written
@@ -76,9 +75,6 @@ Outcome = Tuple[int, str, list, List[str]]
 def _cmd_nf(args: argparse.Namespace) -> Outcome:
     op = parse_eval(args.expr, args.dims)
     if args.mu is not None:
-        if len(args.mu) != args.dims:
-            raise ArityMismatchError(
-                f"need {args.dims} deformation values, got {len(args.mu)}")
         op = op.substitute_params(args.mu)
     normal = str(op)
     return 0, "ok", [{"expr": args.expr, "normal_form": normal}], [normal]

@@ -66,6 +66,8 @@ MAX_TOKENS = 4096
 MAX_NESTING = 64
 
 _FUNCTIONS = ("adjoint", "acomm", "comm")
+# The binary operators, one string per precedence level, loosest first.
+_BINARY = ("+-", "*/")
 _PUNCT = "+-*/^(),[]{}"
 # Each opening bracket: the function it stands for and its closing mark.
 _BRACKETS = {"[": ("comm", "]"), "{": ("acomm", "}")}
@@ -179,25 +181,18 @@ class _Parser:
             raise ParseError("trailing input", pos)
         return expr
 
-    def expr(self) -> int:
-        node = self.term()
+    def expr(self, level: int = 0) -> int:
+        """A left-associative chain of the operators _BINARY[level] over
+        operands of the next tighter level; past the last, a unary."""
+        if level == len(_BINARY):
+            return self.unary()
+        node = self.expr(level + 1)
         while True:
             kind, val, _ = self.peek()
-            if kind == "punct" and val in "+-":
-                self.advance()
-                node = self.node(val, None, node, self.term())
-            else:
+            if kind != "punct" or val not in _BINARY[level]:
                 return node
-
-    def term(self) -> int:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "punct" and val in "*/":
-                self.advance()
-                node = self.node(val, None, node, self.unary())
-            else:
-                return node
+            self.advance()
+            node = self.node(val, None, node, self.expr(level + 1))
 
     def unary(self) -> int:
         kind, val, pos = self.peek()

@@ -33,12 +33,12 @@ it, and ``str()`` writes a product whose factors' mu-supports lie apart,
 as every ladder product's do, factor by factor without it.
 
 A power ``B^k`` with ``k >= 2`` is built on its first read: ``**`` keeps
-only its operand and exponent, and ``_parts``, the one reader of an
-element's terms, builds it there, once, and keeps the result: one term
-where ``B`` is a coordinate monomial such as ``2*x1`` or a number, else
-by multiplying ``B`` out.  A commutator that the power rule decides from
-the bases never reads it, so ``[H, J+^30]`` costs the one bracket ``[H,
-J+]``.
+only its base and exponent, ``(B, j*k)`` for a power ``(B^j)^k``, and
+``_parts``, the one reader of an element's terms, builds it there from
+that record, once, and keeps the result: one term where ``B`` is a
+coordinate monomial such as ``2*x1`` or a number, else by multiplying
+``B`` out.  A commutator that the power rule decides from the bases
+never reads it, so ``[H, J+^30]`` costs the one bracket ``[H, J+]``.
 
 Both value types are linear combinations of keyed terms and share one base,
 ``_Combination``, which holds their sums, differences, negation, scalar
@@ -292,13 +292,12 @@ class OperatorElement(_Combination):
     2`` (the base of a power of a power is the innermost one), and None on
     any other value, products made by ``*`` included: a commutator with it
     may be decided from the one bracket of the bases (``_power_bracket``).
-    Such a value is made with ``_pending``, ``(operand, n)`` of the call
-    ``operand**n``, and no terms: ``_data`` and ``_factors`` are both None
-    until ``_parts`` builds them.  Every read of either slot goes
-    through ``_parts``.
+    Such a value is made with no terms: ``_data`` and ``_factors`` are
+    both None, which no other value has, until ``_parts`` builds them from
+    that record.  Every read of either slot goes through ``_parts``.
     """
 
-    __slots__ = ("_factors", "_power", "_pending")
+    __slots__ = ("_factors", "_power")
     _UNIT = (0, 0, 0)
     _NOUN = "operators"
 
@@ -306,7 +305,6 @@ class OperatorElement(_Combination):
         super().__init__(data, nvars)
         self._factors: Optional[Dict[int, dict]] = None
         self._power: Optional[Tuple[OperatorElement, int]] = None
-        self._pending: Optional[Tuple[OperatorElement, int]] = None
 
     @classmethod
     def _product_of(cls, factors: Dict[int, dict],
@@ -323,19 +321,18 @@ class OperatorElement(_Combination):
         return out
 
     def _parts(self) -> Tuple[Optional[dict], Optional[Dict[int, dict]]]:
-        """``(_data, _factors)``, the one read of either.  A pending power
-        ``x**n`` is built here, on the first call, and kept: as one term
-        where ``x`` is a coordinate monomial (``_monomial_power``), else
-        multiplied out as ``x * (x * ...)``."""
-        if self._pending is not None:
-            x, n = self._pending
+        """``(_data, _factors)``, the one read of either.  A pending power,
+        recorded as ``_power = (x, n)``, is built here, on the first call,
+        and kept: as one term where ``x`` is a coordinate monomial
+        (``_monomial_power``), else multiplied out as ``x * (x * ...)``."""
+        if self._data is None and self._factors is None:
+            x, n = self._power
             out = x._monomial_power(n)
             if out is None:
                 out = x
                 for _ in range(n - 1):
                     out = x * out
             self._data, self._factors = out._parts()
-            self._pending = None
         return self._data, self._factors
 
     @property
@@ -474,8 +471,9 @@ class OperatorElement(_Combination):
         return NotImplemented
 
     def __pow__(self, n: int) -> "OperatorElement":
-        """Repeated multiplication from the left, ``self * (self * ...)``,
-        done on the first read of the result (``_parts``), not here.
+        """Repeated multiplication of the base from the left, ``B * (B *
+        ...)``, done on the first read of the result (``_parts``), not
+        here; the base of a power of a power is the innermost one.
 
         Normal ordering moves each ``d^b`` of the left factor past the
         x-power of the right one, which gives up to ``b + 1`` terms
@@ -515,7 +513,6 @@ class OperatorElement(_Combination):
         if n == 1:
             return self
         out = OperatorElement(None, self._nvars)
-        out._pending = (self, n)
         base, j = self._power or (self, 1)
         out._power = (base, j * n)
         return out
@@ -538,7 +535,7 @@ class OperatorElement(_Combination):
         n = self._nvars
         if len(values) != n:
             raise ArityMismatchError(
-                f"expected {n} parameter values, got {len(values)}")
+                f"need {n} deformation values, got {len(values)}")
         zero, vals = (0,) * n, [base_tuple(v) for v in values]
 
         def substitute(data: dict) -> dict:

@@ -292,7 +292,7 @@ class Scalar:
         """Evaluate at the given parameter values."""
         if len(values) != self._nvars:
             raise ArityMismatchError(
-                f"expected {self._nvars} parameter values, got {len(values)}")
+                f"need {self._nvars} deformation values, got {len(values)}")
         return BaseNumber._from_tuple(
             poly_eval(self._poly, [base_tuple(v) for v in values]))
 

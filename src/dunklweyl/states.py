@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from ._kernel import poly_add
 from .builders import build
 from .opalg import LaurentPolynomial, OperatorElement, _products, commutator
-from .scalars import ArityMismatchError, BaseLike, BaseNumber, Scalar
+from .scalars import BaseLike, BaseNumber, Scalar
 
 # Highest level spectrum_table lists.  A two-variable table to this level
 # at mu = (1/3, 1/2) takes 0.15-0.19 s per `dunklweyl spectrum` process
@@ -242,9 +242,6 @@ def spectrum_table(
     if max_level > MAX_LEVEL:
         raise ValueError(f"max_level must be at most {MAX_LEVEL}")
     values = tuple(BaseNumber(v) for v in mu_values)
-    if len(values) != dims:
-        raise ArityMismatchError(
-            f"need {dims} deformation values, got {len(values)}")
     parts = _parts(_operator("H", dims, values))
     start = ground(dims)
     walks = [list(_walk(j, start, values, max_level, part))

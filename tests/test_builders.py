@@ -50,7 +50,8 @@ class TestRegistry:
             build("J+", 1)
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        # A variable past dims is an unknown name, as any other is.
+        with pytest.raises(KeyError, match="'A\\+3'"):
             build("A+3", 2)
 
     def test_bad_dims(self):
@@ -131,6 +132,22 @@ class TestRegistry:
             build.cache_clear()
         assert counts["D1", 2] == 1
         assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("dims", range(1, MAX_DIMS + 1))
+def test_build_refuses_exactly_what_names_omits(dims):
+    # The lexer hands build only the names it lists; a library caller may
+    # pass any other, and build refuses it as unknown.
+    listed = names(dims)
+    for name in listed:
+        build(name, dims)
+    refused = ["x0", f"A+{dims + 1}", f"mu{dims + 1}", "J+1", "Z1"]
+    if dims != 2:
+        refused.append("J+")
+    for name in refused:
+        assert name not in listed
+        with pytest.raises(KeyError, match="^\"unknown operator name: "):
+            build(name, dims)
 
 
 class TestDefinitions:

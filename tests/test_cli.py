@@ -21,6 +21,7 @@ VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_cli.json"
 BRACKET_GOLDEN = Path(__file__).parent / "golden" / "bracket_nf.json"
 SPECTRUM_GOLDEN = Path(__file__).parent / "golden" / "spectrum_cli.json"
 EVALUATOR_GOLDEN = Path(__file__).parent / "golden" / "evaluator_cli.json"
+NAMES_GOLDEN = Path(__file__).parent / "golden" / "names_cli.json"
 
 
 def run(capsys, argv):
@@ -515,6 +516,19 @@ class TestEvaluatorGolden:
     monomial and of a power that multiplies out to one."""
 
     @pytest.mark.parametrize("case", json.loads(EVALUATOR_GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_output(self, capsys, case):
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"],
+                                             case["stderr"])
+
+
+class TestNamesGolden:
+    """The edges of the name table, exit code, stdout and stderr byte for
+    byte, at dims 1, 2, 3, 10 and 16: variable numbers 0, 1, dims and
+    dims + 1, names that share a prefix with a longer one (A01, A010),
+    names valid only in two variables, and the scalars."""
+
+    @pytest.mark.parametrize("case", json.loads(NAMES_GOLDEN.read_text()),
                              ids=lambda case: " ".join(case["argv"]))
     def test_output(self, capsys, case):
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"],

@@ -136,7 +136,9 @@ class TestScalar:
                     .evaluate(vals)._data == bn_add(va, vb))
 
     def test_evaluate_arity(self):
-        with pytest.raises(ArityMismatchError):
+        # The message the CLI prints for a --mu of the wrong length.
+        with pytest.raises(ArityMismatchError,
+                           match="^need 2 deformation values, got 1$"):
             Scalar({(0, 0): BN_ONE}, 2).evaluate([1])
 
     def test_conjugate(self):
