@@ -21,24 +21,24 @@ _GLOBAL (valid in any dimension, written for the dimension),
 _TWO_VARIABLE (valid only when dims is 2) and _PER_VARIABLE (a kind such
 as "A+", whose text names its own variable as {k}).  One table per
 dimension, written from those five, maps every valid name to its
-generator or its definition text: names() lists it, longest first, as
-the name surface the expression language lexes from, and build() looks
-every name up in it, so a name builds exactly when it is listed.  Adding
-an operator is adding one entry.
+generator or its definition text: names() is its keys, the name surface
+the expression language looks each word up in, and build() looks every
+name up in it, so a name lexes and builds exactly when it is listed.
+Adding an operator is adding one entry.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, KeysView, Union
 
 from dunklweyl.opalg import OperatorElement
 from dunklweyl.scalars import I, SQRT2, Scalar
 
 OperatorName = str
 
-# The largest dimension any name is built or lexed for: the lexicon, and
-# every operator built, grow with the number of variables.
+# The largest dimension any name is built or lexed for: the name table,
+# and every operator built, grow with the number of variables.
 MAX_DIMS = 16
 
 # The generators valid in every dimension.
@@ -146,8 +146,8 @@ def check_dims(dims: int) -> None:
 @lru_cache(maxsize=MAX_DIMS)
 def _table(dims: int) -> Dict[OperatorName,
                               Union[Callable[[], OperatorElement], str]]:
-    """Every name valid at this dimension, longest first, to its generator
-    bound to its variable and dims, or to its definition text."""
+    """Every name valid at this dimension to its generator bound to its
+    variable and dims, or to its definition text."""
     check_dims(dims)
     table = {name: partial(make, dims) for name, make in _GENERATORS.items()}
     table.update((name, text(dims)) for name, text in _GLOBAL.items())
@@ -158,8 +158,7 @@ def _table(dims: int) -> Dict[OperatorName,
                      for kind, make in _VARIABLE_GENERATORS.items())
         table.update((f"{kind}{k}", text.format(k=k))
                      for kind, text in _PER_VARIABLE.items())
-    return {name: table[name]
-            for name in sorted(table, key=lambda s: (-len(s), s))}
+    return table
 
 
 def _build(name: OperatorName, dims: int) -> OperatorElement:
@@ -179,7 +178,7 @@ def build(name: OperatorName, dims: int) -> OperatorElement:
     return _build(name, dims)
 
 
-def names(dims: int) -> Tuple[OperatorName, ...]:
-    """All registry names valid at this dimension, longest first: the
-    whole name surface of the expression language."""
-    return tuple(_table(dims))
+def names(dims: int) -> KeysView[OperatorName]:
+    """All registry names valid at this dimension, a view of the one name
+    table: the whole name surface of the expression language."""
+    return _table(dims).keys()

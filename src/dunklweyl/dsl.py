@@ -5,9 +5,11 @@ The surface consists of the registry names for the working dimension
 the scalars i, sqrt2 and mu1..mun), non-negative integers, the binary
 operators + - * /, integer powers with ^, the function forms comm(,),
 acomm(,) and adjoint(), and the brackets [a, b] and {a, b}, which are
-comm(a, b) and acomm(a, b) written as the paper writes them.  A name
-evaluates to the operator its resolver gives; ``parse_eval`` resolves
-it to its registry operator ``build(name, dims)``.
+comm(a, b) and acomm(a, b) written as the paper writes them.  The lexer
+looks each word up in that one table, so a word is a name exactly when
+the registry lists it at the working dimension.  A name evaluates to the
+operator its resolver gives; ``parse_eval`` resolves it to its registry
+operator ``build(name, dims)``.
 Precedence is power, then unary minus, then * and /, then + and -.
 The registry's own composite operators are defined in this language too:
 ``build`` evaluates each definition with ``parse_eval``, so the two
@@ -37,11 +39,10 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache
 from operator import add, methodcaller, mul, neg, sub, truediv
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .builders import MAX_DIMS, build, check_dims, names
+from .builders import build, check_dims, names
 from .opalg import OperatorElement, anticommutator, commutator
 
 
@@ -71,27 +72,19 @@ _BINARY = ("+-", "*/")
 _PUNCT = "+-*/^(),[]{}"
 # Each opening bracket: the function it stands for and its closing mark.
 _BRACKETS = {"[": ("comm", "]"), "{": ("acomm", "}")}
-_WORD = re.compile(r"\w+")
+# A word: a stem of letters, digits and _, then at most one sign and its
+# ASCII digits.
+_WORD = re.compile(r"(\w+)(?:([+-])[0-9]*)?")
 # An exponent out of range is echoed in full up to this many digits, and
 # a longer one (a literal may have thousands) by a prefix and its count.
 _ECHOED_DIGITS = 20
-
-
-# One compiled lexicon per dims; parse refuses a dims past MAX_DIMS before
-# lexing, so none is ever evicted.
-@lru_cache(maxsize=MAX_DIMS)
-def _lexicon(dims: int) -> re.Pattern:
-    """The registry names and function names as one alternation, longest
-    first: the first alternative that matches is the longest name."""
-    entries = sorted((*names(dims), *_FUNCTIONS), key=lambda s: (-len(s), s))
-    return re.compile("|".join(map(re.escape, entries)))
 
 
 Token = Tuple[str, object, int]  # kind, value, position
 
 
 def _tokenize(text: str, dims: int) -> List[Token]:
-    lexicon = _lexicon(dims)
+    table = names(dims)
     out: List[Token] = []
     pos = 0
     while pos < len(text):
@@ -102,14 +95,6 @@ def _tokenize(text: str, dims: int) -> List[Token]:
         if len(out) == MAX_TOKENS:
             raise ParseError(
                 f"expression has more than {MAX_TOKENS} tokens", pos)
-        # A name match wins over punctuation so that J+ and A-1 lex as
-        # single tokens; no lexicon entry starts with a punctuation
-        # character, so the converse cannot happen.
-        matched = lexicon.match(text, pos)
-        if matched is not None:
-            out.append(("name", matched.group(), pos))
-            pos = matched.end()
-            continue
         if ch in _PUNCT:
             out.append(("punct", ch, pos))
             pos += 1
@@ -129,9 +114,21 @@ def _tokenize(text: str, dims: int) -> List[Token]:
             out.append(("num", int(text[pos:end]), pos))
             pos = end
             continue
+        # No name starts with punctuation or a digit.  The token is the
+        # first of the whole word, its stem with the sign and its stem
+        # that is a name or a function, so J+ and A-1 are one token each
+        # and H+1 is H + 1; a word with none is refused whole.
         word = _WORD.match(text, pos)
-        symbol = word.group() if word else ch
-        raise ParseError(f"unknown symbol {symbol!r}", pos)
+        if word is None:
+            raise ParseError(f"unknown symbol {ch!r}", pos)
+        whole, stem, sign = word.group(0, 1, 2)
+        for name in (whole, stem + (sign or ""), stem):
+            if name in table or name in _FUNCTIONS:
+                break
+        else:
+            raise ParseError(f"unknown symbol {whole!r}", pos)
+        out.append(("name", name, pos))
+        pos += len(name)
     out.append(("end", None, len(text)))
     return out
 
@@ -283,7 +280,7 @@ Program = Tuple[Tuple[Tuple[str, object, Tuple[int, ...], Tuple[int, ...]],
 
 
 def parse(text: str, dims: int) -> Program:
-    """Parse text into its program; dims fixes the name lexicon."""
+    """Parse text into its program; dims fixes the name table."""
     return parse_all([text], dims)
 
 

@@ -13,7 +13,7 @@ import pytest
 from helpers import raising_off_axis, random_operator
 
 import dunklweyl
-from dunklweyl import cli, dsl, opalg, states
+from dunklweyl import builders, cli, dsl, opalg, states
 from dunklweyl.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
@@ -284,7 +284,7 @@ def _refuse(*args, **kwargs):
 
 class TestInputLimits:
     @pytest.mark.parametrize("argv,expected", [
-        (["nf", "x1", "--dims", str(dsl.MAX_DIMS)], "x1"),
+        (["nf", "x1", "--dims", str(builders.MAX_DIMS)], "x1"),
         (["nf", f"x1^{dsl.MAX_EXPONENT}", "--dims", "1"],
          f"x1^{dsl.MAX_EXPONENT}"),
         (["nf", f"x1^-{dsl.MAX_EXPONENT}", "--dims", "1"],
@@ -317,14 +317,15 @@ class TestInputLimits:
         # The bound is the registry's; the expression language refuses a
         # larger dims with the registry's message.
         code, out, err = run(capsys, ["nf", "--dims",
-                                      str(dsl.MAX_DIMS + 1), "x1"])
+                                      str(builders.MAX_DIMS + 1), "x1"])
         assert (code, out, err) == (
-            2, "", f"error: dims must be at most {dsl.MAX_DIMS}\n")
+            2, "", f"error: dims must be at most {builders.MAX_DIMS}\n")
 
     # Each case poisons the first step of the work it asks for, so an
     # input past its limit must be refused before that step.
     @pytest.mark.parametrize("argv,owner,attr", [
-        (["nf", "x1", "--dims", str(dsl.MAX_DIMS + 1)], dsl, "_lexicon"),
+        (["nf", "x1", "--dims", str(builders.MAX_DIMS + 1)],
+         dsl, "_tokenize"),
         (["nf", f"x1^{dsl.MAX_EXPONENT + 1}", "--dims", "1"],
          dsl, "run"),
         (["nf", f"J+^-{dsl.MAX_EXPONENT + 1}", "--dims", "2"],

@@ -611,6 +611,29 @@ def test_evaluator_holds_no_algebra():
     assert not faults, "; ".join(faults)
 
 
+def test_lexer_keeps_no_per_dims_state():
+    """``dsl`` lexes by looking each word up in the registry's name table
+    and keeps no copy of it: it imports nothing from ``functools``, so it
+    caches nothing per dims, and it calls ``re.compile`` only at module
+    level, so no pattern is written from the names of a dims."""
+    path = Path(dunklweyl.__file__).parent / "dsl.py"
+    tree = ast.parse(path.read_text())
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    faults = ["dsl.py imports functools"] if "functools" in modules else []
+    module_level = {id(node) for stmt in tree.body
+                    if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    for node in ast.walk(stmt)}
+    compiles = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "compile"]
+    assert compiles
+    faults += [f"dsl.py:{node.lineno} calls re.compile in a function"
+               for node in compiles if id(node) not in module_level]
+    assert not faults, "; ".join(faults)
+
+
 def test_tracer_resolves_every_target(monkeypatch):
     """The benchmark's tracer finds every layer it wraps.  A target it
     cannot resolve drops that layer's metrics from a traced run without
