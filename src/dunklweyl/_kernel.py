@@ -64,6 +64,16 @@ only the rests commute, the first blocks' merged row times the rests' row;
 only where both differ are the two orders merged term by term.  The tables
 die with the call, so nothing but the one-key rows outlives it.
 
+``op_mul``, ``op_bracket`` and ``op_adjoint`` run the pair loop on the
+variables their operands touch, those where some key has a block other
+than ``(0, 0, 0)`` (``_touched``): the other blocks are dropped from the
+operands' keys and put back into the result's, as identity times identity
+is identity.  Coefficients keep one exponent per parameter, so the lift,
+the exponent packing and the reduction are as they were.  The Leibniz
+rule of ``opalg`` brackets one-variable factors, so at dims 16 a bracket
+of two of them runs one block per key where it ran sixteen.  At two
+variables or fewer nothing is cut.
+
 ``op_act`` applies an operator to a Laurent polynomial lifted straight from
 its exponent tuples, ``x^g`` as the one-int block ``(g,)``: a cached row
 per variable gives the image's exponent and integer, or nothing if a d^b
@@ -83,7 +93,7 @@ the one reordering rule, ``dx_rows`` through ``_block``.
 
 from functools import cache, partial
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 
 BN_ZERO = (0, 0, 0, 0, 1)
 BN_ONE = (1, 0, 0, 0, 1)
@@ -645,6 +655,56 @@ def _product(a, b, nvars, rows, rest=None, combine=None):
     return _reduce(acc, den, unpack, unit)
 
 
+def _touched(nvars, *ops):
+    """The operators ``ops`` cut to the variables they touch.
+
+    A variable is touched where some key of some operator has a block
+    other than the identity's ``(0, 0, 0)``; the scan stops as soon as the
+    keys seen touch every variable.  Returns ``(ops, width, widen)``:
+    ``ops`` with each key cut to the touched variables' blocks, ``width``
+    their number, and ``widen``, which puts the identity blocks back into
+    the keys of an operator on those variables.  Untouched blocks only
+    multiply identity by identity, so a map run on the cut operators and
+    widened gives what it gives on ``ops``; coefficients are left as they
+    are, one exponent per parameter.  With every variable touched, ``ops``
+    come back as they are and ``widen`` returns its argument; so they do
+    at two variables or fewer, where the scan, the cut and the widening
+    cost more than the one block they could save.
+    """
+    if nvars <= 2:
+        return ops, nvars, _same
+    left = range(0, 3 * nvars, 3)
+    for X in ops:
+        for m in X:
+            for j in left:
+                if m[j] or m[j + 1] or m[j + 2]:
+                    # A variable not seen yet: drop all the key touches.
+                    left = [i for i in left
+                            if not (m[i] or m[i + 1] or m[i + 2])]
+                    if not left:
+                        return ops, nvars, _same
+                    break
+    places = [i for j in range(0, 3 * nvars, 3) if j not in left
+              for i in (j, j + 1, j + 2)]
+    cut = itemgetter(*places) if places else lambda m: ()
+    # A widened key reads each touched place from the cut key and every
+    # other place from the zero appended to it.
+    spots = [len(places)] * (3 * nvars)
+    for n, i in enumerate(places):
+        spots[i] = n
+    put = itemgetter(*spots)
+
+    def widen(X):
+        return {put(m + (0,)): p for m, p in X.items()}
+
+    return ([{cut(m): p for m, p in X.items()} for X in ops],
+            len(places) // 3, widen)
+
+
+def _same(X):
+    return X
+
+
 def op_mul(A, B, nvars):
     """Normal-ordered product of two operators on ``nvars`` variables.
 
@@ -661,8 +721,11 @@ def op_mul(A, B, nvars):
     the cached rows.  At the end each output coefficient is reduced once,
     by ``gcd(p, q, r, s, DA*DB)``, and each key unpacked; since the
     canonical form is unique the result equals term-by-term arithmetic.
+    The product runs on the variables either operand touches, each key
+    cut to their blocks and the result's widened again (``_touched``).
     """
-    return _product(Operand(A), Operand(B), nvars, _block)
+    (A, B), width, widen = _touched(nvars, A, B)
+    return widen(_product(Operand(A), Operand(B), width, _block))
 
 
 def op_bracket(A, B, nvars, sign):
@@ -679,7 +742,10 @@ def op_bracket(A, B, nvars, sign):
     merge unless both its parts differ: with ``X``, ``Y`` the first blocks
     and ``Z``, ``W`` the rests, ``XZ*YW + sign*YW*XZ`` is ``XY`` times the
     rests' merged row where ``XY = YX``, and the first blocks' merged row
-    times ``ZW`` where ``ZW = WZ``.
+    times ``ZW`` where ``ZW = WZ``.  Like :func:`op_mul`, the bracket runs
+    on the variables either operand touches (``_touched``), so the rests
+    of one-variable factors are empty and a two-variable rest is one
+    cached block.
     """
     rows = _BRACKET_ROWS[sign]
 
@@ -698,7 +764,9 @@ def op_bracket(A, B, nvars, sign):
             return f_merged, ab
         return _merge(_cross(xy, ab), _cross(yx, ba), sign), _UNIT
 
-    return _product(Operand(A), Operand(B), nvars, rows, rest, combine)
+    (A, B), width, widen = _touched(nvars, A, B)
+    return widen(_product(Operand(A), Operand(B), width, rows, rest,
+                          combine))
 
 
 @cache
@@ -746,7 +814,8 @@ def op_adjoint(A, nvars):
     monomial reversed, with x and R self-adjoint and d skew-adjoint.
     Distinct variables commute, so the reversed monomial is one block per
     variable; it is ``A``, conjugated, times the identity, under the pair
-    rule of :func:`_adjoint_row`."""
+    rule of :func:`_adjoint_row`, on the variables ``A`` touches."""
     conj = {m: {e: bn_conj(c) for e, c in p.items()} for m, p in A.items()}
-    one = {(0, 0, 0) * nvars: {(0,) * nvars: BN_ONE}}
-    return _product(Operand(conj), Operand(one), nvars, _adjoint_row)
+    (conj,), width, widen = _touched(nvars, conj)
+    one = {(0, 0, 0) * width: {(0,) * nvars: BN_ONE}}
+    return widen(_product(Operand(conj), Operand(one), width, _adjoint_row))

@@ -705,11 +705,16 @@ def _factor_product(a: OperatorElement, b: OperatorElement,
 
 def _combine(a: OperatorElement, b: OperatorElement,
              how: str) -> Optional[OperatorElement]:
-    """``a + b`` or ``a - b`` of two products kept factored on the same
+    """``a + b`` or ``a - b`` where one operand is zero: the other, or its
+    negation, kept as it is.  Of two products kept factored on the same
     variables that agree in every factor but at most one (the same dict
-    object, or an equal one), applied to that factor (to the lowest
-    variable's if all agree); None for any other pair of operands."""
-    f, g = a._parts()[1], b._parts()[1]
+    object, or an equal one): applied to that factor (to the lowest
+    variable's if all agree).  None for any other pair of operands."""
+    (x, f), (y, g) = a._parts(), b._parts()
+    if f is None and not x:
+        return b if how == "+" else b._scaled(op_neg)
+    if g is None and not y:
+        return a
     if f is None or g is None or f.keys() != g.keys():
         return None
     differ = [j for j in f if f[j] is not g[j] and f[j] != g[j]]

@@ -51,11 +51,13 @@ def random_base(rng: random.Random) -> BaseNumber:
     return number(frac(), frac(), frac(), frac())
 
 
-def random_scalar(rng: random.Random, nvars: int, max_deg: int = 2) -> Scalar:
-    """A sum of up to three terms ``c*mu^e``, each built with ``poly_add``
-    from a random coefficient and exponents up to ``max_deg``."""
+def random_scalar(rng: random.Random, nvars: int, max_deg: int = 2,
+                  max_terms: int = 3) -> Scalar:
+    """A sum of up to ``max_terms`` terms ``c*mu^e``, each built with
+    ``poly_add`` from a random coefficient and exponents up to
+    ``max_deg``."""
     poly: dict = {}
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, max_terms)):
         coef = random_base(rng)
         expo = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         if coef:
@@ -64,11 +66,16 @@ def random_scalar(rng: random.Random, nvars: int, max_deg: int = 2) -> Scalar:
 
 
 def random_operator(rng: random.Random, nvars: int, max_terms: int = 4,
-                    max_pow: int = 3, parametric: bool = True) -> OperatorElement:
+                    max_pow: int = 3, parametric: bool = True,
+                    scalar_terms: int = 3) -> OperatorElement:
+    """A sum of up to ``max_terms`` random monomials, each variable's
+    powers up to ``max_pow``, with coefficients that ``random_scalar``
+    draws with up to ``scalar_terms`` terms or, if not ``parametric``,
+    numbers."""
     out = OperatorElement.zero(nvars)
     for _ in range(rng.randint(1, max_terms)):
         if parametric:
-            coeff = random_scalar(rng, nvars)
+            coeff = random_scalar(rng, nvars, max_terms=scalar_terms)
         else:
             c = random_base(rng)
             coeff = Scalar({(0,) * nvars: c._data} if c else {}, nvars)

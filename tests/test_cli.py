@@ -22,6 +22,7 @@ BRACKET_GOLDEN = Path(__file__).parent / "golden" / "bracket_nf.json"
 SPECTRUM_GOLDEN = Path(__file__).parent / "golden" / "spectrum_cli.json"
 EVALUATOR_GOLDEN = Path(__file__).parent / "golden" / "evaluator_cli.json"
 NAMES_GOLDEN = Path(__file__).parent / "golden" / "names_cli.json"
+HIGH_DIMS_GOLDEN = Path(__file__).parent / "golden" / "high_dims_nf.json"
 
 
 def run(capsys, argv):
@@ -536,12 +537,26 @@ class TestNamesGolden:
                                              case["stderr"])
 
 
+class TestHighDimsGolden:
+    """Normal forms at dims 3, 4, 5, 8 and 16, exit code, stdout and
+    stderr byte for byte: ladder brackets over several variables, products
+    of factors on far-apart variables, flattened sums of them, adjoints,
+    constants, ``0*(...)`` builds and one refused name."""
+
+    @pytest.mark.parametrize("case", json.loads(HIGH_DIMS_GOLDEN.read_text()),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_output(self, capsys, case):
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"],
+                                             case["stderr"])
+
+
 class TestFactoredOutputDigests:
     """stdout of ladder products, pinned by its sha256 as the flat writer
     wrote it: the controls ``comm(J0, J+^k) - (2k+1)*J+^k``, ``K+^2``,
     ``mu1*J-^4`` and a product on three variables, kept factored and
     written factor by factor; ``mu2*J+^3``, whose mu2 joins the factor of
-    variable 1 and so is flattened to be written; and ``0 - J+^k``, flat."""
+    variable 1 and so is flattened to be written; and ``0 - J+^k``, which
+    is ``-J+^k`` kept factored."""
 
     @pytest.mark.parametrize("expr, dims, size, digest", [
         ("comm(J0, J+^3) - 7*J+^3", 2, 10652,

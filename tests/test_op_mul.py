@@ -18,7 +18,7 @@ from helpers import (
     reference_op_mul,
 )
 
-from dunklweyl import _kernel
+from dunklweyl import _kernel, cli
 from dunklweyl._kernel import (
     Operand,
     _Surd,
@@ -484,6 +484,86 @@ class TestRepeatedBlocks:
         assert op_bracket(A, B, 0, -1) == {}
         assert op_act(A, B, 0) == {(): {(): (2, 2, 0, 0, 3)}}
         assert op_adjoint(B, 0) == {(): {(): (1, -1, 0, 0, 1)}}
+
+
+@st.composite
+def touching_pairs(draw):
+    """``(A, B, nvars)``: two operators on 3-6 variables, each touching a
+    drawn set of them, none (a constant), one, some or all, and each with
+    a constant term or not; one parameter per variable, and each operand's
+    coefficients general or on one line of Q(i, sqrt2)."""
+    nvars = draw(st.integers(3, 6))
+    every = range(nvars)
+    one = (0, 0, 0) * nvars
+    # Low derivative orders keep the reference's rows short in six
+    # variables; negative x-powers and reflections stay.
+    block = st.tuples(st.integers(-3, 3), st.integers(0, 2),
+                      st.integers(0, 1))
+
+    def operand():
+        touched = draw(st.one_of(
+            st.just(set()), st.sets(st.sampled_from(every), min_size=1,
+                                    max_size=1),
+            st.sets(st.sampled_from(every)), st.just(set(every))))
+        coeffs = draw(st.sampled_from([_coeffs] + [_on_line(part)
+                                                   for part in range(4)]))
+        monos = st.tuples(*[block if j in touched else st.just((0, 0, 0))
+                            for j in every]).map(lambda bs: sum(bs, ()))
+        X = draw(st.dictionaries(monos, _polys(nvars, coeffs), max_size=4))
+        if draw(st.booleans()):
+            X[one] = draw(_polys(nvars, coeffs))
+        return X
+
+    return operand(), operand(), nvars
+
+
+class TestTouchedVariables:
+    """Operators that touch only some of the variables, multiplied,
+    bracketed and adjoined on those alone, against the term-by-term
+    references on every variable."""
+
+    @SETTINGS
+    @given(touching_pairs())
+    def test_equals_references(self, case):
+        A, B, nvars = case
+        before = copy.deepcopy((A, B))
+        got = op_mul(A, B, nvars)
+        assert got == reference_op_mul(A, B, nvars)
+        assert_canonical(got, nvars, nvars)
+        for sign in (1, -1):
+            got = op_bracket(A, B, nvars, sign)
+            assert got == reference_bracket(A, B, nvars, sign)
+            assert_canonical(got, nvars, nvars)
+        got = op_adjoint(A, nvars)
+        assert got == reference_adjoint(OperatorElement(A, nvars)).kernel_op
+        assert_canonical(got, nvars, nvars)
+        assert (A, B) == before, "operands mutated"
+
+    @pytest.mark.parametrize("dims", [5, 16])
+    def test_pair_loop_width(self, capsys, monkeypatch, dims):
+        # The Leibniz rule brackets H's one-variable parts with the
+        # product's one-variable factors: every call of the pair loop,
+        # the cold registry builds included, carries as many blocks per
+        # key as its operands touch variables, not dims.
+        calls = []
+        product = _kernel._product
+
+        def counting(a, b, nvars, *rest):
+            calls.append((a.terms, b.terms, nvars))
+            return product(a, b, nvars, *rest)
+
+        monkeypatch.setattr(_kernel, "_product", counting)
+        build.cache_clear()
+        code = cli.main(["nf", "--dims", str(dims),
+                         "comm(H, A+2*A-5*A+5*A-1)"])
+        assert (code, capsys.readouterr().out) == (0, "0\n")
+        assert calls
+        for A, B, width in calls:
+            keys = [m for X in (A, B) for m in X]
+            assert all(len(m) == 3 * width for m in keys)
+            touched = {j for m in keys for j in range(0, len(m), 3)
+                       if m[j:j + 3] != (0, 0, 0)}
+            assert width <= len(touched)
 
 
 def _distinct_pairs(A, B, width_b):
